@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .coords import CoordinateSystem, base_system_ids, make_system
 from .errors import ConfigurationError, NumericError
-from .frame import FrameSpec, TimeProfile, constant, make_frame, polynomial, sinusoid
+from .frame import FrameSpec, TimeProfile, constant, horner, make_frame, polynomial, sinusoid
 from .potential import (
     CoulombSystem,
     PotentialKind,
@@ -130,15 +130,8 @@ def _omega_profile(node: dict):
     if node["type"] == "constant":
         value = float(node["value"])
         return lambda w: value
-    coeffs = [float(c) for c in node["coeffs"]]
-
-    def poly(w: float) -> float:
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * w + c
-        return acc
-
-    return poly
+    rev = [float(c) for c in reversed(node["coeffs"])]
+    return lambda w: horner(rev, w)
 
 
 def _build_system(doc: dict) -> CoordinateSystem:

@@ -58,12 +58,43 @@ def constant(c: float) -> TimeProfile:
     return TimeProfile(lambda t: (c, 0.0, 0.0))
 
 
+def _deriv(c: list[float]) -> list[float]:
+    # Same products as numpy.polynomial.polynomial.polyder, so the
+    # derivative coefficients (and the zero of a constant) match its bits.
+    if len(c) == 1:
+        return [c[0] * 0]
+    return [j * c[j] for j in range(1, len(c))]
+
+
+def horner(rev: Sequence[float], x: float) -> float:
+    """Polynomial with descending coefficients ``rev`` at x (at least one).
+
+    The operations and their order are those of
+    ``numpy.polynomial.polynomial.polyval``, so the result has its bits.
+    """
+    acc = rev[0] + x * 0
+    for c in rev[1:]:
+        acc = c + acc * x
+    return acc
+
+
 def polynomial(coefficients: Sequence[float]) -> TimeProfile:
-    """Polynomial in t with ascending coefficients (c0 + c1 t + ...)."""
-    p = np.polynomial.Polynomial(list(coefficients))
-    d1 = p.deriv()
-    d2 = d1.deriv()
-    return TimeProfile(lambda t: (float(p(t)), float(d1(t)), float(d2(t))))
+    """Polynomial in t with ascending coefficients (c0 + c1 t + ...).
+
+    Evaluated by Horner's rule on floats; values and both derivatives are
+    bit-identical to ``numpy.polynomial.Polynomial`` on its default domain.
+    """
+    c = [float(v) for v in coefficients]
+    if not c:
+        raise ConfigurationError("polynomial profile needs at least one coefficient")
+    d1 = _deriv(c)
+    r0, r1, r2 = c[::-1], d1[::-1], _deriv(d1)[::-1]
+
+    def fn(t: float) -> tuple[float, float, float]:
+        x = 0.0 + float(t)  # the domain map of Polynomial.__call__ (turns -0.0 into 0.0)
+        return (horner(r0, x), horner(r1, x), horner(r2, x))
+
+    return TimeProfile(fn)
 
 
 def sinusoid(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence, TextIO
 
@@ -39,7 +39,7 @@ from .errors import (
     TurningPointError,
 )
 from .frame import unembed
-from .potential import PotentialKind, PotentialSpec, phase_factor_S, t0_profile
+from .potential import PotentialKind, PotentialSpec, phase_factor_S
 from .stackel import stackel_row, t_functions
 
 QUAD_EPSREL = 1e-11
@@ -51,6 +51,12 @@ ODE_ATOL = 1e-12
 #: good as the dense output everywhere.
 NODE_SPACING = 1e-3
 INTERP_BUDGET = 1e-9
+#: Largest Hermite grid a factor may ask for; checked before anything is
+#: integrated, so an oversized range fails at once instead of allocating.
+MAX_NODES = 10**6
+#: Distinct times a temporal factor remembers.  A residual sample visits
+#: five (t and t +- ht, t +- 2ht) and most of its 17 evaluations share t.
+MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,8 @@ def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
 
 def _check_t_range(t_range, anchor: float) -> tuple[float, float]:
     lo, hi = (float(t_range[0]), float(t_range[1]))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigurationError(f"time range ({lo}, {hi}) must be finite")
     if not (lo < hi):
         raise ConfigurationError(f"empty time range ({lo}, {hi})")
     if not (lo <= anchor <= hi):
@@ -118,12 +126,22 @@ def _check_t_range(t_range, anchor: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _remember(memo: dict, t: float, value):
+    if len(memo) >= MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[t] = value
+    return value
+
+
 @dataclass(frozen=True)
 class TemporalFactor:
     """phi0(t) = exp(-i integral_{t0}^{t} (T0 - T_i lambda_i)), anchored to 1.
 
-    The imaginary part of T0 makes the modulus drift; both parts are
-    integrated by adaptive quadrature on each call.
+    The imaginary part of T0, -(1/2) sum_i h_i'/h_i, integrates in closed
+    form: the modulus is exp(-(1/2) sum_i log(h_i(t)/h_i(t0))).  The phase
+    is an adaptive quadrature of the real part.  Each instance remembers
+    its last few values by exact t, so the repeated times of a residual
+    stencil are integrated once; ``dataclasses.replace`` starts afresh.
     """
 
     spec: PotentialSpec
@@ -131,24 +149,33 @@ class TemporalFactor:
     t_lo: float
     t_hi: float
     anchor: float
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _phase_rate(self, tau: float) -> float:
         T = t_functions(self.spec.system, self.spec.frame, tau)
         lam = self.constants.as_tuple()
         return self.spec.t0_tilde(tau)[0] - (T[0] * lam[0] + T[1] * lam[1] + T[2] * lam[2])
 
-    def _decay_rate(self, tau: float) -> float:
-        return t0_profile(self.spec, tau).imag
+    def _log_modulus(self, t: float) -> float:
+        frame = self.spec.frame
+        acc = 0.0
+        for hp in (frame.h1, frame.h2, frame.h3):
+            h, h0 = hp(t)[0], hp(self.anchor)[0]
+            if not (h > 0.0 and h0 > 0.0):
+                raise ConfigurationError(f"frame scale non-positive at t={t}")
+            acc += math.log(h / h0)
+        return -0.5 * acc
 
     def __call__(self, t: float) -> complex:
         if not (self.t_lo <= t <= self.t_hi):
             raise OutOfRangeError(f"t={t} outside tabulated range ({self.t_lo}, {self.t_hi})")
         if t == self.anchor:
             return 1.0 + 0.0j
+        if t in self._memo:
+            return self._memo[t]
+        modulus = complex(math.exp(self._log_modulus(t)))
         phase = _quad(self._phase_rate, self.anchor, t)
-        log_mod = _quad(self._decay_rate, self.anchor, t)
-        # exp(-i * phase) with the modulus drift folded in.
-        return complex(math.exp(log_mod)) * complex(math.cos(phase), -math.sin(phase))
+        return _remember(self._memo, t, modulus * complex(math.cos(phase), -math.sin(phase)))
 
 
 def solve_phi0(
@@ -219,6 +246,8 @@ def _check_axis_range(spec: PotentialSpec, a: int, omega_range) -> tuple[float, 
     if a not in (1, 2, 3):
         raise ConfigurationError(f"axis must be 1, 2 or 3, got {a!r}")
     lo, hi = (float(omega_range[0]), float(omega_range[1]))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigurationError(f"omega range ({lo}, {hi}) on axis {a} must be finite")
     if not (lo < hi):
         raise ConfigurationError(f"empty omega range ({lo}, {hi}) on axis {a}")
     iv = spec.system.domain[a - 1]
@@ -230,12 +259,21 @@ def _check_axis_range(spec: PotentialSpec, a: int, omega_range) -> tuple[float, 
             f"[{lo_min}, {hi_max}] on axis {a} of {spec.system.sid.value}",
             axis=a,
         )
+    n = _node_count(lo, hi)
+    if n > MAX_NODES:
+        raise ConfigurationError(
+            f"omega range ({lo}, {hi}) on axis {a} needs {n} nodes at spacing "
+            f"{NODE_SPACING}; at most {MAX_NODES} are allowed"
+        )
     return lo, hi
 
 
+def _node_count(lo: float, hi: float) -> int:
+    return max(2, int(math.ceil((hi - lo) / NODE_SPACING)) + 1)
+
+
 def _uniform_nodes(lo: float, hi: float) -> np.ndarray:
-    n = max(2, int(math.ceil((hi - lo) / NODE_SPACING)) + 1)
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, _node_count(lo, hi))
 
 
 def solve_phi_a(
@@ -341,6 +379,8 @@ def separate(
         initial_data = ((1.0, 0.0),) * 3
     if len(initial_data) != 3:
         raise ConfigurationError("initial_data must hold one (value, slope) pair per axis")
+    for a in (1, 2, 3):  # every range, before any axis is integrated
+        _check_axis_range(spec, a, omega_ranges[a - 1])
     phi0 = solve_phi0(spec, constants, t_range, anchor)
     factors = tuple(
         solve_phi_a(spec, a, constants, omega_ranges[a - 1], initial_data[a - 1])
@@ -394,13 +434,17 @@ def lambda_jacobian(spec: PotentialSpec, t: float, omega) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HJTemporal:
-    """phi0(t) = integral_{t0}^{t} (-T0_tilde - T_i lambda_i), real-valued."""
+    """phi0(t) = integral_{t0}^{t} (-T0_tilde - T_i lambda_i), real-valued.
+
+    Remembers its last few values by exact t, like :class:`TemporalFactor`.
+    """
 
     spec: PotentialSpec
     constants: SeparationConstants
     t_lo: float
     t_hi: float
     anchor: float
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _rate(self, tau: float) -> float:
         T = t_functions(self.spec.system, self.spec.frame, tau)
@@ -412,7 +456,9 @@ class HJTemporal:
             raise OutOfRangeError(f"t={t} outside tabulated range ({self.t_lo}, {self.t_hi})")
         if t == self.anchor:
             return 0.0
-        return _quad(self._rate, self.anchor, t)
+        if t in self._memo:
+            return self._memo[t]
+        return _remember(self._memo, t, _quad(self._rate, self.anchor, t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,11 +496,11 @@ def hj_solve(
     if len(signs) != 3 or any(s not in (-1, 1) for s in signs):
         raise ConfigurationError(f"branch signs must be three values of +-1, got {signs!r}")
     t_lo, t_hi = _check_t_range(t_range, anchor)
+    bounds = [_check_axis_range(spec, a, ranges[a - 1]) for a in (1, 2, 3)]
     lam = constants.as_tuple()
 
     terms = []
-    for a in (1, 2, 3):
-        lo, hi = _check_axis_range(spec, a, ranges[a - 1])
+    for a, (lo, hi) in zip((1, 2, 3), bounds):
         axis = a - 1
 
         def radicand(w: float, axis=axis) -> float:

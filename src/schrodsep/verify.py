@@ -129,17 +129,6 @@ def se_residual_with_scale(
     return residual, scale
 
 
-def se_residual(
-    field: Callable,
-    spec: PotentialSpec,
-    t: float,
-    x,
-    steps: Sequence[float] = DEFAULT_STEPS,
-    omega_hint=None,
-) -> complex:
-    return se_residual_with_scale(field, spec, t, x, steps, omega_hint)[0]
-
-
 # ---------------------------------------------------------------------------
 # Stationary residual
 
@@ -193,18 +182,6 @@ def stationary_residual_with_scale(
     return residual, scale
 
 
-def stationary_residual(
-    psi: Callable,
-    a0_field: Callable,
-    a_field: Callable,
-    energy: float,
-    x,
-    hx: float = 1e-3,
-    e_charge: float = 1.0,
-) -> complex:
-    return stationary_residual_with_scale(psi, a0_field, a_field, energy, x, hx, e_charge)[0]
-
-
 # ---------------------------------------------------------------------------
 # Hamilton-Jacobi residual
 
@@ -235,17 +212,6 @@ def hj_residual_with_scale(
     residual = terms[0] + terms[1] + terms[2]
     scale = max(max(abs(term) for term in terms), SCALE_FLOOR)
     return residual, scale
-
-
-def hj_residual(
-    action: Callable,
-    spec: PotentialSpec,
-    t: float,
-    x,
-    steps: Sequence[float] = DEFAULT_STEPS,
-    omega_hint=None,
-) -> float:
-    return hj_residual_with_scale(action, spec, t, x, steps, omega_hint)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +255,13 @@ def channel_max(report: ResidualReport, channel: str) -> float:
 
 
 def _record(index, channel, t, x, residual, scale) -> PointRecord:
-    scale = max(float(scale), SCALE_FLOOR)
     residual = abs(residual)
+    if not (math.isfinite(residual) and math.isfinite(scale)):
+        raise NumericError(
+            f"{channel} sample {index} at t={float(t)!r}: non-finite residual "
+            f"{float(residual)!r} or scale {float(scale)!r}"
+        )
+    scale = max(float(scale), SCALE_FLOOR)
     return PointRecord(
         index=index,
         channel=channel,

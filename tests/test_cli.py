@@ -180,3 +180,40 @@ def test_samples_override_applies(tmp_path, capsys):
                "--samples", "5") == 0
     report = read_json(tmp_path / "report.json")
     assert report["report"]["summary"]["count"] == 5
+
+
+def _unbounded_scenario(tmp_path, axis3=(-0.5, 0.5), t_range=(-1.0, 1.0)):
+    """Magnetic cylindrical scenario; the third chart axis is unbounded."""
+    doc = {
+        "schema": 1,
+        "system": {"id": "cylindrical"},
+        "frame": {"class": "partial", "profiles": {}},
+        "potential": {"kind": "magnetic"},
+        "constants": [3, 1, 1],
+        "omega_ranges": [[0.5, 1.5], [0.5, 1.5], list(axis3)],
+        "t_range": list(t_range),
+        "samples": 3,
+    }
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(doc))  # writes Infinity, which load_scenario reads back
+    return path
+
+
+def test_hj_infinite_omega_range_is_config_error(tmp_path, capsys):
+    scen = _unbounded_scenario(tmp_path, axis3=(-float("inf"), float("inf")))
+    assert run("hj", "--scenario", scen, "--out", tmp_path / "out") == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_separate_infinite_omega_range_is_config_error(tmp_path, capsys):
+    scen = _unbounded_scenario(tmp_path, axis3=(-float("inf"), float("inf")))
+    assert run("separate", "--scenario", scen, "--out", tmp_path / "out") == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_separate_infinite_t_range_writes_nothing(tmp_path, capsys):
+    scen = _unbounded_scenario(tmp_path, t_range=(-float("inf"), float("inf")))
+    out = tmp_path / "out"
+    assert run("separate", "--scenario", scen, "--out", out) == 1
+    assert "time range" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))

@@ -51,6 +51,26 @@ def test_profiles_evaluate():
     assert d2 == pytest.approx(p2 * qv + 2 * p1 * q1 + pv * q2, rel=1e-15)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_polynomial_matches_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        coeffs = [float(c) for c in rng.uniform(-3.0, 3.0, n)]
+        p = np.polynomial.Polynomial(coeffs)
+        d1 = p.deriv()
+        d2 = d1.deriv()
+        profile = polynomial(coeffs)
+        for t in (*rng.uniform(-2.0, 2.0, 5), 0.0, -0.0, 2.0):
+            got = np.array(profile(t))
+            want = np.array([float(p(t)), float(d1(t)), float(d2(t))])
+            assert got.tobytes() == want.tobytes(), (coeffs, t)
+
+
+def test_polynomial_without_coefficients_rejected():
+    with pytest.raises(ConfigurationError):
+        polynomial([])
+
+
 def test_make_frame_rejects_inconsistent_derivatives():
     lying = TimeProfile(lambda t: (math.sin(t), 42.0, -math.sin(t)))
     with pytest.raises(ConfigurationError):

@@ -1,10 +1,13 @@
 """Tests for the reduced ODEs, factor integration, and reassembly."""
 
+import importlib
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from schrodsep.coords import make_system
 from schrodsep.errors import (
@@ -14,10 +17,12 @@ from schrodsep.errors import (
     OutOfRangeError,
     TurningPointError,
 )
-from schrodsep.frame import TimeProfile, identity_frame, make_frame
-from schrodsep.potential import coulomb_spec, electrostatic_spec, magnetic_spec
+from schrodsep.frame import TimeProfile, identity_frame, make_frame, polynomial, sinusoid
+from schrodsep.potential import coulomb_spec, electrostatic_spec, magnetic_spec, t0_profile
 from schrodsep.separate import (
+    MEMO_SIZE,
     AxisInterpolant,
+    HJTemporal,
     QKind,
     SeparationConstants,
     evaluate_action,
@@ -135,6 +140,97 @@ def test_phi0_evaluation_outside_range_rejected():
     phi0 = solve_phi0(free_particle(), SeparationConstants(0, 0, 0), (-1.0, 1.0), 0.0)
     with pytest.raises(OutOfRangeError):
         phi0(1.5)
+
+
+def test_phi0_closed_form_modulus_matches_quadrature():
+    frame = make_frame(
+        "complete",
+        h1=exp_profile(0.4),
+        h2=polynomial([1.1, 0.05, 0.02]),
+        h3=sinusoid(0.2, 0.9, 0.0, 1.4),
+    )
+    spec = magnetic_spec(make_system("cartesian"), frame)
+    phi0 = solve_phi0(spec, SeparationConstants(0.7, -0.4, 0.9), (-2.0, 2.0), 0.3)
+    for t in (-1.9, -0.6, 0.31, 1.2, 2.0):
+        log_mod, _ = quad(
+            lambda tau: t0_profile(spec, tau).imag, 0.3, t, epsabs=1e-14, epsrel=1e-13, limit=200
+        )
+        assert abs(phi0(t)) == pytest.approx(math.exp(log_mod), rel=1e-11, abs=0.0)
+
+
+def test_phi0_nonpositive_scale_is_configuration_error():
+    # Positive on the probe grid [-2, 2], zero at t = 3.
+    frame = make_frame("nonsplit", h1=polynomial([3.0, -1.0]))
+    spec = magnetic_spec(make_system("spherical"), frame)
+    phi0 = solve_phi0(spec, SeparationConstants(0, 0, 0), (-1.0, 4.0), 0.0)
+    with pytest.raises(ConfigurationError, match="non-positive"):
+        phi0(3.5)
+
+
+def _wiggly_temporals():
+    spec = magnetic_spec(build("cartesian"), wiggly_frame("complete"), t0_tilde=sinusoid(0.5, 0.8))
+    lam = SeparationConstants(0.7, -0.4, 0.9)
+    return spec, lam
+
+
+@pytest.mark.parametrize("kind", ["wave", "hj"])
+def test_temporal_memo_is_bit_identical_in_any_order(kind):
+    spec, lam = _wiggly_temporals()
+    if kind == "wave":
+        make = lambda: solve_phi0(spec, lam, (-1.5, 1.5), 0.0)  # noqa: E731
+    else:
+        make = lambda: HJTemporal(spec, lam, -1.5, 1.5, 0.0)  # noqa: E731
+    times = (0.7, -0.3, 0.701, 1.2, -0.3, 0.698, 0.05, 0.7, 0.0)
+    want = {t: make()(t) for t in times}  # every value from a fresh instance
+    forward, backward, filled = make(), make(), make()
+    for t in np.linspace(-1.4, 1.4, 3 * MEMO_SIZE):
+        filled(float(t))
+    for t in times:
+        assert forward(t) == want[t]
+        assert filled(t) == want[t]
+    for t in reversed(times):
+        assert backward(t) == want[t]
+    assert len(filled._memo) <= MEMO_SIZE
+
+
+def test_replaced_temporal_starts_with_fresh_memo():
+    spec, lam = _wiggly_temporals()
+    damaged = SeparationConstants(1.1 * lam.lambda1, lam.lambda2, lam.lambda3)
+    for original in (solve_phi0(spec, lam, (-1.5, 1.5), 0.0), HJTemporal(spec, lam, -1.5, 1.5, 0.0)):
+        before = original(0.6)
+        tampered = replace(original, constants=damaged)
+        assert tampered(0.6) != before
+        assert tampered(0.6) == replace(original, constants=damaged)(0.6)
+        assert original(0.6) == before
+
+
+@pytest.mark.parametrize(
+    "bad", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (-math.inf, math.inf)]
+)
+def test_nonfinite_ranges_rejected(bad):
+    lam = SeparationConstants(1, 1, 1)
+    with pytest.raises(ConfigurationError, match="finite"):
+        solve_phi0(free_particle(), lam, bad, 0.0 if bad[0] < 0.0 else 0.5)
+    with pytest.raises(ConfigurationError, match="finite"):
+        solve_phi_a(free_particle(), 1, lam, bad)
+    with pytest.raises(ConfigurationError, match="finite"):
+        hj_solve(free_particle(), lam, ((0, 1), (0, 1), bad))
+
+
+def test_oversized_range_rejected_before_integration(monkeypatch):
+    module = importlib.import_module("schrodsep.separate")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oversized range reached integration")
+
+    for name in ("solve_ivp", "quad", "_uniform_nodes"):
+        monkeypatch.setattr(module, name, forbidden)
+    lam = SeparationConstants(1, 1, 1)
+    ranges = ((0.0, 1.0), (0.0, 1.0), (-1e6, 1e6))
+    with pytest.raises(ConfigurationError, match="nodes"):
+        separate(free_particle(), lam, omega_ranges=ranges)
+    with pytest.raises(ConfigurationError, match="nodes"):
+        hj_solve(free_particle(), lam, ranges)
 
 
 # ---------------------------------------------------------------------------

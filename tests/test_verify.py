@@ -8,7 +8,7 @@ import pytest
 
 import schrodsep.stackel
 from schrodsep.coords import SystemId, all_system_ids, make_system
-from schrodsep.errors import StencilError
+from schrodsep.errors import NumericError, StencilError
 from schrodsep.frame import TimeProfile, constant, make_frame, polynomial, sinusoid
 from schrodsep.potential import coulomb_spec, electrostatic_spec, magnetic_spec, vector_potential
 from schrodsep.separate import (
@@ -360,6 +360,12 @@ def test_se_report_and_serialisation():
     assert lines[0] == "index,channel,t,x1,x2,x3,residual,scale,relative"
     assert len(lines) == 3
     assert float(lines[1].split(",")[8]) == rep.records[0].relative
+
+
+def test_se_report_nonfinite_field_is_numeric_error():
+    field = lambda t, x, hint: complex(math.nan, 0.0)  # noqa: E731
+    with pytest.raises(NumericError, match="non-finite"):
+        se_report(field, free_particle(), [(0.1, (0.2, 0.3, -0.1))])
 
 
 def test_hj_report_channel():
