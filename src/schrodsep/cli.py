@@ -201,6 +201,13 @@ def _build_spec(doc: dict, system: CoordinateSystem, frame: FrameSpec) -> Potent
     return builder(system, frame, e_charge=e_charge, **kwargs)
 
 
+def _check_finite_range(path, what: str, lo: float, hi: float) -> None:
+    # Every command samples or grids these ranges, and hi - lo may overflow
+    # even when both bounds are finite.
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise ConfigurationError(f"scenario {path}: {what} ({lo}, {hi}) must be finite")
+
+
 def load_scenario(path: str | Path) -> Scenario:
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
@@ -220,6 +227,12 @@ def load_scenario(path: str | Path) -> Scenario:
     constants = SeparationConstants(*doc["constants"])
     ranges = tuple((float(lo), float(hi)) for lo, hi in doc["omega_ranges"])
     t_range = tuple(float(v) for v in doc.get("t_range", (-2.0, 2.0)))
+    anchor = float(doc.get("anchor", 0.0))
+    for a, (lo, hi) in enumerate(ranges, start=1):
+        _check_finite_range(path, f"omega range on axis {a}", lo, hi)
+    _check_finite_range(path, "time range", *t_range)
+    if not math.isfinite(anchor):
+        raise ConfigurationError(f"scenario {path}: anchor {anchor} must be finite")
     initial = None
     if "initial_data" in doc:
         initial = tuple(
@@ -235,7 +248,7 @@ def load_scenario(path: str | Path) -> Scenario:
         constants=constants,
         omega_ranges=ranges,
         t_range=t_range,
-        anchor=float(doc.get("anchor", 0.0)),
+        anchor=anchor,
         initial_data=initial,
         signs=tuple(doc.get("signs", (1, 1, 1))),
         samples=int(doc.get("samples", 20)),

@@ -246,7 +246,7 @@ def _check_axis_range(spec: PotentialSpec, a: int, omega_range) -> tuple[float, 
     if a not in (1, 2, 3):
         raise ConfigurationError(f"axis must be 1, 2 or 3, got {a!r}")
     lo, hi = (float(omega_range[0]), float(omega_range[1]))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
         raise ConfigurationError(f"omega range ({lo}, {hi}) on axis {a} must be finite")
     if not (lo < hi):
         raise ConfigurationError(f"empty omega range ({lo}, {hi}) on axis {a}")
@@ -473,6 +473,34 @@ class HJAction:
 
 
 RADICAND_GRID = 256
+#: Five-point Gauss-Lobatto rule on [-1, 1]: the ends, +-sqrt(3/7) and 0,
+#: with weights 1/10, 49/90 and 32/45 (Davis & Rabinowitz, section 2.7).
+LOBATTO_X = math.sqrt(3.0 / 7.0)
+LOBATTO_W = (0.1, 49.0 / 90.0, 32.0 / 45.0)
+
+
+def _cell_integrals(
+    fn: Callable[[float], float], nodes: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Integral of ``fn`` over each cell between consecutive ``nodes``.
+
+    ``ends`` holds ``fn`` at the nodes; :func:`hj_solve` describes the
+    rule, its error estimate and the fallback.  A cell whose estimate is
+    not finite falls back too.
+    """
+    half = 0.5 * np.diff(nodes)
+    mids = nodes[:-1] + half
+    off = LOBATTO_X * half
+    centre = np.array([fn(float(w)) for w in mids])
+    left = np.array([fn(float(w)) for w in mids - off])
+    right = np.array([fn(float(w)) for w in mids + off])
+    outer = ends[:-1] + ends[1:]
+    lobatto = half * (LOBATTO_W[0] * outer + LOBATTO_W[1] * (left + right) + LOBATTO_W[2] * centre)
+    simpson = half / 3.0 * (outer + 4.0 * centre)
+    budget = np.maximum(QUAD_EPSABS, np.abs(lobatto) * QUAD_EPSREL)
+    for j in np.flatnonzero(~(np.abs(lobatto - simpson) <= budget)):
+        lobatto[j] = _quad(fn, float(nodes[j]), float(nodes[j + 1]))
+    return lobatto
 
 
 def hj_solve(
@@ -489,6 +517,19 @@ def hj_solve(
     Each spatial term solves phi_a' = sign_a sqrt(-F_a0 + F_ai lambda_i);
     the radicand is screened on a fine grid first and a sign change is a
     turning point, which the separated action cannot cross.
+
+    The speed sqrt(...) is evaluated once at every Hermite node; those
+    values are the stored slopes and the ends of a five-point
+    Gauss-Lobatto rule on each cell, which adds the midpoint and the two
+    points +-sqrt(3/7) h/2 around it.  Simpson's rule on the same ends and
+    midpoint gives the error estimate: a cell is accepted when the two
+    differ by at most max(QUAD_EPSABS, QUAD_EPSREL |value|), the budget of
+    the adaptive quadrature.  Since the difference bounds Simpson's error,
+    the test is conservative for the degree-7 Lobatto value.  A cell that
+    fails it, such as one holding the kink of the clamp at zero near a
+    turning point, is integrated by adaptive QUADPACK alone, which raises
+    :class:`QuadratureError` if it cannot meet the budget either.  The
+    node values are the running sum of the cell integrals.
     """
     if len(ranges) != 3:
         raise ConfigurationError("ranges must hold one (lo, hi) pair per axis")
@@ -521,12 +562,11 @@ def hj_solve(
             return math.sqrt(max(radicand(w), 0.0))
 
         nodes = _uniform_nodes(lo, hi)
-        values = np.empty(len(nodes))
-        values[0] = 0.0
-        for j in range(len(nodes) - 1):
-            values[j + 1] = values[j] + _quad(speed, float(nodes[j]), float(nodes[j + 1]))
+        ends = np.array([speed(float(w)) for w in nodes])
+        values = np.zeros(len(nodes))
+        np.cumsum(_cell_integrals(speed, nodes, ends), out=values[1:])
         sgn = float(signs[a - 1])
-        slopes = sgn * np.array([speed(float(w)) for w in nodes])
+        slopes = sgn * ends
         terms.append(AxisInterpolant(axis=a, nodes=nodes, values=sgn * values, slopes=slopes))
 
     phi0 = HJTemporal(spec, constants, t_lo, t_hi, float(anchor))

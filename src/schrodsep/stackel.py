@@ -33,8 +33,7 @@ from .errors import ConfigurationError
 from .frame import FrameSpec
 
 
-def _row_identity(i: int) -> tuple[float, float, float]:
-    return tuple(1.0 if j == i else 0.0 for j in range(3))
+_IDENTITY_ROWS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 def stackel_row(system: CoordinateSystem, axis: int, w: float) -> tuple[float, float, float]:
@@ -50,12 +49,12 @@ def stackel_row(system: CoordinateSystem, axis: int, w: float) -> tuple[float, f
     a = system.a
 
     if sid is SystemId.CARTESIAN:
-        return _row_identity(axis)
+        return _IDENTITY_ROWS[axis]
 
     if sid is SystemId.CYLINDRICAL:
         if axis == 0:
             return (math.exp(2.0 * w), -1.0, 0.0)
-        return _row_identity(axis)
+        return _IDENTITY_ROWS[axis]
 
     if sid is SystemId.PARABOLIC_CYLINDRICAL:
         if axis == 0:

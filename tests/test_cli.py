@@ -182,9 +182,10 @@ def test_samples_override_applies(tmp_path, capsys):
     assert report["report"]["summary"]["count"] == 5
 
 
-def _unbounded_scenario(tmp_path, axis3=(-0.5, 0.5), t_range=(-1.0, 1.0)):
+def _unbounded_scenario(tmp_path, axis3=(-0.5, 0.5), t_range=(-1.0, 1.0), anchor=0.0):
     """Magnetic cylindrical scenario; the third chart axis is unbounded."""
     doc = {
+        "anchor": anchor,
         "schema": 1,
         "system": {"id": "cylindrical"},
         "frame": {"class": "partial", "profiles": {}},
@@ -208,6 +209,23 @@ def test_hj_infinite_omega_range_is_config_error(tmp_path, capsys):
 def test_separate_infinite_omega_range_is_config_error(tmp_path, capsys):
     scen = _unbounded_scenario(tmp_path, axis3=(-float("inf"), float("inf")))
     assert run("separate", "--scenario", scen, "--out", tmp_path / "out") == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"axis3": (-float("inf"), float("inf"))},
+        {"axis3": (float("nan"), 1.0)},
+        {"axis3": (-1e308, 1e308)},
+        {"t_range": (float("nan"), 1.0)},
+        {"anchor": float("inf")},
+    ],
+    ids=["infinite_range", "nan_bound", "overflowing_span", "nan_t_range", "infinite_anchor"],
+)
+def test_build_potential_nonfinite_input_is_config_error(tmp_path, capsys, field):
+    scen = _unbounded_scenario(tmp_path, **field)
+    assert run("build-potential", "--scenario", scen, "--out", tmp_path / "out") == 1
     assert "must be finite" in capsys.readouterr().err
 
 

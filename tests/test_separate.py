@@ -4,11 +4,13 @@ import importlib
 import io
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from schrodsep.cli import load_scenario
 from schrodsep.coords import make_system
 from schrodsep.errors import (
     ConfigurationError,
@@ -25,6 +27,8 @@ from schrodsep.separate import (
     HJTemporal,
     QKind,
     SeparationConstants,
+    _quad,
+    _uniform_nodes,
     evaluate_action,
     evaluate_psi,
     hj_solve,
@@ -35,8 +39,11 @@ from schrodsep.separate import (
     solve_phi_a,
     write_interpolant_csv,
 )
+from schrodsep.stackel import stackel_row
 
 from test_stackel import build, wiggly_frame
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def free_particle():
@@ -215,6 +222,14 @@ def test_nonfinite_ranges_rejected(bad):
         solve_phi_a(free_particle(), 1, lam, bad)
     with pytest.raises(ConfigurationError, match="finite"):
         hj_solve(free_particle(), lam, ((0, 1), (0, 1), bad))
+
+
+def test_overflowing_span_rejected():
+    lam = SeparationConstants(1, 1, 1)
+    with pytest.raises(ConfigurationError, match="finite"):
+        solve_phi_a(free_particle(), 1, lam, (-1e308, 1e308))
+    with pytest.raises(ConfigurationError, match="finite"):
+        hj_solve(free_particle(), lam, ((0, 1), (0, 1), (-1e308, 1e308)))
 
 
 def test_oversized_range_rejected_before_integration(monkeypatch):
@@ -425,6 +440,94 @@ def test_hj_turning_point_detected():
     with pytest.raises(TurningPointError) as info:
         hj_solve(free_particle(), SeparationConstants(-1, 1, 1), ((0, 2),) * 3)
     assert info.value.axis == 1
+    # An interior turning point reports the first screen-grid point past it,
+    # np.linspace(0.6, 1.4, RADICAND_GRID)[197].
+    sc = load_scenario(SCENARIOS / "magnetic_spherical_rotating.json")
+    with pytest.raises(TurningPointError) as info:
+        hj_solve(sc.spec, sc.constants, sc.omega_ranges)
+    assert (info.value.axis, info.value.omega) == (1, 1.2180392156862745)
+
+
+def _per_cell_quad_terms(spec, constants, ranges, signs):
+    """Reference node values: one adaptive quadrature per Hermite cell."""
+    lam = constants.as_tuple()
+    terms = []
+    for axis, (lo, hi) in enumerate(ranges):
+        def speed(w, axis=axis):
+            row = stackel_row(spec.system, axis, w)
+            rad = -spec.f_a0(axis, w) + row[0] * lam[0] + row[1] * lam[1] + row[2] * lam[2]
+            return math.sqrt(max(rad, 0.0))
+
+        nodes = _uniform_nodes(lo, hi)
+        values = np.zeros(len(nodes))
+        for j in range(len(nodes) - 1):
+            values[j + 1] = values[j] + _quad(speed, float(nodes[j]), float(nodes[j + 1]))
+        terms.append(signs[axis] * values)
+    return terms
+
+
+def _hj_scenario(name, constants=None, signs=(1, 1, 1)):
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    return sc.spec, constants or sc.constants, sc.omega_ranges, signs
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        ("hj_coulomb_spherical", None, (1, 1, 1)),
+        ("magnetic_spherical_rotating", SeparationConstants(12.0, 3.0, 0.8), (1, -1, 1)),
+    ],
+    ids=["coulomb_spherical", "magnetic_spherical_rotating"],
+)
+def test_hj_lobatto_cells_match_per_cell_quad(case):
+    spec, constants, ranges, signs = _hj_scenario(*case)
+    action = hj_solve(spec, constants, ranges, signs, t_range=(-1.0, 1.0))
+    reference = _per_cell_quad_terms(spec, constants, ranges, signs)
+    for term, expect in zip(action.terms, reference):
+        np.testing.assert_allclose(term.values, expect, rtol=1e-13, atol=0.0)
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """The (a, b) of every adaptive quadrature ``separate`` runs."""
+    module = importlib.import_module("schrodsep.separate")
+    calls = []
+    real = module._quad
+    monkeypatch.setattr(module, "_quad", lambda fn, a, b: calls.append((a, b)) or real(fn, a, b))
+    return calls
+
+
+def test_hj_smooth_action_needs_no_adaptive_quad(quad_calls):
+    spec, constants, ranges, signs = _hj_scenario("hj_coulomb_spherical")
+    hj_solve(spec, constants, ranges, signs, t_range=(-1.0, 1.0))
+    assert quad_calls == []
+
+
+def test_hj_kinked_cell_falls_back_to_quad_alone(quad_calls):
+    # sqrt(1 + |w - kink|) has a slope jump inside the cell [0.500, 0.501];
+    # every other cell is smooth.
+    kink = 0.5003
+    spec = magnetic_spec(
+        make_system("cartesian"), identity_frame("complete"), f10=lambda w: -abs(w - kink)
+    )
+    constants = SeparationConstants(1.0, 1.0, 1.0)
+    ranges = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+    action = hj_solve(spec, constants, ranges, t_range=(-1.0, 1.0))
+    assert len(quad_calls) == 1
+    a, b = quad_calls[0]
+    assert a < kink < b and b - a == pytest.approx(1e-3)
+    reference = _per_cell_quad_terms(spec, constants, ranges, (1, 1, 1))
+    np.testing.assert_allclose(action.terms[0].values, reference[0], rtol=1e-13, atol=0.0)
+
+
+def test_hj_free_cartesian_nodes_are_linear():
+    lam = SeparationConstants(0.7, 1.3, 2.0)
+    signs = (1, -1, 1)
+    action = hj_solve(free_particle(), lam, ((-1.0, 1.0),) * 3, signs)
+    for term, value, sign in zip(action.terms, lam.as_tuple(), signs):
+        expect = sign * math.sqrt(value) * (term.nodes + 1.0)
+        assert np.max(np.abs(term.values - expect)) <= 1e-12
+        assert np.all(term.slopes == sign * math.sqrt(value))
 
 
 def test_hj_invalid_signs_rejected():
