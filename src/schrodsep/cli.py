@@ -32,8 +32,8 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .coords import CoordinateSystem, base_system_ids, make_system
-from .errors import ConfigurationError, NumericError
+from .coords import CoordinateSystem, SystemId, base_system_ids, make_system
+from .errors import ConfigurationError, NumericError, check_range
 from .frame import FrameSpec, TimeProfile, constant, horner, make_frame, polynomial, sinusoid
 from .potential import (
     CoulombSystem,
@@ -201,13 +201,6 @@ def _build_spec(doc: dict, system: CoordinateSystem, frame: FrameSpec) -> Potent
     return builder(system, frame, e_charge=e_charge, **kwargs)
 
 
-def _check_finite_range(path, what: str, lo: float, hi: float) -> None:
-    # Every command samples or grids these ranges, and hi - lo may overflow
-    # even when both bounds are finite.
-    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
-        raise ConfigurationError(f"scenario {path}: {what} ({lo}, {hi}) must be finite")
-
-
 def load_scenario(path: str | Path) -> Scenario:
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
@@ -225,12 +218,12 @@ def load_scenario(path: str | Path) -> Scenario:
     frame = _build_frame(doc)
     spec = _build_spec(doc, system, frame)
     constants = SeparationConstants(*doc["constants"])
-    ranges = tuple((float(lo), float(hi)) for lo, hi in doc["omega_ranges"])
-    t_range = tuple(float(v) for v in doc.get("t_range", (-2.0, 2.0)))
+    ranges = tuple(
+        check_range("omega range", lo, hi, f" on axis {a} of scenario {path}")
+        for a, (lo, hi) in enumerate(doc["omega_ranges"], start=1)
+    )
+    t_range = check_range("time range", *doc.get("t_range", (-2.0, 2.0)), f" of scenario {path}")
     anchor = float(doc.get("anchor", 0.0))
-    for a, (lo, hi) in enumerate(ranges, start=1):
-        _check_finite_range(path, f"omega range on axis {a}", lo, hi)
-    _check_finite_range(path, "time range", *t_range)
     if not math.isfinite(anchor):
         raise ConfigurationError(f"scenario {path}: anchor {anchor} must be finite")
     initial = None
@@ -316,10 +309,7 @@ def cmd_list_systems(args: argparse.Namespace) -> int:
     # Charts with parameters are shown at a=1, k=0.5; their elliptic
     # domains scale with the quarter periods of the chosen modulus.
     for name in base_system_ids():
-        try:
-            system = make_system(name)
-        except ConfigurationError:
-            system = make_system(name, a=1.0, k=0.5)
+        system = make_system(name, k=0.5 if SystemId(name).chart.uses_k else None)
         parts = []
         for iv in system.domain:
             lo = "-inf" if math.isinf(iv.lo) else f"{iv.lo:.6g}"

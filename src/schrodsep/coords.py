@@ -15,6 +15,12 @@ combined with time-dependent scale factors:
 * ``nonsplit``  - all axes share one scale factor (the seven remaining
   genuinely three-dimensional charts).
 
+Everything known about a chart sits in its one :class:`Chart` record in
+``_CHARTS``: split class, parameters, domain, forward map, Jacobian,
+Stackel rows and closed-form metric.  A chart is added by writing its
+functions and adding one ``_CHARTS`` record; nothing else dispatches on
+the system id.
+
 Angles are kept in their principal boxes; radial-like axes that make the
 map blow up at an endpoint are flagged singular and excluded from the
 admissible set, with an interior safety margin ``EPS_DOM`` used by the
@@ -24,12 +30,14 @@ samplers and the Newton clamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .elliptic import Modulus, jacobi
+from .elliptic import Modulus, jacobi, modulus
 from .errors import ConfigurationError, DomainError, InversionError, SingularityError
 
 EPS_DOM = 1e-6
@@ -54,42 +62,16 @@ class SystemId(str, Enum):
     ELLIPSOIDAL = "ellipsoidal"
     CONICAL = "conical"
 
+    @property
+    def chart(self) -> Chart:
+        """The system's record in the chart table."""
+        return _CHARTS[self]
+
 
 class SplitClass(str, Enum):
     COMPLETE = "complete"
     PARTIAL = "partial"
     NONSPLIT = "nonsplit"
-
-
-_SPLIT: dict[SystemId, SplitClass] = {
-    SystemId.CARTESIAN: SplitClass.COMPLETE,
-    SystemId.CYLINDRICAL: SplitClass.PARTIAL,
-    SystemId.PARABOLIC_CYLINDRICAL: SplitClass.PARTIAL,
-    SystemId.ELLIPTIC_CYLINDRICAL: SplitClass.PARTIAL,
-    SystemId.SPHERICAL: SplitClass.NONSPLIT,
-    SystemId.PROLATE_SPHEROIDAL: SplitClass.NONSPLIT,
-    SystemId.PROLATE_SPHEROIDAL_II_PLUS: SplitClass.NONSPLIT,
-    SystemId.PROLATE_SPHEROIDAL_II_MINUS: SplitClass.NONSPLIT,
-    SystemId.OBLATE_SPHEROIDAL: SplitClass.NONSPLIT,
-    SystemId.PARABOLIC: SplitClass.NONSPLIT,
-    SystemId.PARABOLOIDAL: SplitClass.NONSPLIT,
-    SystemId.ELLIPSOIDAL: SplitClass.NONSPLIT,
-    SystemId.CONICAL: SplitClass.NONSPLIT,
-}
-
-#: Systems whose formulas use the focal scale ``a``.
-_USES_A = {
-    SystemId.ELLIPTIC_CYLINDRICAL,
-    SystemId.PROLATE_SPHEROIDAL,
-    SystemId.PROLATE_SPHEROIDAL_II_PLUS,
-    SystemId.PROLATE_SPHEROIDAL_II_MINUS,
-    SystemId.OBLATE_SPHEROIDAL,
-    SystemId.PARABOLOIDAL,
-    SystemId.ELLIPSOIDAL,
-}
-
-#: Systems whose formulas use Jacobi elliptic functions of a fixed modulus.
-_USES_K = {SystemId.ELLIPSOIDAL, SystemId.CONICAL}
 
 
 @dataclass(frozen=True)
@@ -116,6 +98,36 @@ class AxisInterval:
         return True
 
 
+Domain = tuple[AxisInterval, AxisInterval, AxisInterval]
+
+
+@dataclass(frozen=True)
+class Chart:
+    """One coordinate system, defined once.
+
+    ``domain`` holds the three axis intervals or, where ``uses_k``, builds
+    them from the :class:`Modulus`; ``base`` is false only for the shifted
+    prolate variants.  The functions take the system (for ``a`` and
+    ``kmod``), then floats, and check no domain:
+
+    * ``forward(s, w1, w2, w3)`` - z as a tuple;
+    * ``jacobian(s, w1, w2, w3)`` - rows J[a][i] = d z_a / d omega_i;
+    * ``rows[i](s, w)`` - Stackel row i at omega_{i+1} = w;
+    * ``metric(s, T, w1, w2, w3)`` - (R1^2, R2^2, R3^2) under the time
+      functions T = (T1, T2, T3).
+    """
+
+    split_class: SplitClass
+    domain: Domain | Callable[[Modulus], Domain]
+    forward: Callable
+    jacobian: Callable
+    rows: tuple[Callable, Callable, Callable]
+    metric: Callable
+    uses_a: bool = False
+    uses_k: bool = False
+    base: bool = True
+
+
 @dataclass(frozen=True)
 class CoordinateSystem:
     """A concrete chart: system id plus its fixed parameters.
@@ -124,26 +136,32 @@ class CoordinateSystem:
     ----------
     sid : SystemId
     a : float
-        Focal scale, used only by the charts in ``_USES_A``.
+        Focal scale, used only by the charts whose record has ``uses_a``.
     kmod : Modulus or None
         Elliptic modulus data, required by ellipsoidal and conical charts.
+
+    The chart record and the finished domain are attached on construction.
     """
 
     sid: SystemId
     a: float = 1.0
     kmod: Modulus | None = None
+    chart: Chart = field(init=False, compare=False, repr=False)
+    domain: Domain = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        chart = _CHARTS[self.sid]
+        object.__setattr__(self, "chart", chart)
+        domain = chart.domain(self.kmod) if chart.uses_k else chart.domain
+        object.__setattr__(self, "domain", domain)
 
     @property
     def split_class(self) -> SplitClass:
-        return _SPLIT[self.sid]
-
-    @property
-    def domain(self) -> tuple[AxisInterval, AxisInterval, AxisInterval]:
-        return _domain(self)
+        return self.chart.split_class
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         bits = []
-        if self.sid in _USES_A:
+        if self.chart.uses_a:
             bits.append(f"a={self.a}")
         if self.kmod is not None:
             bits.append(f"k={self.kmod.k}")
@@ -156,14 +174,13 @@ def make_system(name: str | SystemId, a: float = 1.0, k: float | None = None) ->
         sid = SystemId(name)
     except ValueError:
         raise ConfigurationError(f"unknown coordinate system {name!r}") from None
-    if sid in _USES_A and not a > 0.0:
+    chart = sid.chart
+    if chart.uses_a and not a > 0.0:
         raise ConfigurationError(f"{sid.value} needs a focal scale a > 0, got {a!r}")
     kmod = None
-    if sid in _USES_K:
+    if chart.uses_k:
         if k is None:
             raise ConfigurationError(f"{sid.value} needs an elliptic modulus k")
-        from .elliptic import modulus
-
         kmod = modulus(float(k))
     elif k is not None:
         raise ConfigurationError(f"{sid.value} takes no elliptic modulus")
@@ -176,8 +193,7 @@ def all_system_ids() -> tuple[str, ...]:
 
 def base_system_ids() -> tuple[str, ...]:
     """The eleven base charts (shifted prolate variants excluded)."""
-    skip = {SystemId.PROLATE_SPHEROIDAL_II_PLUS, SystemId.PROLATE_SPHEROIDAL_II_MINUS}
-    return tuple(s.value for s in SystemId if s not in skip)
+    return tuple(s.value for s in SystemId if s.chart.base)
 
 
 # ---------------------------------------------------------------------------
@@ -185,55 +201,9 @@ def base_system_ids() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _domain(system: CoordinateSystem) -> tuple[AxisInterval, AxisInterval, AxisInterval]:
-    sid = system.sid
-    R = AxisInterval(-_INF, _INF)
-    if sid is SystemId.CARTESIAN:
-        return (R, R, R)
-    if sid is SystemId.CYLINDRICAL:
-        return (R, AxisInterval(0.0, 2.0 * math.pi), R)
-    if sid is SystemId.PARABOLIC_CYLINDRICAL:
-        return (AxisInterval(0.0, _INF), R, R)
-    if sid is SystemId.ELLIPTIC_CYLINDRICAL:
-        return (AxisInterval(0.0, _INF), AxisInterval(-math.pi, math.pi), R)
-    if sid is SystemId.SPHERICAL:
-        return (AxisInterval(0.0, _INF, singular_lo=True), R, AxisInterval(0.0, 2.0 * math.pi))
-    if sid in (
-        SystemId.PROLATE_SPHEROIDAL,
-        SystemId.PROLATE_SPHEROIDAL_II_PLUS,
-        SystemId.PROLATE_SPHEROIDAL_II_MINUS,
-    ):
-        return (AxisInterval(0.0, _INF, singular_lo=True), R, AxisInterval(0.0, 2.0 * math.pi))
-    if sid is SystemId.OBLATE_SPHEROIDAL:
-        return (
-            AxisInterval(0.0, 0.5 * math.pi, singular_lo=True),
-            R,
-            AxisInterval(0.0, 2.0 * math.pi),
-        )
-    if sid is SystemId.PARABOLIC:
-        return (R, R, AxisInterval(0.0, 2.0 * math.pi))
-    if sid is SystemId.PARABOLOIDAL:
-        return (R, AxisInterval(0.0, math.pi), R)
-    if sid is SystemId.ELLIPSOIDAL:
-        m = system.kmod
-        return (
-            AxisInterval(0.0, m.K, singular_lo=True),
-            AxisInterval(-m.Kprime, m.Kprime),
-            AxisInterval(0.0, 4.0 * m.K),
-        )
-    if sid is SystemId.CONICAL:
-        m = system.kmod
-        return (
-            AxisInterval(0.0, _INF, singular_lo=True),
-            AxisInterval(-m.Kprime, m.Kprime),
-            AxisInterval(0.0, 4.0 * m.K),
-        )
-    raise ConfigurationError(f"unhandled system {sid!r}")
-
-
 def check_domain(system: CoordinateSystem, omega) -> None:
     """Raise :class:`DomainError` naming the offending axis if outside."""
-    dom = _domain(system)
+    dom = system.domain
     for i in range(3):
         w = float(omega[i])
         if not math.isfinite(w) or not dom[i].contains(w):
@@ -251,7 +221,7 @@ def sampling_box(system: CoordinateSystem) -> np.ndarray:
     pulled inward by EPS_DOM.
     """
     out = np.empty((3, 2))
-    for i, ax in enumerate(_domain(system)):
+    for i, ax in enumerate(system.domain):
         lo = -SAMPLE_TRUNC if ax.lo == -_INF else ax.lo + EPS_DOM
         hi = SAMPLE_TRUNC if ax.hi == _INF else ax.hi - EPS_DOM
         if not lo < hi:
@@ -271,8 +241,23 @@ def sample_domain(system: CoordinateSystem, seed: int, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# raw forward maps and Jacobians (scalar math; no domain checks here)
+# the charts: forward map, Jacobian, Stackel rows and metric of each, in
+# scalar math with no domain checks, then the table that collects them
 # ---------------------------------------------------------------------------
+
+_R = AxisInterval(-_INF, _INF)
+_HALF_LINE = AxisInterval(0.0, _INF)
+_RADIAL = AxisInterval(0.0, _INF, singular_lo=True)
+_TURN = AxisInterval(0.0, 2.0 * math.pi)
+_IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _fixed_row(row, s, w):
+    """A Stackel row that does not vary along its axis."""
+    return row
+
+
+_ROW_X, _ROW_Y, _ROW_Z = (partial(_fixed_row, row) for row in _IDENTITY)
 
 
 def _fwd_cartesian(s, w1, w2, w3):
@@ -280,7 +265,11 @@ def _fwd_cartesian(s, w1, w2, w3):
 
 
 def _jac_cartesian(s, w1, w2, w3):
-    return ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    return _IDENTITY
+
+
+def _met_cartesian(s, T, w1, w2, w3):
+    return (1.0 / T[0], 1.0 / T[1], 1.0 / T[2])
 
 
 def _fwd_cylindrical(s, w1, w2, w3):
@@ -294,12 +283,34 @@ def _jac_cylindrical(s, w1, w2, w3):
     return ((e * c, -e * sn, 0.0), (e * sn, e * c, 0.0), (0.0, 0.0, 1.0))
 
 
+def _row1_cylindrical(s, w):
+    return (math.exp(2.0 * w), -1.0, 0.0)
+
+
+def _met_cylindrical(s, T, w1, w2, w3):
+    r = 1.0 / T[0] * math.exp(2.0 * w1)
+    return (r, r, 1.0 / T[2])
+
+
 def _fwd_parabolic_cylindrical(s, w1, w2, w3):
     return (0.5 * (w1 * w1 - w2 * w2), w1 * w2, w3)
 
 
 def _jac_parabolic_cylindrical(s, w1, w2, w3):
     return ((w1, -w2, 0.0), (w2, w1, 0.0), (0.0, 0.0, 1.0))
+
+
+def _row1_parabolic_cylindrical(s, w):
+    return (w * w, -1.0, 0.0)
+
+
+def _row2_parabolic_cylindrical(s, w):
+    return (w * w, 1.0, 0.0)
+
+
+def _met_parabolic_cylindrical(s, T, w1, w2, w3):
+    r = 1.0 / T[0] * (w1 * w1 + w2 * w2)
+    return (r, r, 1.0 / T[2])
 
 
 def _fwd_elliptic_cylindrical(s, w1, w2, w3):
@@ -312,6 +323,24 @@ def _jac_elliptic_cylindrical(s, w1, w2, w3):
     ch, sh = math.cosh(w1), math.sinh(w1)
     c, sn = math.cos(w2), math.sin(w2)
     return ((a * sh * c, -a * ch * sn, 0.0), (a * ch * sn, a * sh * c, 0.0), (0.0, 0.0, 1.0))
+
+
+def _row1_elliptic_cylindrical(s, w):
+    c = math.cosh(w)
+    return (s.a * s.a * c * c, 1.0, 0.0)
+
+
+def _row2_elliptic_cylindrical(s, w):
+    c = math.cos(w)
+    return (-s.a * s.a * c * c, -1.0, 0.0)
+
+
+def _met_elliptic_cylindrical(s, T, w1, w2, w3):
+    # a^2 (sinh^2 omega_1 + sin^2 omega_2); the double-angle form costs a
+    # factor of one half that is easy to drop, so the tests pin this
+    # against the Jacobian columns.
+    r = 1.0 / T[0] * (s.a * s.a) * (math.sinh(w1) ** 2 + math.sin(w2) ** 2)
+    return (r, r, 1.0 / T[2])
 
 
 def _fwd_spherical(s, w1, w2, w3):
@@ -333,7 +362,23 @@ def _jac_spherical(s, w1, w2, w3):
     )
 
 
-def _prolate_core(s, w1, w2, w3, shift):
+def _row1_inverse_radius(s, w):
+    r2 = 1.0 / (w * w)
+    return (r2 * r2, -r2, 0.0)
+
+
+def _row2_spherical(s, w):
+    se = 1.0 / math.cosh(w)
+    return (0.0, se * se, -1.0)
+
+
+def _met_spherical(s, T, w1, w2, w3):
+    i1 = 1.0 / T[0]
+    r23 = i1 / (w1 * math.cosh(w2)) ** 2
+    return (i1 / w1 ** 4, r23, r23)
+
+
+def _fwd_prolate(s, w1, w2, w3, shift):
     a = s.a
     cs = 1.0 / math.sinh(w1)
     ct = math.cosh(w1) * cs
@@ -343,10 +388,12 @@ def _prolate_core(s, w1, w2, w3, shift):
     return (a * cs * se * c, a * cs * se * sn, a * (ct * th + shift))
 
 
-def _prolate_jac(s, w1, w2, w3):
+def _jac_spheroidal(s, w1, w2, w3, sin1, cos1):
+    """Jacobian of both spheroidal charts: sin1, cos1 are sinh, cosh
+    (prolate) or sin, cos (oblate) of the first coordinate."""
     a = s.a
-    cs = 1.0 / math.sinh(w1)
-    ct = math.cosh(w1) * cs
+    cs = 1.0 / sin1(w1)
+    ct = cos1(w1) * cs
     se = 1.0 / math.cosh(w2)
     th = math.tanh(w2)
     c, sn = math.cos(w3), math.sin(w3)
@@ -357,16 +404,22 @@ def _prolate_jac(s, w1, w2, w3):
     )
 
 
-def _fwd_prolate(s, w1, w2, w3):
-    return _prolate_core(s, w1, w2, w3, 0.0)
+def _row1_prolate(s, w):
+    cs2 = 1.0 / (math.sinh(w) ** 2)
+    return (s.a * s.a * cs2 * cs2, -cs2, -1.0)
 
 
-def _fwd_prolate_plus(s, w1, w2, w3):
-    return _prolate_core(s, w1, w2, w3, 1.0)
+def _row2_prolate(s, w):
+    se2 = 1.0 / (math.cosh(w) ** 2)
+    return (s.a * s.a * se2 * se2, se2, -1.0)
 
 
-def _fwd_prolate_minus(s, w1, w2, w3):
-    return _prolate_core(s, w1, w2, w3, -1.0)
+def _met_prolate(s, T, w1, w2, w3):
+    i1 = 1.0 / T[0]
+    a2 = s.a * s.a
+    cs2 = 1.0 / math.sinh(w1) ** 2
+    se2 = 1.0 / math.cosh(w2) ** 2
+    return (i1 * a2 * cs2 * (cs2 + se2), i1 * a2 * se2 * (cs2 + se2), i1 * a2 * cs2 * se2)
 
 
 def _fwd_oblate(s, w1, w2, w3):
@@ -379,18 +432,25 @@ def _fwd_oblate(s, w1, w2, w3):
     return (a * cs * se * c, a * cs * se * sn, a * ct * th)
 
 
-def _jac_oblate(s, w1, w2, w3):
-    a = s.a
-    cs = 1.0 / math.sin(w1)
-    ct = math.cos(w1) * cs
-    se = 1.0 / math.cosh(w2)
-    th = math.tanh(w2)
-    c, sn = math.cos(w3), math.sin(w3)
-    return (
-        (-a * cs * ct * se * c, -a * cs * se * th * c, -a * cs * se * sn),
-        (-a * cs * ct * se * sn, -a * cs * se * th * sn, a * cs * se * c),
-        (-a * cs * cs * th, a * ct * se * se, 0.0),
-    )
+def _row1_oblate(s, w):
+    cs2 = 1.0 / (math.sin(w) ** 2)
+    return (s.a * s.a * cs2 * cs2, -cs2, 1.0)
+
+
+def _row2_oblate(s, w):
+    se2 = 1.0 / (math.cosh(w) ** 2)
+    return (-s.a * s.a * se2 * se2, se2, -1.0)
+
+
+def _met_oblate(s, T, w1, w2, w3):
+    i1 = 1.0 / T[0]
+    a2 = s.a * s.a
+    cs2 = 1.0 / math.sin(w1) ** 2
+    se2 = 1.0 / math.cosh(w2) ** 2
+    # cs2 - se2, written so that it keeps its relative accuracy on the
+    # focal ring (omega_1 = pi/2, omega_2 = 0) where it vanishes
+    gap = (math.cos(w1) ** 2 + math.sinh(w2) ** 2) * cs2 * se2
+    return (i1 * a2 * cs2 * gap, i1 * a2 * se2 * gap, i1 * a2 * cs2 * se2)
 
 
 def _fwd_parabolic(s, w1, w2, w3):
@@ -406,6 +466,23 @@ def _jac_parabolic(s, w1, w2, w3):
         (e * sn, e * sn, e * c),
         (math.exp(2.0 * w1), -math.exp(2.0 * w2), 0.0),
     )
+
+
+def _row1_parabolic(s, w):
+    e2 = math.exp(2.0 * w)
+    return (e2 * e2, -e2, -1.0)
+
+
+def _row2_parabolic(s, w):
+    e2 = math.exp(2.0 * w)
+    return (e2 * e2, e2, -1.0)
+
+
+def _met_parabolic(s, T, w1, w2, w3):
+    i1 = 1.0 / T[0]
+    e1 = math.exp(2.0 * w1)
+    e2 = math.exp(2.0 * w2)
+    return (i1 * e1 * (e1 + e2), i1 * e2 * (e1 + e2), i1 * e1 * e2)
 
 
 def _fwd_paraboloidal(s, w1, w2, w3):
@@ -427,6 +504,41 @@ def _jac_paraboloidal(s, w1, w2, w3):
         (2.0 * a * ch1 * si2 * ch3, 2.0 * a * sh1 * co2 * ch3, 2.0 * a * sh1 * si2 * sh3),
         (a * math.sinh(2.0 * w1), -a * math.sin(2.0 * w2), -a * math.sinh(2.0 * w3)),
     )
+
+
+def _row1_paraboloidal(s, w):
+    a = s.a
+    c = math.cosh(2.0 * w)
+    return (a * a * c * c, -a * c, -1.0)
+
+
+def _row2_paraboloidal(s, w):
+    a = s.a
+    c = math.cos(2.0 * w)
+    return (-a * a * c * c, a * c, 1.0)
+
+
+def _row3_paraboloidal(s, w):
+    a = s.a
+    c = math.cosh(2.0 * w)
+    return (a * a * c * c, a * c, -1.0)
+
+
+def _met_paraboloidal(s, T, w1, w2, w3):
+    i1 = 1.0 / T[0]
+    a2 = s.a * s.a
+    # cosh 2w1 - cos 2w2 and cos 2w2 + cosh 2w3 as sums of squares, which
+    # keep their relative accuracy on the focal curves where they vanish
+    p = 2.0 * (math.sinh(w1) ** 2 + math.sin(w2) ** 2)
+    q = 2.0 * (math.cos(w2) ** 2 + math.sinh(w3) ** 2)
+    c = math.cosh(2.0 * w1) + math.cosh(2.0 * w3)
+    return (i1 * a2 * p * c, i1 * a2 * p * q, i1 * a2 * c * q)
+
+
+def _elliptic_domain(m: Modulus, radial: bool) -> Domain:
+    """Domain of the conical (radial first axis) or the ellipsoidal chart."""
+    first = _RADIAL if radial else AxisInterval(0.0, m.K, singular_lo=True)
+    return (first, AxisInterval(-m.Kprime, m.Kprime), AxisInterval(0.0, 4.0 * m.K))
 
 
 def _fwd_ellipsoidal(s, w1, w2, w3):
@@ -454,6 +566,49 @@ def _jac_ellipsoidal(s, w1, w2, w3):
     )
 
 
+def _row1_ellipsoidal(s, w):
+    # The focal scale enters the first Stackel column only, exactly as in
+    # the spheroidal charts; the other two columns pair with vanishing time
+    # functions and stay scale-free.
+    sn, _, dn = jacobi(w, s.kmod.k)
+    D2 = (dn / sn) ** 2
+    return (s.a * s.a * D2 * D2, -D2, 1.0)
+
+
+def _row2_ellipsoidal(s, w):
+    m = s.kmod
+    _, cn, _ = jacobi(w, m.kprime)
+    q = m.kprime * m.kprime * cn * cn
+    return (-s.a * s.a * q * q, q, -1.0)
+
+
+def _row3_ellipsoidal(s, w):
+    m = s.kmod
+    _, cn, _ = jacobi(w, m.k)
+    q = m.k * m.k * cn * cn
+    return (s.a * s.a * q * q, q, 1.0)
+
+
+def _met_ellipsoidal(s, T, w1, w2, w3):
+    i1 = 1.0 / T[0]
+    a2 = s.a * s.a
+    m = s.kmod
+    sn, cn, dn = jacobi(w1, m.k)
+    P = (dn / sn) ** 2
+    sn2, cn2, _ = jacobi(w2, m.kprime)
+    Q = m.kprime * m.kprime * cn2 * cn2
+    _, cn3, _ = jacobi(w3, m.k)
+    S = m.k * m.k * cn3 * cn3
+    # P - Q by dn^2 - cn^2 = k'^2 sn^2, which keeps its relative accuracy
+    # where it vanishes (omega_1 = K, omega_2 = 0)
+    gap = (cn / sn) ** 2 + m.kprime * m.kprime * sn2 * sn2
+    return (
+        i1 * a2 * gap * (P + S),
+        i1 * a2 * gap * (Q + S),
+        i1 * a2 * (P + S) * (Q + S),
+    )
+
+
 def _fwd_conical(s, w1, w2, w3):
     m = s.kmod
     s2, c2, d2 = jacobi(w2, m.kprime)
@@ -477,47 +632,82 @@ def _jac_conical(s, w1, w2, w3):
     )
 
 
-_FORWARD = {
-    SystemId.CARTESIAN: _fwd_cartesian,
-    SystemId.CYLINDRICAL: _fwd_cylindrical,
-    SystemId.PARABOLIC_CYLINDRICAL: _fwd_parabolic_cylindrical,
-    SystemId.ELLIPTIC_CYLINDRICAL: _fwd_elliptic_cylindrical,
-    SystemId.SPHERICAL: _fwd_spherical,
-    SystemId.PROLATE_SPHEROIDAL: _fwd_prolate,
-    SystemId.PROLATE_SPHEROIDAL_II_PLUS: _fwd_prolate_plus,
-    SystemId.PROLATE_SPHEROIDAL_II_MINUS: _fwd_prolate_minus,
-    SystemId.OBLATE_SPHEROIDAL: _fwd_oblate,
-    SystemId.PARABOLIC: _fwd_parabolic,
-    SystemId.PARABOLOIDAL: _fwd_paraboloidal,
-    SystemId.ELLIPSOIDAL: _fwd_ellipsoidal,
-    SystemId.CONICAL: _fwd_conical,
+def _row2_conical(s, w):
+    m = s.kmod
+    _, cn, _ = jacobi(w, m.kprime)
+    return (0.0, m.kprime * m.kprime * cn * cn, -1.0)
+
+
+def _row3_conical(s, w):
+    m = s.kmod
+    _, cn, _ = jacobi(w, m.k)
+    return (0.0, m.k * m.k * cn * cn, 1.0)
+
+
+def _met_conical(s, T, w1, w2, w3):
+    i1 = 1.0 / T[0]
+    m = s.kmod
+    _, cn2, _ = jacobi(w2, m.kprime)
+    Q = m.kprime * m.kprime * cn2 * cn2
+    _, cn3, _ = jacobi(w3, m.k)
+    S = m.k * m.k * cn3 * cn3
+    r1 = i1 / w1 ** 4
+    r23 = i1 * (Q + S) / (w1 * w1)
+    return (r1, r23, r23)
+
+
+def _prolate_chart(shift: float) -> Chart:
+    """The prolate spheroidal chart with its z3 offset by shift * a."""
+    return Chart(
+        SplitClass.NONSPLIT, (_RADIAL, _R, _TURN), partial(_fwd_prolate, shift=shift),
+        partial(_jac_spheroidal, sin1=math.sinh, cos1=math.cosh),
+        (_row1_prolate, _row2_prolate, _ROW_Z), _met_prolate, uses_a=True, base=shift == 0.0)
+
+
+_CHARTS: dict[SystemId, Chart] = {
+    SystemId.CARTESIAN: Chart(
+        SplitClass.COMPLETE, (_R, _R, _R), _fwd_cartesian, _jac_cartesian,
+        (_ROW_X, _ROW_Y, _ROW_Z), _met_cartesian),
+    SystemId.CYLINDRICAL: Chart(
+        SplitClass.PARTIAL, (_R, _TURN, _R), _fwd_cylindrical, _jac_cylindrical,
+        (_row1_cylindrical, _ROW_Y, _ROW_Z), _met_cylindrical),
+    SystemId.PARABOLIC_CYLINDRICAL: Chart(
+        SplitClass.PARTIAL, (_HALF_LINE, _R, _R),
+        _fwd_parabolic_cylindrical, _jac_parabolic_cylindrical,
+        (_row1_parabolic_cylindrical, _row2_parabolic_cylindrical, _ROW_Z),
+        _met_parabolic_cylindrical),
+    SystemId.ELLIPTIC_CYLINDRICAL: Chart(
+        SplitClass.PARTIAL, (_HALF_LINE, AxisInterval(-math.pi, math.pi), _R),
+        _fwd_elliptic_cylindrical, _jac_elliptic_cylindrical,
+        (_row1_elliptic_cylindrical, _row2_elliptic_cylindrical, _ROW_Z),
+        _met_elliptic_cylindrical, uses_a=True),
+    SystemId.SPHERICAL: Chart(
+        SplitClass.NONSPLIT, (_RADIAL, _R, _TURN), _fwd_spherical, _jac_spherical,
+        (_row1_inverse_radius, _row2_spherical, _ROW_Z), _met_spherical),
+    SystemId.PROLATE_SPHEROIDAL: _prolate_chart(0.0),
+    SystemId.PROLATE_SPHEROIDAL_II_PLUS: _prolate_chart(1.0),
+    SystemId.PROLATE_SPHEROIDAL_II_MINUS: _prolate_chart(-1.0),
+    SystemId.OBLATE_SPHEROIDAL: Chart(
+        SplitClass.NONSPLIT, (AxisInterval(0.0, 0.5 * math.pi, singular_lo=True), _R, _TURN),
+        _fwd_oblate, partial(_jac_spheroidal, sin1=math.sin, cos1=math.cos),
+        (_row1_oblate, _row2_oblate, _ROW_Z), _met_oblate, uses_a=True),
+    SystemId.PARABOLIC: Chart(
+        SplitClass.NONSPLIT, (_R, _R, _TURN), _fwd_parabolic, _jac_parabolic,
+        (_row1_parabolic, _row2_parabolic, _ROW_Z), _met_parabolic),
+    SystemId.PARABOLOIDAL: Chart(
+        SplitClass.NONSPLIT, (_R, AxisInterval(0.0, math.pi), _R),
+        _fwd_paraboloidal, _jac_paraboloidal,
+        (_row1_paraboloidal, _row2_paraboloidal, _row3_paraboloidal),
+        _met_paraboloidal, uses_a=True),
+    SystemId.ELLIPSOIDAL: Chart(
+        SplitClass.NONSPLIT, partial(_elliptic_domain, radial=False),
+        _fwd_ellipsoidal, _jac_ellipsoidal,
+        (_row1_ellipsoidal, _row2_ellipsoidal, _row3_ellipsoidal),
+        _met_ellipsoidal, uses_a=True, uses_k=True),
+    SystemId.CONICAL: Chart(
+        SplitClass.NONSPLIT, partial(_elliptic_domain, radial=True), _fwd_conical, _jac_conical,
+        (_row1_inverse_radius, _row2_conical, _row3_conical), _met_conical, uses_k=True),
 }
-
-_JACOBIAN = {
-    SystemId.CARTESIAN: _jac_cartesian,
-    SystemId.CYLINDRICAL: _jac_cylindrical,
-    SystemId.PARABOLIC_CYLINDRICAL: _jac_parabolic_cylindrical,
-    SystemId.ELLIPTIC_CYLINDRICAL: _jac_elliptic_cylindrical,
-    SystemId.SPHERICAL: _jac_spherical,
-    SystemId.PROLATE_SPHEROIDAL: _prolate_jac,
-    SystemId.PROLATE_SPHEROIDAL_II_PLUS: _prolate_jac,
-    SystemId.PROLATE_SPHEROIDAL_II_MINUS: _prolate_jac,
-    SystemId.OBLATE_SPHEROIDAL: _jac_oblate,
-    SystemId.PARABOLIC: _jac_parabolic,
-    SystemId.PARABOLOIDAL: _jac_paraboloidal,
-    SystemId.ELLIPSOIDAL: _jac_ellipsoidal,
-    SystemId.CONICAL: _jac_conical,
-}
-
-
-def raw_forward(system: CoordinateSystem, w1: float, w2: float, w3: float):
-    """Forward map as a plain tuple, without domain checks."""
-    return _FORWARD[system.sid](system, w1, w2, w3)
-
-
-def raw_jacobian(system: CoordinateSystem, w1: float, w2: float, w3: float):
-    """Jacobian rows as nested tuples, J[a][i] = d z_a / d omega_i."""
-    return _JACOBIAN[system.sid](system, w1, w2, w3)
 
 
 def forward(system: CoordinateSystem, omega) -> np.ndarray:
@@ -527,7 +717,7 @@ def forward(system: CoordinateSystem, omega) -> np.ndarray:
     outside the admissible set.
     """
     check_domain(system, omega)
-    return np.array(raw_forward(system, float(omega[0]), float(omega[1]), float(omega[2])))
+    return np.array(system.chart.forward(system, float(omega[0]), float(omega[1]), float(omega[2])))
 
 
 #: Relative determinant guard for Jacobian degeneracy.
@@ -541,7 +731,7 @@ def jacobian(system: CoordinateSystem, omega) -> np.ndarray:
     ``DET_GUARD`` relative to the product of column norms.
     """
     check_domain(system, omega)
-    rows = raw_jacobian(system, float(omega[0]), float(omega[1]), float(omega[2]))
+    rows = system.chart.jacobian(system, float(omega[0]), float(omega[1]), float(omega[2]))
     J = np.array(rows)
     det = _det3(rows)
     scale = float(np.linalg.norm(J)) ** 3
@@ -592,7 +782,7 @@ def _clamp_box(system: CoordinateSystem, slack: float) -> tuple[tuple[float, flo
     end where the map continues smoothly.
     """
     out = []
-    for ax in _domain(system):
+    for ax in system.domain:
         lo, hi = ax.lo, ax.hi
         if lo != -_INF:
             if ax.singular_lo or slack == 0.0:
@@ -652,8 +842,8 @@ def invert(
     tol_target = TARGET_TOL * (1.0 + zn)
     tol_accept = CONTRACT_TOL * (1.0 + zn)
     box = _clamp_box(system, slack)
-    fwd = _FORWARD[system.sid]
-    jac = _JACOBIAN[system.sid]
+    fwd = system.chart.forward
+    jac = system.chart.jacobian
 
     def clamp(w):
         return tuple(min(max(w[i], box[i][0]), box[i][1]) for i in range(3))

@@ -7,6 +7,8 @@ computation itself broke down).  The CLI maps them to exit codes 1 and 2.
 
 from __future__ import annotations
 
+import math
+
 
 class SchrodsepError(Exception):
     """Base class for everything raised on purpose by this package."""
@@ -75,3 +77,14 @@ class StencilError(NumericError):
 
 class OutOfRangeError(NumericError):
     """A point left the tabulated range of a separated factor."""
+
+
+def check_range(what: str, lo, hi, where: str = "") -> tuple[float, float]:
+    """(lo, hi) as floats, or a :class:`ConfigurationError` unless both ends
+    and the span hi - lo (which may overflow) are finite and lo < hi."""
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise ConfigurationError(f"{what} ({lo}, {hi}){where} must be finite")
+    if not lo < hi:
+        raise ConfigurationError(f"empty {what} ({lo}, {hi}){where}")
+    return lo, hi

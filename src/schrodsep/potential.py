@@ -242,11 +242,11 @@ def coulomb_spec(
     chart = CoulombSystem(coulomb_system)
     sid = _COULOMB_CHART[chart]
     kwargs = {}
-    if sid in (SystemId.PROLATE_SPHEROIDAL_II_PLUS, SystemId.PROLATE_SPHEROIDAL_II_MINUS):
+    if sid.chart.uses_a:
         kwargs["a"] = a
-    if sid is SystemId.CONICAL:
+    if sid.chart.uses_k:
         if k is None:
-            raise ConfigurationError("conical coulomb chart needs an elliptic modulus k")
+            raise ConfigurationError(f"{sid.value} coulomb chart needs an elliptic modulus k")
         kwargs["k"] = k
     system = make_system(sid.value, **kwargs)
     frame = make_frame(

@@ -37,6 +37,7 @@ from .errors import (
     OutOfRangeError,
     QuadratureError,
     TurningPointError,
+    check_range,
 )
 from .frame import unembed
 from .potential import PotentialKind, PotentialSpec, phase_factor_S
@@ -116,11 +117,7 @@ def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
 
 
 def _check_t_range(t_range, anchor: float) -> tuple[float, float]:
-    lo, hi = (float(t_range[0]), float(t_range[1]))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigurationError(f"time range ({lo}, {hi}) must be finite")
-    if not (lo < hi):
-        raise ConfigurationError(f"empty time range ({lo}, {hi})")
+    lo, hi = check_range("time range", t_range[0], t_range[1])
     if not (lo <= anchor <= hi):
         raise ConfigurationError(f"anchor t0={anchor} outside time range ({lo}, {hi})")
     return lo, hi
@@ -245,11 +242,7 @@ class AxisInterpolant:
 def _check_axis_range(spec: PotentialSpec, a: int, omega_range) -> tuple[float, float]:
     if a not in (1, 2, 3):
         raise ConfigurationError(f"axis must be 1, 2 or 3, got {a!r}")
-    lo, hi = (float(omega_range[0]), float(omega_range[1]))
-    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
-        raise ConfigurationError(f"omega range ({lo}, {hi}) on axis {a} must be finite")
-    if not (lo < hi):
-        raise ConfigurationError(f"empty omega range ({lo}, {hi}) on axis {a}")
+    lo, hi = check_range("omega range", omega_range[0], omega_range[1], f" on axis {a}")
     iv = spec.system.domain[a - 1]
     lo_min = iv.lo + EPS_DOM if iv.singular_lo else iv.lo
     hi_max = iv.hi - EPS_DOM if iv.singular_hi else iv.hi

@@ -20,7 +20,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .coords import invert, jacobian, sample_domain
-from .errors import NumericError, StencilError
+from .errors import NumericError, StencilError, check_range
 from .frame import embed, omega_gradients, rotation_matrix, unembed
 from .potential import PotentialSpec, vector_divergence, vector_potential
 from .stackel import metric_r_squared, stackel_values, t_functions
@@ -349,13 +349,15 @@ def chart_box_points(
     Each range is shrunk by the fractional margin on both ends so that
     the full residual stencil around a sample stays evaluable: the
     stencil reach in chart coordinates is far below the margin for the
-    default steps.
+    default steps.  Raises :class:`ConfigurationError` unless every range
+    is finite, with a finite span, and nonempty.
     """
+    lo, hi = np.array(
+        [check_range("omega range", r[0], r[1], f" on axis {a}") for a, r in enumerate(ranges, 1)]
+    ).T
+    t_lo, t_hi = check_range("time range", t_range[0], t_range[1])
     rng = np.random.default_rng(seed)
-    lo = np.array([r[0] for r in ranges])
-    hi = np.array([r[1] for r in ranges])
     pad = margin * (hi - lo)
-    t_lo, t_hi = float(t_range[0]), float(t_range[1])
     t_pad = margin * (t_hi - t_lo)
     out = []
     for _ in range(n):

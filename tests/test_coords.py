@@ -4,25 +4,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from schrodsep.coords import (
+    _CHARTS,
+    CONTRACT_TOL,
     SplitClass,
+    SystemId,
     all_system_ids,
     base_system_ids,
     forward,
     invert,
     jacobian,
     make_system,
-    raw_forward,
-    raw_jacobian,
     sample_domain,
+    sampling_box,
 )
 from schrodsep.errors import (
     ConfigurationError,
     DomainError,
     InversionError,
+    SchrodsepError,
     SingularityError,
 )
+from schrodsep.frame import embed, identity_frame, make_frame
+from schrodsep.stackel import t_functions
 
 A = 1.3
 K = 0.8
@@ -45,6 +52,33 @@ def test_system_catalogue():
     assert len(base_system_ids()) == 11
     assert "prolate_spheroidal_ii_plus" not in base_system_ids()
     assert "prolate_spheroidal_ii_minus" not in base_system_ids()
+
+
+def test_chart_table_is_complete():
+    assert set(_CHARTS) == set(SystemId)
+    assert len(_CHARTS) == len(SystemId) == 13
+    assert len(base_system_ids()) == 11
+    for sid, chart in _CHARTS.items():
+        k = K if chart.uses_k else None
+        s = make_system(sid, a=A, k=k)
+        assert s.chart is chart is sid.chart
+        # a frame drives the chart exactly when its class is the record's
+        w = sample_domain(s, seed=1, n=1)[0]
+        for cls in SplitClass:
+            if cls is chart.split_class:
+                embed(s, make_frame(cls), 0.0, w)
+            else:
+                with pytest.raises(ConfigurationError):
+                    embed(s, make_frame(cls), 0.0, w)
+        # the focal scale is validated exactly when the chart uses it
+        if chart.uses_a:
+            with pytest.raises(ConfigurationError):
+                make_system(sid, a=0.0, k=k)
+        else:
+            make_system(sid, a=0.0, k=k)
+        # the modulus is required where used and refused elsewhere
+        with pytest.raises(ConfigurationError):
+            make_system(sid, a=A, k=None if chart.uses_k else K)
 
 
 def test_split_classes():
@@ -124,9 +158,10 @@ def test_jacobian_cylindrical_origin():
 @pytest.mark.parametrize("name", all_system_ids())
 def test_jacobian_matches_finite_differences(name):
     s = build(name)
+    fwd, jac = s.chart.forward, s.chart.jacobian
     h = 1e-6
     for w in sample_domain(s, seed=101, n=60):
-        J = np.array(raw_jacobian(s, *w))
+        J = np.array(jac(s, *w))
         Jfd = np.empty((3, 3))
         for i in range(3):
             wp = w.copy()
@@ -134,7 +169,7 @@ def test_jacobian_matches_finite_differences(name):
             wp[i] += h
             wm[i] -= h
             Jfd[:, i] = (
-                np.array(raw_forward(s, *wp)) - np.array(raw_forward(s, *wm))
+                np.array(fwd(s, *wp)) - np.array(fwd(s, *wm))
             ) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(J))))
         assert np.max(np.abs(J - Jfd)) <= 1e-7 * scale
@@ -250,3 +285,27 @@ def test_inverse_components_are_harmonic(name):
         if checked >= 8:
             break
     assert checked >= 4
+
+
+@pytest.mark.parametrize("name", all_system_ids())
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(data=st.data())
+def test_chart_properties_inside_sampling_box(name, data):
+    # Three properties of every record at any point of the sampling box:
+    # Newton inversion keeps its contract, the closed-form metric matches
+    # the Jacobian columns, and whatever fails does so with a typed error.
+    s = build(name)
+    box = sampling_box(s)
+    w = np.array([data.draw(st.floats(lo, hi), label=f"omega_{i + 1}")
+                  for i, (lo, hi) in enumerate(box)])
+    nudge = np.array(data.draw(st.lists(st.floats(-1e-3, 1e-3), min_size=3, max_size=3)))
+    try:
+        z = forward(s, w)
+        w_rec = invert(s, z, w + nudge)
+        J = jacobian(s, w)
+    except SchrodsepError:
+        reject()
+    assert np.linalg.norm(forward(s, w_rec) - z) <= CONTRACT_TOL * (1.0 + np.linalg.norm(z))
+    T = t_functions(s, identity_frame(s.split_class), 0.0)
+    R2 = s.chart.metric(s, T, *(float(v) for v in w))
+    np.testing.assert_allclose(np.sum(J * J, axis=0), R2, rtol=1e-9)

@@ -8,7 +8,7 @@ import pytest
 
 import schrodsep.stackel
 from schrodsep.coords import SystemId, all_system_ids, make_system
-from schrodsep.errors import NumericError, StencilError
+from schrodsep.errors import ConfigurationError, NumericError, StencilError
 from schrodsep.frame import TimeProfile, constant, make_frame, polynomial, sinusoid
 from schrodsep.potential import coulomb_spec, electrostatic_spec, magnetic_spec, vector_potential
 from schrodsep.separate import (
@@ -332,6 +332,25 @@ def test_hj_separated_coulomb_solves_pde():
         res, scale = hj_residual_with_scale(u, spec, t, x, omega_hint=omega)
         worst = max(worst, abs(res) / scale)
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize(
+    "omega1, t_range",
+    [
+        ((-1.0, 1.0), (-1e308, 1e308)),
+        ((-1e308, 1e308), (-1.0, 1.0)),
+        ((0.0, float("nan")), (-1.0, 1.0)),
+        ((1.0, 0.0), (-1.0, 1.0)),
+        ((-1.0, 1.0), (1.0, -1.0)),
+    ],
+    ids=["overflowing_t_span", "overflowing_omega_span", "nan_omega", "reversed_omega",
+         "reversed_t"],
+)
+def test_chart_box_points_rejects_bad_ranges(omega1, t_range):
+    system = make_system("cartesian")
+    box = (omega1,) + BOXES["cartesian"][1:]
+    with pytest.raises(ConfigurationError, match="range"):
+        chart_box_points(system, make_frame("complete"), box, t_range, 3, seed=1)
 
 
 # ---------------------------------------------------------------------------
