@@ -24,7 +24,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -134,14 +134,13 @@ def _omega_profile(node: dict):
     return lambda w: horner(rev, w)
 
 
+def _chart_parameters(doc: dict) -> dict:
+    """The chart parameters a and k the scenario sets."""
+    return {key: doc["system"][key] for key in ("a", "k") if key in doc["system"]}
+
+
 def _build_system(doc: dict) -> CoordinateSystem:
-    node = doc["system"]
-    kwargs = {}
-    if "a" in node:
-        kwargs["a"] = node["a"]
-    if "k" in node:
-        kwargs["k"] = node["k"]
-    return make_system(node["id"], **kwargs)
+    return make_system(doc["system"]["id"], **_chart_parameters(doc))
 
 
 def _build_frame(doc: dict) -> FrameSpec:
@@ -170,15 +169,10 @@ def _build_spec(doc: dict, system: CoordinateSystem, frame: FrameSpec) -> Potent
                 "coulomb frames are pure rotations: class 'nonsplit' with only "
                 "alpha/beta/gamma profiles"
             )
-        kwargs = {
-            name: _time_profile(node) for name, node in angle_nodes.items()
-        }
-        if "a" in doc["system"]:
-            kwargs["a"] = doc["system"]["a"]
-        if "k" in doc["system"]:
-            kwargs["k"] = doc["system"]["k"]
+        angles = {name: _time_profile(node) for name, node in angle_nodes.items()}
         spec = coulomb_spec(
-            pot["coulomb_system"], q=pot["q"], e_charge=e_charge, **kwargs
+            pot["coulomb_system"], q=pot["q"], e_charge=e_charge, **angles,
+            **_chart_parameters(doc),
         )
         if spec.system.sid.value != doc["system"]["id"]:
             raise ConfigurationError(
@@ -258,11 +252,7 @@ def _apply_overrides(sc: Scenario, args: argparse.Namespace) -> Scenario:
         updates["seed"] = args.seed
     if getattr(args, "assert_tol", None) is not None:
         updates["assert_tol"] = args.assert_tol
-    if not updates:
-        return sc
-    from dataclasses import replace
-
-    return replace(sc, **updates)
+    return replace(sc, **updates) if updates else sc
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +279,33 @@ def _write_report_csv(path: Path, digest: str | None, report) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# scenario_sha256={digest}\n# tool_version={__version__}\n")
         report_to_csv(report, fh)
+
+
+def _box_report(report, evaluate, solved, spec: PotentialSpec, ranges, t_range, samples, seed):
+    """Residual report of ``evaluate(solved, t, x, hint)`` on random points
+    of the chart box, and those (t, x, omega) points."""
+    points = chart_box_points(spec.system, spec.frame, ranges, t_range, samples, seed)
+    field = lambda t, x, hint: evaluate(solved, t, x, hint)
+    hints = [omega for _, _, omega in points]
+    return report(field, spec, [(t, x) for t, x, _ in points], hints=hints), points
+
+
+def _write_residuals(out: Path, sc: Scenario, command: str, fields: dict, report) -> int:
+    """Store a residual report with ``fields`` in report.json and report.csv,
+    print its summary line and return the ``--assert-tol`` exit code."""
+    payload = {
+        "command": command,
+        "provenance": _provenance(sc.digest),
+        **fields,
+        "report": report_to_dict(report),
+    }
+    _write_json(out / "report.json", payload)
+    _write_report_csv(out / "report.csv", sc.digest, report)
+    print(
+        f"{command}: {len(report.records)} samples, max relative residual "
+        f"{report.max_relative:.6e}"
+    )
+    return _check_tolerance(report.max_relative, sc.assert_tol, command)
 
 
 def _check_tolerance(worst: float, tol: float | None, label: str) -> int:
@@ -405,19 +422,26 @@ def cmd_separate(args: argparse.Namespace) -> int:
 
 
 def _load_solution(sc: Scenario, out: Path) -> SeparatedSolution:
-    with open(out / "solution.json", encoding="utf-8") as fh:
-        stored = json.load(fh)
-    constants = SeparationConstants(*stored["constants"])
-    t_range = tuple(stored["t_range"])
-    anchor = float(stored["anchor"])
-    factors = []
-    for a in (1, 2, 3):
-        with open(out / f"phi_{a}.csv", encoding="utf-8") as fh:
-            factors.append(read_interpolant_csv(fh, a))
-    phi0 = solve_phi0(sc.spec, constants, t_range, anchor)
-    return SeparatedSolution(
-        sc.spec, constants, phi0, tuple(factors), QKind(stored["q_kind"])
-    )
+    """The solution ``separate`` stored in ``out``; damaged or incomplete
+    content raises :class:`ConfigurationError` naming the file."""
+    path = out / "solution.json"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            stored = json.load(fh)
+        constants = SeparationConstants(*stored["constants"])
+        t_lo, t_hi = stored["t_range"]
+        phi0 = solve_phi0(sc.spec, constants, (t_lo, t_hi), float(stored["anchor"]))
+        q_kind = QKind(stored["q_kind"])
+        factors = []
+        for a in (1, 2, 3):
+            path = out / f"phi_{a}.csv"
+            with open(path, encoding="utf-8") as fh:
+                factors.append(read_interpolant_csv(fh, a))
+    except KeyError as exc:
+        raise ConfigurationError(f"{path}: missing field {exc}") from exc
+    except (ConfigurationError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+    return SeparatedSolution(sc.spec, constants, phi0, tuple(factors), q_kind)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -425,29 +449,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     solution = _load_solution(sc, out)
     t_range = (solution.phi0.t_lo, solution.phi0.t_hi)
-    points = chart_box_points(
-        sc.system, sc.frame, sc.omega_ranges, t_range, sc.samples, sc.seed
+    report, _ = _box_report(
+        se_report, evaluate_psi, solution, sc.spec, sc.omega_ranges, t_range, sc.samples, sc.seed
     )
-    field = lambda t, x, hint: evaluate_psi(solution, t, x, hint)
-    report = se_report(
-        field,
-        sc.spec,
-        [(t, x) for t, x, _ in points],
-        hints=[omega for _, _, omega in points],
-    )
-    payload = {
-        "command": "verify",
-        "provenance": _provenance(sc.digest),
-        "constants": list(solution.constants.as_tuple()),
-        "report": report_to_dict(report),
-    }
-    _write_json(out / "report.json", payload)
-    _write_report_csv(out / "report.csv", sc.digest, report)
-    print(
-        f"verify: {len(report.records)} samples, max relative residual "
-        f"{report.max_relative:.6e}"
-    )
-    return _check_tolerance(report.max_relative, sc.assert_tol, "verify")
+    constants = list(solution.constants.as_tuple())
+    return _write_residuals(out, sc, "verify", {"constants": constants}, report)
 
 
 def cmd_hj(args: argparse.Namespace) -> int:
@@ -464,30 +470,12 @@ def cmd_hj(args: argparse.Namespace) -> int:
     for a in (1, 2, 3):
         with open(out / f"phi_{a}.csv", "w", encoding="utf-8") as fh:
             write_interpolant_csv(action.terms[a - 1], fh)
-    points = chart_box_points(
-        sc.system, sc.frame, sc.omega_ranges, sc.t_range, sc.samples, sc.seed
+    report, _ = _box_report(
+        hj_report, evaluate_action, action, sc.spec, sc.omega_ranges, sc.t_range, sc.samples,
+        sc.seed,
     )
-    u = lambda t, x, hint: evaluate_action(action, t, x, hint)
-    report = hj_report(
-        u,
-        sc.spec,
-        [(t, x) for t, x, _ in points],
-        hints=[omega for _, _, omega in points],
-    )
-    payload = {
-        "command": "hj",
-        "provenance": _provenance(sc.digest),
-        "constants": list(sc.constants.as_tuple()),
-        "signs": list(sc.signs),
-        "report": report_to_dict(report),
-    }
-    _write_json(out / "report.json", payload)
-    _write_report_csv(out / "report.csv", sc.digest, report)
-    print(
-        f"hj: {len(report.records)} samples, max relative residual "
-        f"{report.max_relative:.6e}"
-    )
-    return _check_tolerance(report.max_relative, sc.assert_tol, "hj")
+    fields = {"constants": list(sc.constants.as_tuple()), "signs": list(sc.signs)}
+    return _write_residuals(out, sc, "hj", fields, report)
 
 
 def cmd_coulomb_demo(args: argparse.Namespace) -> int:
@@ -501,24 +489,13 @@ def cmd_coulomb_demo(args: argparse.Namespace) -> int:
     limit_diff = 0.0
     rows = []
     for chart, box in DEMO_BOXES.items():
-        kwargs = {}
-        if chart.startswith("prolate"):
-            kwargs["a"] = 1.3
-        if chart == "conical":
-            kwargs["k"] = 0.8
+        # coulomb_spec takes a and k only where the chart uses them
         spec = coulomb_spec(
-            chart, q=DEMO_CHARGE, alpha=alpha, beta=beta, gamma=gamma, **kwargs
+            chart, q=DEMO_CHARGE, alpha=alpha, beta=beta, gamma=gamma, a=1.3, k=0.8
         )
-        solution = separate(
-            spec, constants, omega_ranges=box, t_range=(-1.0, 1.0)
-        )
-        points = chart_box_points(spec.system, spec.frame, box, (-1.0, 1.0), samples, seed)
-        field = lambda t, x, hint: evaluate_psi(solution, t, x, hint)
-        report = se_report(
-            field,
-            spec,
-            [(t, x) for t, x, _ in points],
-            hints=[omega for _, _, omega in points],
+        solution = separate(spec, constants, omega_ranges=box, t_range=(-1.0, 1.0))
+        report, points = _box_report(
+            se_report, evaluate_psi, solution, spec, box, (-1.0, 1.0), samples, seed
         )
         for rec in report.records:
             rows.append((chart, rec))

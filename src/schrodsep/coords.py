@@ -724,6 +724,18 @@ def forward(system: CoordinateSystem, omega) -> np.ndarray:
 DET_GUARD = 1e-12
 
 
+def _near_singular(rows, det: float) -> bool:
+    """Whether |det| of the 3x3 matrix with these rows is at most
+    ``DET_GUARD`` times the product of its column norms.
+
+    That product bounds |det| (Hadamard) and equals it when the columns
+    are orthogonal, as they are for every chart, so the guard measures
+    only how far the columns are from parallel, not how their lengths
+    differ.
+    """
+    return abs(det) <= DET_GUARD * math.prod(map(math.hypot, *rows))
+
+
 def jacobian(system: CoordinateSystem, omega) -> np.ndarray:
     """Analytic Jacobian, columns are dz/domega_i.
 
@@ -734,8 +746,7 @@ def jacobian(system: CoordinateSystem, omega) -> np.ndarray:
     rows = system.chart.jacobian(system, float(omega[0]), float(omega[1]), float(omega[2]))
     J = np.array(rows)
     det = _det3(rows)
-    scale = float(np.linalg.norm(J)) ** 3
-    if abs(det) <= DET_GUARD * scale:
+    if _near_singular(rows, det):
         raise SingularityError(
             f"{system.sid.value}: Jacobian determinant {det!r} below guard at omega={tuple(omega)}"
         )

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coords import CoordinateSystem, SplitClass, forward, jacobian
+from .coords import CoordinateSystem, SplitClass, _near_singular, forward, jacobian
 from .errors import ConfigurationError, SingularityError
 
 #: Construction-time validation grid for profile and class constraints.
@@ -34,7 +34,6 @@ PROBE_TIMES = np.linspace(-2.0, 2.0, 64)
 
 _CLASS_TOL = 1e-12
 _DERIV_TOL = 1e-6
-_DET_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,6 @@ class TimeProfile:
 
     def __call__(self, t: float) -> tuple[float, float, float]:
         return self.fn(t)
-
-    def value(self, t: float) -> float:
-        return self.fn(t)[0]
 
 
 def constant(c: float) -> TimeProfile:
@@ -187,9 +183,8 @@ def make_frame(
 ) -> FrameSpec:
     """Build and validate a frame for the given split class.
 
-    Omitted scale profiles default to the tied value where the class
-    requires a tie (h2 from h1 for partial and non-split classes, h3 from
-    h1 for non-split) and to unity otherwise.
+    An omitted h2 defaults to h1; an omitted h3 defaults to unity for the
+    partial class and to h1 otherwise.
 
     Raises
     ------
@@ -198,15 +193,9 @@ def make_frame(
         violated class tie on the probe grid.
     """
     cls = SplitClass(class_of)
-    if cls is SplitClass.COMPLETE:
-        h2 = h1 if h2 is None else h2
-        h3 = h1 if h3 is None else h3
-    elif cls is SplitClass.PARTIAL:
-        h2 = h1 if h2 is None else h2
-        h3 = _ONE if h3 is None else h3
-    else:
-        h2 = h1 if h2 is None else h2
-        h3 = h1 if h3 is None else h3
+    h2 = h1 if h2 is None else h2
+    if h3 is None:
+        h3 = _ONE if cls is SplitClass.PARTIAL else h1
 
     profiles = {
         "alpha": alpha, "beta": beta, "gamma": gamma,
@@ -339,7 +328,7 @@ def omega_gradients(system: CoordinateSystem, frame: FrameSpec, t: float, omega)
     J = jacobian(system, omega)
     A = rotation_matrix(frame, t) @ (np.array(frame.scales(t))[:, None] * J)
     det = float(np.linalg.det(A))
-    if abs(det) <= _DET_GUARD * float(np.linalg.norm(A)) ** 3:
+    if _near_singular(A, det):
         raise SingularityError(
             f"{system.sid.value}: embedded Jacobian singular at t={t}, omega={tuple(omega)}"
         )

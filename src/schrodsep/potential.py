@@ -121,6 +121,27 @@ def _frame_rotates(frame: FrameSpec) -> bool:
     )
 
 
+def _family_spec(
+    kind: PotentialKind, system, frame, e_charge, profiles, t0_tilde
+) -> PotentialSpec:
+    """The spec of the magnetic or electrostatic family after its own checks."""
+    if frame.class_of is not system.split_class:
+        raise ConfigurationError(
+            f"frame class {frame.class_of.value} does not match chart "
+            f"{system.sid.value} ({system.split_class.value})"
+        )
+    if e_charge == 0.0:
+        raise ConfigurationError("e_charge must be nonzero")
+    return PotentialSpec(
+        kind=kind,
+        system=system,
+        frame=frame,
+        e_charge=float(e_charge),
+        f_profiles=_as_profiles(*profiles),
+        t0_tilde=_check_t0(t0_tilde),
+    )
+
+
 def magnetic_spec(
     system: CoordinateSystem,
     frame: FrameSpec,
@@ -141,26 +162,12 @@ def magnetic_spec(
     ``require_rotation=True`` to insist on a genuinely nonvanishing
     magnetic field.
     """
-    if frame.class_of is not system.split_class:
-        raise ConfigurationError(
-            f"frame class {frame.class_of.value} does not match chart "
-            f"{system.sid.value} ({system.split_class.value})"
-        )
     if require_rotation and not _frame_rotates(frame):
         raise ConfigurationError(
             "magnetic potential with require_rotation: all rotation rates vanish "
             "on the probe grid, so the magnetic field would be zero"
         )
-    if e_charge == 0.0:
-        raise ConfigurationError("e_charge must be nonzero")
-    return PotentialSpec(
-        kind=PotentialKind.MAGNETIC,
-        system=system,
-        frame=frame,
-        e_charge=float(e_charge),
-        f_profiles=_as_profiles(f10, f20, f30),
-        t0_tilde=_check_t0(t0_tilde),
-    )
+    return _family_spec(PotentialKind.MAGNETIC, system, frame, e_charge, (f10, f20, f30), t0_tilde)
 
 
 def electrostatic_spec(
@@ -180,11 +187,6 @@ def electrostatic_spec(
     zero, and frames with any nonzero or nonconstant angle profile are
     rejected rather than silently re-gauged.
     """
-    if frame.class_of is not system.split_class:
-        raise ConfigurationError(
-            f"frame class {frame.class_of.value} does not match chart "
-            f"{system.sid.value} ({system.split_class.value})"
-        )
     for name, p in (("alpha", frame.alpha), ("beta", frame.beta), ("gamma", frame.gamma)):
         for t in PROBE_TIMES:
             v, d1, _ = p(float(t))
@@ -194,15 +196,8 @@ def electrostatic_spec(
                     f"angle profile {name} is {v!r} (rate {d1!r}) at t={t}. "
                     f"Fold a constant rotation into the chart orientation instead."
                 )
-    if e_charge == 0.0:
-        raise ConfigurationError("e_charge must be nonzero")
-    return PotentialSpec(
-        kind=PotentialKind.ELECTROSTATIC,
-        system=system,
-        frame=frame,
-        e_charge=float(e_charge),
-        f_profiles=_as_profiles(f10, f20, f30),
-        t0_tilde=_check_t0(t0_tilde),
+    return _family_spec(
+        PotentialKind.ELECTROSTATIC, system, frame, e_charge, (f10, f20, f30), t0_tilde
     )
 
 
@@ -273,9 +268,16 @@ def _translation_rates(frame: FrameSpec, t: float) -> np.ndarray:
     return np.array([frame.w1(t)[1], frame.w2(t)[1], frame.w3(t)[1]])
 
 
-def _omega_at(spec: PotentialSpec, t: float, x, omega_hint) -> np.ndarray:
-    z = unembed(spec.frame, t, x)
-    return invert(spec.system, z, omega_hint)
+def _axis_part(spec: PotentialSpec, t: float, x, omega_hint, eA0: float) -> float:
+    """eA0 plus the per-axis part sum_a F_a0(omega_a) / R_a^2 of the scalar
+    potential; eA0 itself, unchanged, when no profile F_a0 is present."""
+    if not spec.has_axis_profiles:
+        return eA0
+    if omega_hint is None:
+        raise ConfigurationError("omega_hint is required when per-axis profiles F_a0 are present")
+    omega = invert(spec.system, unembed(spec.frame, t, x), omega_hint)
+    R2 = metric_r_squared(spec.system, spec.frame, t, omega)
+    return eA0 + sum(spec.f_a0(i, float(omega[i])) / R2[i] for i in range(3))
 
 
 def vector_potential(spec: PotentialSpec, t: float, x, omega_hint=None):
@@ -307,19 +309,10 @@ def vector_potential(spec: PotentialSpec, t: float, x, omega_hint=None):
         M = m_matrix(spec.frame, t)
         w = spec.frame.translation(t)
         eA = 0.5 * (M @ (x - w) + _translation_rates(spec.frame, t))
-        eA0 = spec.t0_tilde(t)[0] - float(eA @ eA)
-        if spec.has_axis_profiles:
-            if omega_hint is None:
-                raise ConfigurationError(
-                    "omega_hint is required when per-axis profiles F_a0 are present"
-                )
-            omega = _omega_at(spec, t, x, omega_hint)
-            R2 = metric_r_squared(spec.system, spec.frame, t, omega)
-            eA0 += sum(spec.f_a0(i, float(omega[i])) / R2[i] for i in range(3))
+        eA0 = _axis_part(spec, t, x, omega_hint, spec.t0_tilde(t)[0] - float(eA @ eA))
         return (eA0 / e, eA / e)
 
     # Electrostatic: no vector potential; quadratic-in-x scalar part.
-    eA0 = spec.t0_tilde(t)[0]
     acc = 0.0
     for i, (hp, wp) in enumerate(
         ((spec.frame.h1, spec.frame.w1), (spec.frame.h2, spec.frame.w2), (spec.frame.h3, spec.frame.w3))
@@ -328,15 +321,7 @@ def vector_potential(spec: PotentialSpec, t: float, x, omega_hint=None):
         w, wd, wdd = wp(t)
         hr = hdd / h
         acc += hr * x[i] ** 2 + 2.0 * (wdd - hr * w) * x[i] + (wd - (hd / h) * w) ** 2
-    eA0 -= 0.25 * acc
-    if spec.has_axis_profiles:
-        if omega_hint is None:
-            raise ConfigurationError(
-                "omega_hint is required when per-axis profiles F_a0 are present"
-            )
-        omega = _omega_at(spec, t, x, omega_hint)
-        R2 = metric_r_squared(spec.system, spec.frame, t, omega)
-        eA0 += sum(spec.f_a0(i, float(omega[i])) / R2[i] for i in range(3))
+    eA0 = _axis_part(spec, t, x, omega_hint, spec.t0_tilde(t)[0] - 0.25 * acc)
     return (eA0 / e, np.zeros(3))
 
 

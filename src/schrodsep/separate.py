@@ -24,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence, TextIO
+from typing import Callable, ClassVar, Sequence, TextIO
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
@@ -89,8 +89,7 @@ def ode_coefficient(spec: PotentialSpec, a: int, omega_a: float, constants) -> f
     """
     if a not in (1, 2, 3):
         raise ConfigurationError(f"axis must be 1, 2 or 3, got {a!r}")
-    axis = a - 1
-    iv = spec.system.domain[axis]
+    iv = spec.system.domain[a - 1]
     if not iv.contains(omega_a):
         raise DomainError(
             f"omega_{a}={omega_a!r} outside [{iv.lo}, {iv.hi}] for "
@@ -98,8 +97,23 @@ def ode_coefficient(spec: PotentialSpec, a: int, omega_a: float, constants) -> f
             axis=a,
         )
     lam = constants.as_tuple() if isinstance(constants, SeparationConstants) else tuple(constants)
-    row = stackel_row(spec.system, axis, omega_a)
-    return spec.f_a0(axis, omega_a) + row[0] * lam[0] + row[1] * lam[1] + row[2] * lam[2]
+    return _axis_rate(spec, a - 1, lam, 1.0)(omega_a)
+
+
+def _axis_rate(spec: PotentialSpec, axis: int, lam, f_sign: float) -> Callable[[float], float]:
+    """w -> f_sign F_a0(w) + sum_i F_ai(w) lambda_i on the 0-based axis.
+
+    With f_sign = +1 this is the coefficient of the wave equation's
+    phi_a'' = c phi_a, with f_sign = -1 the radicand of the action's
+    phi_a'^2.
+    """
+    system = spec.system
+
+    def rate(w: float) -> float:
+        row = stackel_row(system, axis, w)
+        return f_sign * spec.f_a0(axis, w) + row[0] * lam[0] + row[1] * lam[1] + row[2] * lam[2]
+
+    return rate
 
 
 def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
@@ -116,29 +130,16 @@ def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
     return value
 
 
-def _check_t_range(t_range, anchor: float) -> tuple[float, float]:
-    lo, hi = check_range("time range", t_range[0], t_range[1])
-    if not (lo <= anchor <= hi):
-        raise ConfigurationError(f"anchor t0={anchor} outside time range ({lo}, {hi})")
-    return lo, hi
-
-
-def _remember(memo: dict, t: float, value):
-    if len(memo) >= MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[t] = value
-    return value
-
-
 @dataclass(frozen=True)
-class TemporalFactor:
-    """phi0(t) = exp(-i integral_{t0}^{t} (T0 - T_i lambda_i)), anchored to 1.
+class _TimeIntegral:
+    """The integral from the anchor t0 to t of s T0_tilde - T_i lambda_i.
 
-    The imaginary part of T0, -(1/2) sum_i h_i'/h_i, integrates in closed
-    form: the modulus is exp(-(1/2) sum_i log(h_i(t)/h_i(t0))).  The phase
-    is an adaptive quadrature of the real part.  Each instance remembers
-    its last few values by exact t, so the repeated times of a residual
-    stencil are integrated once; ``dataclasses.replace`` starts afresh.
+    s = +1 drives the phase of the wave factor, s = -1 is the time term
+    of the action.  Each instance remembers its last ``MEMO_SIZE`` values
+    by exact t, so the repeated times of a residual stencil are
+    integrated once; ``dataclasses.replace`` starts afresh.  Each
+    subclass defines its own ``__call__``, the name under which
+    ``benchmarks/tracer.py`` wraps it.
     """
 
     spec: PotentialSpec
@@ -147,13 +148,56 @@ class TemporalFactor:
     t_hi: float
     anchor: float
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: The sign s of T0_tilde in the rate.
+    _T0_SIGN: ClassVar[float]
 
-    def _phase_rate(self, tau: float) -> float:
+    @classmethod
+    def _over(cls, spec, constants, t_range, anchor: float):
+        """An instance over ``t_range``; :class:`ConfigurationError` unless
+        the range is finite and nonempty and holds the anchor."""
+        lo, hi = check_range("time range", t_range[0], t_range[1])
+        if not (lo <= anchor <= hi):
+            raise ConfigurationError(f"anchor t0={anchor} outside time range ({lo}, {hi})")
+        return cls(spec, constants, lo, hi, float(anchor))
+
+    def _rate(self, tau: float) -> float:
         T = t_functions(self.spec.system, self.spec.frame, tau)
         lam = self.constants.as_tuple()
-        return self.spec.t0_tilde(tau)[0] - (T[0] * lam[0] + T[1] * lam[1] + T[2] * lam[2])
+        t0 = self._T0_SIGN * self.spec.t0_tilde(tau)[0]
+        return t0 - (T[0] * lam[0] + T[1] * lam[1] + T[2] * lam[2])
 
-    def _log_modulus(self, t: float) -> float:
+    def _integral(self, t: float) -> float:
+        return _quad(self._rate, self.anchor, t)
+
+    def _memoised(self, t: float, at_anchor, compute: Callable[[float], object]):
+        """``compute(t)`` remembered, ``at_anchor`` at t0, checked against the range."""
+        if not (self.t_lo <= t <= self.t_hi):
+            raise OutOfRangeError(f"t={t} outside tabulated range ({self.t_lo}, {self.t_hi})")
+        if t == self.anchor:
+            return at_anchor
+        if t in self._memo:
+            return self._memo[t]
+        value = compute(t)
+        if len(self._memo) >= MEMO_SIZE:
+            del self._memo[next(iter(self._memo))]
+        self._memo[t] = value
+        return value
+
+
+class TemporalFactor(_TimeIntegral):
+    """phi0(t) = exp(-i integral_{t0}^{t} (T0 - T_i lambda_i)), anchored to 1.
+
+    The imaginary part of T0, -(1/2) sum_i h_i'/h_i, integrates in closed
+    form: the modulus is exp(-(1/2) sum_i log(h_i(t)/h_i(t0))).  The phase
+    is an adaptive quadrature of the real part.
+    """
+
+    _T0_SIGN = 1.0
+
+    def __call__(self, t: float) -> complex:
+        return self._memoised(t, 1.0 + 0.0j, self._wave)
+
+    def _wave(self, t: float) -> complex:
         frame = self.spec.frame
         acc = 0.0
         for hp in (frame.h1, frame.h2, frame.h3):
@@ -161,18 +205,9 @@ class TemporalFactor:
             if not (h > 0.0 and h0 > 0.0):
                 raise ConfigurationError(f"frame scale non-positive at t={t}")
             acc += math.log(h / h0)
-        return -0.5 * acc
-
-    def __call__(self, t: float) -> complex:
-        if not (self.t_lo <= t <= self.t_hi):
-            raise OutOfRangeError(f"t={t} outside tabulated range ({self.t_lo}, {self.t_hi})")
-        if t == self.anchor:
-            return 1.0 + 0.0j
-        if t in self._memo:
-            return self._memo[t]
-        modulus = complex(math.exp(self._log_modulus(t)))
-        phase = _quad(self._phase_rate, self.anchor, t)
-        return _remember(self._memo, t, modulus * complex(math.cos(phase), -math.sin(phase)))
+        modulus = complex(math.exp(-0.5 * acc))
+        phase = self._integral(t)
+        return modulus * complex(math.cos(phase), -math.sin(phase))
 
 
 def solve_phi0(
@@ -181,8 +216,7 @@ def solve_phi0(
     t_range: Sequence[float],
     anchor: float = 0.0,
 ) -> TemporalFactor:
-    lo, hi = _check_t_range(t_range, anchor)
-    return TemporalFactor(spec, constants, lo, hi, float(anchor))
+    return TemporalFactor._over(spec, constants, t_range, anchor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,13 +321,7 @@ def solve_phi_a(
     if not (np.isfinite([v0.real, v0.imag, s0.real, s0.imag]).all()):
         raise ConfigurationError(f"initial data {initial!r} must be finite")
 
-    lam = constants.as_tuple()
-    axis = a - 1
-    system = spec.system
-
-    def coeff(w: float) -> float:
-        row = stackel_row(system, axis, w)
-        return spec.f_a0(axis, w) + row[0] * lam[0] + row[1] * lam[1] + row[2] * lam[2]
+    coeff = _axis_rate(spec, a - 1, constants.as_tuple(), 1.0)
 
     def rhs(w, y):
         c = coeff(float(w))
@@ -383,21 +411,21 @@ def separate(
     return SeparatedSolution(spec, constants, phi0, factors, q_kind)
 
 
-def _midpoint_seed(factors) -> tuple[float, float, float]:
-    return tuple(0.5 * (f.lo + f.hi) for f in factors)
+def _chart_point(spec: PotentialSpec, t: float, x, omega_hint, factors) -> np.ndarray:
+    """Chart coordinates of the laboratory point x at time t.
+
+    Without an ``omega_hint`` the Newton inversion is seeded from the
+    centre of the factors' box, which is adequate anywhere inside it.
+    """
+    if omega_hint is None:
+        omega_hint = tuple(0.5 * (f.lo + f.hi) for f in factors)
+    return invert(spec.system, unembed(spec.frame, t, x), omega_hint)
 
 
 def evaluate_psi(solution: SeparatedSolution, t: float, x, omega_hint=None) -> complex:
-    """Reassemble psi = Q phi0 phi1 phi2 phi3 at a laboratory point.
-
-    Without an ``omega_hint`` the chart inversion is seeded from the
-    centre of the solved box, which is adequate anywhere inside it.
-    """
+    """Reassemble psi = Q phi0 phi1 phi2 phi3 at a laboratory point."""
     spec = solution.spec
-    if omega_hint is None:
-        omega_hint = _midpoint_seed(solution.factors)
-    z = unembed(spec.frame, t, x)
-    omega = invert(spec.system, z, omega_hint)
+    omega = _chart_point(spec, t, x, omega_hint, solution.factors)
     value = solution.phi0(t)
     for i in range(3):
         value *= solution.factors[i](float(omega[i]))
@@ -425,33 +453,13 @@ def lambda_jacobian(spec: PotentialSpec, t: float, omega) -> np.ndarray:
 # Hamilton-Jacobi branch
 
 
-@dataclass(frozen=True)
-class HJTemporal:
-    """phi0(t) = integral_{t0}^{t} (-T0_tilde - T_i lambda_i), real-valued.
+class HJTemporal(_TimeIntegral):
+    """phi0(t) = integral_{t0}^{t} (-T0_tilde - T_i lambda_i), real-valued."""
 
-    Remembers its last few values by exact t, like :class:`TemporalFactor`.
-    """
-
-    spec: PotentialSpec
-    constants: SeparationConstants
-    t_lo: float
-    t_hi: float
-    anchor: float
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _rate(self, tau: float) -> float:
-        T = t_functions(self.spec.system, self.spec.frame, tau)
-        lam = self.constants.as_tuple()
-        return -self.spec.t0_tilde(tau)[0] - (T[0] * lam[0] + T[1] * lam[1] + T[2] * lam[2])
+    _T0_SIGN = -1.0
 
     def __call__(self, t: float) -> float:
-        if not (self.t_lo <= t <= self.t_hi):
-            raise OutOfRangeError(f"t={t} outside tabulated range ({self.t_lo}, {self.t_hi})")
-        if t == self.anchor:
-            return 0.0
-        if t in self._memo:
-            return self._memo[t]
-        return _remember(self._memo, t, _quad(self._rate, self.anchor, t))
+        return self._memoised(t, 0.0, self._integral)
 
 
 @dataclass(frozen=True, eq=False)
@@ -529,18 +537,11 @@ def hj_solve(
     signs = tuple(int(s) for s in signs)
     if len(signs) != 3 or any(s not in (-1, 1) for s in signs):
         raise ConfigurationError(f"branch signs must be three values of +-1, got {signs!r}")
-    t_lo, t_hi = _check_t_range(t_range, anchor)
+    phi0 = HJTemporal._over(spec, constants, t_range, anchor)
     bounds = [_check_axis_range(spec, a, ranges[a - 1]) for a in (1, 2, 3)]
-    lam = constants.as_tuple()
-
     terms = []
     for a, (lo, hi) in zip((1, 2, 3), bounds):
-        axis = a - 1
-
-        def radicand(w: float, axis=axis) -> float:
-            row = stackel_row(spec.system, axis, w)
-            return -spec.f_a0(axis, w) + row[0] * lam[0] + row[1] * lam[1] + row[2] * lam[2]
-
+        radicand = _axis_rate(spec, a - 1, constants.as_tuple(), -1.0)
         grid = np.linspace(lo, hi, RADICAND_GRID)
         rad = np.array([radicand(float(w)) for w in grid])
         if np.any(rad < 0.0):
@@ -562,17 +563,13 @@ def hj_solve(
         slopes = sgn * ends
         terms.append(AxisInterpolant(axis=a, nodes=nodes, values=sgn * values, slopes=slopes))
 
-    phi0 = HJTemporal(spec, constants, t_lo, t_hi, float(anchor))
     return HJAction(spec, constants, phi0, tuple(terms), signs)
 
 
 def evaluate_action(action: HJAction, t: float, x, omega_hint=None) -> float:
     """u(t, x) for a separated action."""
     spec = action.spec
-    if omega_hint is None:
-        omega_hint = _midpoint_seed(action.terms)
-    z = unembed(spec.frame, t, x)
-    omega = invert(spec.system, z, omega_hint)
+    omega = _chart_point(spec, t, x, omega_hint, action.terms)
     value = action.phi0(t)
     for i in range(3):
         value += float(action.terms[i](float(omega[i])).real)
@@ -600,8 +597,9 @@ def write_interpolant_csv(interp: AxisInterpolant, dest: TextIO) -> None:
 def read_interpolant_csv(src: TextIO, axis: int) -> AxisInterpolant:
     """Rebuild an :class:`AxisInterpolant` written by the dumper above.
 
-    The node column must be strictly increasing and uniformly spaced;
-    floats written with ``repr`` round-trip exactly, so a rebuilt factor
+    Every field must be a finite number and the node column strictly
+    increasing and uniformly spaced, or :class:`ConfigurationError` is
+    raised; floats written with ``repr`` round-trip exactly, so a rebuilt factor
     evaluates bit-for-bit like the original.
     """
     if axis not in (1, 2, 3):
@@ -617,7 +615,12 @@ def read_interpolant_csv(src: TextIO, axis: int) -> AxisInterpolant:
         parts = line.split(",")
         if len(parts) != 5:
             raise ConfigurationError(f"malformed interpolant row {line!r}")
-        w, vr, vi, mr, mi = (float(p) for p in parts)
+        try:
+            w, vr, vi, mr, mi = (float(p) for p in parts)
+        except ValueError:
+            raise ConfigurationError(f"non-numeric field in interpolant row {line!r}") from None
+        if not all(map(math.isfinite, (w, vr, vi, mr, mi))):
+            raise ConfigurationError(f"non-finite field in interpolant row {line!r}")
         nodes.append(w)
         values.append(complex(vr, vi))
         slopes.append(complex(mr, mi))

@@ -273,6 +273,15 @@ def _record(index, channel, t, x, residual, scale) -> PointRecord:
     )
 
 
+def _report(residual_with_scale, channel, field, spec, points, steps, hints) -> ResidualReport:
+    records = []
+    for idx, (t, x) in enumerate(points):
+        hint = None if hints is None else hints[idx]
+        res, scale = residual_with_scale(field, spec, t, x, steps, hint)
+        records.append(_record(idx, channel, t, x, res, scale))
+    return ResidualReport(tuple(records), ht=float(steps[0]), hx=float(steps[1]))
+
+
 def se_report(
     field: Callable,
     spec: PotentialSpec,
@@ -280,12 +289,7 @@ def se_report(
     steps: Sequence[float] = DEFAULT_STEPS,
     hints: Sequence | None = None,
 ) -> ResidualReport:
-    records = []
-    for idx, (t, x) in enumerate(points):
-        hint = None if hints is None else hints[idx]
-        res, scale = se_residual_with_scale(field, spec, t, x, steps, hint)
-        records.append(_record(idx, "se", t, x, res, scale))
-    return ResidualReport(tuple(records), ht=float(steps[0]), hx=float(steps[1]))
+    return _report(se_residual_with_scale, "se", field, spec, points, steps, hints)
 
 
 def hj_report(
@@ -295,12 +299,7 @@ def hj_report(
     steps: Sequence[float] = DEFAULT_STEPS,
     hints: Sequence | None = None,
 ) -> ResidualReport:
-    records = []
-    for idx, (t, x) in enumerate(points):
-        hint = None if hints is None else hints[idx]
-        res, scale = hj_residual_with_scale(action, spec, t, x, steps, hint)
-        records.append(_record(idx, "hj", t, x, res, scale))
-    return ResidualReport(tuple(records), ht=float(steps[0]), hx=float(steps[1]))
+    return _report(hj_residual_with_scale, "hj", action, spec, points, steps, hints)
 
 
 def report_to_csv(report: ResidualReport, dest: TextIO) -> None:

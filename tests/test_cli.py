@@ -1,6 +1,7 @@
 """Tests for the scenario-driven command line."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -247,3 +248,58 @@ def test_separate_infinite_t_range_writes_nothing(tmp_path, capsys):
     assert run("separate", "--scenario", scen, "--out", out) == 1
     assert "time range" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.fixture(scope="module")
+def separated(tmp_path_factory):
+    out = tmp_path_factory.mktemp("separated")
+    assert main(["separate", "--scenario", str(MAGNETIC), "--out", str(out)]) == 0
+    return out
+
+
+def _truncate(out):
+    text = (out / "solution.json").read_text()
+    (out / "solution.json").write_text(text[: len(text) // 2])
+    return "solution.json"
+
+
+def _edit_solution(edit):
+    def damage(out):
+        stored = read_json(out / "solution.json")
+        edit(stored)
+        (out / "solution.json").write_text(json.dumps(stored))
+        return "solution.json"
+    return damage
+
+
+def _edit_csv(name, field, text):
+    # field `field` of the second node row, so a NaN node sets the spacing
+    def damage(out):
+        lines = (out / name).read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[field] = text
+        lines[2] = ",".join(parts)
+        (out / name).write_text("\n".join(lines) + "\n")
+        return name
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _truncate,
+        _edit_solution(lambda s: s.pop("q_kind")),
+        _edit_solution(lambda s: s.update(t_range=s["t_range"][:1])),
+        _edit_csv("phi_2.csv", 1, "abc"),
+        _edit_csv("phi_1.csv", 0, "nan"),
+    ],
+    ids=["truncated_json", "missing_q_kind", "short_t_range", "text_in_csv", "nan_node"],
+)
+def test_verify_on_damaged_artifacts_is_config_error(separated, tmp_path, capsys, damage):
+    out = tmp_path / "out"
+    shutil.copytree(separated, out)
+    name = damage(out)
+    assert run("verify", "--scenario", MAGNETIC, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert name in err

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from schrodsep.coords import (
     _CHARTS,
+    _near_singular,
     CONTRACT_TOL,
     SplitClass,
     SystemId,
@@ -183,6 +184,27 @@ def test_jacobian_singularity_guard():
         jacobian(build("elliptic_cylindrical"), (0.0, 0.0, 0.5))
 
 
+def test_jacobian_guard_ignores_unequal_column_lengths():
+    # Column norms about 1e12, 1e6 and 1e6 at the lower end of the
+    # spherical sampling box: |det J| equals their product, so the point
+    # is regular however much the lengths differ.
+    J = jacobian(build("spherical"), (1e-6, 0.0, math.pi))
+    ratio = abs(np.linalg.det(J)) / np.prod(np.linalg.norm(J, axis=0))
+    assert ratio == pytest.approx(1.0, rel=1e-12)
+    assert not _near_singular(np.diag([1e12, 1e6, 1e-6]), 1e12)
+
+
+@pytest.mark.parametrize("columns", [
+    ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+    ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), (0.0, 0.0, 1.0)),
+    ((1e12, 0.0, 0.0), (0.0, 1e6, 1e-7), (0.0, 1e6, 0.0)),
+])
+def test_determinant_guard_refuses_degenerate_columns(columns):
+    # A zero, a repeated and a nearly parallel column.
+    m = np.array(columns).T
+    assert _near_singular(m, float(np.linalg.det(m)))
+
+
 def test_invert_cartesian_trivial():
     s = build("cartesian")
     w = invert(s, (3.0, 4.0, 5.0), (0.0, 0.0, 0.0))
@@ -302,9 +324,9 @@ def test_chart_properties_inside_sampling_box(name, data):
     try:
         z = forward(s, w)
         w_rec = invert(s, z, w + nudge)
-        J = jacobian(s, w)
     except SchrodsepError:
         reject()
+    J = jacobian(s, w)  # the determinant guard refuses no point of the box
     assert np.linalg.norm(forward(s, w_rec) - z) <= CONTRACT_TOL * (1.0 + np.linalg.norm(z))
     T = t_functions(s, identity_frame(s.split_class), 0.0)
     R2 = s.chart.metric(s, T, *(float(v) for v in w))

@@ -241,6 +241,16 @@ def test_omega_gradients_cylindrical_norm():
     assert np.dot(G[0], G[0]) == pytest.approx(1.0, rel=1e-13)
 
 
+def test_omega_gradients_at_unequal_column_lengths():
+    # Spherical at omega1 = 1e-6 (radius 1e6): a regular point whose
+    # Jacobian columns differ in length by a factor 1e6.
+    s = make_system("spherical")
+    w = (1e-6, 0.0, math.pi)
+    G = omega_gradients(s, make_frame("nonsplit", h1=constant(2.0)), 0.0, w)
+    J = 2.0 * np.array(s.chart.jacobian(s, *w))
+    np.testing.assert_allclose(G @ J, np.eye(3), atol=1e-12)
+
+
 @pytest.mark.parametrize("name", all_system_ids())
 def test_omega_gradients_orthogonal(name):
     s = build(name)
