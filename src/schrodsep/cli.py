@@ -14,12 +14,14 @@ Scenarios are JSON documents validated against the shipped schema
 deterministic: the same scenario and seed produce byte-identical
 artifacts, and every report carries the scenario SHA-256 plus the tool
 version.  Exit codes: 0 success, 1 configuration problem, 2 numerical
-failure (including ``--assert-tol`` violations), 3 I/O problem.
+failure (including ``--assert-tol`` violations and arithmetic overflow),
+3 I/O problem.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -108,9 +110,38 @@ class Scenario:
     assert_tol: float | None
 
 
-def _schema() -> dict:
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
+    """The scenario schema's validator, built once per process."""
     text = resources.files("schrodsep").joinpath("scenario.schema.json").read_text("utf-8")
-    return json.loads(text)
+    return jsonschema.Draft202012Validator(json.loads(text))
+
+
+def _check_finite(node, path, where: str = "") -> None:
+    """:class:`ConfigurationError` at the first number in the parsed scenario
+    ``node`` that is not finite or, as an integer, does not fit a float."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            _check_finite(value, path, f"{where}/{key}" if where else str(key))
+        return
+    try:
+        finite = not isinstance(node, (int, float)) or math.isfinite(node)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigurationError(f"scenario {path}: {where} must be finite and fit a float")
+
+
+def _check_controls(samples: int, seed: int, assert_tol: float | None) -> None:
+    """:class:`ConfigurationError` unless samples >= 1, seed >= 0 and
+    assert_tol is None or finite and positive, from a scenario or a flag."""
+    if samples < 1:
+        raise ConfigurationError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    if assert_tol is not None and not 0.0 < assert_tol < math.inf:
+        raise ConfigurationError(f"assert_tol must be finite and positive, got {assert_tol}")
 
 
 def _time_profile(node: dict) -> TimeProfile:
@@ -137,16 +168,6 @@ def _omega_profile(node: dict):
 def _chart_parameters(doc: dict) -> dict:
     """The chart parameters a and k the scenario sets."""
     return {key: doc["system"][key] for key in ("a", "k") if key in doc["system"]}
-
-
-def _build_system(doc: dict) -> CoordinateSystem:
-    return make_system(doc["system"]["id"], **_chart_parameters(doc))
-
-
-def _build_frame(doc: dict) -> FrameSpec:
-    node = doc["frame"]
-    profiles = {name: _time_profile(p) for name, p in node.get("profiles", {}).items()}
-    return make_frame(node["class"], **profiles)
 
 
 def _build_spec(doc: dict, system: CoordinateSystem, frame: FrameSpec) -> PotentialSpec:
@@ -200,26 +221,25 @@ def load_scenario(path: str | Path) -> Scenario:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # undecodable bytes, bad JSON or an over-long integer
         raise ConfigurationError(f"scenario {path}: not valid JSON ({exc})") from exc
-    try:
-        jsonschema.validate(doc, _schema())
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigurationError(f"scenario {path}: {exc.message} at {where}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "(top level)"
+        raise ConfigurationError(f"scenario {path}: {error.message} at {where}")
 
-    system = _build_system(doc)
-    frame = _build_frame(doc)
-    spec = _build_spec(doc, system, frame)
-    constants = SeparationConstants(*doc["constants"])
     ranges = tuple(
         check_range("omega range", lo, hi, f" on axis {a} of scenario {path}")
         for a, (lo, hi) in enumerate(doc["omega_ranges"], start=1)
     )
     t_range = check_range("time range", *doc.get("t_range", (-2.0, 2.0)), f" of scenario {path}")
+    _check_finite(doc, path)
+    system = make_system(doc["system"]["id"], **_chart_parameters(doc))
+    profiles = {name: _time_profile(p) for name, p in doc["frame"].get("profiles", {}).items()}
+    frame = make_frame(doc["frame"]["class"], **profiles)
+    spec = _build_spec(doc, system, frame)
+    constants = SeparationConstants(*doc["constants"])
     anchor = float(doc.get("anchor", 0.0))
-    if not math.isfinite(anchor):
-        raise ConfigurationError(f"scenario {path}: anchor {anchor} must be finite")
     initial = None
     if "initial_data" in doc:
         initial = tuple(
@@ -245,14 +265,10 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _apply_overrides(sc: Scenario, args: argparse.Namespace) -> Scenario:
-    updates = {}
-    if getattr(args, "samples", None) is not None:
-        updates["samples"] = args.samples
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "assert_tol", None) is not None:
-        updates["assert_tol"] = args.assert_tol
-    return replace(sc, **updates) if updates else sc
+    flags = ("samples", "seed", "assert_tol")
+    sc = replace(sc, **{k: getattr(args, k) for k in flags if getattr(args, k, None) is not None})
+    _check_controls(sc.samples, sc.seed, sc.assert_tol)
+    return sc
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +291,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_report_csv(path: Path, digest: str | None, report) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# scenario_sha256={digest}\n# tool_version={__version__}\n")
-        report_to_csv(report, fh)
-
-
 def _box_report(report, evaluate, solved, spec: PotentialSpec, ranges, t_range, samples, seed):
     """Residual report of ``evaluate(solved, t, x, hint)`` on random points
     of the chart box, and those (t, x, omega) points."""
@@ -290,9 +300,12 @@ def _box_report(report, evaluate, solved, spec: PotentialSpec, ranges, t_range, 
     return report(field, spec, [(t, x) for t, x, _ in points], hints=hints), points
 
 
-def _write_residuals(out: Path, sc: Scenario, command: str, fields: dict, report) -> int:
+def _write_residuals(
+    out: Path, sc: Scenario, command: str, fields: dict, report, summary: str | None = None
+) -> int:
     """Store a residual report with ``fields`` in report.json and report.csv,
-    print its summary line and return the ``--assert-tol`` exit code."""
+    print ``summary`` (by default the sample count and the worst residual)
+    and return the ``--assert-tol`` exit code."""
     payload = {
         "command": command,
         "provenance": _provenance(sc.digest),
@@ -300,11 +313,13 @@ def _write_residuals(out: Path, sc: Scenario, command: str, fields: dict, report
         "report": report_to_dict(report),
     }
     _write_json(out / "report.json", payload)
-    _write_report_csv(out / "report.csv", sc.digest, report)
-    print(
-        f"{command}: {len(report.records)} samples, max relative residual "
-        f"{report.max_relative:.6e}"
-    )
+    with open(out / "report.csv", "w", encoding="utf-8") as fh:
+        fh.write(f"# scenario_sha256={sc.digest}\n# tool_version={__version__}\n")
+        report_to_csv(report, fh)
+    if summary is None:
+        summary = f"{command}: {len(report.records)} samples, max relative residual "
+        summary += f"{report.max_relative:.6e}"
+    print(summary)
     return _check_tolerance(report.max_relative, sc.assert_tol, command)
 
 
@@ -344,17 +359,9 @@ def cmd_audit_geometry(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     report = geometry_audit(sc.system, sc.frame, sc.anchor, sc.samples, sc.seed)
     worst = {ch: channel_max(report, ch) for ch in AUDIT_CHANNELS}
-    payload = {
-        "command": "audit-geometry",
-        "provenance": _provenance(sc.digest),
-        "channel_max": worst,
-        "report": report_to_dict(report),
-    }
-    _write_json(out / "report.json", payload)
-    _write_report_csv(out / "report.csv", sc.digest, report)
-    for ch in AUDIT_CHANNELS:
-        print(f"audit {ch:13s} max violation {worst[ch]:.6e}")
-    return _check_tolerance(report.max_relative, sc.assert_tol, "audit-geometry")
+    lines = [f"audit {ch:13s} max violation {worst[ch]:.6e}" for ch in AUDIT_CHANNELS]
+    fields = {"channel_max": worst}
+    return _write_residuals(out, sc, "audit-geometry", fields, report, "\n".join(lines))
 
 
 def cmd_build_potential(args: argparse.Namespace) -> int:
@@ -479,9 +486,10 @@ def cmd_hj(args: argparse.Namespace) -> int:
 
 
 def cmd_coulomb_demo(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     samples = args.samples if args.samples is not None else 12
     seed = args.seed if args.seed is not None else 7
+    _check_controls(samples, seed, args.assert_tol)
+    out = _out_dir(args)
     alpha, beta, gamma = (constant(v) for v in DEMO_ANGLES)
     constants = SeparationConstants(*DEMO_CONSTANTS)
 
@@ -607,7 +615,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except NumericError as exc:
+    except (NumericError, ArithmeticError) as exc:  # overflow on extreme finite input too
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -175,8 +175,8 @@ def make_system(name: str | SystemId, a: float = 1.0, k: float | None = None) ->
     except ValueError:
         raise ConfigurationError(f"unknown coordinate system {name!r}") from None
     chart = sid.chart
-    if chart.uses_a and not a > 0.0:
-        raise ConfigurationError(f"{sid.value} needs a focal scale a > 0, got {a!r}")
+    if chart.uses_a and not 0.0 < a < math.inf:
+        raise ConfigurationError(f"{sid.value} needs a finite focal scale a > 0, got {a!r}")
     kmod = None
     if chart.uses_k:
         if k is None:
@@ -823,7 +823,6 @@ def invert(
     z,
     guess,
     *,
-    max_iter: int = MAX_NEWTON_ITERS,
     slack: float = 0.0,
 ) -> np.ndarray:
     """Invert the forward map by Newton iteration with the analytic Jacobian.
@@ -845,7 +844,7 @@ def invert(
     Raises
     ------
     InversionError
-        If the contract tolerance is not met within ``max_iter`` Newton
+        If the contract tolerance is not met within ``MAX_NEWTON_ITERS`` Newton
         steps; carries the last iterate and its residual.
     """
     zt = (float(z[0]), float(z[1]), float(z[2]))
@@ -859,14 +858,19 @@ def invert(
     def clamp(w):
         return tuple(min(max(w[i], box[i][0]), box[i][1]) for i in range(3))
 
+    def miss(w):
+        """forward(w) - z and its norm."""
+        f = fwd(system, *w)
+        d = (f[0] - zt[0], f[1] - zt[1], f[2] - zt[2])
+        return d, math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+
     w = clamp((float(guess[0]), float(guess[1]), float(guess[2])))
-    f = fwd(system, *w)
-    r = math.sqrt((f[0] - zt[0]) ** 2 + (f[1] - zt[1]) ** 2 + (f[2] - zt[2]) ** 2)
-    for _ in range(max_iter):
+    d, r = miss(w)
+    for _ in range(MAX_NEWTON_ITERS):
         if r <= tol_target:
             break
         try:
-            step = _solve3(jac(system, *w), (f[0] - zt[0], f[1] - zt[1], f[2] - zt[2]))
+            step = _solve3(jac(system, *w), d)
         except SingularityError as exc:
             raise InversionError(
                 f"{system.sid.value}: singular Jacobian during inversion at omega={w}",
@@ -880,30 +884,23 @@ def invert(
         improved = False
         for _bt in range(12):
             w_new = clamp((w[0] - s * step[0], w[1] - s * step[1], w[2] - s * step[2]))
-            f_new = fwd(system, *w_new)
-            r_new = math.sqrt(
-                (f_new[0] - zt[0]) ** 2 + (f_new[1] - zt[1]) ** 2 + (f_new[2] - zt[2]) ** 2
-            )
+            d_new, r_new = miss(w_new)
             if r_new < r or r_new <= tol_target:
                 improved = True
                 break
             s *= 0.5
         if not improved:
             break
-        w, f, r = w_new, f_new, r_new
+        w, d, r = w_new, d_new, r_new
     if r <= tol_accept:
         # One full polishing step: quadratic convergence turns a landing
         # just under the target into an essentially machine-precision one,
         # which keeps Newton noise out of downstream difference stencils.
         if r > 0.0:
             try:
-                step = _solve3(jac(system, *w), (f[0] - zt[0], f[1] - zt[1], f[2] - zt[2]))
+                step = _solve3(jac(system, *w), d)
                 w_new = clamp((w[0] - step[0], w[1] - step[1], w[2] - step[2]))
-                f_new = fwd(system, *w_new)
-                r_new = math.sqrt(
-                    (f_new[0] - zt[0]) ** 2 + (f_new[1] - zt[1]) ** 2 + (f_new[2] - zt[2]) ** 2
-                )
-                if r_new < r:
+                if miss(w_new)[1] < r:
                     w = w_new
             except SingularityError:
                 pass

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import DomainError
 
@@ -84,15 +84,10 @@ def modulus(k: float) -> Modulus:
     return Modulus(k=k, kprime=kp, K=complete_K(k), Kprime=complete_K(kp))
 
 
-# Landen sequences depend on k only, so cache them per modulus.  Values are
-# (a_n tuple, c_n tuple); index 0 holds a_0 = 1, c_0 = k.
-_scheme_cache: dict[float, tuple[tuple[float, ...], tuple[float, ...]]] = {}
-
-
+@cache
 def _landen_scheme(k: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    cached = _scheme_cache.get(k)
-    if cached is not None:
-        return cached
+    """The Landen sequences (a_n, c_n) of modulus k, cached per modulus;
+    index 0 holds a_0 = 1, c_0 = k."""
     a = 1.0
     b = math.sqrt((1.0 - k) * (1.0 + k))
     c = k
@@ -104,9 +99,7 @@ def _landen_scheme(k: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         aa.append(a)
         cc.append(c)
-    scheme = (tuple(aa), tuple(cc))
-    _scheme_cache[k] = scheme
-    return scheme
+    return (tuple(aa), tuple(cc))
 
 
 @lru_cache(maxsize=1024)

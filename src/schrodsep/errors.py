@@ -82,7 +82,10 @@ class OutOfRangeError(NumericError):
 def check_range(what: str, lo, hi, where: str = "") -> tuple[float, float]:
     """(lo, hi) as floats, or a :class:`ConfigurationError` unless both ends
     and the span hi - lo (which may overflow) are finite and lo < hi."""
-    lo, hi = float(lo), float(hi)
+    try:
+        lo, hi = float(lo), float(hi)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigurationError(f"{what}{where} must be finite") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
         raise ConfigurationError(f"{what} ({lo}, {hi}){where} must be finite")
     if not lo < hi:

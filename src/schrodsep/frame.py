@@ -157,8 +157,22 @@ class FrameSpec:
     w3: TimeProfile
     class_of: SplitClass
 
+    def scale_triples(self, t: float) -> tuple[tuple[float, float, float], ...]:
+        """(h_i, h_i', h_i'') for i = 1, 2, 3 at t; the one check, by
+        :class:`ConfigurationError`, that every h_i(t) > 0 (NaN fails it)."""
+        h1, h2, h3 = self.h1(t), self.h2(t), self.h3(t)
+        if not (h1[0] > 0.0 and h2[0] > 0.0 and h3[0] > 0.0):
+            values = (h1[0], h2[0], h3[0])
+            raise ConfigurationError(f"frame scale non-positive at t={t}: h = {values}")
+        return (h1, h2, h3)
+
+    def translation_triples(self, t: float) -> tuple[tuple[float, float, float], ...]:
+        """(w_i, w_i', w_i'') for i = 1, 2, 3 at t."""
+        return (self.w1(t), self.w2(t), self.w3(t))
+
     def scales(self, t: float) -> tuple[float, float, float]:
-        return (self.h1(t)[0], self.h2(t)[0], self.h3(t)[0])
+        h1, h2, h3 = self.scale_triples(t)
+        return (h1[0], h2[0], h3[0])
 
     def translation(self, t: float) -> np.ndarray:
         return np.array([self.w1(t)[0], self.w2(t)[0], self.w3(t)[0]])
@@ -207,10 +221,9 @@ def make_frame(
             raise ConfigurationError(f"profile {name} must be a TimeProfile")
         _check_profile(name, p)
 
+    frame = FrameSpec(alpha, beta, gamma, h1, h2, h3, w1, w2, w3, cls)
     for t in PROBE_TIMES:
-        hv = (h1(float(t))[0], h2(float(t))[0], h3(float(t))[0])
-        if min(hv) <= 0.0:
-            raise ConfigurationError(f"scale profiles must stay positive; h(t={t}) = {hv}")
+        hv = frame.scales(float(t))
         if cls is not SplitClass.COMPLETE and abs(hv[0] - hv[1]) > _CLASS_TOL:
             raise ConfigurationError(
                 f"{cls.value} class requires h1 = h2; differ by {hv[0] - hv[1]:.3e} at t={t}"
@@ -220,7 +233,7 @@ def make_frame(
                 f"nonsplit class requires h1 = h3; differ by {hv[0] - hv[2]:.3e} at t={t}"
             )
 
-    return FrameSpec(alpha, beta, gamma, h1, h2, h3, w1, w2, w3, cls)
+    return frame
 
 
 def identity_frame(class_of: SplitClass | str) -> FrameSpec:
@@ -287,16 +300,12 @@ def m_matrix(frame: FrameSpec, t: float) -> np.ndarray:
     is exactly the angular-velocity matrix.
     """
     T = rotation_matrix(frame, t)
-    rel = []
-    for p in (frame.h1, frame.h2, frame.h3):
-        v, d1, _ = p(t)
-        if v <= 0.0:
-            raise ConfigurationError(f"scale profile non-positive at t={t}")
-        rel.append(d1 / v)
+    rel = [d1 / v for v, d1, _ in frame.scale_triples(t)]
     return rotation_rate(frame, t) + T @ np.diag(rel) @ T.T
 
 
-def _require_compatible(system: CoordinateSystem, frame: FrameSpec) -> None:
+def require_compatible(system: CoordinateSystem, frame: FrameSpec) -> None:
+    """:class:`ConfigurationError` unless the frame's split class is the chart's."""
     if frame.class_of is not system.split_class:
         raise ConfigurationError(
             f"frame of class {frame.class_of.value} cannot drive the "
@@ -306,7 +315,7 @@ def _require_compatible(system: CoordinateSystem, frame: FrameSpec) -> None:
 
 def embed(system: CoordinateSystem, frame: FrameSpec, t: float, omega) -> np.ndarray:
     """Cartesian position x = T(t) H(t) z(omega) + w(t)."""
-    _require_compatible(system, frame)
+    require_compatible(system, frame)
     z = forward(system, omega)
     hz = np.array(frame.scales(t)) * z
     return rotation_matrix(frame, t) @ hz + frame.translation(t)
@@ -324,7 +333,7 @@ def omega_gradients(system: CoordinateSystem, frame: FrameSpec, t: float, omega)
     Returns a 3x3 array whose i-th row is grad omega_i, computed as the
     i-th row of (T H J)^{-1} with J the chart Jacobian.
     """
-    _require_compatible(system, frame)
+    require_compatible(system, frame)
     J = jacobian(system, omega)
     A = rotation_matrix(frame, t) @ (np.array(frame.scales(t))[:, None] * J)
     det = float(np.linalg.det(A))

@@ -35,6 +35,7 @@ from .frame import (
     constant,
     m_matrix,
     make_frame,
+    require_compatible,
     rotation_rates,
     unembed,
 )
@@ -121,22 +122,24 @@ def _frame_rotates(frame: FrameSpec) -> bool:
     )
 
 
+def _charge(e_charge) -> float:
+    """e_charge as a float; :class:`ConfigurationError` unless finite and nonzero."""
+    e = float(e_charge)
+    if e == 0.0 or not math.isfinite(e):
+        raise ConfigurationError(f"e_charge must be finite and nonzero, got {e!r}")
+    return e
+
+
 def _family_spec(
     kind: PotentialKind, system, frame, e_charge, profiles, t0_tilde
 ) -> PotentialSpec:
     """The spec of the magnetic or electrostatic family after its own checks."""
-    if frame.class_of is not system.split_class:
-        raise ConfigurationError(
-            f"frame class {frame.class_of.value} does not match chart "
-            f"{system.sid.value} ({system.split_class.value})"
-        )
-    if e_charge == 0.0:
-        raise ConfigurationError("e_charge must be nonzero")
+    require_compatible(system, frame)
     return PotentialSpec(
         kind=kind,
         system=system,
         frame=frame,
-        e_charge=float(e_charge),
+        e_charge=_charge(e_charge),
         f_profiles=_as_profiles(*profiles),
         t0_tilde=_check_t0(t0_tilde),
     )
@@ -250,22 +253,16 @@ def coulomb_spec(
         beta=beta if beta is not None else constant(0.0),
         gamma=gamma if gamma is not None else constant(0.0),
     )
-    if e_charge == 0.0:
-        raise ConfigurationError("e_charge must be nonzero")
     return PotentialSpec(
         kind=PotentialKind.COULOMB,
         system=system,
         frame=frame,
-        e_charge=float(e_charge),
+        e_charge=_charge(e_charge),
         f_profiles=_coulomb_profiles(chart, float(q), system.a),
         t0_tilde=constant(0.0),
         q=float(q),
         coulomb_system=chart,
     )
-
-
-def _translation_rates(frame: FrameSpec, t: float) -> np.ndarray:
-    return np.array([frame.w1(t)[1], frame.w2(t)[1], frame.w3(t)[1]])
 
 
 def _axis_part(spec: PotentialSpec, t: float, x, omega_hint, eA0: float) -> float:
@@ -308,17 +305,15 @@ def vector_potential(spec: PotentialSpec, t: float, x, omega_hint=None):
     if spec.kind is PotentialKind.MAGNETIC:
         M = m_matrix(spec.frame, t)
         w = spec.frame.translation(t)
-        eA = 0.5 * (M @ (x - w) + _translation_rates(spec.frame, t))
+        w_rates = np.array([wd for _, wd, _ in spec.frame.translation_triples(t)])
+        eA = 0.5 * (M @ (x - w) + w_rates)
         eA0 = _axis_part(spec, t, x, omega_hint, spec.t0_tilde(t)[0] - float(eA @ eA))
         return (eA0 / e, eA / e)
 
     # Electrostatic: no vector potential; quadratic-in-x scalar part.
     acc = 0.0
-    for i, (hp, wp) in enumerate(
-        ((spec.frame.h1, spec.frame.w1), (spec.frame.h2, spec.frame.w2), (spec.frame.h3, spec.frame.w3))
-    ):
-        h, hd, hdd = hp(t)
-        w, wd, wdd = wp(t)
+    pairs = zip(spec.frame.scale_triples(t), spec.frame.translation_triples(t))
+    for i, ((h, hd, hdd), (w, wd, wdd)) in enumerate(pairs):
         hr = hdd / h
         acc += hr * x[i] ** 2 + 2.0 * (wdd - hr * w) * x[i] + (wd - (hd / h) * w) ** 2
     eA0 = _axis_part(spec, t, x, omega_hint, spec.t0_tilde(t)[0] - 0.25 * acc)
@@ -335,11 +330,8 @@ def phase_factor_S(spec: PotentialSpec, t: float, x) -> float:
         raise UsageError(f"phase factor S is defined for the electrostatic family, not {spec.kind.value}")
     x = np.asarray(x, dtype=float)
     acc = 0.0
-    for i, (hp, wp) in enumerate(
-        ((spec.frame.h1, spec.frame.w1), (spec.frame.h2, spec.frame.w2), (spec.frame.h3, spec.frame.w3))
-    ):
-        h, hd, _ = hp(t)
-        w, wd, _ = wp(t)
+    pairs = zip(spec.frame.scale_triples(t), spec.frame.translation_triples(t))
+    for i, ((h, hd, _), (w, wd, _)) in enumerate(pairs):
         acc += (hd / h) * (0.5 * x[i] ** 2 - w * x[i]) + wd * x[i]
     return 0.5 * acc
 
@@ -357,6 +349,14 @@ def magnetic_field(spec: PotentialSpec, t: float, x=None) -> np.ndarray:
     return np.array([2.0 * s3, -2.0 * s2, 2.0 * s1]) / spec.e_charge
 
 
+def _scale_rate_sum(frame: FrameSpec, t: float) -> float:
+    """sum_i h_i'/h_i at t."""
+    acc = 0.0
+    for h, hd, _ in frame.scale_triples(t):
+        acc += hd / h
+    return acc
+
+
 def vector_divergence(spec: PotentialSpec, t: float) -> float:
     """div A, spatially constant: half the sum of scale rates over e.
 
@@ -366,19 +366,9 @@ def vector_divergence(spec: PotentialSpec, t: float) -> float:
     """
     if spec.kind is PotentialKind.ELECTROSTATIC:
         return 0.0
-    acc = 0.0
-    for hp in (spec.frame.h1, spec.frame.h2, spec.frame.h3):
-        h, hd, _ = hp(t)
-        acc += hd / h
-    return acc / (2.0 * spec.e_charge)
+    return _scale_rate_sum(spec.frame, t) / (2.0 * spec.e_charge)
 
 
 def t0_profile(spec: PotentialSpec, t: float) -> complex:
     """T0(t) = T0_tilde(t) - (i/2) sum_i h_i'/h_i, the phi0 driver."""
-    acc = 0.0
-    for hp in (spec.frame.h1, spec.frame.h2, spec.frame.h3):
-        h, hd, _ = hp(t)
-        if h <= 0.0:
-            raise ConfigurationError(f"frame scale non-positive at t={t}")
-        acc += hd / h
-    return complex(spec.t0_tilde(t)[0], -0.5 * acc)
+    return complex(spec.t0_tilde(t)[0], -0.5 * _scale_rate_sum(spec.frame, t))

@@ -200,10 +200,7 @@ class TemporalFactor(_TimeIntegral):
     def _wave(self, t: float) -> complex:
         frame = self.spec.frame
         acc = 0.0
-        for hp in (frame.h1, frame.h2, frame.h3):
-            h, h0 = hp(t)[0], hp(self.anchor)[0]
-            if not (h > 0.0 and h0 > 0.0):
-                raise ConfigurationError(f"frame scale non-positive at t={t}")
+        for h, h0 in zip(frame.scales(t), frame.scales(self.anchor)):
             acc += math.log(h / h0)
         modulus = complex(math.exp(-0.5 * acc))
         phase = self._integral(t)

@@ -53,8 +53,6 @@ def t_functions(system: CoordinateSystem, frame: FrameSpec, t: float) -> tuple[f
     lose T2; non-split ones keep only T1 = h1^-2.
     """
     h1, h2, h3 = frame.scales(t)
-    if min(h1, h2, h3) <= 0.0:
-        raise ConfigurationError(f"frame scales must be positive at t={t}")
     cls = system.split_class
     if cls is SplitClass.COMPLETE:
         return (h1 ** -2, h2 ** -2, h3 ** -2)

@@ -59,24 +59,35 @@ def _d2(samples, center, h: float):
 _OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 
 
-def _time_samples(field, t, x, hint, ht):
-    return [_guard(field, t + k * ht, x, hint) for k in _OFFSETS]
-
-
-def _space_samples(field, t, x, hint, hx, axis):
+def _row(fn, x, h: float, axis: int) -> list:
+    """fn at x shifted by k h along ``axis``, for the four stencil offsets k."""
     out = []
     for k in _OFFSETS:
         p = np.array(x, dtype=float)
-        p[axis] += k * hx
-        out.append(_guard(field, t, p, hint))
+        p[axis] += k * h
+        out.append(fn(p))
     return out
 
 
-def _center_hint(spec: PotentialSpec, t: float, x, omega_hint):
-    if omega_hint is None:
-        return None
-    z = unembed(spec.frame, t, x)
-    return invert(spec.system, z, omega_hint)
+def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre: bool):
+    """The set-up the SE and HJ residuals share: the chart point of x (None
+    without ``omega_hint``), the spatial step, the field at the centre (None
+    unless ``centre``), its time derivative and its three spatial rows."""
+    x = np.asarray(x, dtype=float)
+    ht = float(steps[0]) * (1.0 + abs(t))
+    hx = float(steps[1]) * (1.0 + float(np.linalg.norm(x)))
+    hint = None
+    if omega_hint is not None:
+        hint = invert(spec.system, unembed(spec.frame, t, x), omega_hint)
+    value = _guard(field, t, x, hint) if centre else None
+    d_t = _d1([_guard(field, t + k * ht, x, hint) for k in _OFFSETS], ht)
+    rows = [_row(lambda p: _guard(field, t, p, hint), x, hx, axis) for axis in range(3)]
+    return hint, hx, value, d_t, rows
+
+
+def _residual(terms) -> tuple:
+    """The sum of the residual terms and the largest term size (floored)."""
+    return sum(terms), max(max(abs(term) for term in terms), SCALE_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -98,18 +109,10 @@ def se_residual_with_scale(
         i psi_t - e A0 psi + lap psi + i e (div A) psi
                 + 2 i e (A . grad psi) - e^2 |A|^2 psi
     """
-    x = np.asarray(x, dtype=float)
-    ht = float(steps[0]) * (1.0 + abs(t))
-    hx = float(steps[1]) * (1.0 + float(np.linalg.norm(x)))
-    hint = _center_hint(spec, t, x, omega_hint)
-
-    psi0 = _guard(field, t, x, hint)
-    psi_t = _d1(_time_samples(field, t, x, hint, ht), ht)
-    grad = np.zeros(3, dtype=complex)
+    hint, hx, psi0, psi_t, rows = _stencil(field, spec, t, x, steps, omega_hint, centre=True)
+    grad = np.array([_d1(row, hx) for row in rows], dtype=complex)
     lap = 0.0 + 0.0j
-    for axis in range(3):
-        row = _space_samples(field, t, x, hint, hx, axis)
-        grad[axis] = _d1(row, hx)
+    for row in rows:
         lap += _d2(row, psi0, hx)
 
     e = spec.e_charge
@@ -124,9 +127,7 @@ def se_residual_with_scale(
         2j * e * complex(avec @ grad),
         -(e * e * float(avec @ avec)) * psi0,
     )
-    residual = sum(terms)
-    scale = max(max(abs(term) for term in terms), SCALE_FLOOR)
-    return residual, scale
+    return _residual(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +151,15 @@ def stationary_residual_with_scale(
     """
     x = np.asarray(x, dtype=float)
     h = hx * (1.0 + float(np.linalg.norm(x)))
-
-    def shifted(fn, axis, k):
-        p = np.array(x)
-        p[axis] += k * h
-        return fn(p)
-
     psi0 = psi(x)
     grad = np.zeros(3, dtype=complex)
     lap = 0.0 + 0.0j
     div_a = 0.0
     for axis in range(3):
-        row = [shifted(psi, axis, k) for k in _OFFSETS]
+        row = _row(psi, x, h, axis)
         grad[axis] = _d1(row, h)
         lap += _d2(row, psi0, h)
-        a_row = [shifted(a_field, axis, k)[axis] for k in _OFFSETS]
-        div_a += _d1(a_row, h)
+        div_a += _d1([a[axis] for a in _row(a_field, x, h, axis)], h)
 
     e = e_charge
     avec = np.asarray(a_field(x), dtype=float)
@@ -177,9 +171,7 @@ def stationary_residual_with_scale(
         e * float(a0_field(x)) * psi0,
         energy * psi0,
     )
-    residual = sum(terms)
-    scale = max(max(abs(term) for term in terms), SCALE_FLOOR)
-    return residual, scale
+    return _residual(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -195,23 +187,13 @@ def hj_residual_with_scale(
     omega_hint=None,
 ) -> tuple[float, float]:
     """Residual u_t + e A0 + sum_a (u_{x_a} + e A_a)^2 at (t, x)."""
-    x = np.asarray(x, dtype=float)
-    ht = float(steps[0]) * (1.0 + abs(t))
-    hx = float(steps[1]) * (1.0 + float(np.linalg.norm(x)))
-    hint = _center_hint(spec, t, x, omega_hint)
-
-    u_t = _d1(_time_samples(action, t, x, hint, ht), ht)
-    grad = np.zeros(3)
-    for axis in range(3):
-        grad[axis] = _d1(_space_samples(action, t, x, hint, hx, axis), hx)
+    hint, hx, _, u_t, rows = _stencil(action, spec, t, x, steps, omega_hint, centre=False)
+    grad = np.array([_d1(row, hx) for row in rows], dtype=float)
 
     e = spec.e_charge
     a0, avec = vector_potential(spec, t, x, omega_hint=hint)
     kinetic = float(np.sum((grad + e * avec) ** 2))
-    terms = (float(u_t), e * a0, kinetic)
-    residual = terms[0] + terms[1] + terms[2]
-    scale = max(max(abs(term) for term in terms), SCALE_FLOOR)
-    return residual, scale
+    return _residual((float(u_t), e * a0, kinetic))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +316,10 @@ def report_to_dict(report: ResidualReport) -> dict:
     }
 
 
+#: Fraction of each range kept clear at both ends by :func:`chart_box_points`.
+_BOX_MARGIN = 0.05
+
+
 def chart_box_points(
     system,
     frame,
@@ -341,11 +327,10 @@ def chart_box_points(
     t_range: Sequence[float],
     n: int,
     seed: int,
-    margin: float = 0.05,
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Random (t, x, omega) triples interior to the given chart box.
 
-    Each range is shrunk by the fractional margin on both ends so that
+    Each range is shrunk by the fraction ``_BOX_MARGIN`` on both ends so that
     the full residual stencil around a sample stays evaluable: the
     stencil reach in chart coordinates is far below the margin for the
     default steps.  Raises :class:`ConfigurationError` unless every range
@@ -356,8 +341,8 @@ def chart_box_points(
     ).T
     t_lo, t_hi = check_range("time range", t_range[0], t_range[1])
     rng = np.random.default_rng(seed)
-    pad = margin * (hi - lo)
-    t_pad = margin * (t_hi - t_lo)
+    pad = _BOX_MARGIN * (hi - lo)
+    t_pad = _BOX_MARGIN * (t_hi - t_lo)
     out = []
     for _ in range(n):
         t = float(rng.uniform(t_lo + t_pad, t_hi - t_pad))
@@ -432,9 +417,7 @@ def _harmonicity_estimate(system, frame, t, omega, x, base_h):
             row = [node(axis, k * mult) for k in _OFFSETS]
             if any(v is None for v in row):
                 return None
-            lap += (-row[0] + 16.0 * row[1] - 30.0 * center + 16.0 * row[2] - row[3]) / (
-                12.0 * h * h
-            )
+            lap += _d2(row, center, h)
         return float(np.max(np.abs(lap)))
 
     start = None

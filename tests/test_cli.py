@@ -1,10 +1,16 @@
 """Tests for the scenario-driven command line."""
 
+import contextlib
+import io
 import json
+import math
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schrodsep.cli import load_scenario, main
 
@@ -303,3 +309,146 @@ def test_verify_on_damaged_artifacts_is_config_error(separated, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert name in err
+
+
+# ---------------------------------------------------------------------------
+# Bounds of flags and scenario numbers
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("audit-geometry", "--scenario", SCENARIOS / "audit_cartesian.json", "--seed", "-1"),
+        ("build-potential", "--scenario", SCENARIOS / "audit_cartesian.json", "--seed", "-1"),
+        ("coulomb-demo", "--seed", "-1"),
+        ("coulomb-demo", "--samples", "-2"),
+        ("audit-geometry", "--scenario", SCENARIOS / "audit_cartesian.json", "--assert-tol", "nan"),
+        ("hj", "--scenario", HJ_SCENARIO, "--assert-tol", "-1"),
+    ],
+    ids=["audit_seed", "potential_seed", "demo_seed", "demo_samples", "nan_tol", "negative_tol"],
+)
+def test_out_of_bounds_flag_is_config_error(tmp_path, capsys, args):
+    assert run(*args, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_zero_samples_is_config_error(separated, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(separated, out)
+    assert run("verify", "--scenario", MAGNETIC, "--out", out,
+               "--samples", "0", "--assert-tol", "1e-12") == 1
+    assert "samples must be at least 1" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def _variant(tmp_path, scenario, path, value):
+    """A shipped scenario with the number at ``path`` replaced by ``value``;
+    the name of an omega profile or a frame profile there takes a constant."""
+    doc = read_json(SCENARIOS / scenario)
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    if path[-1] in ("f10", "h1", "w1"):
+        value = {"type": "constant", "value": value}
+    node[path[-1]] = value
+    target = tmp_path / "variant.json"
+    target.write_text(json.dumps(doc))  # writes NaN and Infinity, which json reads back
+    return target
+
+
+HUGE = 10**400  # 401 digits, beyond the float range
+
+
+@pytest.mark.parametrize(
+    "scenario, path, value",
+    [
+        ("coulomb_parabolic.json", ("potential", "q"), math.nan),
+        ("electrostatic_cartesian_drift.json", ("potential", "f10"), math.nan),
+        ("electrostatic_cartesian_drift.json", ("potential", "f10"), HUGE),
+        ("electrostatic_cartesian_drift.json", ("potential", "e_charge"), math.nan),
+        ("electrostatic_cartesian_drift.json", ("potential", "e_charge"), math.inf),
+        ("electrostatic_cartesian_drift.json", ("assert_tol",), math.nan),
+        ("magnetic_spherical_rotating.json", ("constants", 1), HUGE),
+        ("audit_cartesian.json", ("omega_ranges", 0, 1), HUGE),
+        ("audit_cartesian.json", ("anchor",), -HUGE),
+    ],
+    ids=["q_nan", "f10_nan", "f10_huge_int", "e_charge_nan", "e_charge_inf", "assert_tol_nan",
+         "constant_huge_int", "range_huge_int", "anchor_huge_int"],
+)
+def test_nonfinite_scenario_number_is_config_error(tmp_path, capsys, scenario, path, value):
+    scen = _variant(tmp_path, scenario, path, value)
+    assert run("build-potential", "--scenario", scen, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("key, value", [("a", math.inf), ("k", math.nan)])
+def test_nonfinite_chart_parameter_is_config_error(tmp_path, capsys, key, value):
+    doc = read_json(MAGNETIC)
+    doc["system"] = {"id": "prolate_spheroidal" if key == "a" else "conical", key: value}
+    scen = tmp_path / "chart.json"
+    scen.write_text(json.dumps(doc))
+    assert run("build-potential", "--scenario", scen, "--out", tmp_path / "out") == 1
+    assert f"system/{key} must be finite" in capsys.readouterr().err
+
+
+def test_overlong_integer_is_config_error(tmp_path, capsys):
+    scen = tmp_path / "long.json"
+    text = (SCENARIOS / "audit_cartesian.json").read_text()
+    scen.write_text(text.replace('"seed": 3', '"seed": ' + "9" * 5000))
+    assert run("audit-geometry", "--scenario", scen, "--out", tmp_path / "out") == 1
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_mirrored_frame_is_one_config_error(tmp_path, capsys):
+    # h1 = 1 - 0.2 t^2 passes the probe grid [-2, 2] and is negative on the time range.
+    doc = read_json(SCENARIOS / "electrostatic_cartesian_drift.json")
+    doc["frame"] = {
+        "class": "complete",
+        "profiles": {"h1": {"type": "polynomial", "coeffs": [1.0, 0.0, -0.2]}},
+    }
+    doc.update(t_range=[2.5, 3.0], anchor=2.75, samples=3)
+    scen = tmp_path / "mirrored.json"
+    scen.write_text(json.dumps(doc))
+    for command in ("build-potential", "audit-geometry", "separate"):
+        assert run(command, "--scenario", scen, "--out", tmp_path / command) == 1, command
+        assert "frame scale non-positive" in capsys.readouterr().err, command
+    assert not (tmp_path / "build-potential" / "report.csv").exists()
+
+
+EXTREMES = [math.nan, math.inf, -math.inf, 1e308, -1e308, HUGE, -HUGE, 2**1024]
+EXTREME_FIELDS = [
+    ("potential", "q"),
+    ("potential", "e_charge"),
+    ("potential", "f10"),
+    ("system", "a"),
+    ("system", "k"),
+    ("assert_tol",),
+    ("anchor",),
+    ("constants", 0),
+    ("t_range", 1),
+    ("omega_ranges", 0, 1),
+    ("frame", "profiles", "h1"),
+    ("frame", "profiles", "w1"),
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(
+    scenario=st.sampled_from(sorted(p.name for p in SCENARIOS.glob("*.json"))),
+    path=st.sampled_from(EXTREME_FIELDS),
+    value=st.sampled_from(EXTREMES),
+    command=st.sampled_from(["build-potential", "audit-geometry"]),
+)
+def test_extreme_scenario_numbers_end_in_an_exit_code(
+    tmp_path_factory, scenario, path, value, command
+):
+    # Every example ends in an exit code; an uncaught exception fails it.
+    tmp = tmp_path_factory.mktemp("extreme")
+    scen = _variant(tmp, scenario, path, value)
+    quiet = io.StringIO()
+    with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet), np.errstate(all="ignore"):
+        code = main([command, "--scenario", str(scen), "--out", str(tmp / "out")])
+    assert code in (0, 1, 2, 3)

@@ -103,6 +103,12 @@ def test_make_system_validation():
         make_system("oblate_spheroidal", a=0.0)
 
 
+@pytest.mark.parametrize("a", [math.inf, math.nan, -1.0])
+def test_make_system_rejects_nonfinite_focal_scale(a):
+    with pytest.raises(ConfigurationError, match="focal scale"):
+        make_system("prolate_spheroidal", a=a)
+
+
 def test_forward_cartesian_identity():
     s = build("cartesian")
     np.testing.assert_array_equal(forward(s, (1.5, -2.0, 0.25)), [1.5, -2.0, 0.25])

@@ -278,3 +278,28 @@ def test_gradient_stackel_identity(name):
             lhs = F.T @ g2
             scale = np.maximum(np.abs(Tf), np.max(np.abs(F.T) * g2, axis=1))
             assert np.max(np.abs(lhs - Tf) / scale) <= 1e-8
+
+
+def mirrored_frame(class_of="complete"):
+    # h1 = 1 - 0.2 t^2 passes the probe grid [-2, 2] and is negative for |t| > sqrt(5).
+    return make_frame(class_of, h1=polynomial([1.0, 0.0, -0.2]))
+
+
+def test_scale_triples_reject_nonpositive_and_nan_scales():
+    frame = mirrored_frame()
+    assert frame.scale_triples(1.0) == (frame.h1(1.0), frame.h2(1.0), frame.h3(1.0))
+    assert frame.scales(1.0) == (0.8, 0.8, 0.8)
+    for t in (math.sqrt(5.0), 2.5, math.nan):
+        with pytest.raises(ConfigurationError, match="non-positive"):
+            frame.scale_triples(t)
+
+
+def test_embed_and_unembed_reject_mirrored_frame():
+    frame = mirrored_frame()
+    system = make_system("cartesian")
+    assert np.allclose(unembed(frame, 1.0, embed(system, frame, 1.0, (0.3, 0.2, 0.1))),
+                       (0.3, 0.2, 0.1))
+    with pytest.raises(ConfigurationError, match="non-positive"):
+        embed(system, frame, 2.5, (0.3, 0.2, 0.1))
+    with pytest.raises(ConfigurationError, match="non-positive"):
+        unembed(frame, 2.5, (0.3, 0.2, 0.1))

@@ -26,6 +26,7 @@ from schrodsep.potential import (
     magnetic_spec,
     phase_factor_S,
     t0_profile,
+    vector_divergence,
     vector_potential,
 )
 
@@ -410,3 +411,40 @@ def test_t0_profile_imaginary_part_tracks_each_scale():
     )
     spec = magnetic_spec(make_system("cartesian"), frame)
     assert t0_profile(spec, 0.0).imag == pytest.approx(-0.5 * (0.2 - 0.1 + 0.5))
+
+
+def test_potentials_reject_mirrored_frame():
+    # h1 = 1 - 0.2 t^2 passes the probe grid [-2, 2] and is negative at t = 2.5.
+    frame = make_frame("complete", h1=polynomial([1.0, 0.0, -0.2]))
+    system = make_system("cartesian")
+    magnetic = magnetic_spec(system, frame)
+    electric = electrostatic_spec(system, frame)
+    x = np.array([0.3, -0.2, 0.5])
+    assert np.isfinite(vector_divergence(magnetic, 1.0))
+    assert np.isfinite(phase_factor_S(electric, 1.0, x))
+    for call in (
+        lambda: vector_divergence(magnetic, 2.5),
+        lambda: vector_potential(magnetic, 2.5, x),
+        lambda: vector_potential(electric, 2.5, x),
+        lambda: phase_factor_S(electric, 2.5, x),
+        lambda: t0_profile(magnetic, 2.5),
+    ):
+        with pytest.raises(ConfigurationError, match="non-positive"):
+            call()
+
+
+@pytest.mark.parametrize("e_charge", [0.0, math.nan, math.inf, -math.inf])
+def test_charge_must_be_finite_and_nonzero(e_charge):
+    system, frame = make_system("cartesian"), identity_frame("complete")
+    for build_spec in (
+        lambda: magnetic_spec(system, frame, e_charge=e_charge),
+        lambda: electrostatic_spec(system, frame, e_charge=e_charge),
+        lambda: coulomb_spec("spherical", q=1.0, e_charge=e_charge),
+    ):
+        with pytest.raises(ConfigurationError, match="e_charge"):
+            build_spec()
+
+
+def test_family_class_check_is_the_frame_check():
+    with pytest.raises(ConfigurationError, match="cannot drive"):
+        magnetic_spec(make_system("cartesian"), identity_frame("nonsplit"))

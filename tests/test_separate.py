@@ -34,6 +34,7 @@ from schrodsep.separate import (
     hj_solve,
     lambda_jacobian,
     ode_coefficient,
+    read_interpolant_csv,
     separate,
     solve_phi0,
     solve_phi_a,
@@ -581,3 +582,19 @@ def test_interpolant_csv_round_trip():
     mid = [float(tok) for tok in lines[len(lines) // 2].split(",")]
     w = mid[0]
     assert mid[1] == pytest.approx(math.cos(2.0 * w), abs=1e-9)
+
+
+def test_interpolant_csv_round_trip_is_bitwise():
+    # Signed zeros, subnormals and the ends of the float range survive the text form.
+    nodes = np.array([-0.0, 0.25, 0.5, 0.75, 1.0])
+    values = np.array([complex(-0.0, 0.0), complex(5e-324, -5e-324), complex(1e308, -1e308),
+                       complex(2.2250738585072014e-308, -1e-310), complex(0.1, -0.0)])
+    slopes = np.array([complex(1.7976931348623157e308, -0.0), complex(-1e-320, 3.0),
+                       complex(-0.0, -0.0), complex(1.0 / 3.0, -1e308), complex(4e-323, 0.0)])
+    buf = io.StringIO()
+    write_interpolant_csv(AxisInterpolant(2, nodes, values, slopes), buf)
+    buf.seek(0)
+    back = read_interpolant_csv(buf, 2)
+    assert back.nodes.tobytes() == nodes.tobytes()
+    assert back.values.tobytes() == values.tobytes()
+    assert back.slopes.tobytes() == slopes.tobytes()
