@@ -38,7 +38,6 @@ from .coords import CoordinateSystem, SystemId, base_system_ids, make_system
 from .errors import ConfigurationError, NumericError, check_range
 from .frame import FrameSpec, TimeProfile, constant, horner, make_frame, polynomial, sinusoid
 from .potential import (
-    CoulombSystem,
     PotentialKind,
     PotentialSpec,
     coulomb_spec,
@@ -71,6 +70,10 @@ from .verify import (
 )
 
 AUDIT_CHANNELS = ("orthogonality", "stackel", "colnorm", "harmonicity")
+
+#: Largest sample count a run takes: every subcommand draws its points into
+#: memory before it writes anything.
+MAX_SAMPLES = 10**5
 
 #: Fixed inputs of the ``coulomb-demo`` subcommand; the static tilt keeps
 #: the scalar potential in its plain point-charge limit.
@@ -134,10 +137,13 @@ def _check_finite(node, path, where: str = "") -> None:
 
 
 def _check_controls(samples: int, seed: int, assert_tol: float | None) -> None:
-    """:class:`ConfigurationError` unless samples >= 1, seed >= 0 and
-    assert_tol is None or finite and positive, from a scenario or a flag."""
+    """:class:`ConfigurationError` unless 1 <= samples <= MAX_SAMPLES,
+    seed >= 0 and assert_tol is None or finite and positive, from a
+    scenario or a flag."""
     if samples < 1:
         raise ConfigurationError(f"samples must be at least 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ConfigurationError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
     if assert_tol is not None and not 0.0 < assert_tol < math.inf:
@@ -264,31 +270,42 @@ def load_scenario(path: str | Path) -> Scenario:
     )
 
 
-def _apply_overrides(sc: Scenario, args: argparse.Namespace) -> Scenario:
-    flags = ("samples", "seed", "assert_tol")
-    sc = replace(sc, **{k: getattr(args, k) for k in flags if getattr(args, k, None) is not None})
-    _check_controls(sc.samples, sc.seed, sc.assert_tol)
-    return sc
-
-
 # ---------------------------------------------------------------------------
 # Artifact helpers
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(getattr(args, "out", ".") or ".")
+def _out_dir(path: str) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _provenance(digest: str | None) -> dict:
-    return {"scenario_sha256": digest, "tool_version": __version__}
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_artifacts(
+    out: Path, command: str, digest: str | None, name: str, fields: dict, csv_body=None
+) -> None:
+    """Write ``fields`` to the JSON file ``out/name``, headed by ``command``
+    and the provenance (scenario SHA-256 and tool version).  Given
+    ``csv_body(fh)``, first write report.csv: the provenance as two comment
+    lines, then what ``csv_body`` writes."""
+    if csv_body is not None:
+        with open(out / "report.csv", "w", encoding="utf-8") as fh:
+            fh.write(f"# scenario_sha256={digest}\n# tool_version={__version__}\n")
+            csv_body(fh)
+    payload = {
+        "command": command,
+        "provenance": {"scenario_sha256": digest, "tool_version": __version__},
+        **fields,
+    }
+    with open(out / name, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_factors(out: Path, factors) -> None:
+    """Store the three axis tables as phi_1.csv, phi_2.csv and phi_3.csv."""
+    for a, factor in enumerate(factors, start=1):
+        with open(out / f"phi_{a}.csv", "w", encoding="utf-8") as fh:
+            write_interpolant_csv(factor, fh)
 
 
 def _box_report(report, evaluate, solved, spec: PotentialSpec, ranges, t_range, samples, seed):
@@ -306,16 +323,9 @@ def _write_residuals(
     """Store a residual report with ``fields`` in report.json and report.csv,
     print ``summary`` (by default the sample count and the worst residual)
     and return the ``--assert-tol`` exit code."""
-    payload = {
-        "command": command,
-        "provenance": _provenance(sc.digest),
-        **fields,
-        "report": report_to_dict(report),
-    }
-    _write_json(out / "report.json", payload)
-    with open(out / "report.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# scenario_sha256={sc.digest}\n# tool_version={__version__}\n")
-        report_to_csv(report, fh)
+    fields = {**fields, "report": report_to_dict(report)}
+    table = lambda fh: report_to_csv(report, fh)
+    _write_artifacts(out, command, sc.digest, "report.json", fields, table)
     if summary is None:
         summary = f"{command}: {len(report.records)} samples, max relative residual "
         summary += f"{report.max_relative:.6e}"
@@ -354,9 +364,7 @@ def cmd_list_systems(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_audit_geometry(args: argparse.Namespace) -> int:
-    sc = _apply_overrides(load_scenario(args.scenario), args)
-    out = _out_dir(args)
+def cmd_audit_geometry(sc: Scenario, out: Path) -> int:
     report = geometry_audit(sc.system, sc.frame, sc.anchor, sc.samples, sc.seed)
     worst = {ch: channel_max(report, ch) for ch in AUDIT_CHANNELS}
     lines = [f"audit {ch:13s} max violation {worst[ch]:.6e}" for ch in AUDIT_CHANNELS]
@@ -364,30 +372,27 @@ def cmd_audit_geometry(args: argparse.Namespace) -> int:
     return _write_residuals(out, sc, "audit-geometry", fields, report, "\n".join(lines))
 
 
-def cmd_build_potential(args: argparse.Namespace) -> int:
-    sc = _apply_overrides(load_scenario(args.scenario), args)
-    out = _out_dir(args)
+def cmd_build_potential(sc: Scenario, out: Path) -> int:
     points = chart_box_points(
         sc.system, sc.frame, sc.omega_ranges, sc.t_range, sc.samples, sc.seed
     )
-    with open(out / "report.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# scenario_sha256={sc.digest}\n# tool_version={__version__}\n")
+
+    def table(fh) -> None:
         fh.write("t,x1,x2,x3,a0,a1,a2,a3,b1,b2,b3\n")
         for t, x, omega in points:
             a0, avec = vector_potential(sc.spec, t, x, omega_hint=omega)
             b = magnetic_field(sc.spec, t)
             row = [t, x[0], x[1], x[2], a0, avec[0], avec[1], avec[2], b[0], b[1], b[2]]
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
     b_anchor = magnetic_field(sc.spec, sc.anchor)
-    payload = {
-        "command": "build-potential",
-        "provenance": _provenance(sc.digest),
+    fields = {
         "kind": sc.spec.kind.value,
         "samples": sc.samples,
         "field_at_anchor": [float(v) for v in b_anchor],
         "divergence_at_anchor": float(vector_divergence(sc.spec, sc.anchor)),
     }
-    _write_json(out / "report.json", payload)
+    _write_artifacts(out, "build-potential", sc.digest, "report.json", fields, table)
     print(
         f"build-potential: {sc.samples} samples, B(anchor) = "
         f"({b_anchor[0]:.6g}, {b_anchor[1]:.6g}, {b_anchor[2]:.6g})"
@@ -395,9 +400,7 @@ def cmd_build_potential(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_separate(args: argparse.Namespace) -> int:
-    sc = _apply_overrides(load_scenario(args.scenario), args)
-    out = _out_dir(args)
+def cmd_separate(sc: Scenario, out: Path) -> int:
     solution = separate(
         sc.spec,
         sc.constants,
@@ -406,13 +409,9 @@ def cmd_separate(args: argparse.Namespace) -> int:
         anchor=sc.anchor,
         initial_data=sc.initial_data,
     )
-    for a in (1, 2, 3):
-        with open(out / f"phi_{a}.csv", "w", encoding="utf-8") as fh:
-            write_interpolant_csv(solution.factors[a - 1], fh)
+    _write_factors(out, solution.factors)
     probes = np.linspace(sc.t_range[0], sc.t_range[1], 5)
-    payload = {
-        "command": "separate",
-        "provenance": _provenance(sc.digest),
+    fields = {
         "constants": list(sc.constants.as_tuple()),
         "omega_ranges": [list(r) for r in sc.omega_ranges],
         "t_range": list(sc.t_range),
@@ -423,7 +422,7 @@ def cmd_separate(args: argparse.Namespace) -> int:
             for t in probes
         ],
     }
-    _write_json(out / "solution.json", payload)
+    _write_artifacts(out, "separate", sc.digest, "solution.json", fields)
     print(f"separate: wrote phi_1.csv phi_2.csv phi_3.csv solution.json to {out}")
     return 0
 
@@ -451,9 +450,7 @@ def _load_solution(sc: Scenario, out: Path) -> SeparatedSolution:
     return SeparatedSolution(sc.spec, constants, phi0, tuple(factors), q_kind)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    sc = _apply_overrides(load_scenario(args.scenario), args)
-    out = _out_dir(args)
+def cmd_verify(sc: Scenario, out: Path) -> int:
     solution = _load_solution(sc, out)
     t_range = (solution.phi0.t_lo, solution.phi0.t_hi)
     report, _ = _box_report(
@@ -463,9 +460,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _write_residuals(out, sc, "verify", {"constants": constants}, report)
 
 
-def cmd_hj(args: argparse.Namespace) -> int:
-    sc = _apply_overrides(load_scenario(args.scenario), args)
-    out = _out_dir(args)
+def cmd_hj(sc: Scenario, out: Path) -> int:
     action = hj_solve(
         sc.spec,
         sc.constants,
@@ -474,9 +469,7 @@ def cmd_hj(args: argparse.Namespace) -> int:
         t_range=sc.t_range,
         anchor=sc.anchor,
     )
-    for a in (1, 2, 3):
-        with open(out / f"phi_{a}.csv", "w", encoding="utf-8") as fh:
-            write_interpolant_csv(action.terms[a - 1], fh)
+    _write_factors(out, action.terms)
     report, _ = _box_report(
         hj_report, evaluate_action, action, sc.spec, sc.omega_ranges, sc.t_range, sc.samples,
         sc.seed,
@@ -489,7 +482,7 @@ def cmd_coulomb_demo(args: argparse.Namespace) -> int:
     samples = args.samples if args.samples is not None else 12
     seed = args.seed if args.seed is not None else 7
     _check_controls(samples, seed, args.assert_tol)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     alpha, beta, gamma = (constant(v) for v in DEMO_ANGLES)
     constants = SeparationConstants(*DEMO_CONSTANTS)
 
@@ -521,9 +514,16 @@ def cmd_coulomb_demo(args: argparse.Namespace) -> int:
         "parabolic": results["parabolic"],
         "conical": results["conical"],
     }
-    payload = {
-        "command": "coulomb-demo",
-        "provenance": _provenance(None),
+
+    def table(fh) -> None:
+        fh.write("chart,index,t,x1,x2,x3,residual,scale,relative\n")
+        for chart, r in rows:
+            fh.write(
+                f"{chart},{r.index},{r.t!r},{r.x[0]!r},{r.x[1]!r},{r.x[2]!r},"
+                f"{r.residual!r},{r.scale!r},{r.relative!r}\n"
+            )
+
+    fields = {
         "charge": DEMO_CHARGE,
         "angles": list(DEMO_ANGLES),
         "constants": list(DEMO_CONSTANTS),
@@ -533,15 +533,7 @@ def cmd_coulomb_demo(args: argparse.Namespace) -> int:
         "per_chart": results,
         "point_charge_limit_max_abs_diff": limit_diff,
     }
-    _write_json(out / "report.json", payload)
-    with open(out / "report.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# scenario_sha256=None\n# tool_version={__version__}\n")
-        fh.write("chart,index,t,x1,x2,x3,residual,scale,relative\n")
-        for chart, r in rows:
-            fh.write(
-                f"{chart},{r.index},{r.t!r},{r.x[0]!r},{r.x[1]!r},{r.x[2]!r},"
-                f"{r.residual!r},{r.scale!r},{r.relative!r}\n"
-            )
+    _write_artifacts(out, "coulomb-demo", None, "report.json", fields, table)
     for name, value in summary.items():
         print(f"coulomb-demo {name:24s} max relative residual {value:.6e}")
     print(f"coulomb-demo point-charge limit max |eA0 - q/r| = {limit_diff:.3e}")
@@ -552,6 +544,29 @@ def cmd_coulomb_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser and entry point
 
+_RUN_FLAGS = (
+    ("--out", {"default": ".", "help": "output directory (created if missing)"}),
+    ("--seed", {"type": int, "help": "override scenario seed"}),
+    ("--samples", {"type": int, "help": "override scenario sample count"}),
+    ("--assert-tol", {"type": float, "help": "exit 2 if the worst relative residual exceeds this"}),
+)
+_SCENARIO_FLAGS = (("--scenario", {"required": True, "help": "scenario JSON path"}), *_RUN_FLAGS)
+
+#: (name, handler, help, flags) of every subcommand.  ``main`` loads the
+#: scenario of a command with ``--scenario`` and calls its handler with the
+#: scenario and the output directory; other handlers take the parsed flags.
+_COMMANDS = (
+    ("list-systems", cmd_list_systems, "print the eleven base charts and domains", ()),
+    ("audit-geometry", cmd_audit_geometry, "geometric identity audit for a chart+frame",
+     _SCENARIO_FLAGS),
+    ("build-potential", cmd_build_potential, "tabulate A0, A and B on chart samples",
+     _SCENARIO_FLAGS),
+    ("separate", cmd_separate, "solve the reduced equations, store the factors", _SCENARIO_FLAGS),
+    ("verify", cmd_verify, "residual-check a stored separated solution", _SCENARIO_FLAGS),
+    ("hj", cmd_hj, "build a separated action and residual-check it", _SCENARIO_FLAGS),
+    ("coulomb-demo", cmd_coulomb_demo, "run the point-charge example end to end", _RUN_FLAGS),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -561,57 +576,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"schrodsep {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("--scenario", required=True, help="scenario JSON path")
-        p.add_argument("--out", default=".", help="output directory (created if missing)")
-        p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-        p.add_argument(
-            "--samples", type=int, default=None, help="override scenario sample count"
-        )
-        p.add_argument(
-            "--assert-tol",
-            type=float,
-            default=None,
-            dest="assert_tol",
-            help="exit 2 if the worst relative residual exceeds this",
-        )
-
-    p = sub.add_parser("list-systems", help="print the eleven base charts and domains")
-    p.set_defaults(func=cmd_list_systems)
-
-    p = sub.add_parser("audit-geometry", help="geometric identity audit for a chart+frame")
-    common(p)
-    p.set_defaults(func=cmd_audit_geometry)
-
-    p = sub.add_parser("build-potential", help="tabulate A0, A and B on chart samples")
-    common(p)
-    p.set_defaults(func=cmd_build_potential)
-
-    p = sub.add_parser("separate", help="solve the reduced equations, store the factors")
-    common(p)
-    p.set_defaults(func=cmd_separate)
-
-    p = sub.add_parser("verify", help="residual-check a stored separated solution")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("hj", help="build a separated action and residual-check it")
-    common(p)
-    p.set_defaults(func=cmd_hj)
-
-    p = sub.add_parser("coulomb-demo", help="run the point-charge example end to end")
-    common(p, scenario=False)
-    p.set_defaults(func=cmd_coulomb_demo)
-
+    for name, handler, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if "scenario" not in args:
+            return args.func(args)
+        sc = load_scenario(args.scenario)
+        flags = ("samples", "seed", "assert_tol")
+        sc = replace(sc, **{k: getattr(args, k) for k in flags if getattr(args, k) is not None})
+        _check_controls(sc.samples, sc.seed, sc.assert_tol)
+        return args.func(sc, _out_dir(args.out))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -140,7 +140,9 @@ class CoordinateSystem:
     kmod : Modulus or None
         Elliptic modulus data, required by ellipsoidal and conical charts.
 
-    The chart record and the finished domain are attached on construction.
+    The chart record, the finished domain and the Newton clamp box (the
+    domain shrunk by EPS_DOM at each finite end) are attached on
+    construction.
     """
 
     sid: SystemId
@@ -148,12 +150,16 @@ class CoordinateSystem:
     kmod: Modulus | None = None
     chart: Chart = field(init=False, compare=False, repr=False)
     domain: Domain = field(init=False, compare=False, repr=False)
+    clamp: tuple[tuple[float, float], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         chart = _CHARTS[self.sid]
         object.__setattr__(self, "chart", chart)
         domain = chart.domain(self.kmod) if chart.uses_k else chart.domain
         object.__setattr__(self, "domain", domain)
+        # an infinite end stays infinite
+        clamp = tuple((ax.lo + EPS_DOM, ax.hi - EPS_DOM) for ax in domain)
+        object.__setattr__(self, "clamp", clamp)
 
     @property
     def split_class(self) -> SplitClass:
@@ -785,30 +791,6 @@ def _solve3(m, r):
     return (x0 * inv_det, x1 * inv_det, x2 * inv_det)
 
 
-def _clamp_box(system: CoordinateSystem, slack: float) -> tuple[tuple[float, float], ...]:
-    """Newton clamp intervals: domain shrunk by EPS_DOM.
-
-    ``slack > 0`` relaxes non-singular finite endpoints outward, which lets
-    finite-difference stencils cross a periodic seam or a closed interval
-    end where the map continues smoothly.
-    """
-    out = []
-    for ax in system.domain:
-        lo, hi = ax.lo, ax.hi
-        if lo != -_INF:
-            if ax.singular_lo or slack == 0.0:
-                lo += EPS_DOM
-            else:
-                lo -= slack
-        if hi != _INF:
-            if ax.singular_hi or slack == 0.0:
-                hi -= EPS_DOM
-            else:
-                hi += slack
-        out.append((lo, hi))
-    return tuple(out)
-
-
 #: Default and guaranteed Newton convergence factors (times 1 + |z|).  The
 #: iteration aims for TARGET_TOL and the result is accepted when it beats
 #: CONTRACT_TOL; in practice quadratic convergence lands near machine
@@ -818,13 +800,7 @@ TARGET_TOL = 1e-13
 MAX_NEWTON_ITERS = 50
 
 
-def invert(
-    system: CoordinateSystem,
-    z,
-    guess,
-    *,
-    slack: float = 0.0,
-) -> np.ndarray:
+def invert(system: CoordinateSystem, z, guess) -> np.ndarray:
     """Invert the forward map by Newton iteration with the analytic Jacobian.
 
     Parameters
@@ -833,8 +809,6 @@ def invert(
         Cartesian target.
     guess : array_like, shape (3,)
         Starting point; clamped into the shrunk domain box.
-    slack : float
-        Optional outward relaxation of non-singular finite endpoints.
 
     Returns
     -------
@@ -851,7 +825,7 @@ def invert(
     zn = math.sqrt(zt[0] ** 2 + zt[1] ** 2 + zt[2] ** 2)
     tol_target = TARGET_TOL * (1.0 + zn)
     tol_accept = CONTRACT_TOL * (1.0 + zn)
-    box = _clamp_box(system, slack)
+    box = system.clamp
     fwd = system.chart.forward
     jac = system.chart.jacobian
 

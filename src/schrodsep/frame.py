@@ -243,9 +243,10 @@ def identity_frame(class_of: SplitClass | str) -> FrameSpec:
 
 def rotation_matrix(frame: FrameSpec, t: float) -> np.ndarray:
     """The Euler rotation T(t); orthogonal with det +-1."""
-    ca, sa = math.cos(frame.alpha(t)[0]), math.sin(frame.alpha(t)[0])
-    cb, sb = math.cos(frame.beta(t)[0]), math.sin(frame.beta(t)[0])
-    cg, sg = math.cos(frame.gamma(t)[0]), math.sin(frame.gamma(t)[0])
+    a, b, g = frame.alpha(t)[0], frame.beta(t)[0], frame.gamma(t)[0]
+    ca, sa = math.cos(a), math.sin(a)
+    cb, sb = math.cos(b), math.sin(b)
+    cg, sg = math.cos(g), math.sin(g)
     return np.array(
         [
             [ca * cb - sa * sb * cg, -ca * sb - sa * cb * cg, sa * sg],

@@ -304,8 +304,9 @@ def vector_potential(spec: PotentialSpec, t: float, x, omega_hint=None):
 
     if spec.kind is PotentialKind.MAGNETIC:
         M = m_matrix(spec.frame, t)
-        w = spec.frame.translation(t)
-        w_rates = np.array([wd for _, wd, _ in spec.frame.translation_triples(t)])
+        triples = spec.frame.translation_triples(t)
+        w = np.array([v for v, _, _ in triples])
+        w_rates = np.array([wd for _, wd, _ in triples])
         eA = 0.5 * (M @ (x - w) + w_rates)
         eA0 = _axis_part(spec, t, x, omega_hint, spec.t0_tilde(t)[0] - float(eA @ eA))
         return (eA0 / e, eA / e)

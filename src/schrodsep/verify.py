@@ -14,7 +14,7 @@ from the center node, which keeps every evaluation on the same branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
@@ -301,18 +301,7 @@ def report_to_dict(report: ResidualReport) -> dict:
             "max_relative": report.max_relative,
             "mean_relative": report.mean_relative,
         },
-        "records": [
-            {
-                "index": r.index,
-                "channel": r.channel,
-                "t": r.t,
-                "x": list(r.x),
-                "residual": r.residual,
-                "scale": r.scale,
-                "relative": r.relative,
-            }
-            for r in report.records
-        ],
+        "records": [asdict(r) for r in report.records],
     }
 
 

@@ -1,6 +1,7 @@
 """Tests for the scenario-driven command line."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schrodsep.cli import load_scenario, main
+from schrodsep import __version__
+from schrodsep.cli import MAX_SAMPLES, load_scenario, main
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -180,6 +182,29 @@ def test_build_potential_tabulates(tmp_path, capsys):
     assert len(report["field_at_anchor"]) == 3
 
 
+def test_every_artifact_is_headed_by_command_and_provenance(tmp_path, capsys):
+    runs = [  # (command, scenario, output directory, JSON artifact)
+        ("audit-geometry", MAGNETIC, "audit", "report.json"),
+        ("build-potential", MAGNETIC, "potential", "report.json"),
+        ("separate", MAGNETIC, "separated", "solution.json"),
+        ("verify", MAGNETIC, "separated", "report.json"),
+        ("hj", HJ_SCENARIO, "hj", "report.json"),
+        ("coulomb-demo", None, "demo", "report.json"),
+    ]
+    for command, scenario, out, name in runs:
+        args = [command, "--out", tmp_path / out, "--samples", 2]
+        if scenario is not None:
+            args += ["--scenario", scenario]
+        assert run(*args) == 0, command
+        digest = None if scenario is None else hashlib.sha256(scenario.read_bytes()).hexdigest()
+        doc = read_json(tmp_path / out / name)
+        assert doc["command"] == command
+        assert doc["provenance"] == {"scenario_sha256": digest, "tool_version": __version__}
+        if name == "report.json":
+            head = (tmp_path / out / "report.csv").read_text().splitlines()[:2]
+            assert head == [f"# scenario_sha256={digest}", f"# tool_version={__version__}"]
+
+
 def test_shipped_schema_copies_match():
     src = (REPO / "src" / "schrodsep" / "scenario.schema.json").read_bytes()
     doc = (REPO / "docs" / "scenario.schema.json").read_bytes()
@@ -324,12 +349,26 @@ def test_verify_on_damaged_artifacts_is_config_error(separated, tmp_path, capsys
         ("coulomb-demo", "--samples", "-2"),
         ("audit-geometry", "--scenario", SCENARIOS / "audit_cartesian.json", "--assert-tol", "nan"),
         ("hj", "--scenario", HJ_SCENARIO, "--assert-tol", "-1"),
+        ("build-potential", "--scenario", SCENARIOS / "audit_cartesian.json",
+         "--samples", MAX_SAMPLES + 1),
+        ("coulomb-demo", "--samples", MAX_SAMPLES + 1),
     ],
-    ids=["audit_seed", "potential_seed", "demo_seed", "demo_samples", "nan_tol", "negative_tol"],
+    ids=["audit_seed", "potential_seed", "demo_seed", "demo_samples", "nan_tol", "negative_tol",
+         "potential_samples_cap", "demo_samples_cap"],
 )
 def test_out_of_bounds_flag_is_config_error(tmp_path, capsys, args):
     assert run(*args, "--out", tmp_path / "out") == 1
     assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_samples_above_cap_is_config_error(tmp_path, capsys):
+    doc = read_json(SCENARIOS / "audit_cartesian.json")
+    doc["samples"] = MAX_SAMPLES + 1
+    scen = tmp_path / "many.json"
+    scen.write_text(json.dumps(doc))
+    assert run("build-potential", "--scenario", scen, "--out", tmp_path / "out") == 1
+    assert f"samples must be at most {MAX_SAMPLES}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -300,7 +300,7 @@ def test_inverse_components_are_harmonic(name):
                 zs = z.copy()
                 zs[axis] += sign * h
                 try:
-                    lap = lap + invert(s, zs, w, slack=0.05)
+                    lap = lap + invert(s, zs, w)
                 except (InversionError, DomainError):
                     ok = False
                     break

@@ -1,6 +1,7 @@
 """Tests for time-dependent frames and omega gradients."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,6 +35,16 @@ def exponential_profile(rate):
     return TimeProfile(
         lambda t: (math.exp(r * t), r * math.exp(r * t), r * r * math.exp(r * t))
     )
+
+
+def counted(profile, tally, name):
+    """``profile`` with every evaluation counted in ``tally[name]``."""
+
+    def fn(t):
+        tally[name] += 1
+        return profile(t)
+
+    return TimeProfile(fn)
 
 
 def test_profiles_evaluate():
@@ -110,6 +121,15 @@ def test_rotation_orthogonality():
         T = rotation_matrix(fr, float(t))
         np.testing.assert_allclose(T @ T.T, np.eye(3), atol=1e-13)
         assert abs(abs(np.linalg.det(T)) - 1.0) < 1e-12
+
+
+def test_rotation_matrix_evaluates_each_angle_once():
+    tally = Counter()
+    angles = {name: counted(sinusoid(0.4, 1.1), tally, name) for name in ("alpha", "beta", "gamma")}
+    fr = make_frame("nonsplit", **angles)
+    tally.clear()  # make_frame probes every profile
+    rotation_matrix(fr, 0.3)
+    assert tally == {"alpha": 1, "beta": 1, "gamma": 1}
 
 
 def test_rotation_rate_static_frame():

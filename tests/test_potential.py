@@ -1,6 +1,7 @@
 """Tests for the potential builders and field diagnostics."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from schrodsep.potential import (
     vector_potential,
 )
 
+from test_frame import counted
 from test_stackel import build, wiggly_frame
 
 A_FOCAL = 1.3
@@ -176,6 +178,16 @@ def test_uniform_rotation_vector_potential():
     _, a = vector_potential(spec, 0.4, x)
     expected = 0.5 * omega_rate * np.array([-x[1], x[0], 0.0])
     np.testing.assert_allclose(a, expected, atol=1e-14)
+
+
+def test_magnetic_vector_potential_evaluates_each_translation_once():
+    tally = Counter()
+    shifts = {f"w{i}": counted(sinusoid(0.2 * i, 0.9), tally, f"w{i}") for i in (1, 2, 3)}
+    frame = make_frame("nonsplit", alpha=sinusoid(0.4, 1.1), **shifts)
+    spec = magnetic_spec(make_system("spherical"), frame)
+    tally.clear()  # make_frame probes every profile
+    vector_potential(spec, 0.3, (0.9, -0.4, 1.3))
+    assert tally == {"w1": 1, "w2": 1, "w3": 1}
 
 
 def test_uniform_rotation_field_along_axis():
