@@ -3,8 +3,11 @@
 A separable problem turns into four ODEs: one first-order equation in
 time whose solution is a pure quadrature, and three decoupled
 second-order equations, one per coordinate.  This module integrates
-them, stores each spatial factor as a dense cubic Hermite interpolant,
-and reassembles the wavefunction
+them with numpy alone: the time integrals by adaptive Gauss-Kronrod
+quadrature, the spatial equations by a fourth-order Magnus propagator
+whose steps are the half cells of a uniform grid.  It stores each
+spatial factor as a dense cubic Hermite interpolant on that grid and
+reassembles the wavefunction
 
     psi(t, x) = Q * phi0(t) * phi1(omega1) * phi2(omega2) * phi3(omega3)
 
@@ -20,14 +23,13 @@ singularities.
 
 from __future__ import annotations
 
+import heapq
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, ClassVar, Sequence, TextIO
+from typing import Callable, ClassVar, NamedTuple, Sequence, TextIO
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from .coords import EPS_DOM, invert
 from .errors import (
@@ -45,11 +47,12 @@ from .stackel import stackel_row, t_functions
 
 QUAD_EPSREL = 1e-11
 QUAD_EPSABS = 1e-13
-ODE_RTOL = 1e-10
-ODE_ATOL = 1e-12
-#: Hermite node spacing; the interpolation error of a cubic on this grid
-#: sits far below the integrator tolerance, so the stored factor is as
-#: good as the dense output everywhere.
+#: Most subintervals one adaptive quadrature may hold; each bisection adds
+#: one, so an integral costs at most 15 * (2 * QUAD_LIMIT - 1) evaluations.
+QUAD_LIMIT = 200
+#: Hermite node spacing; the factors are propagated in steps of half of
+#: it, and the interpolation error of a cubic on this grid is audited
+#: against the propagated value at every cell midpoint.
 NODE_SPACING = 1e-3
 INTERP_BUDGET = 1e-9
 #: Largest Hermite grid a factor may ask for; checked before anything is
@@ -108,24 +111,106 @@ def _axis_rate(spec: PotentialSpec, axis: int, lam, f_sign: float) -> Callable[[
     phi_a'^2.
     """
     system = spec.system
+    profile = spec.f_profiles[axis]
+    l1, l2, l3 = lam
 
     def rate(w: float) -> float:
         row = stackel_row(system, axis, w)
-        return f_sign * spec.f_a0(axis, w) + row[0] * lam[0] + row[1] * lam[1] + row[2] * lam[2]
+        f = 0.0 if profile is None else f_sign * float(profile(w))
+        return f + row[0] * l1 + row[1] * l2 + row[2] * l3
 
     return rate
 
 
+# ---------------------------------------------------------------------------
+# Quadrature
+
+#: Gauss-Kronrod (7, 15) rule on [-1, 1] (Piessens et al., QUADPACK,
+#: routine qk15): the Kronrod abscissae from the outermost in to 0 and
+#: their weights; the odd-indexed abscissae are the 7-point Gauss nodes,
+#: whose weights are GAUSS7_W.
+KRONROD15_X = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+KRONROD15_W = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+GAUSS7_W = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+
+
+def _quad_budget(value: float) -> float:
+    return max(QUAD_EPSABS, QUAD_EPSREL * abs(value))
+
+
+def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """The K15 value over [a, b] and its error estimate |K15 - G7|."""
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    f = fn(centre)
+    kronrod, gauss = KRONROD15_W[7] * f, GAUSS7_W[3] * f
+    for j in range(7):
+        dx = half * KRONROD15_X[j]
+        pair = fn(centre - dx) + fn(centre + dx)
+        kronrod += KRONROD15_W[j] * pair
+        if j % 2:
+            gauss += GAUSS7_W[j // 2] * pair
+    return half * kronrod, abs(half * (kronrod - gauss))
+
+
+def quad(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """Integral of ``fn`` from a to b and its error estimate.
+
+    Global adaptive Gauss-Kronrod (7, 15): the interval with the largest
+    estimate is bisected until the summed estimate is within
+    max(QUAD_EPSABS, QUAD_EPSREL |value|) or ``QUAD_LIMIT`` subintervals
+    are held.  A non-finite integrand value stops it at once with a
+    non-finite value.  :func:`_quad` checks the result.  Each integral is
+    one call, which ``benchmarks/tracer.py`` counts under this name.
+    """
+    value, error = _gk15(fn, a, b)
+    cells = [(-error, a, b, value)]
+    while (
+        math.isfinite(value + error)
+        and error > _quad_budget(value)
+        and len(cells) < QUAD_LIMIT
+    ):
+        _, lo, hi, _ = heapq.heappop(cells)
+        mid = 0.5 * (lo + hi)
+        for left, right in ((lo, mid), (mid, hi)):
+            v, e = _gk15(fn, left, right)
+            heapq.heappush(cells, (-e, left, right, v))
+        value = sum(cell[3] for cell in cells)
+        error = sum(-cell[0] for cell in cells)
+    return value, error
+
+
 def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            value, estimate = quad(fn, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-        except IntegrationWarning as exc:
-            raise QuadratureError(f"quadrature over [{a}, {b}] did not converge: {exc}") from exc
-    if estimate > 10.0 * max(QUAD_EPSABS, abs(value) * QUAD_EPSREL):
+    """:func:`quad`, or :class:`QuadratureError` unless it met its budget."""
+    value, error = quad(fn, a, b)
+    if not math.isfinite(value):
+        raise QuadratureError(f"integrand not finite on [{a}, {b}]")
+    if not error <= _quad_budget(value):
         raise QuadratureError(
-            f"quadrature over [{a}, {b}] reports error {estimate:.2e} beyond tolerance"
+            f"quadrature over [{a}, {b}] reports error {error:.2e} beyond tolerance "
+            f"after {QUAD_LIMIT} subintervals"
         )
     return value
 
@@ -300,6 +385,94 @@ def _uniform_nodes(lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, _node_count(lo, hi))
 
 
+#: Offset of the two Gauss-Legendre points from the middle of a step, in
+#: step widths.
+GAUSS2_X = math.sqrt(3.0) / 6.0
+
+
+class Trajectory(NamedTuple):
+    """(phi, phi') at the nodes of a propagation, phi at the cell
+    midpoints, and the number of coefficient evaluations it took."""
+
+    values: np.ndarray
+    slopes: np.ndarray
+    midpoints: np.ndarray
+    nfev: int
+
+
+def _cosh_sinhc(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cosh(sqrt(theta)) and sinh(sqrt(theta)) / sqrt(theta), element-wise.
+
+    Below zero these are cos and sin of sqrt(-theta) over sqrt(-theta).
+    For |theta| < 1e-2 both come from their Taylor series in theta, whose
+    first omitted terms are below 1e-20.
+    """
+    r = np.sqrt(np.abs(theta))
+    grows = theta >= 0.0
+    ch = np.where(grows, np.cosh(r), np.cos(r))
+    sh = np.where(grows, np.sinh(r), np.sin(r)) / r
+    x = theta
+    ch_series = 1 + x / 2 * (1 + x / 12 * (1 + x / 30 * (1 + x / 56 * (1 + x / 90))))
+    sh_series = 1 + x / 6 * (1 + x / 20 * (1 + x / 42 * (1 + x / 72 * (1 + x / 110))))
+    small = np.abs(theta) < 1e-2
+    return np.where(small, ch_series, ch), np.where(small, sh_series, sh)
+
+
+def _magnus_steps(coeff: Callable[[float], float], lo: np.ndarray, hi: np.ndarray):
+    """The propagators of phi'' = c(w) phi over the steps [lo, hi], as the
+    four arrays (m00, m01, m10, m11) of the real 2x2 matrices.
+
+    One fourth-order Magnus step each (Iserles & Norsett 1999; Blanes,
+    Casas, Oteo & Ros 2009, section 4): with c1 and c2 the coefficient at
+    the two Gauss points of a step of width h,
+    Omega = [[d, h], [h cbar, -d]], cbar = (c1 + c2) / 2 and
+    d = (sqrt(3) h^2 / 12)(c1 - c2).  Omega is traceless with
+    Omega^2 = theta I, theta = d^2 + h^2 cbar, so
+    exp(Omega) = cosh(sqrt theta) I + (sinh(sqrt theta) / sqrt theta) Omega.
+    """
+    h = hi - lo
+    centres = lo + 0.5 * h
+    c1 = np.array([coeff(w) for w in (centres - GAUSS2_X * h).tolist()])
+    c2 = np.array([coeff(w) for w in (centres + GAUSS2_X * h).tolist()])
+    cbar = 0.5 * (c1 + c2)
+    d = (math.sqrt(3.0) / 12.0) * h * h * (c1 - c2)
+    ch, sh = _cosh_sinhc(d * d + h * h * cbar)
+    return ch + sh * d, sh * h, sh * h * cbar, ch - sh * d
+
+
+def solve_ivp(
+    coeff: Callable[[float], float], nodes: np.ndarray, initial: tuple[complex, complex]
+) -> Trajectory:
+    """Propagate (phi, phi') of phi'' = c(w) phi from nodes[0] across ``nodes``.
+
+    Each cell between consecutive nodes is crossed in two Magnus steps
+    (:func:`_magnus_steps`), one per half.  The propagators are real, so
+    one matrix carries the real and imaginary parts of the complex pair
+    alike; the two halves of a cell are multiplied into one matrix before
+    the pair is carried from node to node, and the first half alone gives
+    phi at the midpoint.  Overflow leaves non-finite values, which the
+    caller locates.  ``nfev`` counts the coefficient evaluations;
+    ``benchmarks/tracer.py`` sums it under this function's name.
+    """
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        l00, l01, l10, l11 = _magnus_steps(coeff, nodes[:-1], mids)
+        r00, r01, r10, r11 = _magnus_steps(coeff, mids, nodes[1:])
+        cells = zip(
+            (r00 * l00 + r01 * l10).tolist(), (r00 * l01 + r01 * l11).tolist(),
+            (r10 * l00 + r11 * l10).tolist(), (r10 * l01 + r11 * l11).tolist(),
+        )
+        v, s = complex(initial[0]), complex(initial[1])
+        values, slopes = [v], [s]
+        for p00, p01, p10, p11 in cells:
+            v, s = p00 * v + p01 * s, p10 * v + p11 * s
+            values.append(v)
+            slopes.append(s)
+        values, slopes = np.array(values), np.array(slopes)
+        midpoints = l00 * values[:-1] + l01 * slopes[:-1]
+    return Trajectory(values, slopes, midpoints, 4 * len(mids))
+
+
 def solve_phi_a(
     spec: PotentialSpec,
     a: int,
@@ -310,48 +483,32 @@ def solve_phi_a(
     """Integrate phi_a'' = c(omega) phi_a over a compact range.
 
     ``initial`` is the complex pair (value, slope) at the lower end of
-    the range.  The result is tabulated on a uniform Hermite grid whose
-    interpolation error is audited against the integrator's dense output.
+    the range.  :func:`solve_ivp` propagates it over the half cells of a
+    uniform Hermite grid.  The nodes give the stored table, and phi at
+    the cell midpoints audits the cubic Hermite prediction there, which
+    is built from the nodes alone.
     """
     lo, hi = _check_axis_range(spec, a, omega_range)
     v0, s0 = complex(initial[0]), complex(initial[1])
     if not (np.isfinite([v0.real, v0.imag, s0.real, s0.imag]).all()):
         raise ConfigurationError(f"initial data {initial!r} must be finite")
 
-    coeff = _axis_rate(spec, a - 1, constants.as_tuple(), 1.0)
-
-    def rhs(w, y):
-        c = coeff(float(w))
-        return (y[2], y[3], c * y[0], c * y[1])
-
-    sol = solve_ivp(
-        rhs,
-        (lo, hi),
-        (v0.real, v0.imag, s0.real, s0.imag),
-        method="RK45",
-        rtol=ODE_RTOL,
-        atol=ODE_ATOL,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise IntegrationError(
-            f"integration stalled on axis {a}: {sol.message}", location=float(sol.t[-1])
-        )
-
     nodes = _uniform_nodes(lo, hi)
-    Y = sol.sol(nodes)
-    values = Y[0] + 1j * Y[1]
-    slopes = Y[2] + 1j * Y[3]
-    if not np.isfinite(Y).all():
-        bad = nodes[~np.isfinite(Y).all(axis=0)][0]
+    coeff = _axis_rate(spec, a - 1, constants.as_tuple(), 1.0)
+    path = solve_ivp(coeff, nodes, (v0, s0))
+    values, slopes, exact = path.values, path.slopes, path.midpoints
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    # every node and midpoint, in the order the propagation reaches them
+    finite = np.empty(2 * len(nodes) - 1, dtype=bool)
+    finite[0::2] = np.isfinite(values) & np.isfinite(slopes)
+    finite[1::2] = np.isfinite(exact)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        where = nodes[first // 2] if first % 2 == 0 else mids[first // 2]
         raise IntegrationError(
-            f"factor on axis {a} overflowed during integration", location=float(bad)
+            f"factor on axis {a} overflowed during integration", location=float(where)
         )
 
-    # Audit the Hermite grid against the dense output at cell midpoints.
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    Ym = sol.sol(mids)
-    exact = Ym[0] + 1j * Ym[1]
     dx = float(nodes[1] - nodes[0])
     predicted = 0.5 * (values[:-1] + values[1:]) + 0.125 * dx * (slopes[:-1] - slopes[1:])
     scale = float(np.max(np.abs(values)))
@@ -525,9 +682,10 @@ def hj_solve(
     the adaptive quadrature.  Since the difference bounds Simpson's error,
     the test is conservative for the degree-7 Lobatto value.  A cell that
     fails it, such as one holding the kink of the clamp at zero near a
-    turning point, is integrated by adaptive QUADPACK alone, which raises
-    :class:`QuadratureError` if it cannot meet the budget either.  The
-    node values are the running sum of the cell integrals.
+    turning point, is integrated by the adaptive Gauss-Kronrod quadrature
+    alone, which raises :class:`QuadratureError` if it cannot meet the
+    budget either.  The node values are the running sum of the cell
+    integrals.
     """
     if len(ranges) != 3:
         raise ConfigurationError("ranges must hold one (lo, hi) pair per axis")

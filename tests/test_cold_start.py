@@ -1,0 +1,82 @@
+"""The command line runs without scipy.
+
+scipy is a reference for the tests only; the package integrates with its
+own numeric core.  Each command below runs in a fresh interpreter whose
+import system refuses ``scipy`` (a meta-path finder installed by a
+``sitecustomize`` on ``PYTHONPATH``), so an import of it anywhere on the
+command's path fails the run.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+SCENARIOS = REPO / "scenarios"
+
+BLOCKER = """\
+import sys
+
+
+class _RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked for this run")
+        return None
+
+
+sys.meta_path.insert(0, _RefuseScipy())
+"""
+
+
+def _env(*paths):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(p) for p in paths] + [str(REPO / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
+@pytest.fixture
+def no_scipy(tmp_path):
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(BLOCKER)
+    return _env(site)
+
+
+def _python(env, *args, cwd):
+    return subprocess.run([sys.executable, *map(str, args)], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_blocker_refuses_scipy(no_scipy, tmp_path):
+    proc = _python(no_scipy, "-c", "import scipy.integrate", cwd=tmp_path)
+    assert proc.returncode != 0 and "blocked" in proc.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    code = "import sys, schrodsep.cli; sys.exit('scipy' in sys.modules)"
+    assert _python(_env(), "-c", code, cwd=tmp_path).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "commands",
+    [
+        [["separate", "--scenario", SCENARIOS / "magnetic_spherical_rotating.json"],
+         ["verify", "--scenario", SCENARIOS / "magnetic_spherical_rotating.json",
+          "--samples", "10"]],
+        [["hj", "--scenario", SCENARIOS / "hj_coulomb_spherical.json", "--samples", "10"]],
+        [["coulomb-demo", "--samples", "8"]],
+    ],
+    ids=["separate-verify", "hj", "coulomb-demo"],
+)
+def test_commands_run_without_scipy(no_scipy, tmp_path, commands):
+    for argv in commands:
+        proc = _python(no_scipy, "-m", "schrodsep", *argv, "--out", tmp_path / "out",
+                       cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad as scipy_quad
+from scipy.special import airy
 
 from schrodsep.cli import load_scenario
 from schrodsep.coords import make_system
@@ -17,12 +18,14 @@ from schrodsep.errors import (
     DomainError,
     IntegrationError,
     OutOfRangeError,
+    QuadratureError,
     TurningPointError,
 )
 from schrodsep.frame import TimeProfile, identity_frame, make_frame, polynomial, sinusoid
 from schrodsep.potential import coulomb_spec, electrostatic_spec, magnetic_spec, t0_profile
 from schrodsep.separate import (
     MEMO_SIZE,
+    QUAD_LIMIT,
     AxisInterpolant,
     HJTemporal,
     QKind,
@@ -34,6 +37,7 @@ from schrodsep.separate import (
     hj_solve,
     lambda_jacobian,
     ode_coefficient,
+    quad,
     read_interpolant_csv,
     separate,
     solve_phi0,
@@ -160,7 +164,7 @@ def test_phi0_closed_form_modulus_matches_quadrature():
     spec = magnetic_spec(make_system("cartesian"), frame)
     phi0 = solve_phi0(spec, SeparationConstants(0.7, -0.4, 0.9), (-2.0, 2.0), 0.3)
     for t in (-1.9, -0.6, 0.31, 1.2, 2.0):
-        log_mod, _ = quad(
+        log_mod, _ = scipy_quad(
             lambda tau: t0_profile(spec, tau).imag, 0.3, t, epsabs=1e-14, epsrel=1e-13, limit=200
         )
         assert abs(phi0(t)) == pytest.approx(math.exp(log_mod), rel=1e-11, abs=0.0)
@@ -280,6 +284,25 @@ def test_phi_a_complex_initial_data():
     )
     for w in (0.4, 1.1, 1.9):
         assert phi(w) == pytest.approx(np.exp(1j * k * w), abs=1e-9)
+
+
+def test_phi_a_airy_matches_scipy():
+    # c(w) = w varies across every step, so the commutator term of the
+    # Magnus step matters; Ai + i Bi is the reference.
+    spec = magnetic_spec(make_system("cartesian"), identity_frame("complete"), f10=lambda w: w)
+    ai, aip, bi, bip = airy(-6.0)
+    phi = solve_phi_a(spec, 1, SeparationConstants(0, 0, 0), (-6.0, 2.0),
+                      (complex(ai, bi), complex(aip, bip)))
+    a, ap, b, bp = airy(phi.nodes)
+    assert np.max(np.abs(phi.values - (a + 1j * b)) / np.abs(a + 1j * b)) <= 1e-11
+    assert np.max(np.abs(phi.slopes - (ap + 1j * bp)) / np.abs(ap + 1j * bp)) <= 1e-11
+
+
+def test_phi_a_zero_coefficient_is_a_line():
+    # theta = 0 on every step: the propagator comes from its series alone.
+    phi = solve_phi_a(free_particle(), 1, SeparationConstants(0, 0, 0), (-0.5, 0.7), (1.0, 2.0))
+    assert np.max(np.abs(phi.values - (1.0 + 2.0 * (phi.nodes + 0.5)))) <= 1e-12
+    assert np.all(phi.slopes == 2.0)
 
 
 def test_phi_a_taylor_series_oracle():
@@ -519,6 +542,38 @@ def test_hj_kinked_cell_falls_back_to_quad_alone(quad_calls):
     assert a < kink < b and b - a == pytest.approx(1e-3)
     reference = _per_cell_quad_terms(spec, constants, ranges, (1, 1, 1))
     np.testing.assert_allclose(action.terms[0].values, reference[0], rtol=1e-13, atol=0.0)
+
+
+class _Counted:
+    """An integrand that counts its evaluations."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def test_quad_nonfinite_integrand_fails_at_once():
+    fn = _Counted(lambda x: math.nan if x > 0.3 else 1.0)
+    with pytest.raises(QuadratureError, match="not finite"):
+        _quad(fn, 0.0, 1.0)
+    assert fn.calls == 15
+
+
+def test_quad_kinked_integrand_converges_by_bisection():
+    fn = _Counted(lambda x: abs(x - 1.0 / 3.0))
+    value, error = quad(fn, 0.0, 1.0)
+    assert abs(value - 5.0 / 18.0) <= error <= 1e-11 * value
+    assert 15 < fn.calls <= 15 * 2 * 20
+
+
+def test_quad_unmet_budget_stops_at_the_subinterval_limit():
+    fn = _Counted(lambda x: math.sin(1e6 * x))
+    with pytest.raises(QuadratureError, match="beyond tolerance"):
+        _quad(fn, 0.0, 1.0)
+    assert fn.calls == 15 * (2 * QUAD_LIMIT - 1)
 
 
 def test_hj_free_cartesian_nodes_are_linear():
