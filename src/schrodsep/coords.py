@@ -16,10 +16,10 @@ combined with time-dependent scale factors:
   genuinely three-dimensional charts).
 
 Everything known about a chart sits in its one :class:`Chart` record in
-``_CHARTS``: split class, parameters, domain, forward map, Jacobian,
-Stackel rows and closed-form metric.  A chart is added by writing its
-functions and adding one ``_CHARTS`` record; nothing else dispatches on
-the system id.
+``_CHARTS``: split class, parameters, domain, the map giving z and its
+Jacobian together, Stackel rows and closed-form metric.  A chart is added
+by writing its functions and adding one ``_CHARTS`` record; nothing else
+dispatches on the system id.
 
 Angles are kept in their principal boxes; radial-like axes that make the
 map blow up at an endpoint are flagged singular and excluded from the
@@ -110,8 +110,8 @@ class Chart:
     prolate variants.  The functions take the system (for ``a`` and
     ``kmod``), then floats, and check no domain:
 
-    * ``forward(s, w1, w2, w3)`` - z as a tuple;
-    * ``jacobian(s, w1, w2, w3)`` - rows J[a][i] = d z_a / d omega_i;
+    * ``map(s, w1, w2, w3)`` - (z, J): z as a tuple and the rows
+      J[a][i] = d z_a / d omega_i, sharing their intermediate values;
     * ``rows[i](s, w)`` - Stackel row i at omega_{i+1} = w;
     * ``metric(s, T, w1, w2, w3)`` - (R1^2, R2^2, R3^2) under the time
       functions T = (T1, T2, T3).
@@ -119,8 +119,7 @@ class Chart:
 
     split_class: SplitClass
     domain: Domain | Callable[[Modulus], Domain]
-    forward: Callable
-    jacobian: Callable
+    map: Callable
     rows: tuple[Callable, Callable, Callable]
     metric: Callable
     uses_a: bool = False
@@ -247,7 +246,7 @@ def sample_domain(system: CoordinateSystem, seed: int, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the charts: forward map, Jacobian, Stackel rows and metric of each, in
+# the charts: map (z and Jacobian), Stackel rows and metric of each, in
 # scalar math with no domain checks, then the table that collects them
 # ---------------------------------------------------------------------------
 
@@ -266,27 +265,18 @@ def _fixed_row(row, s, w):
 _ROW_X, _ROW_Y, _ROW_Z = (partial(_fixed_row, row) for row in _IDENTITY)
 
 
-def _fwd_cartesian(s, w1, w2, w3):
-    return (w1, w2, w3)
-
-
-def _jac_cartesian(s, w1, w2, w3):
-    return _IDENTITY
+def _map_cartesian(s, w1, w2, w3):
+    return (w1, w2, w3), _IDENTITY
 
 
 def _met_cartesian(s, T, w1, w2, w3):
     return (1.0 / T[0], 1.0 / T[1], 1.0 / T[2])
 
 
-def _fwd_cylindrical(s, w1, w2, w3):
-    e = math.exp(w1)
-    return (e * math.cos(w2), e * math.sin(w2), w3)
-
-
-def _jac_cylindrical(s, w1, w2, w3):
+def _map_cylindrical(s, w1, w2, w3):
     e = math.exp(w1)
     c, sn = math.cos(w2), math.sin(w2)
-    return ((e * c, -e * sn, 0.0), (e * sn, e * c, 0.0), (0.0, 0.0, 1.0))
+    return (e * c, e * sn, w3), ((e * c, -e * sn, 0.0), (e * sn, e * c, 0.0), (0.0, 0.0, 1.0))
 
 
 def _row1_cylindrical(s, w):
@@ -298,12 +288,9 @@ def _met_cylindrical(s, T, w1, w2, w3):
     return (r, r, 1.0 / T[2])
 
 
-def _fwd_parabolic_cylindrical(s, w1, w2, w3):
-    return (0.5 * (w1 * w1 - w2 * w2), w1 * w2, w3)
-
-
-def _jac_parabolic_cylindrical(s, w1, w2, w3):
-    return ((w1, -w2, 0.0), (w2, w1, 0.0), (0.0, 0.0, 1.0))
+def _map_parabolic_cylindrical(s, w1, w2, w3):
+    z = (0.5 * (w1 * w1 - w2 * w2), w1 * w2, w3)
+    return z, ((w1, -w2, 0.0), (w2, w1, 0.0), (0.0, 0.0, 1.0))
 
 
 def _row1_parabolic_cylindrical(s, w):
@@ -319,16 +306,12 @@ def _met_parabolic_cylindrical(s, T, w1, w2, w3):
     return (r, r, 1.0 / T[2])
 
 
-def _fwd_elliptic_cylindrical(s, w1, w2, w3):
-    a = s.a
-    return (a * math.cosh(w1) * math.cos(w2), a * math.sinh(w1) * math.sin(w2), w3)
-
-
-def _jac_elliptic_cylindrical(s, w1, w2, w3):
+def _map_elliptic_cylindrical(s, w1, w2, w3):
     a = s.a
     ch, sh = math.cosh(w1), math.sinh(w1)
     c, sn = math.cos(w2), math.sin(w2)
-    return ((a * sh * c, -a * ch * sn, 0.0), (a * ch * sn, a * sh * c, 0.0), (0.0, 0.0, 1.0))
+    return (a * ch * c, a * sh * sn, w3), (
+        (a * sh * c, -a * ch * sn, 0.0), (a * ch * sn, a * sh * c, 0.0), (0.0, 0.0, 1.0))
 
 
 def _row1_elliptic_cylindrical(s, w):
@@ -349,19 +332,13 @@ def _met_elliptic_cylindrical(s, T, w1, w2, w3):
     return (r, r, 1.0 / T[2])
 
 
-def _fwd_spherical(s, w1, w2, w3):
-    r = 1.0 / w1
-    se = 1.0 / math.cosh(w2)
-    return (r * se * math.cos(w3), r * se * math.sin(w3), r * math.tanh(w2))
-
-
-def _jac_spherical(s, w1, w2, w3):
+def _map_spherical(s, w1, w2, w3):
     r = 1.0 / w1
     r2 = r * r
     se = 1.0 / math.cosh(w2)
     th = math.tanh(w2)
     c, sn = math.cos(w3), math.sin(w3)
-    return (
+    return (r * se * c, r * se * sn, r * th), (
         (-r2 * se * c, -r * se * th * c, -r * se * sn),
         (-r2 * se * sn, -r * se * th * sn, r * se * c),
         (-r2 * th, r * se * se, 0.0),
@@ -384,26 +361,19 @@ def _met_spherical(s, T, w1, w2, w3):
     return (i1 / w1 ** 4, r23, r23)
 
 
-def _fwd_prolate(s, w1, w2, w3, shift):
-    a = s.a
-    cs = 1.0 / math.sinh(w1)
-    ct = math.cosh(w1) * cs
-    se = 1.0 / math.cosh(w2)
-    th = math.tanh(w2)
-    c, sn = math.cos(w3), math.sin(w3)
-    return (a * cs * se * c, a * cs * se * sn, a * (ct * th + shift))
-
-
-def _jac_spheroidal(s, w1, w2, w3, sin1, cos1):
-    """Jacobian of both spheroidal charts: sin1, cos1 are sinh, cosh
-    (prolate) or sin, cos (oblate) of the first coordinate."""
+def _map_spheroidal(s, w1, w2, w3, sin1, cos1, shift):
+    """Both spheroidal charts: sin1, cos1 are sinh, cosh (prolate) or sin,
+    cos (oblate) of the first coordinate.  Prolate's z3 is offset by
+    shift * a; oblate passes shift None and keeps its own rounding order,
+    a * ct * th."""
     a = s.a
     cs = 1.0 / sin1(w1)
     ct = cos1(w1) * cs
     se = 1.0 / math.cosh(w2)
     th = math.tanh(w2)
     c, sn = math.cos(w3), math.sin(w3)
-    return (
+    z3 = a * ct * th if shift is None else a * (ct * th + shift)
+    return (a * cs * se * c, a * cs * se * sn, z3), (
         (-a * cs * ct * se * c, -a * cs * se * th * c, -a * cs * se * sn),
         (-a * cs * ct * se * sn, -a * cs * se * th * sn, a * cs * se * c),
         (-a * cs * cs * th, a * ct * se * se, 0.0),
@@ -428,16 +398,6 @@ def _met_prolate(s, T, w1, w2, w3):
     return (i1 * a2 * cs2 * (cs2 + se2), i1 * a2 * se2 * (cs2 + se2), i1 * a2 * cs2 * se2)
 
 
-def _fwd_oblate(s, w1, w2, w3):
-    a = s.a
-    cs = 1.0 / math.sin(w1)
-    ct = math.cos(w1) * cs
-    se = 1.0 / math.cosh(w2)
-    th = math.tanh(w2)
-    c, sn = math.cos(w3), math.sin(w3)
-    return (a * cs * se * c, a * cs * se * sn, a * ct * th)
-
-
 def _row1_oblate(s, w):
     cs2 = 1.0 / (math.sin(w) ** 2)
     return (s.a * s.a * cs2 * cs2, -cs2, 1.0)
@@ -459,19 +419,12 @@ def _met_oblate(s, T, w1, w2, w3):
     return (i1 * a2 * cs2 * gap, i1 * a2 * se2 * gap, i1 * a2 * cs2 * se2)
 
 
-def _fwd_parabolic(s, w1, w2, w3):
+def _map_parabolic(s, w1, w2, w3):
     e = math.exp(w1 + w2)
-    return (e * math.cos(w3), e * math.sin(w3), 0.5 * (math.exp(2.0 * w1) - math.exp(2.0 * w2)))
-
-
-def _jac_parabolic(s, w1, w2, w3):
-    e = math.exp(w1 + w2)
+    e1, e2 = math.exp(2.0 * w1), math.exp(2.0 * w2)
     c, sn = math.cos(w3), math.sin(w3)
-    return (
-        (e * c, e * c, -e * sn),
-        (e * sn, e * sn, e * c),
-        (math.exp(2.0 * w1), -math.exp(2.0 * w2), 0.0),
-    )
+    z = (e * c, e * sn, 0.5 * (e1 - e2))
+    return z, ((e * c, e * c, -e * sn), (e * sn, e * sn, e * c), (e1, -e2, 0.0))
 
 
 def _row1_parabolic(s, w):
@@ -491,21 +444,17 @@ def _met_parabolic(s, T, w1, w2, w3):
     return (i1 * e1 * (e1 + e2), i1 * e2 * (e1 + e2), i1 * e1 * e2)
 
 
-def _fwd_paraboloidal(s, w1, w2, w3):
-    a = s.a
-    return (
-        2.0 * a * math.cosh(w1) * math.cos(w2) * math.sinh(w3),
-        2.0 * a * math.sinh(w1) * math.sin(w2) * math.cosh(w3),
-        0.5 * a * (math.cosh(2.0 * w1) + math.cos(2.0 * w2) - math.cosh(2.0 * w3)),
-    )
-
-
-def _jac_paraboloidal(s, w1, w2, w3):
+def _map_paraboloidal(s, w1, w2, w3):
     a = s.a
     ch1, sh1 = math.cosh(w1), math.sinh(w1)
     co2, si2 = math.cos(w2), math.sin(w2)
     ch3, sh3 = math.cosh(w3), math.sinh(w3)
-    return (
+    z = (
+        2.0 * a * ch1 * co2 * sh3,
+        2.0 * a * sh1 * si2 * ch3,
+        0.5 * a * (math.cosh(2.0 * w1) + math.cos(2.0 * w2) - math.cosh(2.0 * w3)),
+    )
+    return z, (
         (2.0 * a * sh1 * co2 * sh3, -2.0 * a * ch1 * si2 * sh3, 2.0 * a * ch1 * co2 * ch3),
         (2.0 * a * ch1 * si2 * ch3, 2.0 * a * sh1 * co2 * ch3, 2.0 * a * sh1 * si2 * sh3),
         (a * math.sinh(2.0 * w1), -a * math.sin(2.0 * w2), -a * math.sinh(2.0 * w3)),
@@ -547,16 +496,7 @@ def _elliptic_domain(m: Modulus, radial: bool) -> Domain:
     return (first, AxisInterval(-m.Kprime, m.Kprime), AxisInterval(0.0, 4.0 * m.K))
 
 
-def _fwd_ellipsoidal(s, w1, w2, w3):
-    a, m = s.a, s.kmod
-    s1, c1, d1 = jacobi(w1, m.k)
-    s2, c2, d2 = jacobi(w2, m.kprime)
-    s3, c3, d3 = jacobi(w3, m.k)
-    inv = 1.0 / s1
-    return (a * inv * d2 * s3, a * d1 * inv * c2 * c3, a * c1 * inv * s2 * d3)
-
-
-def _jac_ellipsoidal(s, w1, w2, w3):
+def _map_ellipsoidal(s, w1, w2, w3):
     a, m = s.a, s.kmod
     k2 = m.k * m.k
     kp2 = m.kprime * m.kprime
@@ -565,7 +505,7 @@ def _jac_ellipsoidal(s, w1, w2, w3):
     s3, c3, d3 = jacobi(w3, m.k)
     inv = 1.0 / s1
     inv2 = inv * inv
-    return (
+    return (a * inv * d2 * s3, a * d1 * inv * c2 * c3, a * c1 * inv * s2 * d3), (
         (-a * c1 * d1 * inv2 * d2 * s3, -a * inv * kp2 * s2 * c2 * s3, a * inv * d2 * c3 * d3),
         (-a * c1 * inv2 * c2 * c3, -a * d1 * inv * s2 * d2 * c3, -a * d1 * inv * c2 * s3 * d3),
         (-a * d1 * inv2 * s2 * d3, a * c1 * inv * c2 * d2 * d3, -a * c1 * inv * s2 * k2 * s3 * c3),
@@ -615,15 +555,7 @@ def _met_ellipsoidal(s, T, w1, w2, w3):
     )
 
 
-def _fwd_conical(s, w1, w2, w3):
-    m = s.kmod
-    s2, c2, d2 = jacobi(w2, m.kprime)
-    s3, c3, d3 = jacobi(w3, m.k)
-    r = 1.0 / w1
-    return (r * d2 * s3, r * c2 * c3, r * s2 * d3)
-
-
-def _jac_conical(s, w1, w2, w3):
+def _map_conical(s, w1, w2, w3):
     m = s.kmod
     k2 = m.k * m.k
     kp2 = m.kprime * m.kprime
@@ -631,7 +563,7 @@ def _jac_conical(s, w1, w2, w3):
     s3, c3, d3 = jacobi(w3, m.k)
     r = 1.0 / w1
     r2 = r * r
-    return (
+    return (r * d2 * s3, r * c2 * c3, r * s2 * d3), (
         (-r2 * d2 * s3, -r * kp2 * s2 * c2 * s3, r * d2 * c3 * d3),
         (-r2 * c2 * c3, -r * s2 * d2 * c3, -r * c2 * s3 * d3),
         (-r2 * s2 * d3, r * c2 * d2 * d3, -r * s2 * k2 * s3 * c3),
@@ -665,65 +597,76 @@ def _met_conical(s, T, w1, w2, w3):
 def _prolate_chart(shift: float) -> Chart:
     """The prolate spheroidal chart with its z3 offset by shift * a."""
     return Chart(
-        SplitClass.NONSPLIT, (_RADIAL, _R, _TURN), partial(_fwd_prolate, shift=shift),
-        partial(_jac_spheroidal, sin1=math.sinh, cos1=math.cosh),
+        SplitClass.NONSPLIT, (_RADIAL, _R, _TURN),
+        partial(_map_spheroidal, sin1=math.sinh, cos1=math.cosh, shift=shift),
         (_row1_prolate, _row2_prolate, _ROW_Z), _met_prolate, uses_a=True, base=shift == 0.0)
 
 
 _CHARTS: dict[SystemId, Chart] = {
     SystemId.CARTESIAN: Chart(
-        SplitClass.COMPLETE, (_R, _R, _R), _fwd_cartesian, _jac_cartesian,
+        SplitClass.COMPLETE, (_R, _R, _R), _map_cartesian,
         (_ROW_X, _ROW_Y, _ROW_Z), _met_cartesian),
     SystemId.CYLINDRICAL: Chart(
-        SplitClass.PARTIAL, (_R, _TURN, _R), _fwd_cylindrical, _jac_cylindrical,
+        SplitClass.PARTIAL, (_R, _TURN, _R), _map_cylindrical,
         (_row1_cylindrical, _ROW_Y, _ROW_Z), _met_cylindrical),
     SystemId.PARABOLIC_CYLINDRICAL: Chart(
         SplitClass.PARTIAL, (_HALF_LINE, _R, _R),
-        _fwd_parabolic_cylindrical, _jac_parabolic_cylindrical,
+        _map_parabolic_cylindrical,
         (_row1_parabolic_cylindrical, _row2_parabolic_cylindrical, _ROW_Z),
         _met_parabolic_cylindrical),
     SystemId.ELLIPTIC_CYLINDRICAL: Chart(
         SplitClass.PARTIAL, (_HALF_LINE, AxisInterval(-math.pi, math.pi), _R),
-        _fwd_elliptic_cylindrical, _jac_elliptic_cylindrical,
+        _map_elliptic_cylindrical,
         (_row1_elliptic_cylindrical, _row2_elliptic_cylindrical, _ROW_Z),
         _met_elliptic_cylindrical, uses_a=True),
     SystemId.SPHERICAL: Chart(
-        SplitClass.NONSPLIT, (_RADIAL, _R, _TURN), _fwd_spherical, _jac_spherical,
+        SplitClass.NONSPLIT, (_RADIAL, _R, _TURN), _map_spherical,
         (_row1_inverse_radius, _row2_spherical, _ROW_Z), _met_spherical),
     SystemId.PROLATE_SPHEROIDAL: _prolate_chart(0.0),
     SystemId.PROLATE_SPHEROIDAL_II_PLUS: _prolate_chart(1.0),
     SystemId.PROLATE_SPHEROIDAL_II_MINUS: _prolate_chart(-1.0),
     SystemId.OBLATE_SPHEROIDAL: Chart(
         SplitClass.NONSPLIT, (AxisInterval(0.0, 0.5 * math.pi, singular_lo=True), _R, _TURN),
-        _fwd_oblate, partial(_jac_spheroidal, sin1=math.sin, cos1=math.cos),
+        partial(_map_spheroidal, sin1=math.sin, cos1=math.cos, shift=None),
         (_row1_oblate, _row2_oblate, _ROW_Z), _met_oblate, uses_a=True),
     SystemId.PARABOLIC: Chart(
-        SplitClass.NONSPLIT, (_R, _R, _TURN), _fwd_parabolic, _jac_parabolic,
+        SplitClass.NONSPLIT, (_R, _R, _TURN), _map_parabolic,
         (_row1_parabolic, _row2_parabolic, _ROW_Z), _met_parabolic),
     SystemId.PARABOLOIDAL: Chart(
         SplitClass.NONSPLIT, (_R, AxisInterval(0.0, math.pi), _R),
-        _fwd_paraboloidal, _jac_paraboloidal,
+        _map_paraboloidal,
         (_row1_paraboloidal, _row2_paraboloidal, _row3_paraboloidal),
         _met_paraboloidal, uses_a=True),
     SystemId.ELLIPSOIDAL: Chart(
         SplitClass.NONSPLIT, partial(_elliptic_domain, radial=False),
-        _fwd_ellipsoidal, _jac_ellipsoidal,
+        _map_ellipsoidal,
         (_row1_ellipsoidal, _row2_ellipsoidal, _row3_ellipsoidal),
         _met_ellipsoidal, uses_a=True, uses_k=True),
     SystemId.CONICAL: Chart(
-        SplitClass.NONSPLIT, partial(_elliptic_domain, radial=True), _fwd_conical, _jac_conical,
+        SplitClass.NONSPLIT, partial(_elliptic_domain, radial=True), _map_conical,
         (_row1_inverse_radius, _row2_conical, _row3_conical), _met_conical, uses_k=True),
 }
+
+
+def _chart_map(system: CoordinateSystem, omega):
+    """(z, J) at an admissible omega; a :class:`DomainError` when omega is
+    outside the admissible set or the map overflows there."""
+    check_domain(system, omega)
+    try:
+        return system.chart.map(system, float(omega[0]), float(omega[1]), float(omega[2]))
+    except OverflowError:
+        raise DomainError(
+            f"{system.sid.value}: chart map overflows at omega={tuple(omega)}"
+        ) from None
 
 
 def forward(system: CoordinateSystem, omega) -> np.ndarray:
     """Map coordinates to Cartesian space, z = z(omega).
 
     Raises a :class:`DomainError` naming the offending axis when omega is
-    outside the admissible set.
+    outside the admissible set, and one without an axis when z overflows.
     """
-    check_domain(system, omega)
-    return np.array(system.chart.forward(system, float(omega[0]), float(omega[1]), float(omega[2])))
+    return np.array(_chart_map(system, omega)[0])
 
 
 #: Relative determinant guard for Jacobian degeneracy.
@@ -745,11 +688,11 @@ def _near_singular(rows, det: float) -> bool:
 def jacobian(system: CoordinateSystem, omega) -> np.ndarray:
     """Analytic Jacobian, columns are dz/domega_i.
 
-    Raises :class:`SingularityError` when the determinant falls below
+    Raises :class:`DomainError` as :func:`forward` does, and
+    :class:`SingularityError` when the determinant falls below
     ``DET_GUARD`` relative to the product of column norms.
     """
-    check_domain(system, omega)
-    rows = system.chart.jacobian(system, float(omega[0]), float(omega[1]), float(omega[2]))
+    rows = _chart_map(system, omega)[1]
     J = np.array(rows)
     det = _det3(rows)
     if _near_singular(rows, det):
@@ -819,32 +762,45 @@ def invert(system: CoordinateSystem, z, guess) -> np.ndarray:
     ------
     InversionError
         If the contract tolerance is not met within ``MAX_NEWTON_ITERS`` Newton
-        steps; carries the last iterate and its residual.
+        steps, or z or an iterate's image overflows; carries the last iterate
+        and its residual.
     """
     zt = (float(z[0]), float(z[1]), float(z[2]))
-    zn = math.sqrt(zt[0] ** 2 + zt[1] ** 2 + zt[2] ** 2)
-    tol_target = TARGET_TOL * (1.0 + zn)
-    tol_accept = CONTRACT_TOL * (1.0 + zn)
     box = system.clamp
-    fwd = system.chart.forward
-    jac = system.chart.jacobian
+    chart = system.chart
 
     def clamp(w):
         return tuple(min(max(w[i], box[i][0]), box[i][1]) for i in range(3))
 
+    def overflow(w):
+        return InversionError(
+            f"{system.sid.value}: overflow while inverting z={zt} at omega={w}",
+            last_omega=np.array(w),
+            residual=math.inf,
+        )
+
     def miss(w):
-        """forward(w) - z and its norm."""
-        f = fwd(system, *w)
-        d = (f[0] - zt[0], f[1] - zt[1], f[2] - zt[2])
-        return d, math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+        """forward(w) - z, its norm and the Jacobian at w."""
+        try:
+            f, J = chart.map(system, *w)
+            d = (f[0] - zt[0], f[1] - zt[1], f[2] - zt[2])
+            return d, math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2), J
+        except OverflowError:
+            raise overflow(w) from None
 
     w = clamp((float(guess[0]), float(guess[1]), float(guess[2])))
-    d, r = miss(w)
+    try:
+        zn = math.sqrt(zt[0] ** 2 + zt[1] ** 2 + zt[2] ** 2)
+    except OverflowError:
+        raise overflow(w) from None
+    tol_target = TARGET_TOL * (1.0 + zn)
+    tol_accept = CONTRACT_TOL * (1.0 + zn)
+    d, r, J = miss(w)
     for _ in range(MAX_NEWTON_ITERS):
         if r <= tol_target:
             break
         try:
-            step = _solve3(jac(system, *w), d)
+            step = _solve3(J, d)
         except SingularityError as exc:
             raise InversionError(
                 f"{system.sid.value}: singular Jacobian during inversion at omega={w}",
@@ -858,21 +814,21 @@ def invert(system: CoordinateSystem, z, guess) -> np.ndarray:
         improved = False
         for _bt in range(12):
             w_new = clamp((w[0] - s * step[0], w[1] - s * step[1], w[2] - s * step[2]))
-            d_new, r_new = miss(w_new)
+            d_new, r_new, J_new = miss(w_new)
             if r_new < r or r_new <= tol_target:
                 improved = True
                 break
             s *= 0.5
         if not improved:
             break
-        w, d, r = w_new, d_new, r_new
+        w, d, r, J = w_new, d_new, r_new, J_new
     if r <= tol_accept:
         # One full polishing step: quadratic convergence turns a landing
         # just under the target into an essentially machine-precision one,
         # which keeps Newton noise out of downstream difference stencils.
         if r > 0.0:
             try:
-                step = _solve3(jac(system, *w), d)
+                step = _solve3(J, d)
                 w_new = clamp((w[0] - step[0], w[1] - step[1], w[2] - step[2]))
                 if miss(w_new)[1] < r:
                     w = w_new

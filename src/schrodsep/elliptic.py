@@ -17,7 +17,7 @@ amplitude through
 with sn = sin(phi_0), cn = cos(phi_0) and dn = sqrt(1 - k**2 * sn**2).
 Both iterations converge quadratically; the iteration count is capped.
 
-First derivatives follow from the standard identities
+The chart Jacobians take first derivatives from the standard identities
 
     sn' = cn * dn,    cn' = -sn * dn,    dn' = -k**2 * sn * cn.
 """
@@ -120,8 +120,9 @@ def jacobi(u: float, k: float) -> tuple[float, float, float]:
 
     Notes
     -----
-    Memoized: chart forward maps and their Jacobians evaluate the same
-    (u, k) pairs back to back inside every Newton inversion step.
+    Memoized: at one sample point the chart map, the Stackel rows and the
+    closed-form metric ask for the same (u, k) pairs, and a Newton
+    inversion often starts from a point that was just evaluated.
     """
     if not 0.0 <= k <= 1.0:
         raise DomainError(f"modulus must satisfy 0 <= k <= 1, got {k!r}")
@@ -145,9 +146,3 @@ def jacobi(u: float, k: float) -> tuple[float, float, float]:
     cn = math.cos(phi)
     dn = math.sqrt((1.0 - k * sn) * (1.0 + k * sn))
     return sn, cn, dn
-
-
-def jacobi_derivatives(u: float, k: float) -> tuple[float, float, float]:
-    """First derivatives (sn', cn', dn') at (u, k) via the product identities."""
-    sn, cn, dn = jacobi(u, k)
-    return cn * dn, -sn * dn, -(k * k) * sn * cn

@@ -110,15 +110,6 @@ def sinusoid(
     return TimeProfile(fn)
 
 
-def profile_product(p: TimeProfile, q: TimeProfile) -> TimeProfile:
-    def fn(t: float) -> tuple[float, float, float]:
-        pv, p1, p2 = p(t)
-        qv, q1, q2 = q(t)
-        return (pv * qv, p1 * qv + pv * q1, p2 * qv + 2.0 * p1 * q1 + pv * q2)
-
-    return TimeProfile(fn)
-
-
 def _check_profile(name: str, p: TimeProfile) -> None:
     h = 1e-5
     for t in PROBE_TIMES:

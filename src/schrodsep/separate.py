@@ -589,20 +589,6 @@ def evaluate_psi(solution: SeparatedSolution, t: float, x, omega_hint=None) -> c
     return value
 
 
-def lambda_jacobian(spec: PotentialSpec, t: float, omega) -> np.ndarray:
-    """Derivative of the four reduced right-hand sides with respect to lambda.
-
-    Rows: the time equation (-T_i), then the three coefficient rows
-    (F_ai).  Full column rank means every constant genuinely steers the
-    reduced system.
-    """
-    T = t_functions(spec.system, spec.frame, t)
-    rows = [(-T[0], -T[1], -T[2])]
-    for axis in range(3):
-        rows.append(stackel_row(spec.system, axis, float(omega[axis])))
-    return np.array(rows)
-
-
 # ---------------------------------------------------------------------------
 # Hamilton-Jacobi branch
 

@@ -205,12 +205,6 @@ def test_every_artifact_is_headed_by_command_and_provenance(tmp_path, capsys):
             assert head == [f"# scenario_sha256={digest}", f"# tool_version={__version__}"]
 
 
-def test_shipped_schema_copies_match():
-    src = (REPO / "src" / "schrodsep" / "scenario.schema.json").read_bytes()
-    doc = (REPO / "docs" / "scenario.schema.json").read_bytes()
-    assert src == doc
-
-
 def test_every_shipped_scenario_loads():
     for path in sorted(SCENARIOS.glob("*.json")):
         sc = load_scenario(path)

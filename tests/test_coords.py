@@ -164,11 +164,11 @@ def test_jacobian_cylindrical_origin():
 
 @pytest.mark.parametrize("name", all_system_ids())
 def test_jacobian_matches_finite_differences(name):
+    # z and J both come from single calls of the chart's one map function.
     s = build(name)
-    fwd, jac = s.chart.forward, s.chart.jacobian
     h = 1e-6
     for w in sample_domain(s, seed=101, n=60):
-        J = np.array(jac(s, *w))
+        J = np.array(s.chart.map(s, *w)[1])
         Jfd = np.empty((3, 3))
         for i in range(3):
             wp = w.copy()
@@ -176,7 +176,7 @@ def test_jacobian_matches_finite_differences(name):
             wp[i] += h
             wm[i] -= h
             Jfd[:, i] = (
-                np.array(fwd(s, *wp)) - np.array(fwd(s, *wm))
+                np.array(s.chart.map(s, *wp)[0]) - np.array(s.chart.map(s, *wm)[0])
             ) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(J))))
         assert np.max(np.abs(J - Jfd)) <= 1e-7 * scale
@@ -244,6 +244,20 @@ def test_invert_failure_carries_last_iterate():
     err = info.value
     assert err.last_omega.shape == (3,)
     assert err.residual > 0.0
+
+
+def test_overflow_at_extreme_finite_input_is_typed():
+    # exp(800) and the squares of 1e308 and 1e200 overflow in float
+    # arithmetic; each entry point reports that as its own error type.
+    parabolic = make_system("parabolic")
+    for fn in (forward, jacobian):
+        with pytest.raises(DomainError, match="overflow"):
+            fn(parabolic, (800.0, 0.0, 0.0))
+    for name, z in (("cartesian", (1e308,) * 3), ("parabolic", (1e200, 0.0, 0.0))):
+        with pytest.raises(InversionError, match="overflow") as info:
+            invert(make_system(name), z, (0.0, 0.0, 0.0))
+        assert info.value.last_omega.shape == (3,)
+        assert info.value.residual == math.inf
 
 
 def test_sample_domain_determinism():

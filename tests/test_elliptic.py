@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from schrodsep.elliptic import complete_K, jacobi, jacobi_derivatives, modulus
+from schrodsep.elliptic import complete_K, jacobi, modulus
 from schrodsep.errors import DomainError
 
 # Frozen oracle values.  Computed once by arithmetic-geometric-mean
@@ -111,20 +111,3 @@ def test_jacobi_against_scipy():
         assert sn == pytest.approx(rs, abs=2e-13)
         assert cn == pytest.approx(rc, abs=2e-13)
         assert dn == pytest.approx(rd, abs=2e-13)
-
-
-def test_jacobi_derivatives_match_finite_differences():
-    rng = np.random.default_rng(77)
-    h = 1e-6
-    for _ in range(300):
-        k = rng.uniform(0.05, 0.95)
-        u = rng.uniform(-6.0, 6.0)
-        dsn, dcn, ddn = jacobi_derivatives(u, k)
-        sp = jacobi(u + h, k)
-        sm = jacobi(u - h, k)
-        for analytic, (plus, minus) in zip(
-            (dsn, dcn, ddn), zip(sp, sm)
-        ):
-            fd = (plus - minus) / (2 * h)
-            scale = max(1.0, abs(analytic))
-            assert abs(analytic - fd) <= 1e-8 * scale
