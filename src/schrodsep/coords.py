@@ -17,9 +17,11 @@ combined with time-dependent scale factors:
 
 Everything known about a chart sits in its one :class:`Chart` record in
 ``_CHARTS``: split class, parameters, domain, the map giving z and its
-Jacobian together, Stackel rows and closed-form metric.  A chart is added
-by writing its functions and adding one ``_CHARTS`` record; nothing else
-dispatches on the system id.
+Jacobian together, and Stackel rows.  The metric is not stored: it is the
+squared column norms of that Jacobian under the frame scales
+(:func:`schrodsep.stackel.metric_r_squared`).  A chart is added by writing
+its functions and adding one ``_CHARTS`` record; nothing else dispatches
+on the system id.
 
 Angles are kept in their principal boxes; radial-like axes that make the
 map blow up at an endpoint are flagged singular and excluded from the
@@ -112,16 +114,18 @@ class Chart:
 
     * ``map(s, w1, w2, w3)`` - (z, J): z as a tuple and the rows
       J[a][i] = d z_a / d omega_i, sharing their intermediate values;
-    * ``rows[i](s, w)`` - Stackel row i at omega_{i+1} = w;
-    * ``metric(s, T, w1, w2, w3)`` - (R1^2, R2^2, R3^2) under the time
-      functions T = (T1, T2, T3).
+    * ``rows[i](s, w)`` - Stackel row i at omega_{i+1} = w.
+
+    The metric is derived, not stored: R_i^2 is the squared norm of column
+    i of J under the frame scales.  The functions look up this module's
+    ``math`` and ``jacobi`` at call time, so a record can be evaluated in
+    another arithmetic by swapping those two names.
     """
 
     split_class: SplitClass
     domain: Domain | Callable[[Modulus], Domain]
     map: Callable
     rows: tuple[Callable, Callable, Callable]
-    metric: Callable
     uses_a: bool = False
     uses_k: bool = False
     base: bool = True
@@ -246,8 +250,8 @@ def sample_domain(system: CoordinateSystem, seed: int, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the charts: map (z and Jacobian), Stackel rows and metric of each, in
-# scalar math with no domain checks, then the table that collects them
+# the charts: map (z and Jacobian) and Stackel rows of each, in scalar
+# math with no domain checks, then the table that collects them
 # ---------------------------------------------------------------------------
 
 _R = AxisInterval(-_INF, _INF)
@@ -269,10 +273,6 @@ def _map_cartesian(s, w1, w2, w3):
     return (w1, w2, w3), _IDENTITY
 
 
-def _met_cartesian(s, T, w1, w2, w3):
-    return (1.0 / T[0], 1.0 / T[1], 1.0 / T[2])
-
-
 def _map_cylindrical(s, w1, w2, w3):
     e = math.exp(w1)
     c, sn = math.cos(w2), math.sin(w2)
@@ -281,11 +281,6 @@ def _map_cylindrical(s, w1, w2, w3):
 
 def _row1_cylindrical(s, w):
     return (math.exp(2.0 * w), -1.0, 0.0)
-
-
-def _met_cylindrical(s, T, w1, w2, w3):
-    r = 1.0 / T[0] * math.exp(2.0 * w1)
-    return (r, r, 1.0 / T[2])
 
 
 def _map_parabolic_cylindrical(s, w1, w2, w3):
@@ -299,11 +294,6 @@ def _row1_parabolic_cylindrical(s, w):
 
 def _row2_parabolic_cylindrical(s, w):
     return (w * w, 1.0, 0.0)
-
-
-def _met_parabolic_cylindrical(s, T, w1, w2, w3):
-    r = 1.0 / T[0] * (w1 * w1 + w2 * w2)
-    return (r, r, 1.0 / T[2])
 
 
 def _map_elliptic_cylindrical(s, w1, w2, w3):
@@ -322,14 +312,6 @@ def _row1_elliptic_cylindrical(s, w):
 def _row2_elliptic_cylindrical(s, w):
     c = math.cos(w)
     return (-s.a * s.a * c * c, -1.0, 0.0)
-
-
-def _met_elliptic_cylindrical(s, T, w1, w2, w3):
-    # a^2 (sinh^2 omega_1 + sin^2 omega_2); the double-angle form costs a
-    # factor of one half that is easy to drop, so the tests pin this
-    # against the Jacobian columns.
-    r = 1.0 / T[0] * (s.a * s.a) * (math.sinh(w1) ** 2 + math.sin(w2) ** 2)
-    return (r, r, 1.0 / T[2])
 
 
 def _map_spherical(s, w1, w2, w3):
@@ -355,20 +337,17 @@ def _row2_spherical(s, w):
     return (0.0, se * se, -1.0)
 
 
-def _met_spherical(s, T, w1, w2, w3):
-    i1 = 1.0 / T[0]
-    r23 = i1 / (w1 * math.cosh(w2)) ** 2
-    return (i1 / w1 ** 4, r23, r23)
-
-
-def _map_spheroidal(s, w1, w2, w3, sin1, cos1, shift):
-    """Both spheroidal charts: sin1, cos1 are sinh, cosh (prolate) or sin,
-    cos (oblate) of the first coordinate.  Prolate's z3 is offset by
-    shift * a; oblate passes shift None and keeps its own rounding order,
-    a * ct * th."""
+def _map_spheroidal(s, w1, w2, w3, shift):
+    """Both spheroidal charts.  Prolate takes sinh and cosh of the first
+    coordinate and offsets z3 by shift * a; oblate passes shift None,
+    takes sin and cos and keeps its own rounding order, a * ct * th."""
     a = s.a
-    cs = 1.0 / sin1(w1)
-    ct = cos1(w1) * cs
+    if shift is None:
+        cs = 1.0 / math.sin(w1)
+        ct = math.cos(w1) * cs
+    else:
+        cs = 1.0 / math.sinh(w1)
+        ct = math.cosh(w1) * cs
     se = 1.0 / math.cosh(w2)
     th = math.tanh(w2)
     c, sn = math.cos(w3), math.sin(w3)
@@ -390,14 +369,6 @@ def _row2_prolate(s, w):
     return (s.a * s.a * se2 * se2, se2, -1.0)
 
 
-def _met_prolate(s, T, w1, w2, w3):
-    i1 = 1.0 / T[0]
-    a2 = s.a * s.a
-    cs2 = 1.0 / math.sinh(w1) ** 2
-    se2 = 1.0 / math.cosh(w2) ** 2
-    return (i1 * a2 * cs2 * (cs2 + se2), i1 * a2 * se2 * (cs2 + se2), i1 * a2 * cs2 * se2)
-
-
 def _row1_oblate(s, w):
     cs2 = 1.0 / (math.sin(w) ** 2)
     return (s.a * s.a * cs2 * cs2, -cs2, 1.0)
@@ -406,17 +377,6 @@ def _row1_oblate(s, w):
 def _row2_oblate(s, w):
     se2 = 1.0 / (math.cosh(w) ** 2)
     return (-s.a * s.a * se2 * se2, se2, -1.0)
-
-
-def _met_oblate(s, T, w1, w2, w3):
-    i1 = 1.0 / T[0]
-    a2 = s.a * s.a
-    cs2 = 1.0 / math.sin(w1) ** 2
-    se2 = 1.0 / math.cosh(w2) ** 2
-    # cs2 - se2, written so that it keeps its relative accuracy on the
-    # focal ring (omega_1 = pi/2, omega_2 = 0) where it vanishes
-    gap = (math.cos(w1) ** 2 + math.sinh(w2) ** 2) * cs2 * se2
-    return (i1 * a2 * cs2 * gap, i1 * a2 * se2 * gap, i1 * a2 * cs2 * se2)
 
 
 def _map_parabolic(s, w1, w2, w3):
@@ -435,13 +395,6 @@ def _row1_parabolic(s, w):
 def _row2_parabolic(s, w):
     e2 = math.exp(2.0 * w)
     return (e2 * e2, e2, -1.0)
-
-
-def _met_parabolic(s, T, w1, w2, w3):
-    i1 = 1.0 / T[0]
-    e1 = math.exp(2.0 * w1)
-    e2 = math.exp(2.0 * w2)
-    return (i1 * e1 * (e1 + e2), i1 * e2 * (e1 + e2), i1 * e1 * e2)
 
 
 def _map_paraboloidal(s, w1, w2, w3):
@@ -477,17 +430,6 @@ def _row3_paraboloidal(s, w):
     a = s.a
     c = math.cosh(2.0 * w)
     return (a * a * c * c, a * c, -1.0)
-
-
-def _met_paraboloidal(s, T, w1, w2, w3):
-    i1 = 1.0 / T[0]
-    a2 = s.a * s.a
-    # cosh 2w1 - cos 2w2 and cos 2w2 + cosh 2w3 as sums of squares, which
-    # keep their relative accuracy on the focal curves where they vanish
-    p = 2.0 * (math.sinh(w1) ** 2 + math.sin(w2) ** 2)
-    q = 2.0 * (math.cos(w2) ** 2 + math.sinh(w3) ** 2)
-    c = math.cosh(2.0 * w1) + math.cosh(2.0 * w3)
-    return (i1 * a2 * p * c, i1 * a2 * p * q, i1 * a2 * c * q)
 
 
 def _elliptic_domain(m: Modulus, radial: bool) -> Domain:
@@ -535,26 +477,6 @@ def _row3_ellipsoidal(s, w):
     return (s.a * s.a * q * q, q, 1.0)
 
 
-def _met_ellipsoidal(s, T, w1, w2, w3):
-    i1 = 1.0 / T[0]
-    a2 = s.a * s.a
-    m = s.kmod
-    sn, cn, dn = jacobi(w1, m.k)
-    P = (dn / sn) ** 2
-    sn2, cn2, _ = jacobi(w2, m.kprime)
-    Q = m.kprime * m.kprime * cn2 * cn2
-    _, cn3, _ = jacobi(w3, m.k)
-    S = m.k * m.k * cn3 * cn3
-    # P - Q by dn^2 - cn^2 = k'^2 sn^2, which keeps its relative accuracy
-    # where it vanishes (omega_1 = K, omega_2 = 0)
-    gap = (cn / sn) ** 2 + m.kprime * m.kprime * sn2 * sn2
-    return (
-        i1 * a2 * gap * (P + S),
-        i1 * a2 * gap * (Q + S),
-        i1 * a2 * (P + S) * (Q + S),
-    )
-
-
 def _map_conical(s, w1, w2, w3):
     m = s.kmod
     k2 = m.k * m.k
@@ -582,69 +504,48 @@ def _row3_conical(s, w):
     return (0.0, m.k * m.k * cn * cn, 1.0)
 
 
-def _met_conical(s, T, w1, w2, w3):
-    i1 = 1.0 / T[0]
-    m = s.kmod
-    _, cn2, _ = jacobi(w2, m.kprime)
-    Q = m.kprime * m.kprime * cn2 * cn2
-    _, cn3, _ = jacobi(w3, m.k)
-    S = m.k * m.k * cn3 * cn3
-    r1 = i1 / w1 ** 4
-    r23 = i1 * (Q + S) / (w1 * w1)
-    return (r1, r23, r23)
-
-
 def _prolate_chart(shift: float) -> Chart:
     """The prolate spheroidal chart with its z3 offset by shift * a."""
     return Chart(
         SplitClass.NONSPLIT, (_RADIAL, _R, _TURN),
-        partial(_map_spheroidal, sin1=math.sinh, cos1=math.cosh, shift=shift),
-        (_row1_prolate, _row2_prolate, _ROW_Z), _met_prolate, uses_a=True, base=shift == 0.0)
+        partial(_map_spheroidal, shift=shift),
+        (_row1_prolate, _row2_prolate, _ROW_Z), uses_a=True, base=shift == 0.0)
 
 
 _CHARTS: dict[SystemId, Chart] = {
     SystemId.CARTESIAN: Chart(
-        SplitClass.COMPLETE, (_R, _R, _R), _map_cartesian,
-        (_ROW_X, _ROW_Y, _ROW_Z), _met_cartesian),
+        SplitClass.COMPLETE, (_R, _R, _R), _map_cartesian, (_ROW_X, _ROW_Y, _ROW_Z)),
     SystemId.CYLINDRICAL: Chart(
-        SplitClass.PARTIAL, (_R, _TURN, _R), _map_cylindrical,
-        (_row1_cylindrical, _ROW_Y, _ROW_Z), _met_cylindrical),
+        SplitClass.PARTIAL, (_R, _TURN, _R), _map_cylindrical, (_row1_cylindrical, _ROW_Y, _ROW_Z)),
     SystemId.PARABOLIC_CYLINDRICAL: Chart(
-        SplitClass.PARTIAL, (_HALF_LINE, _R, _R),
-        _map_parabolic_cylindrical,
-        (_row1_parabolic_cylindrical, _row2_parabolic_cylindrical, _ROW_Z),
-        _met_parabolic_cylindrical),
+        SplitClass.PARTIAL, (_HALF_LINE, _R, _R), _map_parabolic_cylindrical,
+        (_row1_parabolic_cylindrical, _row2_parabolic_cylindrical, _ROW_Z)),
     SystemId.ELLIPTIC_CYLINDRICAL: Chart(
         SplitClass.PARTIAL, (_HALF_LINE, AxisInterval(-math.pi, math.pi), _R),
         _map_elliptic_cylindrical,
-        (_row1_elliptic_cylindrical, _row2_elliptic_cylindrical, _ROW_Z),
-        _met_elliptic_cylindrical, uses_a=True),
+        (_row1_elliptic_cylindrical, _row2_elliptic_cylindrical, _ROW_Z), uses_a=True),
     SystemId.SPHERICAL: Chart(
         SplitClass.NONSPLIT, (_RADIAL, _R, _TURN), _map_spherical,
-        (_row1_inverse_radius, _row2_spherical, _ROW_Z), _met_spherical),
+        (_row1_inverse_radius, _row2_spherical, _ROW_Z)),
     SystemId.PROLATE_SPHEROIDAL: _prolate_chart(0.0),
     SystemId.PROLATE_SPHEROIDAL_II_PLUS: _prolate_chart(1.0),
     SystemId.PROLATE_SPHEROIDAL_II_MINUS: _prolate_chart(-1.0),
     SystemId.OBLATE_SPHEROIDAL: Chart(
         SplitClass.NONSPLIT, (AxisInterval(0.0, 0.5 * math.pi, singular_lo=True), _R, _TURN),
-        partial(_map_spheroidal, sin1=math.sin, cos1=math.cos, shift=None),
-        (_row1_oblate, _row2_oblate, _ROW_Z), _met_oblate, uses_a=True),
+        partial(_map_spheroidal, shift=None),
+        (_row1_oblate, _row2_oblate, _ROW_Z), uses_a=True),
     SystemId.PARABOLIC: Chart(
         SplitClass.NONSPLIT, (_R, _R, _TURN), _map_parabolic,
-        (_row1_parabolic, _row2_parabolic, _ROW_Z), _met_parabolic),
+        (_row1_parabolic, _row2_parabolic, _ROW_Z)),
     SystemId.PARABOLOIDAL: Chart(
-        SplitClass.NONSPLIT, (_R, AxisInterval(0.0, math.pi), _R),
-        _map_paraboloidal,
-        (_row1_paraboloidal, _row2_paraboloidal, _row3_paraboloidal),
-        _met_paraboloidal, uses_a=True),
+        SplitClass.NONSPLIT, (_R, AxisInterval(0.0, math.pi), _R), _map_paraboloidal,
+        (_row1_paraboloidal, _row2_paraboloidal, _row3_paraboloidal), uses_a=True),
     SystemId.ELLIPSOIDAL: Chart(
-        SplitClass.NONSPLIT, partial(_elliptic_domain, radial=False),
-        _map_ellipsoidal,
-        (_row1_ellipsoidal, _row2_ellipsoidal, _row3_ellipsoidal),
-        _met_ellipsoidal, uses_a=True, uses_k=True),
+        SplitClass.NONSPLIT, partial(_elliptic_domain, radial=False), _map_ellipsoidal,
+        (_row1_ellipsoidal, _row2_ellipsoidal, _row3_ellipsoidal), uses_a=True, uses_k=True),
     SystemId.CONICAL: Chart(
         SplitClass.NONSPLIT, partial(_elliptic_domain, radial=True), _map_conical,
-        (_row1_inverse_radius, _row2_conical, _row3_conical), _met_conical, uses_k=True),
+        (_row1_inverse_radius, _row2_conical, _row3_conical), uses_k=True),
 }
 
 

@@ -120,8 +120,8 @@ def jacobi(u: float, k: float) -> tuple[float, float, float]:
 
     Notes
     -----
-    Memoized: at one sample point the chart map, the Stackel rows and the
-    closed-form metric ask for the same (u, k) pairs, and a Newton
+    Memoized: at one sample point the chart map (also behind the metric)
+    and the Stackel rows ask for the same (u, k) pairs, and a Newton
     inversion often starts from a point that was just evaluated.
     """
     if not 0.0 <= k <= 1.0:

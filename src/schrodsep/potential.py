@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .coords import CoordinateSystem, SystemId, invert, make_system
-from .errors import ConfigurationError, SingularityError, UsageError
+from .errors import ConfigurationError, DomainError, SingularityError, UsageError
 from .frame import (
     PROBE_TIMES,
     FrameSpec,
@@ -282,7 +282,9 @@ def vector_potential(spec: PotentialSpec, t: float, x, omega_hint=None):
 
     The scalar part of the magnetic and electrostatic families needs the
     chart coordinates of x, so a Newton starting point ``omega_hint`` is
-    required whenever any per-axis profile F_a0 is present.
+    required whenever any per-axis profile F_a0 is present.  An
+    electrostatic scalar part beyond the float range is a
+    :class:`DomainError`.
     """
     x = np.asarray(x, dtype=float)
     e = spec.e_charge
@@ -314,9 +316,14 @@ def vector_potential(spec: PotentialSpec, t: float, x, omega_hint=None):
     # Electrostatic: no vector potential; quadratic-in-x scalar part.
     acc = 0.0
     pairs = zip(spec.frame.scale_triples(t), spec.frame.translation_triples(t))
-    for i, ((h, hd, hdd), (w, wd, wdd)) in enumerate(pairs):
-        hr = hdd / h
-        acc += hr * x[i] ** 2 + 2.0 * (wdd - hr * w) * x[i] + (wd - (hd / h) * w) ** 2
+    try:
+        for i, ((h, hd, hdd), (w, wd, wdd)) in enumerate(pairs):
+            hr = hdd / h
+            acc += hr * x[i] ** 2 + 2.0 * (wdd - hr * w) * x[i] + (wd - (hd / h) * w) ** 2
+    except OverflowError:  # a float square beyond the range
+        acc = math.inf
+    if not math.isfinite(acc):
+        raise DomainError(f"electrostatic potential overflows at t={t}, x={x.tolist()}")
     eA0 = _axis_part(spec, t, x, omega_hint, spec.t0_tilde(t)[0] - 0.25 * acc)
     return (eA0 / e, np.zeros(3))
 

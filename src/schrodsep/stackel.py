@@ -8,11 +8,12 @@ Separation rests on three ingredients, evaluated here for every chart:
 * the time functions (T1, T2, T3) built from the frame scales, one per
   split class pattern;
 * the metric coefficients R_i^2, the squared column norms of the embedded
-  Jacobian T H J, in closed form.
+  Jacobian T H J.
 
-The per-chart row and metric formulas live in the chart records of
-:mod:`schrodsep.coords`; this module adds the axis and domain checks and
-the time functions.  The three are tied together by the relation
+The per-chart rows and the map giving J live in the chart records of
+:mod:`schrodsep.coords`; this module adds the axis and domain checks, the
+time functions and the metric.  The three are tied together by the
+relation
 
     sum_i F[i][j](omega_i) / R_i^2  =  T_j(t),   j = 1, 2, 3,
 
@@ -21,10 +22,12 @@ which the tests enforce for every chart and admissible frame.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .coords import CoordinateSystem, SplitClass, check_domain
-from .errors import ConfigurationError
+from .coords import CoordinateSystem, SplitClass, _chart_map, check_domain
+from .errors import ConfigurationError, SingularityError
 from .frame import FrameSpec
 
 
@@ -64,12 +67,17 @@ def t_functions(system: CoordinateSystem, frame: FrameSpec, t: float) -> tuple[f
 def metric_r_squared(
     system: CoordinateSystem, frame: FrameSpec, t: float, omega
 ) -> tuple[float, float, float]:
-    """The squared metric coefficients (R1^2, R2^2, R3^2) in closed form.
+    """The squared metric coefficients (R1^2, R2^2, R3^2).
 
-    These equal the squared column norms of the embedded Jacobian T H J;
-    the chart's closed form avoids the cancellation the raw column norms
-    suffer near the chart boundaries.
+    R_a^2 = sum_k h_k^2 J_ka^2, the squared norm of column a of the
+    embedded Jacobian T H J: the rotation T is orthogonal and drops out.
+    Every term is non-negative, so the sum cannot cancel.  Raises
+    :class:`DomainError` as :func:`schrodsep.coords.forward` does, and
+    :class:`SingularityError` when some R_a^2 is zero or not finite.
     """
-    check_domain(system, omega)
-    w1, w2, w3 = (float(omega[0]), float(omega[1]), float(omega[2]))
-    return system.chart.metric(system, t_functions(system, frame, t), w1, w2, w3)
+    J = _chart_map(system, omega)[1]
+    HJ = [[h * v for v in row] for h, row in zip(frame.scales(t), J)]
+    R2 = tuple([x * x + y * y + z * z for x, y, z in zip(*HJ)])
+    if not all([0.0 < r < math.inf for r in R2]):
+        raise SingularityError(f"{system.sid.value}: metric {R2} at omega={tuple(omega)}, t={t}")
+    return R2

@@ -452,10 +452,12 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
     Four channels per sample: gradient orthogonality, the defining
     relation between the coefficient table and the time functions, the
     harmonicity of each coordinate (finite differences), and agreement
-    of the closed-form metric with Jacobian column norms.  Violations
-    are data, not errors.  Harmonicity is the only channel that relies
-    on numerical differentiation; it is reported only where the local
-    map is well enough conditioned for the stencil to resolve it.
+    of the metric coefficients with the column norms of the rotated,
+    scaled Jacobian T H J (``colnorm``: the metric's use of the per-axis
+    frame scales, with the rotation T dropped).  Violations are data,
+    not errors.  Harmonicity is the only channel that relies on
+    numerical differentiation; it is reported only where the local map
+    is well enough conditioned for the stencil to resolve it.
     """
     records = []
     samples = sample_domain(system, seed=seed, n=n_samples)

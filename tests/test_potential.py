@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from schrodsep.coords import make_system, sample_domain
-from schrodsep.errors import ConfigurationError, SingularityError, UsageError
+from schrodsep.errors import ConfigurationError, DomainError, SingularityError, UsageError
 from schrodsep.frame import (
     TimeProfile,
     constant,
@@ -273,6 +273,17 @@ def test_electrostatic_has_no_vector_part():
     _, a = vector_potential(spec, 0.7, (1.0, 2.0, 3.0))
     assert np.all(a == 0.0)
     assert np.all(magnetic_field(spec, 0.7) == 0.0)
+
+
+def test_electrostatic_overflow_at_extreme_finite_input_is_typed():
+    # The square of the drift term (float arithmetic) and the square of
+    # x_1 (numpy arithmetic) each leave the float range.
+    drift = make_frame("complete", h1=polynomial([1.0, 0.1]), w1=constant(1e308))
+    growing = make_frame("complete", h1=exp_profile(0.2))
+    for frame, x in ((drift, (1.0, 0.0, 0.0)), (growing, (1e200, 0.0, 0.0))):
+        spec = electrostatic_spec(make_system("cartesian"), frame)
+        with pytest.raises(DomainError, match="overflow"), np.errstate(over="ignore"):
+            vector_potential(spec, 0.5, x)
 
 
 def test_phase_gradient_matches_frame_flow():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from schrodsep import coords
 from schrodsep.coords import all_system_ids, jacobian, make_system, sample_domain
 from schrodsep.elliptic import modulus
 from schrodsep.errors import ConfigurationError, DomainError
@@ -134,8 +135,9 @@ def test_metric_spherical_example():
     np.testing.assert_allclose(r2, (1.0 / 16.0, 0.25, 0.25), rtol=1e-14)
 
 
-#: Points next to the focal sets, where a closed form that subtracts two
-#: nearly equal terms loses its relative accuracy.
+#: Points next to the focal sets, where some metric coefficients are small
+#: and a formula that subtracted two nearly equal terms would lose its
+#: relative accuracy.
 NEAR_FOCAL = {
     "oblate_spheroidal": [(0.5 * math.pi - 1e-6, 1e-5, 0.3)],
     "paraboloidal": [(0.0, 1e-5, 0.2), (0.2, 0.5 * math.pi - 1e-5, 0.0)],
@@ -155,6 +157,37 @@ def test_metric_equals_jacobian_column_norms(name):
             col2 = np.sum(Acols * Acols, axis=0)
             R2 = np.array(metric_r_squared(s, fr, t, w))
             np.testing.assert_allclose(col2, R2, rtol=1e-9)
+
+
+#: Relative bound on the metric against a 40-digit evaluation of the same
+#: chart map.  Near the ellipsoidal focal set the map takes cn(omega_1) of
+#: order 1e-5 from `jacobi`, whose absolute error of about 1e-16 is a
+#: relative 1e-11 there, so those points get the wider bound.
+REFERENCE_RTOL = 4e-15
+JACOBI_LIMITED_RTOL = 1e-10
+
+
+@pytest.mark.parametrize("name", all_system_ids())
+def test_metric_matches_40_digit_reference(name, monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    s = build(name)
+    fr = identity_frame(s.split_class)
+    samples = [(w, REFERENCE_RTOL) for w in sample_domain(s, seed=7, n=40)]
+    focal_rtol = JACOBI_LIMITED_RTOL if name == "ellipsoidal" else REFERENCE_RTOL
+    points = [*samples, *((w, focal_rtol) for w in NEAR_FOCAL.get(name, []))]
+    got = [metric_r_squared(s, fr, 0.0, w) for w, _ in points]
+
+    def jacobi(u, k):
+        return tuple(mpmath.ellipfun(kind, u, k=k) for kind in ("sn", "cn", "dn"))
+
+    monkeypatch.setattr(coords, "math", mpmath)
+    monkeypatch.setattr(coords, "jacobi", jacobi)
+    with mpmath.workdps(40):
+        for (w, rtol), R2 in zip(points, got):
+            _, J = s.chart.map(s, *(mpmath.mpf(float(v)) for v in w))
+            for a in range(3):
+                ref = sum(J[k][a] ** 2 for k in range(3))
+                assert abs(R2[a] - ref) <= rtol * ref, (w, a)
 
 
 @pytest.mark.parametrize("name", all_system_ids())
