@@ -17,11 +17,13 @@ combined with time-dependent scale factors:
 
 Everything known about a chart sits in its one :class:`Chart` record in
 ``_CHARTS``: split class, parameters, domain, the map giving z and its
-Jacobian together, and Stackel rows.  The metric is not stored: it is the
-squared column norms of that Jacobian under the frame scales
-(:func:`schrodsep.stackel.metric_r_squared`).  A chart is added by writing
-its functions and adding one ``_CHARTS`` record; nothing else dispatches
-on the system id.
+Jacobian together, and Stackel rows.  The map is scalar ``math``, since
+Newton calls it once per point; the rows are numpy functions of their
+coordinate, so one call evaluates a row over a whole grid.  The metric is
+not stored: it is the squared column norms of that Jacobian under the
+frame scales (:func:`schrodsep.stackel.metric_r_squared`).  A chart is
+added by writing its functions and adding one ``_CHARTS`` record; nothing
+else dispatches on the system id.
 
 Angles are kept in their principal boxes; radial-like axes that make the
 map blow up at an endpoint are flagged singular and excluded from the
@@ -39,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import Modulus, jacobi, modulus
+from .elliptic import Modulus, jacobi, jacobi_array, modulus
 from .errors import ConfigurationError, DomainError, InversionError, SingularityError
 
 EPS_DOM = 1e-6
@@ -110,16 +112,20 @@ class Chart:
     ``domain`` holds the three axis intervals or, where ``uses_k``, builds
     them from the :class:`Modulus`; ``base`` is false only for the shifted
     prolate variants.  The functions take the system (for ``a`` and
-    ``kmod``), then floats, and check no domain:
+    ``kmod``), then coordinates, and check no domain:
 
-    * ``map(s, w1, w2, w3)`` - (z, J): z as a tuple and the rows
-      J[a][i] = d z_a / d omega_i, sharing their intermediate values;
-    * ``rows[i](s, w)`` - Stackel row i at omega_{i+1} = w.
+    * ``map(s, w1, w2, w3)`` - (z, J) at three floats, in scalar ``math``:
+      z as a tuple and the rows J[a][i] = d z_a / d omega_i, sharing their
+      intermediate values;
+    * ``rows[i](s, w)`` - Stackel row i at omega_{i+1} = w, a float or a
+      float array, in numpy: three entries, each an array of w's shape or
+      a constant that broadcasts against it.
 
     The metric is derived, not stored: R_i^2 is the squared norm of column
-    i of J under the frame scales.  The functions look up this module's
-    ``math`` and ``jacobi`` at call time, so a record can be evaluated in
-    another arithmetic by swapping those two names.
+    i of J under the frame scales.  The map looks up this module's
+    ``math`` and ``jacobi`` at call time, so it can be evaluated in
+    another arithmetic by swapping those two names; the rows use ``np``
+    and :func:`schrodsep.elliptic.jacobi_array`.
     """
 
     split_class: SplitClass
@@ -250,8 +256,9 @@ def sample_domain(system: CoordinateSystem, seed: int, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the charts: map (z and Jacobian) and Stackel rows of each, in scalar
-# math with no domain checks, then the table that collects them
+# the charts: map (z and Jacobian, scalar math) and Stackel rows (numpy,
+# float or array) of each, with no domain checks, then the table that
+# collects them
 # ---------------------------------------------------------------------------
 
 _R = AxisInterval(-_INF, _INF)
@@ -280,7 +287,7 @@ def _map_cylindrical(s, w1, w2, w3):
 
 
 def _row1_cylindrical(s, w):
-    return (math.exp(2.0 * w), -1.0, 0.0)
+    return (np.exp(2.0 * w), -1.0, 0.0)
 
 
 def _map_parabolic_cylindrical(s, w1, w2, w3):
@@ -305,12 +312,12 @@ def _map_elliptic_cylindrical(s, w1, w2, w3):
 
 
 def _row1_elliptic_cylindrical(s, w):
-    c = math.cosh(w)
+    c = np.cosh(w)
     return (s.a * s.a * c * c, 1.0, 0.0)
 
 
 def _row2_elliptic_cylindrical(s, w):
-    c = math.cos(w)
+    c = np.cos(w)
     return (-s.a * s.a * c * c, -1.0, 0.0)
 
 
@@ -333,7 +340,7 @@ def _row1_inverse_radius(s, w):
 
 
 def _row2_spherical(s, w):
-    se = 1.0 / math.cosh(w)
+    se = 1.0 / np.cosh(w)
     return (0.0, se * se, -1.0)
 
 
@@ -360,22 +367,22 @@ def _map_spheroidal(s, w1, w2, w3, shift):
 
 
 def _row1_prolate(s, w):
-    cs2 = 1.0 / (math.sinh(w) ** 2)
+    cs2 = 1.0 / (np.sinh(w) ** 2)
     return (s.a * s.a * cs2 * cs2, -cs2, -1.0)
 
 
 def _row2_prolate(s, w):
-    se2 = 1.0 / (math.cosh(w) ** 2)
+    se2 = 1.0 / (np.cosh(w) ** 2)
     return (s.a * s.a * se2 * se2, se2, -1.0)
 
 
 def _row1_oblate(s, w):
-    cs2 = 1.0 / (math.sin(w) ** 2)
+    cs2 = 1.0 / (np.sin(w) ** 2)
     return (s.a * s.a * cs2 * cs2, -cs2, 1.0)
 
 
 def _row2_oblate(s, w):
-    se2 = 1.0 / (math.cosh(w) ** 2)
+    se2 = 1.0 / (np.cosh(w) ** 2)
     return (-s.a * s.a * se2 * se2, se2, -1.0)
 
 
@@ -388,12 +395,12 @@ def _map_parabolic(s, w1, w2, w3):
 
 
 def _row1_parabolic(s, w):
-    e2 = math.exp(2.0 * w)
+    e2 = np.exp(2.0 * w)
     return (e2 * e2, -e2, -1.0)
 
 
 def _row2_parabolic(s, w):
-    e2 = math.exp(2.0 * w)
+    e2 = np.exp(2.0 * w)
     return (e2 * e2, e2, -1.0)
 
 
@@ -416,19 +423,19 @@ def _map_paraboloidal(s, w1, w2, w3):
 
 def _row1_paraboloidal(s, w):
     a = s.a
-    c = math.cosh(2.0 * w)
+    c = np.cosh(2.0 * w)
     return (a * a * c * c, -a * c, -1.0)
 
 
 def _row2_paraboloidal(s, w):
     a = s.a
-    c = math.cos(2.0 * w)
+    c = np.cos(2.0 * w)
     return (-a * a * c * c, a * c, 1.0)
 
 
 def _row3_paraboloidal(s, w):
     a = s.a
-    c = math.cosh(2.0 * w)
+    c = np.cosh(2.0 * w)
     return (a * a * c * c, a * c, -1.0)
 
 
@@ -458,21 +465,21 @@ def _row1_ellipsoidal(s, w):
     # The focal scale enters the first Stackel column only, exactly as in
     # the spheroidal charts; the other two columns pair with vanishing time
     # functions and stay scale-free.
-    sn, _, dn = jacobi(w, s.kmod.k)
+    sn, _, dn = jacobi_array(w, s.kmod.k)
     D2 = (dn / sn) ** 2
     return (s.a * s.a * D2 * D2, -D2, 1.0)
 
 
 def _row2_ellipsoidal(s, w):
     m = s.kmod
-    _, cn, _ = jacobi(w, m.kprime)
+    _, cn, _ = jacobi_array(w, m.kprime)
     q = m.kprime * m.kprime * cn * cn
     return (-s.a * s.a * q * q, q, -1.0)
 
 
 def _row3_ellipsoidal(s, w):
     m = s.kmod
-    _, cn, _ = jacobi(w, m.k)
+    _, cn, _ = jacobi_array(w, m.k)
     q = m.k * m.k * cn * cn
     return (s.a * s.a * q * q, q, 1.0)
 
@@ -494,13 +501,13 @@ def _map_conical(s, w1, w2, w3):
 
 def _row2_conical(s, w):
     m = s.kmod
-    _, cn, _ = jacobi(w, m.kprime)
+    _, cn, _ = jacobi_array(w, m.kprime)
     return (0.0, m.kprime * m.kprime * cn * cn, -1.0)
 
 
 def _row3_conical(s, w):
     m = s.kmod
-    _, cn, _ = jacobi(w, m.k)
+    _, cn, _ = jacobi_array(w, m.k)
     return (0.0, m.k * m.k * cn * cn, 1.0)
 
 

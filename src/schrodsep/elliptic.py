@@ -16,6 +16,8 @@ amplitude through
 
 with sn = sin(phi_0), cn = cos(phi_0) and dn = sqrt(1 - k**2 * sn**2).
 Both iterations converge quadratically; the iteration count is capped.
+:func:`jacobi` runs the descent on one float, :func:`jacobi_array` on
+every element of an array at once (DLMF 22.20).
 
 The chart Jacobians take first derivatives from the standard identities
 
@@ -27,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -87,7 +91,12 @@ def modulus(k: float) -> Modulus:
 @cache
 def _landen_scheme(k: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The Landen sequences (a_n, c_n) of modulus k, cached per modulus;
-    index 0 holds a_0 = 1, c_0 = k."""
+    index 0 holds a_0 = 1, c_0 = k.
+
+    c_n falls quadratically until it vanishes, or until a_n and b_n sit a
+    rounding unit apart and c_n stops falling: the levels after that only
+    reshuffle the last bit, so the sequence ends there.
+    """
     a = 1.0
     b = math.sqrt((1.0 - k) * (1.0 + k))
     c = k
@@ -96,7 +105,10 @@ def _landen_scheme(k: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     for _ in range(AGM_CAP):
         if abs(c) <= _AGM_STOP * a:
             break
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        a, b, c_next = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        if not abs(c_next) < abs(c):
+            break
+        c = c_next
         aa.append(a)
         cc.append(c)
     return (tuple(aa), tuple(cc))
@@ -121,8 +133,10 @@ def jacobi(u: float, k: float) -> tuple[float, float, float]:
     Notes
     -----
     Memoized: at one sample point the chart map (also behind the metric)
-    and the Stackel rows ask for the same (u, k) pairs, and a Newton
-    inversion often starts from a point that was just evaluated.
+    asks for the same (u, k) pairs, and a Newton inversion often starts
+    from a point that was just evaluated.  The Stackel rows evaluate a
+    whole grid at a time through :func:`jacobi_array` and never use the
+    cache.
     """
     if not 0.0 <= k <= 1.0:
         raise DomainError(f"modulus must satisfy 0 <= k <= 1, got {k!r}")
@@ -145,4 +159,33 @@ def jacobi(u: float, k: float) -> tuple[float, float, float]:
     sn = math.sin(phi)
     cn = math.cos(phi)
     dn = math.sqrt((1.0 - k * sn) * (1.0 + k * sn))
+    return sn, cn, dn
+
+
+def jacobi_array(u, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sn, cn, dn at every element of ``u``, modulus k; the array twin of
+    :func:`jacobi`.
+
+    The same Landen descent, branches and clamp, element-wise in numpy, so
+    it agrees with :func:`jacobi` to a few ulp (numpy's sin, asin and
+    friends may round differently from ``math``'s).  Not memoized.
+    """
+    if not 0.0 <= k <= 1.0:
+        raise DomainError(f"modulus must satisfy 0 <= k <= 1, got {k!r}")
+    u = np.asarray(u, dtype=float)
+    if k == 1.0:
+        sech = 1.0 / np.cosh(u)
+        return np.tanh(u), sech, sech
+    if k < 1e-14:
+        return np.sin(u), np.cos(u), np.ones_like(u)
+    aa, cc = _landen_scheme(k)
+    n = len(aa) - 1
+    phi = np.ldexp(aa[n] * u, n)
+    for i in range(n, 0, -1):
+        # Clamp against harmless rounding excursions beyond +-1.
+        s = np.clip(cc[i] / aa[i] * np.sin(phi), -1.0, 1.0)
+        phi = 0.5 * (phi + np.arcsin(s))
+    sn = np.sin(phi)
+    cn = np.cos(phi)
+    dn = np.sqrt((1.0 - k * sn) * (1.0 + k * sn))
     return sn, cn, dn

@@ -41,7 +41,10 @@ from .frame import (
 )
 from .stackel import metric_r_squared
 
-#: Value-only profile over a single coordinate omega_a.
+#: Value-only profile over a single coordinate omega_a.  Called with a
+#: float array it returns a number or an array of that shape, as every
+#: built-in profile does; :func:`profile_values` also serves a callable
+#: that takes floats only.
 AxisProfile = Callable[[float], float]
 
 _RATE_TOL = 1e-10
@@ -85,14 +88,38 @@ class PotentialSpec:
     q: float = 0.0
     coulomb_system: CoulombSystem | None = None
 
-    def f_a0(self, axis: int, w: float) -> float:
-        """The scalar-potential profile on the given 0-based axis."""
+    def f_a0(self, axis: int, w):
+        """The scalar-potential profile on the given 0-based axis, at a
+        float or over an array (:func:`profile_values`)."""
         p = self.f_profiles[axis]
-        return 0.0 if p is None else float(p(w))
+        return 0.0 if p is None else profile_values(p, w)
 
     @property
     def has_axis_profiles(self) -> bool:
         return any(p is not None for p in self.f_profiles)
+
+
+def profile_values(profile: AxisProfile, w):
+    """``profile`` at ``w``: a float at a float, and at a float array a
+    number or an array of its shape.
+
+    A callable that cannot take an array (it raises ``TypeError`` or
+    ``ValueError``, as a ``math.exp`` lambda does) is called once per
+    element instead.  Any other result is a :class:`ConfigurationError`.
+    """
+    if np.ndim(w) == 0:
+        return float(profile(w))
+    w = np.asarray(w, dtype=float)
+    try:
+        values = np.asarray(profile(w))
+    except (TypeError, ValueError):
+        values = np.array([float(profile(v)) for v in w.ravel().tolist()]).reshape(w.shape)
+    if values.shape not in ((), w.shape) or values.dtype.kind not in "biuf":
+        raise ConfigurationError(
+            f"axis profile returned {values.dtype} values of shape {values.shape} "
+            f"on a grid of shape {w.shape}; expected a real number or that shape"
+        )
+    return values.astype(float, copy=False)
 
 
 def _as_profiles(f10, f20, f30) -> tuple:
@@ -209,13 +236,13 @@ def _coulomb_profiles(chart: CoulombSystem, q: float, a: float) -> tuple:
     if chart is CoulombSystem.SPHERICAL or chart is CoulombSystem.CONICAL:
         return (lambda w: q / w**3, None, None)
     if chart is CoulombSystem.PARABOLIC:
-        return (lambda w: 2.0 * q * math.exp(2.0 * w), None, None)
+        return (lambda w: 2.0 * q * np.exp(2.0 * w), None, None)
     # Spheroidal variants: the sign of the second-axis profile is opposite
     # to the sign of the chart's z3 shift.
     sign = -1.0 if chart is CoulombSystem.PROLATE_II_PLUS else 1.0
     return (
-        lambda w: q * a * math.cosh(w) / math.sinh(w) ** 3,
-        lambda w: sign * q * a * math.sinh(w) / math.cosh(w) ** 3,
+        lambda w: q * a * np.cosh(w) / np.sinh(w) ** 3,
+        lambda w: sign * q * a * np.sinh(w) / np.cosh(w) ** 3,
         None,
     )
 
@@ -282,9 +309,8 @@ def vector_potential(spec: PotentialSpec, t: float, x, omega_hint=None):
 
     The scalar part of the magnetic and electrostatic families needs the
     chart coordinates of x, so a Newton starting point ``omega_hint`` is
-    required whenever any per-axis profile F_a0 is present.  An
-    electrostatic scalar part beyond the float range is a
-    :class:`DomainError`.
+    required whenever any per-axis profile F_a0 is present.  A potential
+    beyond the float range, in any family, is a :class:`DomainError`.
     """
     x = np.asarray(x, dtype=float)
     e = spec.e_charge
@@ -302,30 +328,31 @@ def vector_potential(spec: PotentialSpec, t: float, x, omega_hint=None):
         if r == 0.0:
             raise SingularityError("coulomb potential is singular at x = 0")
         eA0 = spec.q / r - float(eA @ eA)
-        return (eA0 / e, eA / e)
-
-    if spec.kind is PotentialKind.MAGNETIC:
+        A = eA / e
+    elif spec.kind is PotentialKind.MAGNETIC:
         M = m_matrix(spec.frame, t)
         triples = spec.frame.translation_triples(t)
         w = np.array([v for v, _, _ in triples])
         w_rates = np.array([wd for _, wd, _ in triples])
         eA = 0.5 * (M @ (x - w) + w_rates)
         eA0 = _axis_part(spec, t, x, omega_hint, spec.t0_tilde(t)[0] - float(eA @ eA))
-        return (eA0 / e, eA / e)
-
-    # Electrostatic: no vector potential; quadratic-in-x scalar part.
-    acc = 0.0
-    pairs = zip(spec.frame.scale_triples(t), spec.frame.translation_triples(t))
-    try:
-        for i, ((h, hd, hdd), (w, wd, wdd)) in enumerate(pairs):
-            hr = hdd / h
-            acc += hr * x[i] ** 2 + 2.0 * (wdd - hr * w) * x[i] + (wd - (hd / h) * w) ** 2
-    except OverflowError:  # a float square beyond the range
-        acc = math.inf
-    if not math.isfinite(acc):
-        raise DomainError(f"electrostatic potential overflows at t={t}, x={x.tolist()}")
-    eA0 = _axis_part(spec, t, x, omega_hint, spec.t0_tilde(t)[0] - 0.25 * acc)
-    return (eA0 / e, np.zeros(3))
+        A = eA / e
+    else:
+        # Electrostatic: no vector potential; quadratic-in-x scalar part.
+        acc = 0.0
+        pairs = zip(spec.frame.scale_triples(t), spec.frame.translation_triples(t))
+        try:
+            for i, ((h, hd, hdd), (w, wd, wdd)) in enumerate(pairs):
+                hr = hdd / h
+                acc += hr * x[i] ** 2 + 2.0 * (wdd - hr * w) * x[i] + (wd - (hd / h) * w) ** 2
+        except OverflowError:  # a float square beyond the range
+            acc = math.inf
+        eA0 = _axis_part(spec, t, x, omega_hint, spec.t0_tilde(t)[0] - 0.25 * acc)
+        A = np.zeros(3)
+    A0 = eA0 / e
+    if not (math.isfinite(A0) and np.isfinite(A).all()):
+        raise DomainError(f"{spec.kind.value} potential overflows at t={t}, x={x.tolist()}")
+    return (A0, A)
 
 
 def phase_factor_S(spec: PotentialSpec, t: float, x) -> float:

@@ -100,26 +100,24 @@ def ode_coefficient(spec: PotentialSpec, a: int, omega_a: float, constants) -> f
             axis=a,
         )
     lam = constants.as_tuple() if isinstance(constants, SeparationConstants) else tuple(constants)
-    return _axis_rate(spec, a - 1, lam, 1.0)(omega_a)
+    return float(_axis_rate(spec, a - 1, lam, 1.0, omega_a))
 
 
-def _axis_rate(spec: PotentialSpec, axis: int, lam, f_sign: float) -> Callable[[float], float]:
-    """w -> f_sign F_a0(w) + sum_i F_ai(w) lambda_i on the 0-based axis.
+def _axis_rate(spec: PotentialSpec, axis: int, lam, f_sign: float, w) -> np.ndarray:
+    """f_sign F_a0(w) + sum_i F_ai(w) lambda_i on the 0-based axis.
 
     With f_sign = +1 this is the coefficient of the wave equation's
     phi_a'' = c phi_a, with f_sign = -1 the radicand of the action's
-    phi_a'^2.
+    phi_a'^2.  ``w`` is a float or an array of points on the axis, and the
+    result an array of its shape (0-d for a float): one Stackel row call
+    and one profile call (:func:`schrodsep.potential.profile_values`)
+    serve the whole array.  Every coefficient of the wave and action
+    paths is evaluated here.
     """
-    system = spec.system
+    row = stackel_row(spec.system, axis, w)
     profile = spec.f_profiles[axis]
-    l1, l2, l3 = lam
-
-    def rate(w: float) -> float:
-        row = stackel_row(system, axis, w)
-        f = 0.0 if profile is None else f_sign * float(profile(w))
-        return f + row[0] * l1 + row[1] * l2 + row[2] * l3
-
-    return rate
+    f = 0.0 if profile is None else f_sign * spec.f_a0(axis, w)
+    return np.broadcast_to(f + row[0] * lam[0] + row[1] * lam[1] + row[2] * lam[2], np.shape(w))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +390,9 @@ GAUSS2_X = math.sqrt(3.0) / 6.0
 
 class Trajectory(NamedTuple):
     """(phi, phi') at the nodes of a propagation, phi at the cell
-    midpoints, and the number of coefficient evaluations it took."""
+    midpoints, and ``nfev``, the number of calls it made to the
+    coefficient: two, one per set of half cells, each over an array of
+    Gauss points.  The points themselves number 4 (len(nodes) - 1)."""
 
     values: np.ndarray
     slopes: np.ndarray
@@ -418,9 +418,10 @@ def _cosh_sinhc(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(small, ch_series, ch), np.where(small, sh_series, sh)
 
 
-def _magnus_steps(coeff: Callable[[float], float], lo: np.ndarray, hi: np.ndarray):
+def _magnus_steps(coeff: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """The propagators of phi'' = c(w) phi over the steps [lo, hi], as the
-    four arrays (m00, m01, m10, m11) of the real 2x2 matrices.
+    four arrays (m00, m01, m10, m11) of the real 2x2 matrices.  ``coeff``
+    is called once, on the (2, steps) array of Gauss points.
 
     One fourth-order Magnus step each (Iserles & Norsett 1999; Blanes,
     Casas, Oteo & Ros 2009, section 4): with c1 and c2 the coefficient at
@@ -432,8 +433,7 @@ def _magnus_steps(coeff: Callable[[float], float], lo: np.ndarray, hi: np.ndarra
     """
     h = hi - lo
     centres = lo + 0.5 * h
-    c1 = np.array([coeff(w) for w in (centres - GAUSS2_X * h).tolist()])
-    c2 = np.array([coeff(w) for w in (centres + GAUSS2_X * h).tolist()])
+    c1, c2 = coeff(np.stack((centres - GAUSS2_X * h, centres + GAUSS2_X * h)))
     cbar = 0.5 * (c1 + c2)
     d = (math.sqrt(3.0) / 12.0) * h * h * (c1 - c2)
     ch, sh = _cosh_sinhc(d * d + h * h * cbar)
@@ -441,7 +441,7 @@ def _magnus_steps(coeff: Callable[[float], float], lo: np.ndarray, hi: np.ndarra
 
 
 def solve_ivp(
-    coeff: Callable[[float], float], nodes: np.ndarray, initial: tuple[complex, complex]
+    coeff: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray, initial: tuple[complex, complex]
 ) -> Trajectory:
     """Propagate (phi, phi') of phi'' = c(w) phi from nodes[0] across ``nodes``.
 
@@ -451,7 +451,8 @@ def solve_ivp(
     alike; the two halves of a cell are multiplied into one matrix before
     the pair is carried from node to node, and the first half alone gives
     phi at the midpoint.  Overflow leaves non-finite values, which the
-    caller locates.  ``nfev`` counts the coefficient evaluations;
+    caller locates.  ``coeff`` maps an array of points to the coefficient
+    at each; ``nfev`` counts its calls (two, see :class:`Trajectory`), and
     ``benchmarks/tracer.py`` sums it under this function's name.
     """
     mids = 0.5 * (nodes[:-1] + nodes[1:])
@@ -470,7 +471,7 @@ def solve_ivp(
             slopes.append(s)
         values, slopes = np.array(values), np.array(slopes)
         midpoints = l00 * values[:-1] + l01 * slopes[:-1]
-    return Trajectory(values, slopes, midpoints, 4 * len(mids))
+    return Trajectory(values, slopes, midpoints, 2)
 
 
 def solve_phi_a(
@@ -494,8 +495,8 @@ def solve_phi_a(
         raise ConfigurationError(f"initial data {initial!r} must be finite")
 
     nodes = _uniform_nodes(lo, hi)
-    coeff = _axis_rate(spec, a - 1, constants.as_tuple(), 1.0)
-    path = solve_ivp(coeff, nodes, (v0, s0))
+    lam = constants.as_tuple()
+    path = solve_ivp(lambda w: _axis_rate(spec, a - 1, lam, 1.0, w), nodes, (v0, s0))
     values, slopes, exact = path.values, path.slopes, path.midpoints
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     # every node and midpoint, in the order the propagation reaches them
@@ -620,21 +621,19 @@ LOBATTO_X = math.sqrt(3.0 / 7.0)
 LOBATTO_W = (0.1, 49.0 / 90.0, 32.0 / 45.0)
 
 
-def _cell_integrals(
-    fn: Callable[[float], float], nodes: np.ndarray, ends: np.ndarray
-) -> np.ndarray:
+def _cell_integrals(fn: Callable, nodes: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Integral of ``fn`` over each cell between consecutive ``nodes``.
 
-    ``ends`` holds ``fn`` at the nodes; :func:`hj_solve` describes the
-    rule, its error estimate and the fallback.  A cell whose estimate is
-    not finite falls back too.
+    ``ends`` holds ``fn`` at the nodes, and one call of ``fn`` on a
+    (3, cells) array gives the three inner points of every cell; the
+    fallback calls it on floats.  :func:`hj_solve` describes the rule,
+    its error estimate and the fallback.  A cell whose estimate is not
+    finite falls back too.
     """
     half = 0.5 * np.diff(nodes)
     mids = nodes[:-1] + half
     off = LOBATTO_X * half
-    centre = np.array([fn(float(w)) for w in mids])
-    left = np.array([fn(float(w)) for w in mids - off])
-    right = np.array([fn(float(w)) for w in mids + off])
+    left, centre, right = fn(np.stack((mids - off, mids, mids + off)))
     outer = ends[:-1] + ends[1:]
     lobatto = half * (LOBATTO_W[0] * outer + LOBATTO_W[1] * (left + right) + LOBATTO_W[2] * centre)
     simpson = half / 3.0 * (outer + 4.0 * centre)
@@ -657,7 +656,9 @@ def hj_solve(
 
     Each spatial term solves phi_a' = sign_a sqrt(-F_a0 + F_ai lambda_i);
     the radicand is screened on a fine grid first and a sign change is a
-    turning point, which the separated action cannot cross.
+    turning point, which the separated action cannot cross.  The screen,
+    the node speeds and the inner points of the cells are one radicand
+    call each per axis.
 
     The speed sqrt(...) is evaluated once at every Hermite node; those
     values are the stored slopes and the ends of a five-point
@@ -680,29 +681,30 @@ def hj_solve(
         raise ConfigurationError(f"branch signs must be three values of +-1, got {signs!r}")
     phi0 = HJTemporal._over(spec, constants, t_range, anchor)
     bounds = [_check_axis_range(spec, a, ranges[a - 1]) for a in (1, 2, 3)]
+    lam = constants.as_tuple()
     terms = []
-    for a, (lo, hi) in zip((1, 2, 3), bounds):
-        radicand = _axis_rate(spec, a - 1, constants.as_tuple(), -1.0)
-        grid = np.linspace(lo, hi, RADICAND_GRID)
-        rad = np.array([radicand(float(w)) for w in grid])
-        if np.any(rad < 0.0):
-            first = float(grid[np.argmax(rad < 0.0)])
-            raise TurningPointError(
-                f"radicand negative on axis {a} near omega={first:.6g}",
-                axis=a,
-                omega=first,
-            )
+    # a non-finite radicand ends in a typed error below, not in a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, (lo, hi) in zip((1, 2, 3), bounds):
+            grid = np.linspace(lo, hi, RADICAND_GRID)
+            rad = _axis_rate(spec, a - 1, lam, -1.0, grid)
+            if np.any(rad < 0.0):
+                first = float(grid[np.argmax(rad < 0.0)])
+                raise TurningPointError(
+                    f"radicand negative on axis {a} near omega={first:.6g}",
+                    axis=a,
+                    omega=first,
+                )
 
-        def speed(w: float, radicand=radicand) -> float:
-            return math.sqrt(max(radicand(w), 0.0))
+            def speed(w, axis=a - 1):
+                return np.sqrt(np.maximum(_axis_rate(spec, axis, lam, -1.0, w), 0.0))
 
-        nodes = _uniform_nodes(lo, hi)
-        ends = np.array([speed(float(w)) for w in nodes])
-        values = np.zeros(len(nodes))
-        np.cumsum(_cell_integrals(speed, nodes, ends), out=values[1:])
-        sgn = float(signs[a - 1])
-        slopes = sgn * ends
-        terms.append(AxisInterpolant(axis=a, nodes=nodes, values=sgn * values, slopes=slopes))
+            nodes = _uniform_nodes(lo, hi)
+            ends = speed(nodes)
+            values = np.zeros(len(nodes))
+            np.cumsum(_cell_integrals(speed, nodes, ends), out=values[1:])
+            sgn = float(signs[a - 1])
+            terms.append(AxisInterpolant(a, nodes, sgn * values, sgn * ends))
 
     return HJAction(spec, constants, phi0, tuple(terms), signs)
 

@@ -12,7 +12,9 @@ Separation rests on three ingredients, evaluated here for every chart:
 
 The per-chart rows and the map giving J live in the chart records of
 :mod:`schrodsep.coords`; this module adds the axis and domain checks, the
-time functions and the metric.  The three are tied together by the
+time functions and the metric.  A row is evaluated at one coordinate or
+over a whole grid of them in one call (:func:`stackel_row`); the metric
+and the full matrix are per point.  The three are tied together by the
 relation
 
     sum_i F[i][j](omega_i) / R_i^2  =  T_j(t),   j = 1, 2, 3,
@@ -31,12 +33,15 @@ from .errors import ConfigurationError, SingularityError
 from .frame import FrameSpec
 
 
-def stackel_row(system: CoordinateSystem, axis: int, w: float) -> tuple[float, float, float]:
-    """Row ``axis`` (0-based) of the Stackel matrix, evaluated at omega value ``w``.
+def stackel_row(system: CoordinateSystem, axis: int, w) -> tuple:
+    """Row ``axis`` (0-based) of the Stackel matrix at omega value ``w``.
 
-    Row ``axis`` is a function of omega_{axis+1} alone, so a single scalar
-    argument suffices; this is what makes the one-dimensional separated
-    ODEs possible in the first place.
+    Row ``axis`` is a function of omega_{axis+1} alone, so a single
+    coordinate suffices; this is what makes the one-dimensional separated
+    ODEs possible in the first place.  ``w`` is a float or a float array
+    (a grid along the axis); each of the three entries is then a number or
+    an array of w's shape, and an entry that does not vary along the axis
+    stays a constant that broadcasts against it.  No domain check.
     """
     if axis not in (0, 1, 2):
         raise ConfigurationError(f"axis must be 0, 1 or 2, got {axis!r}")

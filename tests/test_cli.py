@@ -485,3 +485,15 @@ def test_extreme_scenario_numbers_end_in_an_exit_code(
     with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet), np.errstate(all="ignore"):
         code = main([command, "--scenario", str(scen), "--out", str(tmp / "out")])
     assert code in (0, 1, 2, 3)
+
+
+def test_scenario_axis_profiles_take_arrays(tmp_path):
+    doc = read_json(SCENARIOS / "audit_cartesian.json")
+    doc["potential"]["f10"] = {"type": "polynomial", "coeffs": [0.5, -1.0, 2.0]}
+    doc["potential"]["f20"] = {"type": "constant", "value": 0.25}
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps(doc))
+    f10, f20, _ = load_scenario(path).spec.f_profiles
+    w = np.linspace(-1.0, 1.0, 7)
+    np.testing.assert_array_equal(f10(w), [f10(float(v)) for v in w])
+    assert f20(w) == 0.25  # a number broadcasts against the grid

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from schrodsep.elliptic import complete_K, jacobi, modulus
+from schrodsep.elliptic import _landen_scheme, complete_K, jacobi, jacobi_array, modulus
 from schrodsep.errors import DomainError
 
 # Frozen oracle values.  Computed once by arithmetic-geometric-mean
@@ -111,3 +111,54 @@ def test_jacobi_against_scipy():
         assert sn == pytest.approx(rs, abs=2e-13)
         assert cn == pytest.approx(rc, abs=2e-13)
         assert dn == pytest.approx(rd, abs=2e-13)
+
+
+@pytest.mark.parametrize("k", [0.0, 1e-15, 0.3, 0.8, 0.999999, 1.0])
+def test_jacobi_array_matches_scalar(k):
+    # Over four quarter periods (k = 1 has none; it borrows those of
+    # 0.999999) the amplitude am(u) spans [-2 pi, 2 pi].  The twin runs the
+    # same descent, and numpy's asin may round the last bit differently
+    # from math's, which moves the amplitude by about an ulp; 4 ulp of it
+    # bound the difference in sn, cn and dn.
+    K = complete_K(min(k, 0.999999))
+    u = np.linspace(-4.0 * K, 4.0 * K, 2001)
+    got = np.array(jacobi_array(u, k))
+    want = np.array([jacobi(float(v), k) for v in u]).T
+    assert got.shape == want.shape == (3, 2001)
+    assert np.max(np.abs(got - want)) <= 4 * np.spacing(2.0 * math.pi)
+    # a float gives 0-d results, a grid keeps its shape
+    assert np.shape(jacobi_array(0.4, k)[0]) == ()
+    assert np.shape(jacobi_array(u.reshape(3, 667), k)[2]) == (3, 667)
+
+
+def test_jacobi_array_degenerate_branches_are_exact():
+    u = np.linspace(-3.0, 3.0, 41)
+    sn, cn, dn = jacobi_array(u, 1e-15)
+    np.testing.assert_array_equal(sn, np.sin(u))
+    np.testing.assert_array_equal(dn, np.ones_like(u))
+    sn, cn, dn = jacobi_array(u, 1.0)
+    np.testing.assert_array_equal(sn, np.tanh(u))
+    np.testing.assert_array_equal(cn, dn)
+
+
+@pytest.mark.parametrize("k", [-0.1, 1.5, math.nan])
+def test_jacobi_array_rejects_bad_modulus(k):
+    with pytest.raises(DomainError):
+        jacobi_array(np.zeros(3), k)
+
+
+@pytest.mark.parametrize("k", [0.6, 0.8])
+def test_landen_descent_stops_when_the_sequence_stalls(k):
+    # For these moduli a_n and b_n end a rounding unit apart and c_n stays
+    # at about 5.6e-17 instead of vanishing; the descent stops there, not
+    # at the AGM_CAP of 32 levels, and loses nothing.
+    mpmath = pytest.importorskip("mpmath")
+    aa, cc = _landen_scheme(k)
+    assert len(aa) - 1 <= 6
+    assert abs(cc[-1]) <= np.spacing(aa[-1])
+    with mpmath.workdps(40):
+        for u in np.linspace(-4.0, 4.0, 17):
+            got = jacobi(float(u), k)
+            for value, kind in zip(got, ("sn", "cn", "dn")):
+                exact = mpmath.ellipfun(kind, float(u), k=k)
+                assert abs(value - float(exact)) <= 2 * np.spacing(4.0)

@@ -26,6 +26,7 @@ from schrodsep.potential import (
     magnetic_field,
     magnetic_spec,
     phase_factor_S,
+    profile_values,
     t0_profile,
     vector_divergence,
     vector_potential,
@@ -284,6 +285,55 @@ def test_electrostatic_overflow_at_extreme_finite_input_is_typed():
         spec = electrostatic_spec(make_system("cartesian"), frame)
         with pytest.raises(DomainError, match="overflow"), np.errstate(over="ignore"):
             vector_potential(spec, 0.5, x)
+
+
+@pytest.mark.parametrize("translated", [True, False], ids=["far_translation", "far_point"])
+def test_magnetic_overflow_at_extreme_finite_input_is_typed(translated):
+    # |eA|^2 leaves the float range, from the translation w1 or from x
+    # itself; A0 used to come back as -inf with only a RuntimeWarning.
+    kwargs = {"w1": constant(1e200)} if translated else {}
+    frame = make_frame("complete", alpha=polynomial([0.0, 0.5]), **kwargs)
+    spec = magnetic_spec(make_system("cartesian"), frame)
+    x = (1.0, 0.0, 0.0) if translated else (1e200, 0.0, 0.0)
+    with pytest.raises(DomainError, match="magnetic potential overflows"):
+        with np.errstate(over="ignore"):
+            vector_potential(spec, 0.5, x)
+
+
+def test_coulomb_overflow_at_extreme_finite_input_is_typed():
+    spec = coulomb_spec("spherical", q=1.0, alpha=polynomial([0.0, 0.5]))
+    with pytest.raises(DomainError, match="coulomb potential overflows"):
+        with np.errstate(over="ignore"):
+            vector_potential(spec, 0.5, (1e200, 0.0, 0.0))
+
+
+def test_profile_values_takes_floats_and_arrays():
+    w = np.linspace(0.5, 1.5, 12).reshape(3, 4)
+    assert profile_values(lambda v: 2.0 * v, 0.25) == 0.5
+    np.testing.assert_array_equal(profile_values(lambda v: 2.0 * v, w), 2.0 * w)
+    assert profile_values(lambda v: 3.0, w) == 3.0  # a constant broadcasts
+    # a callable that takes floats only is called per element
+    np.testing.assert_array_equal(
+        profile_values(lambda v: math.exp(v), w), np.vectorize(math.exp)(w))
+
+
+@pytest.mark.parametrize(
+    "profile", [lambda v: np.ones(3), lambda v: v[:-1], lambda v: np.exp(1j * v), lambda v: "x"],
+    ids=["wrong_length", "short", "complex", "text"])
+def test_profile_values_rejects_other_results(profile):
+    with pytest.raises(ConfigurationError, match="axis profile"):
+        profile_values(profile, np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("chart", list(CoulombSystem))
+def test_builtin_profiles_take_arrays(chart):
+    spec = coulomb_spec(chart, q=1.7, k=K_MOD if chart is CoulombSystem.CONICAL else None)
+    w = np.linspace(0.6, 1.4, 9)
+    for p in spec.f_profiles:
+        if p is not None:
+            got = p(w)
+            assert got.shape == w.shape
+            np.testing.assert_allclose(got, [p(float(v)) for v in w], rtol=1e-15, atol=0.0)
 
 
 def test_phase_gradient_matches_frame_flow():

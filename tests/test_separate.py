@@ -13,6 +13,7 @@ from scipy.special import airy
 
 from schrodsep.cli import load_scenario
 from schrodsep.coords import make_system, sample_domain
+from schrodsep.elliptic import jacobi
 from schrodsep.errors import (
     ConfigurationError,
     DomainError,
@@ -26,6 +27,7 @@ from schrodsep.potential import coulomb_spec, electrostatic_spec, magnetic_spec,
 from schrodsep.separate import (
     MEMO_SIZE,
     QUAD_LIMIT,
+    RADICAND_GRID,
     AxisInterpolant,
     HJTemporal,
     QKind,
@@ -39,6 +41,7 @@ from schrodsep.separate import (
     quad,
     read_interpolant_csv,
     separate,
+    solve_ivp,
     solve_phi0,
     solve_phi_a,
     write_interpolant_csv,
@@ -653,3 +656,103 @@ def test_interpolant_csv_round_trip_is_bitwise():
     assert back.nodes.tobytes() == nodes.tobytes()
     assert back.values.tobytes() == values.tobytes()
     assert back.slopes.tobytes() == slopes.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Coefficient grids: each set of points is one coefficient call
+
+
+@pytest.fixture
+def rate_calls(monkeypatch):
+    """(axis, f_sign, number of points) of every coefficient evaluation."""
+    module = importlib.import_module("schrodsep.separate")
+    calls = []
+    real = module._axis_rate
+
+    def counted(spec, axis, lam, f_sign, w):
+        calls.append((axis, f_sign, int(np.size(w))))
+        return real(spec, axis, lam, f_sign, w)
+
+    monkeypatch.setattr(module, "_axis_rate", counted)
+    return calls
+
+
+def test_solve_ivp_makes_two_coefficient_calls_on_four_points_per_cell():
+    nodes = _uniform_nodes(0.0, 0.25)
+    shapes = []
+
+    def coeff(w):
+        shapes.append(np.shape(w))
+        return np.full(np.shape(w), -4.0)
+
+    path = solve_ivp(coeff, nodes, (1.0, 0.0))
+    cells = len(nodes) - 1
+    assert path.nfev == len(shapes) == 2
+    assert shapes == [(2, cells), (2, cells)]
+    np.testing.assert_allclose(path.values.real, np.cos(2.0 * nodes), rtol=0.0, atol=1e-12)
+
+
+def test_solve_phi_a_sees_four_points_per_cell(rate_calls):
+    phi = solve_phi_a(coulomb_spec("spherical", q=1.0), 1, SeparationConstants(1.0, 0.5, 0.0),
+                      (0.6, 1.4))
+    cells = len(phi.nodes) - 1
+    assert rate_calls == [(0, 1.0, 2 * cells), (0, 1.0, 2 * cells)]
+
+
+def test_hj_radicand_is_one_call_per_point_set(rate_calls, quad_calls):
+    spec, constants, ranges, signs = _hj_scenario("hj_coulomb_spherical")
+    action = hj_solve(spec, constants, ranges, signs, t_range=(-1.0, 1.0))
+    assert quad_calls == []  # no cell fell back
+    for axis, term in enumerate(action.terms):
+        n = len(term.nodes)
+        # the turning-point screen, the node speeds, the three inner
+        # Lobatto points of every cell
+        sizes = [size for a, sign, size in rate_calls if a == axis and sign == -1.0]
+        assert sizes == [RADICAND_GRID, n, 3 * (n - 1)]
+    assert len(rate_calls) == 9
+
+
+def test_conical_separation_leaves_the_jacobi_cache_alone():
+    # The Stackel rows evaluate jacobi over the whole grid without its
+    # cache, so Newton's entries are not evicted.
+    spec = coulomb_spec("conical", q=1.0, k=0.8)
+    before = jacobi.cache_info()
+    separate(spec, SeparationConstants(2.0, 0.5, 0.3),
+             omega_ranges=((0.6, 1.4), (0.4, 1.4), (0.3, 1.3)), t_range=(-1.0, 1.0))
+    after = jacobi.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def _profile_pair():
+    """One axis profile twice: math on floats only, and numpy."""
+    return (lambda w: math.exp(-w) * math.sin(3.0 * w) + 0.5 * w * w,
+            lambda w: np.exp(-w) * np.sin(3.0 * w) + 0.5 * w * w)
+
+
+def _relative_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def test_math_only_profile_separates_like_its_numpy_twin():
+    frame = identity_frame("complete")
+    cart = make_system("cartesian")
+    scalar, vector = (magnetic_spec(cart, frame, f10=p, f30=p) for p in _profile_pair())
+    lam = SeparationConstants(1.0, 0.5, 2.0)
+    ranges = ((0.0, 1.0),) * 3
+    for run in (
+        lambda spec: separate(spec, lam, omega_ranges=ranges, t_range=(-1.0, 1.0)).factors,
+        lambda spec: hj_solve(spec, lam, ranges, t_range=(-1.0, 1.0)).terms,
+    ):
+        for got, want in zip(run(scalar), run(vector)):
+            assert _relative_gap(got.values, want.values) <= 1e-15
+            assert _relative_gap(got.slopes, want.slopes) <= 1e-15
+
+
+def test_profile_of_the_wrong_length_is_configuration_error():
+    spec = magnetic_spec(make_system("cartesian"), identity_frame("complete"),
+                         f20=lambda w: np.ones(7))
+    lam = SeparationConstants(1.0, 1.0, 1.0)
+    with pytest.raises(ConfigurationError, match="axis profile"):
+        separate(spec, lam, omega_ranges=((0.0, 1.0),) * 3, t_range=(-1.0, 1.0))
+    with pytest.raises(ConfigurationError, match="axis profile"):
+        hj_solve(spec, lam, ((0.0, 1.0),) * 3, t_range=(-1.0, 1.0))
