@@ -4,18 +4,18 @@ Everything here uses the *modulus* convention: arguments named ``k`` are the
 modulus, not the parameter m = k**2.  The complementary modulus is
 k' = sqrt(1 - k**2).
 
-K(k) comes from the arithmetic-geometric mean,
+Both come from one descending Landen (Gauss) transformation: build the
+AGM sequences a_n, b_n, c_n, take K from their last mean a_N,
 
-    K(k) = pi / (2 * agm(1, k')),
+    K(k) = pi / (2 * agm(1, k')) = pi / (2 * a_N),
 
-and sn/cn/dn from the descending Landen (Gauss) transformation: build the
-AGM sequences a_n, b_n, c_n, set phi_N = 2**N * a_N * u, then recover the
-amplitude through
+set phi_N = 2**N * a_N * u for sn/cn/dn, then recover the amplitude
+through
 
     phi_{n-1} = (phi_n + asin((c_n / a_n) * sin(phi_n))) / 2,
 
 with sn = sin(phi_0), cn = cos(phi_0) and dn = sqrt(1 - k**2 * sn**2).
-Both iterations converge quadratically; the iteration count is capped.
+The iteration converges quadratically; its count is capped.
 :func:`jacobi` runs the descent on one float, :func:`jacobi_array` on
 every element of an array at once (DLMF 22.20).
 
@@ -53,13 +53,7 @@ def complete_K(k: float) -> float:
     """
     if not 0.0 <= k < 1.0:
         raise DomainError(f"modulus must satisfy 0 <= k < 1, got {k!r}")
-    a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
-    for _ in range(AGM_CAP):
-        if abs(a - b) <= _AGM_STOP * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return math.pi / (2.0 * _landen_scheme(k)[0][-1])
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ Separation rests on three ingredients, evaluated here for every chart:
 The per-chart rows and the map giving J live in the chart records of
 :mod:`schrodsep.coords`; this module adds the axis and domain checks, the
 time functions and the metric.  A row is evaluated at one coordinate or
-over a whole grid of them in one call (:func:`stackel_row`); the metric
-and the full matrix are per point.  The three are tied together by the
-relation
+over a whole grid of them in one call (:func:`stackel_row`), the full
+matrix at one point or a stack of them (:func:`stackel_values`), and the
+metric at one point.  The three are tied together by the relation
 
     sum_i F[i][j](omega_i) / R_i^2  =  T_j(t),   j = 1, 2, 3,
 
@@ -49,9 +49,17 @@ def stackel_row(system: CoordinateSystem, axis: int, w) -> tuple:
 
 
 def stackel_values(system: CoordinateSystem, omega) -> np.ndarray:
-    """The full 3x3 Stackel matrix at omega; entry (i, j) = F_ij(omega_i)."""
-    check_domain(system, omega)
-    return np.array([stackel_row(system, i, float(omega[i])) for i in range(3)])
+    """The full Stackel matrix, entry (i, j) = F_ij(omega_i), at one point
+    (shape (3,), giving 3x3) or at each of a stack of points (shape (n, 3),
+    giving (n, 3, 3)); one :func:`stackel_row` call per row either way."""
+    w = np.asarray(omega, dtype=float)
+    for point in w.reshape(-1, 3):
+        check_domain(system, point)
+    F = np.empty(w.shape[:-1] + (3, 3))
+    for i in range(3):
+        for j, entry in enumerate(stackel_row(system, i, w[..., i])):
+            F[..., i, j] = entry
+    return F
 
 
 def t_functions(system: CoordinateSystem, frame: FrameSpec, t: float) -> tuple[float, float, float]:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .coords import invert, jacobian, sample_domain
+from .coords import forward, invert, sample_domain
 from .errors import NumericError, StencilError, check_range
 from .frame import embed, omega_gradients, rotation_matrix, unembed
 from .potential import PotentialSpec, vector_divergence, vector_potential
@@ -357,31 +357,31 @@ _HARMONICITY_TOP = 16.0
 _HARMONICITY_FLOOR = 2.0 / 512.0
 
 
-def _harmonicity_estimate(system, frame, t, omega, x, base_h):
+def _harmonicity_estimate(system, center, z, to_chart, base_h):
     """max_a |lap omega_a| by central stencils, best over a step ladder.
 
-    The true value is zero for an intact chart, so the reported number is
+    The stencil lives in chart space, centred on z, the image of the sample
+    omega = ``center``: a step s along x_a is the step s * to_chart[:, a] in
+    z, with to_chart = H^-1 T^T the inverse of the frame's linear part.  The
+    true value is zero for an intact chart, so the reported number is
     whichever of truncation or inversion noise dominates locally, while a
-    genuine defect stays O(1) at every step.  Starting from a mid-sized
-    step the ladder is walked outward in both directions, dyadically:
-    larger steps win on near-linear charts (truncation vanishes, node
-    noise is divided by a bigger h^2), smaller steps win where a sixth
-    derivative is locally huge.  Rungs share stencil nodes through one
-    cache (the rung at step m uses offsets +-m and +-2m).  Growing stops
-    at the first rung that fails to improve once the estimate is out of
-    the noise plateau; shrinking stops at the first rise, because on
-    that side node noise grows steadily as the step falls.
+    genuine defect stays O(1) at every step.  Starting from a mid-sized step
+    the ladder is walked outward in both directions, dyadically: larger
+    steps win on near-linear charts (truncation vanishes, node noise is
+    divided by a bigger h^2), smaller steps win where a sixth derivative is
+    locally huge.  Rungs share stencil nodes through one cache (the rung at
+    step m uses offsets +-m and +-2m).  Growing stops at the first rung that
+    fails to improve once the estimate is out of the noise plateau;
+    shrinking stops at the first rise, because on that side node noise grows
+    steadily as the step falls.
     """
-    center = np.asarray(omega, dtype=float)
     nodes: dict[tuple[int, float], np.ndarray | None] = {}
     last: dict[tuple[int, bool], tuple[float, np.ndarray]] = {}
 
     def node(axis: int, offset: float):
         key = (axis, offset)
         if key not in nodes:
-            p = np.array(x, dtype=float)
-            p[axis] += offset * base_h
-            z = unembed(frame, t, p)
+            target = z + offset * base_h * to_chart[:, axis]
             prev = last.get((axis, offset > 0.0))
             guesses = [center]
             if prev is not None:
@@ -391,7 +391,7 @@ def _harmonicity_estimate(system, frame, t, omega, x, base_h):
             result = None
             for guess in guesses:
                 try:
-                    result = invert(system, z, guess)
+                    result = invert(system, target, guess)
                 except NumericError:
                     continue
                 last[(axis, offset > 0.0)] = (offset, result)
@@ -451,35 +451,37 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
 
     Four channels per sample: gradient orthogonality, the defining
     relation between the coefficient table and the time functions, the
-    harmonicity of each coordinate (finite differences), and agreement
-    of the metric coefficients with the column norms of the rotated,
-    scaled Jacobian T H J (``colnorm``: the metric's use of the per-axis
-    frame scales, with the rotation T dropped).  Violations are data,
-    not errors.  Harmonicity is the only channel that relies on
-    numerical differentiation; it is reported only where the local map
-    is well enough conditioned for the stencil to resolve it.
+    harmonicity of each coordinate (finite differences), and the metric
+    against the gradients (``colnorm``: max_a |R_a^2 |grad omega_a|^2 - 1|,
+    the metric the potentials divide by against the inverse of the
+    embedded Jacobian T H J).  Violations are data, not errors.  Positions
+    and stencil targets come from the frame evaluated once, at t, and the
+    Stackel rows from one call for all samples.  Harmonicity, the only
+    finite-difference channel, is reported only where the singular values
+    1 / |grad omega_a| of T H J lie in the window the stencil resolves.
     """
     records = []
     samples = sample_domain(system, seed=seed, n=n_samples)
     hx = DEFAULT_STEPS[1]
     rot = rotation_matrix(frame, t)
-    h_scales = np.asarray(frame.scales(t))
-    for idx, omega in enumerate(samples):
-        x = embed(system, frame, t, omega)
+    h = np.array(frame.scales(t))
+    w = frame.translation(t)
+    to_chart = rot.T / h[:, None]
+    T = t_functions(system, frame, t)
+    rows = stackel_values(system, samples)
+    for idx, (omega, F) in enumerate(zip(samples, rows)):
+        z = forward(system, omega)
+        x = rot @ (h * z) + w
 
         grads = omega_gradients(system, frame, t, omega)
         norms = np.linalg.norm(grads, axis=1)
-        worst_dot = 0.0
-        for i in range(3):
-            for j in range(i + 1, 3):
-                worst_dot = max(
-                    worst_dot, abs(float(grads[i] @ grads[j])) / (norms[i] * norms[j])
-                )
+        worst_dot = max(
+            abs(float(grads[i] @ grads[j])) / (norms[i] * norms[j])
+            for i, j in ((0, 1), (0, 2), (1, 2))
+        )
         records.append(_record(idx, "orthogonality", t, x, worst_dot, 1.0))
 
-        F = stackel_values(system, omega)
         g2 = norms**2
-        T = t_functions(system, frame, t)
         worst_rel = 0.0
         for j in range(3):
             terms = [F[i][j] * g2[i] for i in range(3)]
@@ -488,18 +490,13 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
         records.append(_record(idx, "stackel", t, x, worst_rel, 1.0))
 
         R2 = metric_r_squared(system, frame, t, omega)
-        J = jacobian(system, omega)
-        cols = rot @ (h_scales[:, None] * J)
-        worst_col = 0.0
-        for i in range(3):
-            got = float(cols[:, i] @ cols[:, i])
-            worst_col = max(worst_col, abs(got - R2[i]) / abs(R2[i]))
+        worst_col = max(abs(R2[a] * g2[a] - 1.0) for a in range(3))
         records.append(_record(idx, "colnorm", t, x, worst_col, 1.0))
 
-        sigma = np.linalg.svd(cols, compute_uv=False)
-        if HARMONICITY_SIGMA_MIN <= sigma[-1] and sigma[0] <= HARMONICITY_SIGMA_MAX:
+        sigma = 1.0 / norms
+        if HARMONICITY_SIGMA_MIN <= sigma.min() and sigma.max() <= HARMONICITY_SIGMA_MAX:
             value = _harmonicity_estimate(
-                system, frame, t, omega, x, hx * (1.0 + float(np.linalg.norm(x)))
+                system, omega, z, to_chart, hx * (1.0 + float(np.linalg.norm(x)))
             )
             if value is not None:
                 records.append(_record(idx, "harmonicity", t, x, value, 1.0))

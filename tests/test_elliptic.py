@@ -37,6 +37,18 @@ def test_complete_k_against_scipy():
         )
 
 
+def test_complete_k_against_mpmath_where_the_mean_stalls():
+    # K is pi / (2 a_N) with a_N the last mean of the Landen sequence; for
+    # about a quarter of all moduli, 0.6 and 0.8 among them, a_N and b_N
+    # end a rounding unit apart, and K must still be right to a few ulp.
+    mpmath = pytest.importorskip("mpmath")
+    ks = [0.6, 0.8, *np.random.default_rng(4).uniform(0.0, 0.999, 60)]
+    with mpmath.workdps(40):
+        for k in ks:
+            exact = float(mpmath.ellipk(mpmath.mpf(float(k)) ** 2))
+            assert abs(complete_K(float(k)) - exact) <= 2 * np.spacing(exact), k
+
+
 @pytest.mark.parametrize("k", [-0.1, 1.0, 1.5, math.inf, math.nan])
 def test_complete_k_rejects_bad_modulus(k):
     with pytest.raises(DomainError):

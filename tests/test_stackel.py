@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import schrodsep.stackel
 from schrodsep import coords
 from schrodsep.coords import all_system_ids, jacobian, make_system, sample_domain
 from schrodsep.elliptic import modulus
@@ -86,6 +87,30 @@ def test_stackel_row_locality():
                 mixed = w2.copy()
                 mixed[i] = w[i]
                 np.testing.assert_array_equal(stackel_values(s, mixed)[i], F0[i])
+
+
+@pytest.mark.parametrize("name", all_system_ids())
+def test_stackel_values_on_a_stack(name, monkeypatch):
+    # one row call per axis for the whole stack, each matrix the one at its
+    # point to a few ulp: numpy squares an array but raises a float to the
+    # power 2 through pow, and a row may take the fourth power
+    s = build(name)
+    w = sample_domain(s, seed=3, n=40)
+    calls = []
+
+    def counted(system, axis, v):
+        calls.append(axis)
+        return stackel_row(system, axis, v)
+
+    monkeypatch.setattr(schrodsep.stackel, "stackel_row", counted)
+    F = stackel_values(s, w)
+    assert calls == [0, 1, 2] and F.shape == (40, 3, 3)
+    for point, matrix in zip(w, F):
+        np.testing.assert_allclose(matrix, stackel_values(s, point), rtol=1e-15, atol=0)
+    bad = w.copy()
+    bad[7, 0] = s.domain[0].lo - 1.0 if math.isfinite(s.domain[0].lo) else math.nan
+    with pytest.raises(DomainError):
+        stackel_values(s, bad)
 
 
 def test_stackel_row_rejects_bad_axis():

@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 
 import schrodsep.stackel
+import schrodsep.verify
 from schrodsep.coords import SystemId, all_system_ids, make_system
 from schrodsep.errors import ConfigurationError, NumericError, StencilError
-from schrodsep.frame import TimeProfile, constant, make_frame, polynomial, sinusoid
+from schrodsep.frame import (
+    TimeProfile,
+    constant,
+    make_frame,
+    polynomial,
+    rotation_matrix,
+    sinusoid,
+)
 from schrodsep.potential import coulomb_spec, electrostatic_spec, magnetic_spec, vector_potential
 from schrodsep.separate import (
     SeparationConstants,
@@ -434,3 +442,53 @@ def test_audit_detects_corrupted_stackel_entry(monkeypatch):
     # the defect is isolated: the chart itself is untouched
     assert channel_max(rep, "orthogonality") < 1e-9
     assert channel_max(rep, "colnorm") < 1e-9
+
+
+def test_audit_colnorm_detects_a_metric_defect(monkeypatch):
+    original = schrodsep.verify.metric_r_squared
+
+    def scaled(system, frame, t, omega):
+        r1, r2, r3 = original(system, frame, t, omega)
+        return (r1, r2 * (1.0 + 1e-6), r3)
+
+    monkeypatch.setattr(schrodsep.verify, "metric_r_squared", scaled)
+    rep = geometry_audit(make_system("spherical"), wiggly_frame("nonsplit"), 0.37, 20, seed=5)
+    assert channel_max(rep, "colnorm") >= 1e-7
+    # the gradients and the Stackel relation do not see the metric
+    assert channel_max(rep, "orthogonality") < 1e-9
+    assert channel_max(rep, "stackel") < 1e-9
+
+
+def test_audit_needs_no_per_node_frame_evaluation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit inverted the frame at a stencil node")
+
+    monkeypatch.setattr(schrodsep.verify, "unembed", refuse)
+    rep = geometry_audit(make_system("spherical"), wiggly_frame("nonsplit"), 0.37, 20, seed=5)
+    for ch in ("orthogonality", "stackel", "colnorm", "harmonicity"):
+        assert any(r.channel == ch for r in rep.records), ch
+    assert channel_max(rep, "harmonicity") < 1e-5
+
+
+def test_audit_stencil_steps_along_the_cartesian_axes(monkeypatch):
+    # Harmonicity cannot tell a wrong stencil basis: a harmonic coordinate
+    # has zero Laplacian in any orthonormal basis, and under a split-class
+    # frame mostly in the skewed ones too.  So check the geometry itself:
+    # every Newton target, mapped back to x, is the sample plus a step
+    # along one Cartesian axis.
+    system, frame, t = make_system("cartesian"), wiggly_frame("complete"), 0.37
+    rot, h, w = rotation_matrix(frame, t), np.array(frame.scales(t)), frame.translation(t)
+    original = schrodsep.verify.invert
+    targets = []
+
+    def recording(system_, z, guess):
+        targets.append(np.array(z))
+        return original(system_, z, guess)
+
+    monkeypatch.setattr(schrodsep.verify, "invert", recording)
+    rep = geometry_audit(system, frame, t, 1, seed=5)
+    [centre] = [np.array(r.x) for r in rep.records if r.channel == "harmonicity"]
+    assert len(targets) >= 12
+    for z in targets:
+        d = np.abs(rot @ (h * z) + w - centre)
+        assert np.sort(d)[1] <= 1e-13 * (1.0 + np.abs(centre).max()) < d.max()
