@@ -17,8 +17,10 @@ combined with time-dependent scale factors:
 
 Everything known about a chart sits in its one :class:`Chart` record in
 ``_CHARTS``: split class, parameters, domain, the map giving z and its
-Jacobian together, and Stackel rows.  The map is scalar ``math``, since
-Newton calls it once per point; the rows are numpy functions of their
+Jacobian together, and Stackel rows.  The map is written once, in scalar
+``math`` for the per-point callers; the record also holds the same body
+evaluated over numpy arrays, which the batched Newton inversion
+(:func:`invert_batch`) uses.  The rows are numpy functions of their
 coordinate, so one call evaluates a row over a whole grid.  The metric is
 not stored: it is the squared column norms of that Jacobian under the
 frame scales (:func:`schrodsep.stackel.metric_r_squared`).  A chart is
@@ -34,6 +36,7 @@ samplers and the Newton clamp.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -117,15 +120,20 @@ class Chart:
     * ``map(s, w1, w2, w3)`` - (z, J) at three floats, in scalar ``math``:
       z as a tuple and the rows J[a][i] = d z_a / d omega_i, sharing their
       intermediate values;
+    * ``array_map(s, w1, w2, w3)`` - the same, at three float arrays of one
+      shape: the body of ``map`` with ``math`` bound to numpy and
+      ``jacobi`` to :func:`schrodsep.elliptic.jacobi_array`, so each entry
+      is an array of that shape or a constant that broadcasts against it;
+      derived on construction, not written;
     * ``rows[i](s, w)`` - Stackel row i at omega_{i+1} = w, a float or a
       float array, in numpy: three entries, each an array of w's shape or
       a constant that broadcasts against it.
 
     The metric is derived, not stored: R_i^2 is the squared norm of column
-    i of J under the frame scales.  The map looks up this module's
+    i of J under the frame scales.  ``map`` looks up this module's
     ``math`` and ``jacobi`` at call time, so it can be evaluated in
-    another arithmetic by swapping those two names; the rows use ``np``
-    and :func:`schrodsep.elliptic.jacobi_array`.
+    another arithmetic by swapping those two names; ``array_map`` and the
+    rows use ``np`` and :func:`schrodsep.elliptic.jacobi_array`.
     """
 
     split_class: SplitClass
@@ -135,6 +143,10 @@ class Chart:
     uses_a: bool = False
     uses_k: bool = False
     base: bool = True
+    array_map: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "array_map", _over_arrays(self.map))
 
 
 @dataclass(frozen=True)
@@ -256,9 +268,9 @@ def sample_domain(system: CoordinateSystem, seed: int, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the charts: map (z and Jacobian, scalar math) and Stackel rows (numpy,
-# float or array) of each, with no domain checks, then the table that
-# collects them
+# the charts: map (z and Jacobian, written in scalar math) and Stackel rows
+# (numpy, float or array) of each, with no domain checks, then the table
+# that collects them
 # ---------------------------------------------------------------------------
 
 _R = AxisInterval(-_INF, _INF)
@@ -367,22 +379,26 @@ def _map_spheroidal(s, w1, w2, w3, shift):
 
 
 def _row1_prolate(s, w):
-    cs2 = 1.0 / (np.sinh(w) ** 2)
+    sh = np.sinh(w)
+    cs2 = 1.0 / (sh * sh)
     return (s.a * s.a * cs2 * cs2, -cs2, -1.0)
 
 
 def _row2_prolate(s, w):
-    se2 = 1.0 / (np.cosh(w) ** 2)
+    ch = np.cosh(w)
+    se2 = 1.0 / (ch * ch)
     return (s.a * s.a * se2 * se2, se2, -1.0)
 
 
 def _row1_oblate(s, w):
-    cs2 = 1.0 / (np.sin(w) ** 2)
+    sn = np.sin(w)
+    cs2 = 1.0 / (sn * sn)
     return (s.a * s.a * cs2 * cs2, -cs2, 1.0)
 
 
 def _row2_oblate(s, w):
-    se2 = 1.0 / (np.cosh(w) ** 2)
+    ch = np.cosh(w)
+    se2 = 1.0 / (ch * ch)
     return (-s.a * s.a * se2 * se2, se2, -1.0)
 
 
@@ -466,7 +482,8 @@ def _row1_ellipsoidal(s, w):
     # the spheroidal charts; the other two columns pair with vanishing time
     # functions and stay scale-free.
     sn, _, dn = jacobi_array(w, s.kmod.k)
-    D2 = (dn / sn) ** 2
+    q = dn / sn
+    D2 = q * q
     return (s.a * s.a * D2 * D2, -D2, 1.0)
 
 
@@ -509,6 +526,20 @@ def _row3_conical(s, w):
     m = s.kmod
     _, cn, _ = jacobi_array(w, m.k)
     return (0.0, m.k * m.k * cn * cn, 1.0)
+
+
+#: This module's names, with the two that the map bodies compute through
+#: bound to their array twins.
+_ARRAY_NAMES = {**globals(), "math": np, "jacobi": jacobi_array}
+
+
+def _over_arrays(fn):
+    """The map ``fn`` (a function or a partial of one) with its body run
+    over :data:`_ARRAY_NAMES`: the same code, element-wise on arrays."""
+    if isinstance(fn, partial):
+        return partial(_over_arrays(fn.func), *fn.args, **fn.keywords)
+    return types.FunctionType(
+        fn.__code__, _ARRAY_NAMES, fn.__name__, fn.__defaults__, fn.__closure__)
 
 
 def _prolate_chart(shift: float) -> Chart:
@@ -623,6 +654,12 @@ def _solve3(m, r):
     det = _det3(m)
     if det == 0.0:
         raise SingularityError("singular 3x3 system in Newton step")
+    return _cramer(m, r, det)
+
+
+def _cramer(m, r, det):
+    """The adjugate solution of m @ x = r given det = det m, unchecked.
+    Entries are floats or arrays of one shape (m[a][i] is entry (a, i))."""
     inv_det = 1.0 / det
     x0 = (
         r[0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -700,7 +737,9 @@ def invert(system: CoordinateSystem, z, guess) -> np.ndarray:
     try:
         zn = math.sqrt(zt[0] ** 2 + zt[1] ** 2 + zt[2] ** 2)
     except OverflowError:
-        raise overflow(w) from None
+        zn = math.inf
+    if zn == math.inf:  # an infinite target would meet an infinite tolerance
+        raise overflow(w)
     tol_target = TARGET_TOL * (1.0 + zn)
     tol_accept = CONTRACT_TOL * (1.0 + zn)
     d, r, J = miss(w)
@@ -749,3 +788,85 @@ def invert(system: CoordinateSystem, z, guess) -> np.ndarray:
         last_omega=np.array(w),
         residual=r,
     )
+
+
+def _miss_batch(system: CoordinateSystem, w, z):
+    """z(w) - z, its norm and the Jacobian at w, for the columns of the
+    (3, k) arrays w and z; the Jacobian as a (3, 3, k) array."""
+    f, J = system.chart.array_map(system, w[0], w[1], w[2])
+    d = np.array([f[0] - z[0], f[1] - z[1], f[2] - z[2]])
+    Jk = np.empty((3, 3, w.shape[1]))
+    for a in range(3):
+        for i in range(3):
+            Jk[a, i] = J[a][i]
+    return d, np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]), Jk
+
+
+def _steps_batch(J, d, rows):
+    """Which of the columns ``rows`` of J have a nonzero determinant, and
+    the Newton steps J^-1 d at those, as a (3, k) array."""
+    m = J[:, :, rows]
+    det = _det3(m)
+    keep = det != 0.0
+    return keep, np.array(_cramer(m[:, :, keep], d[:, rows[keep]], det[keep]))
+
+
+def invert_batch(system: CoordinateSystem, Z, G) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`invert` for a stack of targets, in lockstep.
+
+    Row j is inverted from target ``Z[j]`` and guess ``G[j]`` (shape (n, 3)
+    each) by the steps of :func:`invert` (the clamp, the capped step, up to
+    12 halvings, the tolerances and the polishing step) on the array map,
+    with each iteration one map evaluation and one adjugate solve for every
+    row still moving.  Returns ``(omega, ok)``: omega of shape (n, 3), and
+    ok true where row j met ||z(omega_j) - z_j|| <= CONTRACT_TOL (1 + |z_j|).
+    Nothing is raised: a target that overflows or is not finite, a
+    non-finite image at the start, a zero Jacobian determinant or a stall
+    above the contract fails its own row only (ok false, omega its last
+    iterate), and an iterate whose image is not finite counts as no
+    improvement, as an infinite residual does in :func:`invert`.
+    """
+    z = np.asarray(Z, dtype=float).reshape(-1, 3).T
+    lo, hi = (np.array(b)[:, None] for b in zip(*system.clamp))
+    with np.errstate(all="ignore"):
+        w = np.clip(np.asarray(G, dtype=float).reshape(-1, 3).T, lo, hi)
+        zn = np.sqrt(z[0] * z[0] + z[1] * z[1] + z[2] * z[2])
+        tol_target = TARGET_TOL * (1.0 + zn)
+        tol_accept = CONTRACT_TOL * (1.0 + zn)
+        d, r, J = _miss_batch(system, w, z)
+        alive = np.isfinite(zn) & np.isfinite(r)
+        moving = np.flatnonzero(alive & (r > tol_target))
+        for _ in range(MAX_NEWTON_ITERS):
+            if not moving.size:
+                break
+            keep, step = _steps_batch(J, d, moving)
+            alive[moving[~keep]] = False
+            moving = moving[keep]
+            # the cap and the halvings of invert, one trial per row per pass
+            mag = np.max(np.abs(step), axis=0)
+            s = np.where(mag <= 1.0, 1.0, 1.0 / mag)
+            trying = np.arange(moving.size)
+            improved = np.zeros(moving.size, dtype=bool)
+            for _bt in range(12):
+                rows = moving[trying]
+                w_new = np.clip(w[:, rows] - s * step[:, trying], lo, hi)
+                d_new, r_new, J_new = _miss_batch(system, w_new, z[:, rows])
+                good = (r_new < r[rows]) | (r_new <= tol_target[rows])
+                took = rows[good]
+                w[:, took], d[:, took], r[took], J[:, :, took] = (
+                    w_new[:, good], d_new[:, good], r_new[good], J_new[:, :, good])
+                improved[trying[good]] = True
+                trying, s = trying[~good], s[~good] * 0.5
+                if not trying.size:
+                    break
+            moving = moving[improved]
+            moving = moving[r[moving] > tol_target[moving]]
+        ok = alive & (r <= tol_accept)
+        # one full polishing step, as in invert
+        done = np.flatnonzero(ok & (r > 0.0))
+        keep, step = _steps_batch(J, d, done)
+        done = done[keep]
+        w_new = np.clip(w[:, done] - step, lo, hi)
+        better = _miss_batch(system, w_new, z[:, done])[1] < r[done]
+        w[:, done[better]] = w_new[:, better]
+    return np.ascontiguousarray(w.T), ok

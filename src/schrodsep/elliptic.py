@@ -128,9 +128,9 @@ def jacobi(u: float, k: float) -> tuple[float, float, float]:
     -----
     Memoized: at one sample point the chart map (also behind the metric)
     asks for the same (u, k) pairs, and a Newton inversion often starts
-    from a point that was just evaluated.  The Stackel rows evaluate a
-    whole grid at a time through :func:`jacobi_array` and never use the
-    cache.
+    from a point that was just evaluated.  The Stackel rows and the
+    batched Newton inversion evaluate whole arrays at a time through
+    :func:`jacobi_array` and never use the cache.
     """
     if not 0.0 <= k <= 1.0:
         raise DomainError(f"modulus must satisfy 0 <= k <= 1, got {k!r}")

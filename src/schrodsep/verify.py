@@ -19,7 +19,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .coords import forward, invert, sample_domain
+from .coords import forward, invert, invert_batch, sample_domain
 from .errors import NumericError, StencilError, check_range
 from .frame import embed, omega_gradients, rotation_matrix, unembed
 from .potential import PotentialSpec, vector_divergence, vector_potential
@@ -357,61 +357,27 @@ _HARMONICITY_TOP = 16.0
 _HARMONICITY_FLOOR = 2.0 / 512.0
 
 
-def _harmonicity_estimate(system, center, z, to_chart, base_h):
-    """max_a |lap omega_a| by central stencils, best over a step ladder.
+#: A stencil node sits at offset k * mult, k = +-1 or +-2, along one axis;
+#: every offset is a power of two from the floor rung's to twice the top
+#: rung's, stored at level log2|offset| - _LEVEL_LOW.
+_LEVEL_LOW = round(math.log2(_HARMONICITY_FLOOR))
+_LEVELS = round(math.log2(_HARMONICITY_TOP)) + 2 - _LEVEL_LOW
+#: The four offsets k of a rung as (side, level above the rung's), in the
+#: order the rows of _d2 take them.
+_SIDES = np.array([0, 0, 1, 1])
+_RAISE = np.array([1, 0, 0, 1])
 
-    The stencil lives in chart space, centred on z, the image of the sample
-    omega = ``center``: a step s along x_a is the step s * to_chart[:, a] in
-    z, with to_chart = H^-1 T^T the inverse of the frame's linear part.  The
-    true value is zero for an intact chart, so the reported number is
-    whichever of truncation or inversion noise dominates locally, while a
-    genuine defect stays O(1) at every step.  Starting from a mid-sized step
-    the ladder is walked outward in both directions, dyadically: larger
-    steps win on near-linear charts (truncation vanishes, node noise is
-    divided by a bigger h^2), smaller steps win where a sixth derivative is
-    locally huge.  Rungs share stencil nodes through one cache (the rung at
-    step m uses offsets +-m and +-2m).  Growing stops at the first rung that
-    fails to improve once the estimate is out of the noise plateau;
-    shrinking stops at the first rise, because on that side node noise grows
-    steadily as the step falls.
-    """
-    nodes: dict[tuple[int, float], np.ndarray | None] = {}
-    last: dict[tuple[int, bool], tuple[float, np.ndarray]] = {}
+#: Samples walked through the ladder together; bounds the node store.
+_LADDER_CHUNK = 256
 
-    def node(axis: int, offset: float):
-        key = (axis, offset)
-        if key not in nodes:
-            target = z + offset * base_h * to_chart[:, axis]
-            prev = last.get((axis, offset > 0.0))
-            guesses = [center]
-            if prev is not None:
-                # scale the nearest solved node on this axis and side;
-                # a much closer Newton start than the sample itself
-                guesses.insert(0, center + (prev[1] - center) * (offset / prev[0]))
-            result = None
-            for guess in guesses:
-                try:
-                    result = invert(system, target, guess)
-                except NumericError:
-                    continue
-                last[(axis, offset > 0.0)] = (offset, result)
-                break
-            nodes[key] = result
-        return nodes[key]
 
-    def rung(mult: float):
-        h = base_h * mult
-        lap = np.zeros(3)
-        for axis in range(3):
-            row = [node(axis, k * mult) for k in _OFFSETS]
-            if any(v is None for v in row):
-                return None
-            lap += _d2(row, center, h)
-        return float(np.max(np.abs(lap)))
-
+def _ladder():
+    """One sample's walk over the step ladder: yields the step multiple of
+    each rung it needs, is sent that rung's value (None where a node
+    failed) and returns the estimate (None when no start rung has one)."""
     start = None
     for mult in (2.0, 1.0, 0.5, 0.25):
-        value = rung(mult)
+        value = yield mult
         if value is not None:
             start = mult
             best = value
@@ -426,7 +392,7 @@ def _harmonicity_estimate(system, center, z, to_chart, base_h):
             mult = mult * 2.0 if grow else mult * 0.5
             if not _HARMONICITY_FLOOR <= mult <= _HARMONICITY_TOP:
                 break
-            value = rung(mult)
+            value = yield mult
             if value is None:
                 break
             if value < best:
@@ -436,6 +402,89 @@ def _harmonicity_estimate(system, center, z, to_chart, base_h):
             elif not grow or value >= _HARMONICITY_PLATEAU:
                 break
     return best
+
+
+def _harmonicity_estimate(system, centres, zs, to_chart, base_h) -> list:
+    """max_a |lap omega_a| by central stencils, best over a step ladder, for
+    each sample omega = ``centres[j]`` with image ``zs[j]`` and base step
+    ``base_h[j]``; None for a sample where no start rung could be inverted.
+
+    The stencil lives in chart space, centred on z: a step s along x_a is
+    the step s * to_chart[:, a] in z, with to_chart = H^-1 T^T the inverse
+    of the frame's linear part.  The true value is zero for an intact chart,
+    so the reported number is whichever of truncation or inversion noise
+    dominates locally, while a genuine defect stays O(1) at every step.
+    Starting from a mid-sized step the ladder is walked outward in both
+    directions, dyadically: larger steps win on near-linear charts
+    (truncation vanishes, node noise is divided by a bigger h^2), smaller
+    steps win where a sixth derivative is locally huge.  Growing stops at
+    the first rung that fails to improve once the estimate is out of the
+    noise plateau; shrinking stops at the first rise, because on that side
+    node noise grows steadily as the step falls.
+
+    The samples walk in lockstep, each by its own rules (:func:`_ladder`):
+    a step gathers the nodes that the rung of every unfinished sample still
+    lacks (rungs share nodes: the rung at step m uses offsets +-m and +-2m)
+    and inverts them in one :func:`invert_batch` call, seeded by the last
+    node solved on that sample's axis and side, scaled to the new offset,
+    or by the sample where there is none, which is also the retry.  A
+    node that fails stays failed, and a rung with a failed node has no
+    value.  The rung values of the step are then one array expression.
+    """
+    centres, zs = np.asarray(centres), np.asarray(zs)
+    n = len(centres)
+    nodes = np.zeros((n, 3, 2, _LEVELS, 3))  # omega of each solved node, else 0
+    state = np.zeros((n, 3, 2, _LEVELS), dtype=np.int8)  # 1 solved, -1 failed
+    last = np.full((n, 3, 2), -1)  # level of the last node solved there
+
+    def solve(slot):
+        """Invert the unsolved nodes among ``slot``, index arrays that
+        broadcast to (m, 3, 4): sample, axis, side and level."""
+        need = state[slot] == 0
+        pos = np.nonzero(need)
+        s, a, side, lev = (np.broadcast_to(ix, need.shape)[pos] for ix in slot)
+        sign = np.where(side == 1, 1.0, -1.0)
+        offset = sign * np.exp2(lev + _LEVEL_LOW)
+        targets = zs[s] + (offset * base_h[s])[:, None] * to_chart.T[a]
+        prev = last[s, a, side]
+        seeded = prev >= 0
+        guesses = centres[s]
+        # scale the last solved node on this axis and side: a much closer
+        # Newton start than the sample itself
+        ratio = offset[seeded] / (sign[seeded] * np.exp2(prev[seeded] + _LEVEL_LOW))
+        guesses[seeded] += (nodes[s, a, side, prev][seeded] - guesses[seeded]) * ratio[:, None]
+        omega, ok = invert_batch(system, targets, guesses)
+        retry = np.flatnonzero(seeded & ~ok)
+        if retry.size:
+            omega[retry], ok[retry] = invert_batch(system, targets[retry], centres[s[retry]])
+        nodes[s[ok], a[ok], side[ok], lev[ok]] = omega[ok]
+        state[s, a, side, lev] = np.where(ok, 1, -1)
+        # offsets -2m, -m, m, 2m in turn, the order of the rows of _d2
+        for k in range(4):
+            done = ok & (pos[2] == k)
+            last[s[done], a[done], side[done]] = lev[done]
+
+    walks = [_ladder() for _ in range(n)]
+    wants = {j: next(walk) for j, walk in enumerate(walks)}
+    out: list = [None] * n
+    axes = np.arange(3)[None, :, None]
+    while wants:
+        sample = np.fromiter(wants.keys(), dtype=int)[:, None, None]
+        mult = np.fromiter(wants.values(), dtype=float)[:, None, None]
+        level = np.log2(mult).astype(int) - _LEVEL_LOW + _RAISE
+        solve((sample, axes, _SIDES, level))
+        rows = nodes[sample, axes, _SIDES, level].transpose(2, 0, 1, 3)
+        d2 = _d2(rows, centres[sample[:, 0]], base_h[sample] * mult)
+        lap = d2[:, 0] + d2[:, 1] + d2[:, 2]
+        values = np.max(np.abs(lap), axis=1)
+        solved = np.all(state[sample, axes, _SIDES, level] == 1, axis=(1, 2))
+        for j, value, ok in zip(sample[:, 0, 0].tolist(), values.tolist(), solved):
+            try:
+                wants[j] = walks[j].send(value if ok else None)
+            except StopIteration as stop:
+                out[j] = stop.value
+                del wants[j]
+    return out
 
 
 #: Conditioning window for the finite-difference harmonicity channel.
@@ -458,9 +507,12 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
     and stencil targets come from the frame evaluated once, at t, and the
     Stackel rows from one call for all samples.  Harmonicity, the only
     finite-difference channel, is reported only where the singular values
-    1 / |grad omega_a| of T H J lie in the window the stencil resolves.
+    1 / |grad omega_a| of T H J lie in the window the stencil resolves;
+    the samples that pass walk the step ladder together, a chunk at a
+    time, so its Newton inversions are batched across samples.
     """
-    records = []
+    per_sample = []
+    gated = []
     samples = sample_domain(system, seed=seed, n=n_samples)
     hx = DEFAULT_STEPS[1]
     rot = rotation_matrix(frame, t)
@@ -472,6 +524,8 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
     for idx, (omega, F) in enumerate(zip(samples, rows)):
         z = forward(system, omega)
         x = rot @ (h * z) + w
+        records = []
+        per_sample.append(records)
 
         grads = omega_gradients(system, frame, t, omega)
         norms = np.linalg.norm(grads, axis=1)
@@ -495,10 +549,15 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
 
         sigma = 1.0 / norms
         if HARMONICITY_SIGMA_MIN <= sigma.min() and sigma.max() <= HARMONICITY_SIGMA_MAX:
-            value = _harmonicity_estimate(
-                system, omega, z, to_chart, hx * (1.0 + float(np.linalg.norm(x)))
-            )
-            if value is not None:
-                records.append(_record(idx, "harmonicity", t, x, value, 1.0))
+            gated.append((idx, omega, z, x, hx * (1.0 + float(np.linalg.norm(x)))))
 
-    return ResidualReport(tuple(records), ht=DEFAULT_STEPS[0], hx=hx)
+    for lo in range(0, len(gated), _LADDER_CHUNK):
+        chunk = gated[lo:lo + _LADDER_CHUNK]
+        idxs, centres, zs, xs, base_h = zip(*chunk)
+        values = _harmonicity_estimate(system, centres, zs, to_chart, np.array(base_h))
+        for idx, x, value in zip(idxs, xs, values):
+            if value is not None:
+                per_sample[idx].append(_record(idx, "harmonicity", t, x, value, 1.0))
+
+    return ResidualReport(
+        tuple(r for records in per_sample for r in records), ht=DEFAULT_STEPS[0], hx=hx)

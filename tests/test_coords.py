@@ -1,6 +1,7 @@
 """Tests for the coordinate chart catalogue, Jacobians and inversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from schrodsep.coords import (
     base_system_ids,
     forward,
     invert,
+    invert_batch,
     jacobian,
     make_system,
     sample_domain,
@@ -352,3 +354,71 @@ def test_chart_properties_inside_sampling_box(name, data):
         reject()
     jacobian(s, w)  # the determinant guard refuses no point of the box
     assert np.linalg.norm(forward(s, w_rec) - z) <= CONTRACT_TOL * (1.0 + np.linalg.norm(z))
+
+
+@pytest.mark.parametrize("name", all_system_ids())
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(data=st.data())
+def test_invert_batch_keeps_the_scalar_contract(name, data):
+    # Targets are images of points of the sampling box, guesses points near
+    # them, some far enough off that Newton backtracks, clamps or fails.
+    # Every accepted row meets the contract of invert, and every row that
+    # invert solves from the same guess the batch solves too, to the same
+    # omega.
+    s = build(name)
+    box = sampling_box(s)
+    n = data.draw(st.integers(1, 6), label="rows")
+    points = np.array([[data.draw(st.floats(lo, hi)) for lo, hi in box] for _ in range(n)])
+    reach = data.draw(st.sampled_from([1e-3, 0.1, 1.0]), label="reach")
+    nudge = np.array(data.draw(st.lists(st.floats(-reach, reach), min_size=3 * n,
+                                        max_size=3 * n))).reshape(n, 3)
+    try:
+        Z = np.array([forward(s, w) for w in points])
+    except SchrodsepError:
+        reject()
+    G = points + nudge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        omega, ok = invert_batch(s, Z, G)
+    assert omega.shape == (n, 3) and ok.shape == (n,)
+    for z, g, w, accepted in zip(Z, G, omega, ok):
+        if accepted:
+            assert np.linalg.norm(forward(s, w) - z) <= CONTRACT_TOL * (1.0 + np.linalg.norm(z))
+        try:
+            w_scalar = invert(s, z, g)
+        except SchrodsepError:
+            continue
+        assert accepted
+        assert np.max(np.abs(w - w_scalar)) <= 1e-9
+
+
+def test_invert_batch_fails_bad_rows_alone():
+    # An overflowing target, a non-finite one, a guess whose image
+    # overflows and one where the Jacobian is singular (exp(-800) = 0 on
+    # the cylindrical chart) each fail their own row; the other rows
+    # converge exactly as they do without them, and no numpy warning
+    # escapes.
+    for name, bad_rows in (
+        ("cylindrical", [((1e200, 1e200, 0.0), (0.1, 0.2, 0.3)),
+                         ((math.nan, 0.0, 0.0), (0.1, 0.2, 0.3)),
+                         ((1.0, 0.0, 0.0), (-800.0, 0.0, 0.0))]),
+        ("parabolic", [((1.0, 1.0, 1.0), (800.0, 0.0, 0.5)),
+                       ((math.inf, 0.0, 0.0), (0.1, 0.2, 0.3))]),
+    ):
+        s = build(name)
+        good = sample_domain(s, seed=9, n=6)
+        Z = np.array([forward(s, w) for w in good])
+        G = good + 0.05
+        rows = [(z, g, False) for z, g in zip(Z, G)]
+        for k, (z, g) in enumerate(bad_rows):
+            rows.insert(2 * k + 1, (z, g, True))
+        mixed_Z, mixed_G, bad = (np.array(column) for column in zip(*rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone, ok_alone = invert_batch(s, Z, G)
+            omega, ok = invert_batch(s, mixed_Z, mixed_G)
+        assert ok_alone.all() and not ok[bad].any() and ok[~bad].all(), name
+        np.testing.assert_array_equal(omega[~bad], alone)
+        for z, g in bad_rows:
+            with pytest.raises(SchrodsepError):
+                invert(s, z, g)

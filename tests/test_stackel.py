@@ -113,6 +113,18 @@ def test_stackel_values_on_a_stack(name, monkeypatch):
         stackel_values(s, bad)
 
 
+@pytest.mark.parametrize("name", all_system_ids())
+def test_stackel_values_at_one_point_equal_the_stacked_rows(name):
+    # the rows square by multiplying, which numpy rounds the same way on a
+    # float and on an array, so a one-point matrix is the stacked one bit
+    # for bit
+    s = build(name)
+    w = sample_domain(s, seed=3, n=40)
+    F = stackel_values(s, w)
+    for point, matrix in zip(w, F):
+        np.testing.assert_array_equal(stackel_values(s, point), matrix)
+
+
 def test_stackel_row_rejects_bad_axis():
     with pytest.raises(ConfigurationError):
         stackel_row(build("spherical"), 3, 1.0)

@@ -478,17 +478,39 @@ def test_audit_stencil_steps_along_the_cartesian_axes(monkeypatch):
     # along one Cartesian axis.
     system, frame, t = make_system("cartesian"), wiggly_frame("complete"), 0.37
     rot, h, w = rotation_matrix(frame, t), np.array(frame.scales(t)), frame.translation(t)
-    original = schrodsep.verify.invert
+    original = schrodsep.verify.invert_batch
     targets = []
 
-    def recording(system_, z, guess):
-        targets.append(np.array(z))
-        return original(system_, z, guess)
+    def recording(system_, Z, G):
+        targets.extend(np.array(Z))
+        return original(system_, Z, G)
 
-    monkeypatch.setattr(schrodsep.verify, "invert", recording)
+    monkeypatch.setattr(schrodsep.verify, "invert_batch", recording)
     rep = geometry_audit(system, frame, t, 1, seed=5)
     [centre] = [np.array(r.x) for r in rep.records if r.channel == "harmonicity"]
     assert len(targets) >= 12
     for z in targets:
         d = np.abs(rot @ (h * z) + w - centre)
         assert np.sort(d)[1] <= 1e-13 * (1.0 + np.abs(centre).max()) < d.max()
+
+
+def test_audit_makes_no_scalar_inversion(monkeypatch):
+    # the ladder inverts its stencil nodes in batches, never one by one
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit inverted a stencil node on its own")
+
+    monkeypatch.setattr(schrodsep.verify, "invert", refuse)
+    rep = geometry_audit(make_system("spherical"), wiggly_frame("nonsplit"), 0.37, 20, seed=5)
+    assert any(r.channel == "harmonicity" for r in rep.records)
+    assert channel_max(rep, "harmonicity") < 1e-5
+
+
+def test_audit_ladder_chunks_give_the_same_records(monkeypatch):
+    # samples walk the ladder independently, so splitting them into chunks
+    # of the lockstep walk changes no record
+    system, frame = make_system("oblate_spheroidal", a=1.3), wiggly_frame("nonsplit")
+    whole = geometry_audit(system, frame, 0.37, 40, seed=2)
+    monkeypatch.setattr(schrodsep.verify, "_LADDER_CHUNK", 3)
+    chunked = geometry_audit(system, frame, 0.37, 40, seed=2)
+    assert sum(r.channel == "harmonicity" for r in whole.records) > 3
+    assert chunked.records == whole.records
