@@ -40,13 +40,33 @@ _DERIV_TOL = 1e-6
 class TimeProfile:
     """A smooth scalar function of time with two analytic derivatives.
 
-    ``fn(t)`` returns the triple (value, d/dt, d2/dt2).
+    ``fn(t)`` returns the triple (value, d/dt, d2/dt2) at a float.  The
+    built-in polynomial and sinusoid also carry ``array_fn``, the same
+    triple by numpy on a float array, bit for bit the per-float values.
     """
 
     fn: Callable[[float], tuple[float, float, float]]
+    array_fn: Callable[[np.ndarray], tuple] | None = None
 
     def __call__(self, t: float) -> tuple[float, float, float]:
         return self.fn(t)
+
+    def on_array(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The triple at every element of the float array t, as three arrays
+        of its shape.
+
+        Without ``array_fn``, ``fn`` is tried on the whole array; one that
+        takes only floats (it raises ``TypeError`` or ``ValueError``, as a
+        ``math.exp`` lambda does) is called once per element instead, as
+        :func:`schrodsep.potential.profile_values` does.
+        """
+        if self.array_fn is not None:
+            return self.array_fn(t)
+        try:
+            return tuple(np.asarray(v, dtype=float) + np.zeros(t.shape) for v in self.fn(t))
+        except (TypeError, ValueError):
+            rows = [self.fn(v) for v in t.ravel().tolist()]
+            return tuple(np.array(col, dtype=float).reshape(t.shape) for col in zip(*rows))
 
 
 def constant(c: float) -> TimeProfile:
@@ -77,8 +97,9 @@ def horner(rev: Sequence[float], x: float) -> float:
 def polynomial(coefficients: Sequence[float]) -> TimeProfile:
     """Polynomial in t with ascending coefficients (c0 + c1 t + ...).
 
-    Evaluated by Horner's rule on floats; values and both derivatives are
-    bit-identical to ``numpy.polynomial.Polynomial`` on its default domain.
+    Evaluated by Horner's rule on floats, or element-wise on a float
+    array; values and both derivatives are bit-identical to
+    ``numpy.polynomial.Polynomial`` on its default domain.
     """
     c = [float(v) for v in coefficients]
     if not c:
@@ -90,13 +111,18 @@ def polynomial(coefficients: Sequence[float]) -> TimeProfile:
         x = 0.0 + float(t)  # the domain map of Polynomial.__call__ (turns -0.0 into 0.0)
         return (horner(r0, x), horner(r1, x), horner(r2, x))
 
-    return TimeProfile(fn)
+    def array_fn(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        x = 0.0 + t
+        return (horner(r0, x), horner(r1, x), horner(r2, x))
+
+    return TimeProfile(fn, array_fn)
 
 
 def sinusoid(
     amplitude: float, angular_frequency: float, phase: float = 0.0, offset: float = 0.0
 ) -> TimeProfile:
-    """offset + amplitude * sin(angular_frequency * t + phase)."""
+    """offset + amplitude * sin(angular_frequency * t + phase), by ``math``
+    on a float and by numpy on a float array."""
     A = float(amplitude)
     om = float(angular_frequency)
     ph = float(phase)
@@ -107,7 +133,12 @@ def sinusoid(
         c = math.cos(om * t + ph)
         return (off + A * s, A * om * c, -A * om * om * s)
 
-    return TimeProfile(fn)
+    def array_fn(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        s = np.sin(om * t + ph)
+        c = np.cos(om * t + ph)
+        return (off + A * s, A * om * c, -A * om * om * s)
+
+    return TimeProfile(fn, array_fn)
 
 
 def _check_profile(name: str, p: TimeProfile) -> None:
@@ -149,12 +180,30 @@ class FrameSpec:
     class_of: SplitClass
 
     def scale_triples(self, t: float) -> tuple[tuple[float, float, float], ...]:
-        """(h_i, h_i', h_i'') for i = 1, 2, 3 at t; the one check, by
-        :class:`ConfigurationError`, that every h_i(t) > 0 (NaN fails it)."""
+        """(h_i, h_i', h_i'') for i = 1, 2, 3 at t, or arrays of the shape of
+        a float array t (:meth:`TimeProfile.on_array`); the one check, by
+        :class:`ConfigurationError`, that every h_i(t) > 0 (NaN fails it),
+        naming the first t that fails."""
+        if isinstance(t, np.ndarray):
+            return self._scale_arrays(t)
         h1, h2, h3 = self.h1(t), self.h2(t), self.h3(t)
         if not (h1[0] > 0.0 and h2[0] > 0.0 and h3[0] > 0.0):
             values = (h1[0], h2[0], h3[0])
             raise ConfigurationError(f"frame scale non-positive at t={t}: h = {values}")
+        return (h1, h2, h3)
+
+    def _scale_arrays(self, t: np.ndarray):
+        # a class tie (h2 = h1, h3 = h1) shares the profile: evaluate it once
+        h1 = self.h1.on_array(t)
+        h2 = h1 if self.h2 is self.h1 else self.h2.on_array(t)
+        h3 = h1 if self.h3 is self.h1 else self.h3.on_array(t)
+        bad = np.flatnonzero(~((h1[0] > 0.0) & (h2[0] > 0.0) & (h3[0] > 0.0)))
+        if bad.size:
+            j = bad[0]
+            values = (float(h1[0].flat[j]), float(h2[0].flat[j]), float(h3[0].flat[j]))
+            raise ConfigurationError(
+                f"frame scale non-positive at t={float(t.flat[j])}: h = {values}"
+            )
         return (h1, h2, h3)
 
     def translation_triples(self, t: float) -> tuple[tuple[float, float, float], ...]:

@@ -3,11 +3,12 @@
 A separable problem turns into four ODEs: one first-order equation in
 time whose solution is a pure quadrature, and three decoupled
 second-order equations, one per coordinate.  This module integrates
-them with numpy alone: the time integrals by adaptive Gauss-Kronrod
-quadrature, the spatial equations by a fourth-order Magnus propagator
-whose steps are the half cells of a uniform grid.  It stores each
-spatial factor as a dense cubic Hermite interpolant on that grid and
-reassembles the wavefunction
+them with numpy alone: the time integral by five-point Gauss-Lobatto
+cells, with adaptive Gauss-Kronrod quadrature as the fallback of a cell
+that fails its check, and the spatial equations by a fourth-order Magnus
+propagator whose steps are the half cells of a uniform grid.  It stores
+every factor, the time factor included, as a dense cubic Hermite
+interpolant on a uniform grid and reassembles the wavefunction
 
     psi(t, x) = Q * phi0(t) * phi1(omega1) * phi2(omega2) * phi3(omega3)
 
@@ -58,9 +59,6 @@ INTERP_BUDGET = 1e-9
 #: Largest Hermite grid a factor may ask for; checked before anything is
 #: integrated, so an oversized range fails at once instead of allocating.
 MAX_NODES = 10**6
-#: Distinct times a temporal factor remembers.  A residual sample visits
-#: five (t and t +- ht, t +- 2ht) and most of its 17 evaluations share t.
-MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -180,8 +178,10 @@ def quad(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float
     estimate is bisected until the summed estimate is within
     max(QUAD_EPSABS, QUAD_EPSREL |value|) or ``QUAD_LIMIT`` subintervals
     are held.  A non-finite integrand value stops it at once with a
-    non-finite value.  :func:`_quad` checks the result.  Each integral is
-    one call, which ``benchmarks/tracer.py`` counts under this name.
+    non-finite value.  :func:`_quad` checks the result.  It is the fallback
+    of :func:`_cell_integrals` alone, for a cell whose Lobatto value fails
+    its check.  Each integral is one call, which ``benchmarks/tracer.py``
+    counts under this name.
     """
     value, error = _gk15(fn, a, b)
     cells = [(-error, a, b, value)]
@@ -213,90 +213,39 @@ def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class _TimeIntegral:
-    """The integral from the anchor t0 to t of s T0_tilde - T_i lambda_i.
+def _hermite(grid: tuple, w: float, slope: bool):
+    """Cubic Hermite value at w on a uniform grid, with the derivative as
+    well if ``slope``, on Python numbers throughout.
 
-    s = +1 drives the phase of the wave factor, s = -1 is the time term
-    of the action.  Each instance remembers its last ``MEMO_SIZE`` values
-    by exact t, so the repeated times of a residual stencil are
-    integrated once; ``dataclasses.replace`` starts afresh.  Each
-    subclass defines its own ``__call__``, the name under which
-    ``benchmarks/tracer.py`` wraps it.
+    ``grid`` is (name, nodes, values, slopes, dx): the columns are lists,
+    dx is their spacing, and :class:`OutOfRangeError` names w as ``name``
+    unless it lies within the nodes.  The value takes the products and
+    sums numpy scalars would, so it has their bits at a fraction of their
+    cost.
     """
-
-    spec: PotentialSpec
-    constants: SeparationConstants
-    t_lo: float
-    t_hi: float
-    anchor: float
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    #: The sign s of T0_tilde in the rate.
-    _T0_SIGN: ClassVar[float]
-
-    @classmethod
-    def _over(cls, spec, constants, t_range, anchor: float):
-        """An instance over ``t_range``; :class:`ConfigurationError` unless
-        the range is finite and nonempty and holds the anchor."""
-        lo, hi = check_range("time range", t_range[0], t_range[1])
-        if not (lo <= anchor <= hi):
-            raise ConfigurationError(f"anchor t0={anchor} outside time range ({lo}, {hi})")
-        return cls(spec, constants, lo, hi, float(anchor))
-
-    def _rate(self, tau: float) -> float:
-        T = t_functions(self.spec.system, self.spec.frame, tau)
-        lam = self.constants.as_tuple()
-        t0 = self._T0_SIGN * self.spec.t0_tilde(tau)[0]
-        return t0 - (T[0] * lam[0] + T[1] * lam[1] + T[2] * lam[2])
-
-    def _integral(self, t: float) -> float:
-        return _quad(self._rate, self.anchor, t)
-
-    def _memoised(self, t: float, at_anchor, compute: Callable[[float], object]):
-        """``compute(t)`` remembered, ``at_anchor`` at t0, checked against the range."""
-        if not (self.t_lo <= t <= self.t_hi):
-            raise OutOfRangeError(f"t={t} outside tabulated range ({self.t_lo}, {self.t_hi})")
-        if t == self.anchor:
-            return at_anchor
-        if t in self._memo:
-            return self._memo[t]
-        value = compute(t)
-        if len(self._memo) >= MEMO_SIZE:
-            del self._memo[next(iter(self._memo))]
-        self._memo[t] = value
+    name, nodes, values, slopes, dx = grid
+    if not (nodes[0] <= w <= nodes[-1]):
+        raise OutOfRangeError(f"{name}={w} outside tabulated range [{nodes[0]}, {nodes[-1]}]")
+    j = min(int((w - nodes[0]) / dx), len(nodes) - 2)
+    s = (w - nodes[j]) / dx
+    v0, v1 = values[j], values[j + 1]
+    m0, m1 = slopes[j] * dx, slopes[j + 1] * dx
+    s2, s3 = s * s, s * s * s
+    value = (
+        (2 * s3 - 3 * s2 + 1) * v0
+        + (s3 - 2 * s2 + s) * m0
+        + (-2 * s3 + 3 * s2) * v1
+        + (s3 - s2) * m1
+    )
+    if not slope:
         return value
-
-
-class TemporalFactor(_TimeIntegral):
-    """phi0(t) = exp(-i integral_{t0}^{t} (T0 - T_i lambda_i)), anchored to 1.
-
-    The imaginary part of T0, -(1/2) sum_i h_i'/h_i, integrates in closed
-    form: the modulus is exp(-(1/2) sum_i log(h_i(t)/h_i(t0))).  The phase
-    is an adaptive quadrature of the real part.
-    """
-
-    _T0_SIGN = 1.0
-
-    def __call__(self, t: float) -> complex:
-        return self._memoised(t, 1.0 + 0.0j, self._wave)
-
-    def _wave(self, t: float) -> complex:
-        frame = self.spec.frame
-        acc = 0.0
-        for h, h0 in zip(frame.scales(t), frame.scales(self.anchor)):
-            acc += math.log(h / h0)
-        modulus = complex(math.exp(-0.5 * acc))
-        phase = self._integral(t)
-        return modulus * complex(math.cos(phase), -math.sin(phase))
-
-
-def solve_phi0(
-    spec: PotentialSpec,
-    constants: SeparationConstants,
-    t_range: Sequence[float],
-    anchor: float = 0.0,
-) -> TemporalFactor:
-    return TemporalFactor._over(spec, constants, t_range, anchor)
+    deriv = (
+        (6 * s2 - 6 * s) * v0
+        + (3 * s2 - 4 * s + 1) * m0
+        + (-6 * s2 + 6 * s) * v1
+        + (3 * s2 - 2 * s) * m1
+    ) / dx
+    return value, deriv
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,6 +260,13 @@ class AxisInterpolant:
     nodes: np.ndarray
     values: np.ndarray
     slopes: np.ndarray
+    #: The grid of :func:`_hermite`.
+    _grid: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        columns = (np.asarray(c).tolist() for c in (self.nodes, self.values, self.slopes))
+        dx = float(self.nodes[1] - self.nodes[0])
+        object.__setattr__(self, "_grid", (f"omega_{self.axis}", *columns, dx))
 
     @property
     def lo(self) -> float:
@@ -320,37 +276,123 @@ class AxisInterpolant:
     def hi(self) -> float:
         return float(self.nodes[-1])
 
-    def _cell(self, w: float) -> tuple[int, float, float]:
-        if not (self.lo <= w <= self.hi):
-            raise OutOfRangeError(
-                f"omega_{self.axis}={w} outside tabulated range [{self.lo}, {self.hi}]"
-            )
-        dx = float(self.nodes[1] - self.nodes[0])
-        j = min(int((w - self.lo) / dx), len(self.nodes) - 2)
-        return j, (w - float(self.nodes[j])) / dx, dx
-
-    def evaluate(self, w: float):
-        """Value and derivative with respect to omega at w."""
-        j, s, dx = self._cell(w)
-        v0, v1 = self.values[j], self.values[j + 1]
-        m0, m1 = self.slopes[j] * dx, self.slopes[j + 1] * dx
-        s2, s3 = s * s, s * s * s
-        value = (
-            (2 * s3 - 3 * s2 + 1) * v0
-            + (s3 - 2 * s2 + s) * m0
-            + (-2 * s3 + 3 * s2) * v1
-            + (s3 - s2) * m1
-        )
-        deriv = (
-            (6 * s2 - 6 * s) * v0
-            + (3 * s2 - 4 * s + 1) * m0
-            + (-6 * s2 + 6 * s) * v1
-            + (3 * s2 - 2 * s) * m1
-        ) / dx
-        return value, deriv
+    def evaluate(self, w: float, slope: bool = True):
+        """Value and derivative with respect to omega at w, or the value
+        alone unless ``slope``."""
+        return _hermite(self._grid, w, slope)
 
     def __call__(self, w: float):
-        return self.evaluate(w)[0]
+        return self.evaluate(w, False)
+
+
+@dataclass(frozen=True)
+class _TimeTable:
+    """The integral from the anchor t0 to t of s T0_tilde - T_i lambda_i,
+    tabulated once per instance on the Hermite grid of [t_lo, t_hi].
+
+    s = +1 drives the phase of the wave factor, s = -1 is the time term
+    of the action.  The table is built in ``__post_init__``, so
+    ``dataclasses.replace`` builds a new one.  The rate is called once on
+    the nodes and cell midpoints and once on the inner Lobatto points of
+    the half cells (:func:`_cell_integrals`).  The running sum of the
+    half-cell integrals gives the integral at both, the rate at the nodes
+    is the exact slope, and the cubic Hermite prediction at every midpoint
+    is audited against its integral within ``INTERP_BUDGET``, as
+    :func:`solve_phi_a` audits the spatial factors.  The wave folds its
+    closed-form modulus in, so either table is one :func:`_hermite` call
+    per time; at the anchor itself a call returns exactly 1 or 0.  Each
+    subclass defines its own ``__call__``, the name under which
+    ``benchmarks/tracer.py`` wraps it.
+    """
+
+    spec: PotentialSpec
+    constants: SeparationConstants
+    t_lo: float
+    t_hi: float
+    anchor: float
+    #: The grid of :func:`_hermite` for the table.
+    _table: tuple = field(init=False, repr=False, compare=False)
+    #: The sign s of T0_tilde in the rate; the wave (s = +1) folds in the modulus.
+    _T0_SIGN: ClassVar[float]
+
+    def __post_init__(self):
+        """:class:`ConfigurationError` unless the range is finite and
+        nonempty, holds the anchor and needs at most ``MAX_NODES`` nodes;
+        then the table is built."""
+        lo, hi = check_range("time range", self.t_lo, self.t_hi)
+        anchor = float(self.anchor)
+        if not (lo <= anchor <= hi):
+            raise ConfigurationError(f"anchor t0={anchor} outside time range ({lo}, {hi})")
+        n = _node_count(lo, hi)
+        if n > MAX_NODES:
+            raise ConfigurationError(
+                f"time range ({lo}, {hi}) needs {n} nodes at spacing {NODE_SPACING}; "
+                f"at most {MAX_NODES} are allowed"
+            )
+        for name, value in (("t_lo", lo), ("t_hi", hi), ("anchor", anchor)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_table", self._tabulate())
+
+    def _rate(self, tau):
+        """The rate at a float array of times, or a 0-d one at a float."""
+        tau = np.asarray(tau, dtype=float)
+        T = t_functions(self.spec.system, self.spec.frame, tau)
+        lam = self.constants.as_tuple()
+        t0 = self._T0_SIGN * self.spec.t0_tilde.on_array(tau)[0]
+        return t0 - (T[0] * lam[0] + T[1] * lam[1] + T[2] * lam[2])
+
+    def _tabulate(self) -> tuple:
+        nodes = _uniform_nodes(self.t_lo, self.t_hi)
+        dx = float(nodes[1] - nodes[0])
+        times = np.empty(2 * len(nodes) - 1)  # the nodes and the cell midpoints
+        times[0::2], times[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
+        rate = self._rate(times)
+        table = np.zeros(len(times))
+        np.cumsum(_cell_integrals(self._rate, times, rate), out=table[1:])
+        nodes_list = nodes.tolist()
+        # zero where the table itself reads the anchor, so that the exact 0
+        # (or 1) a call returns there joins the table without a step
+        table -= _hermite(
+            ("t", nodes_list, table[0::2].tolist(), rate[0::2].tolist(), dx), self.anchor, False
+        )
+        slopes = rate
+        if self._T0_SIGN > 0.0:
+            frame = self.spec.frame
+            triples = frame.scale_triples(times)
+            log_modulus = 0.0
+            for (h, hd, _), h0 in zip(triples, frame.scales(self.anchor)):
+                log_modulus = log_modulus - 0.5 * np.log(h / h0)
+            # an overflow leaves non-finite values, which are located below
+            with np.errstate(over="ignore", invalid="ignore"):
+                table = np.exp(log_modulus - 1j * table)
+                slopes = table * (-0.5 * sum(hd / h for h, hd, _ in triples) - 1j * rate)
+        values, slopes = table[0::2], slopes[0::2]
+        _audit(nodes, values, slopes, table[1::2], "the time factor")
+        return ("t", nodes_list, values.tolist(), slopes.tolist(), dx)
+
+
+class TemporalFactor(_TimeTable):
+    """phi0(t) = exp(-i integral_{t0}^{t} (T0 - T_i lambda_i)), anchored to 1.
+
+    The imaginary part of T0, -(1/2) sum_i h_i'/h_i, integrates in closed
+    form: the modulus is exp(-(1/2) sum_i log(h_i(t)/h_i(t0))).  The real
+    part is the tabulated phase (:class:`_TimeTable`); the table holds
+    phi0 itself, with the slopes phi0 (-(1/2) sum_i h_i'/h_i - i rate).
+    """
+
+    _T0_SIGN = 1.0
+
+    def __call__(self, t: float) -> complex:
+        return 1.0 + 0.0j if t == self.anchor else _hermite(self._table, t, False)
+
+
+def solve_phi0(
+    spec: PotentialSpec,
+    constants: SeparationConstants,
+    t_range: Sequence[float],
+    anchor: float = 0.0,
+) -> TemporalFactor:
+    return TemporalFactor(spec, constants, t_range[0], t_range[1], anchor)
 
 
 def _check_axis_range(spec: PotentialSpec, a: int, omega_range) -> tuple[float, float]:
@@ -497,19 +539,28 @@ def solve_phi_a(
     nodes = _uniform_nodes(lo, hi)
     lam = constants.as_tuple()
     path = solve_ivp(lambda w: _axis_rate(spec, a - 1, lam, 1.0, w), nodes, (v0, s0))
-    values, slopes, exact = path.values, path.slopes, path.midpoints
+    _audit(nodes, path.values, path.slopes, path.midpoints, f"the factor on axis {a}")
+    return AxisInterpolant(axis=a, nodes=nodes, values=path.values, slopes=path.slopes)
+
+
+def _audit(nodes: np.ndarray, values, slopes, exact, what: str) -> None:
+    """Check a Hermite table against its exact values at the cell midpoints.
+
+    ``values`` and ``slopes`` belong to the nodes, ``exact`` to the
+    midpoints.  A non-finite entry raises :class:`IntegrationError` at the
+    first node or midpoint that holds one, and so does a cubic Hermite
+    prediction at a midpoint, built from the nodes alone, that misses
+    ``exact`` by more than ``INTERP_BUDGET`` times the largest node value.
+    """
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    # every node and midpoint, in the order the propagation reaches them
+    # every node and midpoint, in the order a propagation reaches them
     finite = np.empty(2 * len(nodes) - 1, dtype=bool)
     finite[0::2] = np.isfinite(values) & np.isfinite(slopes)
     finite[1::2] = np.isfinite(exact)
     if not finite.all():
         first = int(np.argmin(finite))
         where = nodes[first // 2] if first % 2 == 0 else mids[first // 2]
-        raise IntegrationError(
-            f"factor on axis {a} overflowed during integration", location=float(where)
-        )
-
+        raise IntegrationError(f"{what} overflowed during integration", location=float(where))
     dx = float(nodes[1] - nodes[0])
     predicted = 0.5 * (values[:-1] + values[1:]) + 0.125 * dx * (slopes[:-1] - slopes[1:])
     scale = float(np.max(np.abs(values)))
@@ -517,10 +568,9 @@ def solve_phi_a(
     worst = int(np.argmax(err))
     if err[worst] > INTERP_BUDGET * max(scale, 1e-300):
         raise IntegrationError(
-            f"interpolation error {err[worst] / scale:.2e} on axis {a} exceeds budget",
+            f"interpolation error {err[worst] / scale:.2e} of {what} exceeds budget",
             location=float(mids[worst]),
         )
-    return AxisInterpolant(axis=a, nodes=nodes, values=values, slopes=slopes)
 
 
 class QKind(str, Enum):
@@ -555,9 +605,9 @@ def separate(
         initial_data = ((1.0, 0.0),) * 3
     if len(initial_data) != 3:
         raise ConfigurationError("initial_data must hold one (value, slope) pair per axis")
-    for a in (1, 2, 3):  # every range, before any axis is integrated
+    for a in (1, 2, 3):  # every range, before any table is built
         _check_axis_range(spec, a, omega_ranges[a - 1])
-    phi0 = solve_phi0(spec, constants, t_range, anchor)
+    phi0 = solve_phi0(spec, constants, t_range, anchor)  # checks t_range, then builds
     factors = tuple(
         solve_phi_a(spec, a, constants, omega_ranges[a - 1], initial_data[a - 1])
         for a in (1, 2, 3)
@@ -594,13 +644,14 @@ def evaluate_psi(solution: SeparatedSolution, t: float, x, omega_hint=None) -> c
 # Hamilton-Jacobi branch
 
 
-class HJTemporal(_TimeIntegral):
-    """phi0(t) = integral_{t0}^{t} (-T0_tilde - T_i lambda_i), real-valued."""
+class HJTemporal(_TimeTable):
+    """phi0(t) = integral_{t0}^{t} (-T0_tilde - T_i lambda_i), real-valued and
+    tabulated (:class:`_TimeTable`)."""
 
     _T0_SIGN = -1.0
 
     def __call__(self, t: float) -> float:
-        return self._memoised(t, 0.0, self._integral)
+        return 0.0 if t == self.anchor else _hermite(self._table, t, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -679,8 +730,9 @@ def hj_solve(
     signs = tuple(int(s) for s in signs)
     if len(signs) != 3 or any(s not in (-1, 1) for s in signs):
         raise ConfigurationError(f"branch signs must be three values of +-1, got {signs!r}")
-    phi0 = HJTemporal._over(spec, constants, t_range, anchor)
+    # every range, before any table is built; HJTemporal checks t_range first
     bounds = [_check_axis_range(spec, a, ranges[a - 1]) for a in (1, 2, 3)]
+    phi0 = HJTemporal(spec, constants, t_range[0], t_range[1], anchor)
     lam = constants.as_tuple()
     terms = []
     # a non-finite radicand ends in a typed error below, not in a warning

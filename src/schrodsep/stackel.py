@@ -66,15 +66,23 @@ def t_functions(system: CoordinateSystem, frame: FrameSpec, t: float) -> tuple[f
     """(T1, T2, T3) from the frame scales, per the chart's split class.
 
     Completely split charts keep all three h_i^-2; partially split ones
-    lose T2; non-split ones keep only T1 = h1^-2.
+    lose T2; non-split ones keep only T1 = h1^-2.  At a float array of
+    times each entry is an array of its shape, element for element the
+    bits of the float evaluation: ``np.float_power`` calls the C ``pow``
+    that ``float ** -2`` calls, where ``np.power`` may take a vectorised
+    one that rounds differently.
     """
     h1, h2, h3 = frame.scales(t)
+    if isinstance(t, np.ndarray):
+        inv, zero = (lambda h: np.float_power(h, -2.0)), np.zeros(t.shape)
+    else:
+        inv, zero = (lambda h: h ** -2), 0.0
     cls = system.split_class
     if cls is SplitClass.COMPLETE:
-        return (h1 ** -2, h2 ** -2, h3 ** -2)
+        return (inv(h1), inv(h2), inv(h3))
     if cls is SplitClass.PARTIAL:
-        return (h1 ** -2, 0.0, h3 ** -2)
-    return (h1 ** -2, 0.0, 0.0)
+        return (inv(h1), zero, inv(h3))
+    return (inv(h1), zero, zero)
 
 
 def metric_r_squared(

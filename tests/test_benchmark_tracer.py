@@ -59,4 +59,6 @@ def test_tracer_wraps_and_restores_every_binding():
     # one coefficient, so one Stackel row, per right-hand side evaluation
     assert s["calls"]["stackel.stackel_row"] >= s["tallies"]["solve_ivp.nfev"] > 0
     assert s["counts"]["separate.solve_ivp"] == 3
-    assert s["counts"]["separate.quad"] == 2
+    # the time tables of both phi0 pass their Lobatto check everywhere, so
+    # the adaptive fallback never runs
+    assert s["counts"]["separate.quad"] == 0

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schrodsep import __version__
-from schrodsep.cli import MAX_SAMPLES, load_scenario, main
+from schrodsep.cli import MAX_SAMPLES, _load_solution, load_scenario, main
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -275,11 +275,27 @@ def test_separate_infinite_t_range_writes_nothing(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+def test_separate_oversized_t_range_writes_nothing(tmp_path, capsys):
+    # 1e7 Hermite nodes in time: refused before any table is allocated
+    scen = _unbounded_scenario(tmp_path, t_range=(-2.0, 1e4))
+    out = tmp_path / "out"
+    assert run("separate", "--scenario", scen, "--out", out) == 1
+    assert "nodes" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.fixture(scope="module")
 def separated(tmp_path_factory):
     out = tmp_path_factory.mktemp("separated")
     assert main(["separate", "--scenario", str(MAGNETIC), "--out", str(out)]) == 0
     return out
+
+
+def test_verify_rebuilds_the_stored_phi0_bit_for_bit(separated):
+    sc = load_scenario(MAGNETIC)
+    phi0 = _load_solution(sc, separated).phi0
+    for t, re, im in read_json(separated / "solution.json")["phi0_probes"]:
+        assert phi0(t) == complex(re, im)
 
 
 def _truncate(out):

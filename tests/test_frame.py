@@ -306,6 +306,52 @@ def test_scale_triples_reject_nonpositive_and_nan_scales():
             frame.scale_triples(t)
 
 
+ARRAY_TIMES = np.linspace(-2.5, 2.5, 401).reshape(1, 401)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        constant(-0.3),
+        polynomial([0.7]),
+        polynomial([1.1, 0.05, 0.02]),
+        sinusoid(0.2, 0.9, 0.4, 1.4),
+        exponential_profile(0.4),  # math.exp: takes floats only
+        TimeProfile(lambda t: (np.cosh(t), np.sinh(t), np.cosh(t))),  # numpy, no array_fn
+    ],
+    ids=["constant", "degree_0", "polynomial", "sinusoid", "scalar_only", "numpy_custom"],
+)
+def test_profile_on_array_equals_per_float(profile):
+    got = profile.on_array(ARRAY_TIMES)
+    per_float = [profile(t) for t in ARRAY_TIMES.ravel().tolist()]
+    for k in range(3):
+        assert got[k].shape == ARRAY_TIMES.shape
+        assert np.array_equal(got[k].ravel(), [triple[k] for triple in per_float])
+
+
+def test_scalar_only_profile_is_called_once_per_element():
+    tally = Counter()
+    profile = counted(exponential_profile(0.4), tally, "exp")
+    profile.on_array(ARRAY_TIMES)
+    assert tally["exp"] == 1 + ARRAY_TIMES.size  # the refused array call, then each element
+
+
+@pytest.mark.parametrize("class_of", ["complete", "partial", "nonsplit"])
+def test_scales_on_array_equal_per_float(class_of):
+    frame = wiggly_frame(class_of)
+    triples = frame.scale_triples(ARRAY_TIMES)
+    scales = frame.scales(ARRAY_TIMES)
+    for j, t in enumerate(ARRAY_TIMES.ravel().tolist()):
+        assert tuple(tuple(float(v.flat[j]) for v in h) for h in triples) == frame.scale_triples(t)
+        assert tuple(float(h.flat[j]) for h in scales) == frame.scales(t)
+
+
+def test_scales_on_array_name_the_first_nonpositive_time():
+    times = np.array([1.0, 2.0, 2.5, math.sqrt(5.0) + 0.5, -3.0])
+    with pytest.raises(ConfigurationError, match=r"non-positive at t=2\.5: h = \(-0\.25,"):
+        mirrored_frame().scale_triples(times)
+
+
 def test_embed_and_unembed_reject_mirrored_frame():
     frame = mirrored_frame()
     system = make_system("cartesian")

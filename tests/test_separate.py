@@ -25,7 +25,6 @@ from schrodsep.errors import (
 from schrodsep.frame import TimeProfile, identity_frame, make_frame, polynomial, sinusoid
 from schrodsep.potential import coulomb_spec, electrostatic_spec, magnetic_spec, t0_profile
 from schrodsep.separate import (
-    MEMO_SIZE,
     QUAD_LIMIT,
     RADICAND_GRID,
     AxisInterpolant,
@@ -173,12 +172,12 @@ def test_phi0_closed_form_modulus_matches_quadrature():
 
 
 def test_phi0_nonpositive_scale_is_configuration_error():
-    # Positive on the probe grid [-2, 2], zero at t = 3.
+    # Positive on the probe grid [-2, 2], zero at t = 3: the table over
+    # (-1, 4) meets it while it is built.
     frame = make_frame("nonsplit", h1=polynomial([3.0, -1.0]))
     spec = magnetic_spec(make_system("spherical"), frame)
-    phi0 = solve_phi0(spec, SeparationConstants(0, 0, 0), (-1.0, 4.0), 0.0)
-    with pytest.raises(ConfigurationError, match="non-positive"):
-        phi0(3.5)
+    with pytest.raises(ConfigurationError, match=r"non-positive at t=3\.0:"):
+        solve_phi0(spec, SeparationConstants(0, 0, 0), (-1.0, 4.0), 0.0)
 
 
 def _wiggly_temporals():
@@ -187,35 +186,89 @@ def _wiggly_temporals():
     return spec, lam
 
 
-@pytest.mark.parametrize("kind", ["wave", "hj"])
-def test_temporal_memo_is_bit_identical_in_any_order(kind):
-    spec, lam = _wiggly_temporals()
+def _temporal(kind, spec, lam, t_range=(-1.5, 1.5), anchor=0.0):
     if kind == "wave":
-        make = lambda: solve_phi0(spec, lam, (-1.5, 1.5), 0.0)  # noqa: E731
-    else:
-        make = lambda: HJTemporal(spec, lam, -1.5, 1.5, 0.0)  # noqa: E731
+        return solve_phi0(spec, lam, t_range, anchor)
+    return HJTemporal(spec, lam, t_range[0], t_range[1], anchor)
+
+
+@pytest.mark.parametrize("kind", ["wave", "hj"])
+def test_temporal_table_is_bit_identical_in_any_order(kind):
+    spec, lam = _wiggly_temporals()
     times = (0.7, -0.3, 0.701, 1.2, -0.3, 0.698, 0.05, 0.7, 0.0)
-    want = {t: make()(t) for t in times}  # every value from a fresh instance
-    forward, backward, filled = make(), make(), make()
-    for t in np.linspace(-1.4, 1.4, 3 * MEMO_SIZE):
-        filled(float(t))
+    want = {t: _temporal(kind, spec, lam)(t) for t in times}  # each from a fresh table
+    forward, backward, swept = (_temporal(kind, spec, lam) for _ in range(3))
+    for t in np.linspace(-1.4, 1.4, 25):
+        swept(float(t))
     for t in times:
         assert forward(t) == want[t]
-        assert filled(t) == want[t]
+        assert swept(t) == want[t]
     for t in reversed(times):
         assert backward(t) == want[t]
-    assert len(filled._memo) <= MEMO_SIZE
 
 
-def test_replaced_temporal_starts_with_fresh_memo():
+def test_replaced_temporal_builds_a_new_table():
     spec, lam = _wiggly_temporals()
     damaged = SeparationConstants(1.1 * lam.lambda1, lam.lambda2, lam.lambda3)
-    for original in (solve_phi0(spec, lam, (-1.5, 1.5), 0.0), HJTemporal(spec, lam, -1.5, 1.5, 0.0)):
+    for kind in ("wave", "hj"):
+        original = _temporal(kind, spec, lam)
         before = original(0.6)
         tampered = replace(original, constants=damaged)
+        assert tampered._table is not original._table
         assert tampered(0.6) != before
-        assert tampered(0.6) == replace(original, constants=damaged)(0.6)
+        assert tampered(0.6) == _temporal(kind, spec, damaged)(0.6)
         assert original(0.6) == before
+
+
+@pytest.mark.parametrize("kind", ["wave", "hj"])
+def test_temporal_table_matches_gk15_reference(kind):
+    spec, lam = _wiggly_temporals()
+    anchor = 0.3
+    table = _temporal(kind, spec, lam, anchor=anchor)
+    sign = 1.0 if kind == "wave" else -1.0
+
+    def rate(tau):
+        T = t_functions(spec.system, spec.frame, tau)
+        return sign * spec.t0_tilde(tau)[0] - sum(Ti * li for Ti, li in zip(T, lam.as_tuple()))
+
+    h0 = spec.frame.scales(anchor)
+    for t in np.random.default_rng(16).uniform(-1.5, 1.5, 200).tolist():
+        integral = _quad(rate, anchor, t)
+        if kind == "hj":
+            assert table(t) == pytest.approx(integral, rel=1e-10, abs=1e-13)
+            continue
+        modulus = math.exp(-0.5 * sum(math.log(h / g) for h, g in zip(spec.frame.scales(t), h0)))
+        want = modulus * complex(math.cos(integral), -math.sin(integral))
+        assert abs(table(t)) == pytest.approx(modulus, rel=1e-10)
+        assert abs(table(t) - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("kind", ["wave", "hj"])
+def test_underresolved_time_driver_is_integration_error(kind):
+    # The phase of sin(3000 t) turns by 1.5 rad per half cell: its cubic
+    # Hermite table misses the midpoints by far more than the budget.
+    spec = magnetic_spec(
+        make_system("cartesian"), identity_frame("complete"), t0_tilde=sinusoid(1.0, 3000.0)
+    )
+    with pytest.raises(IntegrationError, match="time factor") as info:
+        _temporal(kind, spec, SeparationConstants(0.7, -0.4, 0.9), t_range=(-0.1, 0.1))
+    assert -0.1 < info.value.location < 0.1
+
+
+def test_oversized_time_range_rejected_before_any_table(monkeypatch):
+    module = importlib.import_module("schrodsep.separate")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oversized time range reached a table")
+
+    for name in ("solve_ivp", "quad", "_uniform_nodes"):
+        monkeypatch.setattr(module, name, forbidden)
+    lam = SeparationConstants(1, 1, 1)
+    ranges = ((0.0, 1.0),) * 3
+    with pytest.raises(ConfigurationError, match="time range .* nodes"):
+        separate(free_particle(), lam, omega_ranges=ranges, t_range=(-2.0, 1e4))
+    with pytest.raises(ConfigurationError, match="time range .* nodes"):
+        hj_solve(free_particle(), lam, ranges, t_range=(-2.0, 1e4))
 
 
 @pytest.mark.parametrize(

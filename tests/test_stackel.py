@@ -144,6 +144,16 @@ def test_stackel_matrix_nondegenerate(name):
         assert sigma[-1] > 1e-10
 
 
+@pytest.mark.parametrize("chart", ["cartesian", "cylindrical", "spherical"])
+def test_t_functions_on_array_equal_per_float(chart):
+    system = build(chart)
+    frame = wiggly_frame(system.split_class.value)
+    times = np.linspace(-2.0, 2.0, 303).reshape(3, 101)
+    got = t_functions(system, frame, times)
+    for j, t in enumerate(times.ravel().tolist()):
+        assert tuple(float(T.flat[j]) for T in got) == t_functions(system, frame, t)
+
+
 def test_t_functions_examples():
     cart = build("cartesian")
     assert t_functions(cart, identity_frame("complete"), 0.3) == (1.0, 1.0, 1.0)
