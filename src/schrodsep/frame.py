@@ -36,13 +36,43 @@ _CLASS_TOL = 1e-12
 _DERIV_TOL = 1e-6
 
 
+def on_float_array(fn: Callable, w: np.ndarray, what: str, parts: int = 0):
+    """``fn`` at every element of the float array w.
+
+    ``fn`` is called once on the whole array; one that takes floats only
+    (it raises ``TypeError`` or ``ValueError``, as a ``math.exp`` lambda
+    does) is called once per element instead.  It returns one real number,
+    or with ``parts`` a tuple of that many, and each comes back as a float
+    array of shape () or of w's shape; any other result is a
+    :class:`ConfigurationError` naming ``what``.
+    """
+    try:
+        out = fn(w)
+    except (TypeError, ValueError):
+        rows = [fn(v) for v in w.ravel().tolist()]
+        out = [np.array(col).reshape(w.shape) for col in (zip(*rows) if parts else [rows])]
+    else:
+        out = tuple(out) if parts else [out]
+    if len(out) != max(parts, 1):
+        raise ConfigurationError(f"{what} returned {len(out)} parts; expected {parts}")
+    checked = []
+    for values in map(np.asarray, out):
+        if values.shape not in ((), w.shape) or values.dtype.kind not in "biuf":
+            raise ConfigurationError(
+                f"{what} returned {values.dtype} values of shape {values.shape} "
+                f"on a grid of shape {w.shape}; expected a real number or that shape"
+            )
+        checked.append(values.astype(float, copy=False))
+    return tuple(checked) if parts else checked[0]
+
+
 @dataclass(frozen=True)
 class TimeProfile:
     """A smooth scalar function of time with two analytic derivatives.
 
     ``fn(t)`` returns the triple (value, d/dt, d2/dt2) at a float.  The
-    built-in polynomial and sinusoid also carry ``array_fn``, the same
-    triple by numpy on a float array, bit for bit the per-float values.
+    built-in sinusoid also carries ``array_fn``, the same triple by numpy
+    on a float array, bit for bit the per-float values.
     """
 
     fn: Callable[[float], tuple[float, float, float]]
@@ -53,20 +83,11 @@ class TimeProfile:
 
     def on_array(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The triple at every element of the float array t, as three arrays
-        of its shape.
-
-        Without ``array_fn``, ``fn`` is tried on the whole array; one that
-        takes only floats (it raises ``TypeError`` or ``ValueError``, as a
-        ``math.exp`` lambda does) is called once per element instead, as
-        :func:`schrodsep.potential.profile_values` does.
-        """
+        of its shape: ``array_fn``, or ``fn`` by :func:`on_float_array`."""
         if self.array_fn is not None:
             return self.array_fn(t)
-        try:
-            return tuple(np.asarray(v, dtype=float) + np.zeros(t.shape) for v in self.fn(t))
-        except (TypeError, ValueError):
-            rows = [self.fn(v) for v in t.ravel().tolist()]
-            return tuple(np.array(col, dtype=float).reshape(t.shape) for col in zip(*rows))
+        triple = on_float_array(self.fn, t, "time profile", 3)
+        return tuple(np.broadcast_to(v, t.shape) for v in triple)
 
 
 def constant(c: float) -> TimeProfile:
@@ -108,14 +129,10 @@ def polynomial(coefficients: Sequence[float]) -> TimeProfile:
     r0, r1, r2 = c[::-1], d1[::-1], _deriv(d1)[::-1]
 
     def fn(t: float) -> tuple[float, float, float]:
-        x = 0.0 + float(t)  # the domain map of Polynomial.__call__ (turns -0.0 into 0.0)
+        x = 0.0 + t  # the domain map of Polynomial.__call__ (turns -0.0 into 0.0)
         return (horner(r0, x), horner(r1, x), horner(r2, x))
 
-    def array_fn(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x = 0.0 + t
-        return (horner(r0, x), horner(r1, x), horner(r2, x))
-
-    return TimeProfile(fn, array_fn)
+    return TimeProfile(fn)
 
 
 def sinusoid(

@@ -35,6 +35,7 @@ from .frame import (
     constant,
     m_matrix,
     make_frame,
+    on_float_array,
     require_compatible,
     rotation_rates,
     unembed,
@@ -101,25 +102,13 @@ class PotentialSpec:
 
 def profile_values(profile: AxisProfile, w):
     """``profile`` at ``w``: a float at a float, and at a float array a
-    number or an array of its shape.
-
-    A callable that cannot take an array (it raises ``TypeError`` or
-    ``ValueError``, as a ``math.exp`` lambda does) is called once per
-    element instead.  Any other result is a :class:`ConfigurationError`.
+    number or an array of its shape (:func:`schrodsep.frame.on_float_array`,
+    which also serves a callable that takes floats only).  Any other
+    result is a :class:`ConfigurationError`.
     """
     if np.ndim(w) == 0:
         return float(profile(w))
-    w = np.asarray(w, dtype=float)
-    try:
-        values = np.asarray(profile(w))
-    except (TypeError, ValueError):
-        values = np.array([float(profile(v)) for v in w.ravel().tolist()]).reshape(w.shape)
-    if values.shape not in ((), w.shape) or values.dtype.kind not in "biuf":
-        raise ConfigurationError(
-            f"axis profile returned {values.dtype} values of shape {values.shape} "
-            f"on a grid of shape {w.shape}; expected a real number or that shape"
-        )
-    return values.astype(float, copy=False)
+    return on_float_array(profile, np.asarray(w, dtype=float), "axis profile")
 
 
 def _as_profiles(f10, f20, f30) -> tuple:

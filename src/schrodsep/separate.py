@@ -7,8 +7,9 @@ them with numpy alone: the time integral by five-point Gauss-Lobatto
 cells, with adaptive Gauss-Kronrod quadrature as the fallback of a cell
 that fails its check, and the spatial equations by a fourth-order Magnus
 propagator whose steps are the half cells of a uniform grid.  It stores
-every factor, the time factor included, as a dense cubic Hermite
-interpolant on a uniform grid and reassembles the wavefunction
+every spatial factor as a dense cubic Hermite interpolant on a uniform
+grid, and the time factor as one of its logarithm, on a grid as coarse
+as that smooth function allows, and reassembles the wavefunction
 
     psi(t, x) = Q * phi0(t) * phi1(omega1) * phi2(omega2) * phi3(omega3)
 
@@ -24,6 +25,7 @@ singularities.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -59,6 +61,14 @@ INTERP_BUDGET = 1e-9
 #: Largest Hermite grid a factor may ask for; checked before anything is
 #: integrated, so an oversized range fails at once instead of allocating.
 MAX_NODES = 10**6
+#: Cells of the first grid a time table tries (:class:`_TimeTable`).
+TIME_PROBE_CELLS = 64
+#: Largest midpoint miss, relative to the largest node value, of a time
+#: table coarser than NODE_SPACING.  The slope of a cubic Hermite table
+#: errs by up to about 3 miss / h between the nodes, so at this level the
+#: time derivatives the residual checks take of a coarser table stay
+#: within a small factor of those of the table at NODE_SPACING.
+TIME_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -248,6 +258,12 @@ def _hermite(grid: tuple, w: float, slope: bool):
     return value, deriv
 
 
+def _grid(name: str, nodes, values, slopes) -> tuple:
+    """The grid of :func:`_hermite` for a table on uniform ``nodes``."""
+    columns = (np.asarray(c).tolist() for c in (nodes, values, slopes))
+    return (name, *columns, float(nodes[1] - nodes[0]))
+
+
 @dataclass(frozen=True, eq=False)
 class AxisInterpolant:
     """One separated factor on a uniform grid, cubic Hermite between nodes.
@@ -264,9 +280,8 @@ class AxisInterpolant:
     _grid: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        columns = (np.asarray(c).tolist() for c in (self.nodes, self.values, self.slopes))
-        dx = float(self.nodes[1] - self.nodes[0])
-        object.__setattr__(self, "_grid", (f"omega_{self.axis}", *columns, dx))
+        grid = _grid(f"omega_{self.axis}", self.nodes, self.values, self.slopes)
+        object.__setattr__(self, "_grid", grid)
 
     @property
     def lo(self) -> float:
@@ -287,21 +302,35 @@ class AxisInterpolant:
 
 @dataclass(frozen=True)
 class _TimeTable:
-    """The integral from the anchor t0 to t of s T0_tilde - T_i lambda_i,
-    tabulated once per instance on the Hermite grid of [t_lo, t_hi].
+    """The exponent of a time factor, tabulated once per instance on a
+    uniform grid of [t_lo, t_hi] and evaluated by :func:`_hermite`.
 
-    s = +1 drives the phase of the wave factor, s = -1 is the time term
-    of the action.  The table is built in ``__post_init__``, so
-    ``dataclasses.replace`` builds a new one.  The rate is called once on
-    the nodes and cell midpoints and once on the inner Lobatto points of
-    the half cells (:func:`_cell_integrals`).  The running sum of the
-    half-cell integrals gives the integral at both, the rate at the nodes
-    is the exact slope, and the cubic Hermite prediction at every midpoint
-    is audited against its integral within ``INTERP_BUDGET``, as
-    :func:`solve_phi_a` audits the spatial factors.  The wave folds its
-    closed-form modulus in, so either table is one :func:`_hermite` call
-    per time; at the anchor itself a call returns exactly 1 or 0.  Each
-    subclass defines its own ``__call__``, the name under which
+    The rate s T0_tilde - T_i lambda_i, integrated from the anchor t0,
+    gives a phase.  With s = -1 the phase is the time term of the action,
+    and the table holds it.  With s = +1 it drives the wave factor, and the
+    table holds log phi0 = -(1/2) sum_i log(h_i/h_i(t0)) - i phase, whose
+    slope is -(1/2) sum_i h_i'/h_i - i rate: a smooth function however
+    fast phi0 itself turns.  The table is built in ``__post_init__``, so
+    ``dataclasses.replace`` builds a new one.
+
+    On a grid, the rate is called once on the nodes and cell midpoints,
+    which gives the exact slopes, and once on the inner Lobatto points of
+    the half cells (:func:`_cell_integrals`); the running sum of the
+    half-cell integrals gives the phase at both.  The grid is as coarse
+    as the rate allows: ``TIME_PROBE_CELLS`` cells first, and then, while
+    a half cell fails its Lobatto check or the cubic Hermite prediction at
+    a midpoint misses the exact value by more than ``TIME_TOL`` times the
+    largest node value, as many more cells as the h^4 law of that error
+    asks for (at least twice as many).  A grid with more than half the
+    cells of the one at ``NODE_SPACING``, or a table that cannot be built
+    on a coarser grid, gives way to the grid at ``NODE_SPACING``: there
+    the Gauss-Kronrod fallback serves the cells that fail the Lobatto
+    check, and the midpoints are audited against ``INTERP_BUDGET`` as
+    :func:`solve_phi_a` audits the spatial factors, so every failure is
+    reported on that grid.
+    The table is shifted to 0 where it reads the anchor, and a call at the
+    anchor itself returns exactly 1 (wave) or 0 (action).  Each subclass
+    defines its own ``__call__``, the name under which
     ``benchmarks/tracer.py`` wraps it.
     """
 
@@ -312,23 +341,18 @@ class _TimeTable:
     anchor: float
     #: The grid of :func:`_hermite` for the table.
     _table: tuple = field(init=False, repr=False, compare=False)
-    #: The sign s of T0_tilde in the rate; the wave (s = +1) folds in the modulus.
+    #: The sign s of T0_tilde in the rate; the wave (s = +1) adds the log-modulus.
     _T0_SIGN: ClassVar[float]
 
     def __post_init__(self):
         """:class:`ConfigurationError` unless the range is finite and
-        nonempty, holds the anchor and needs at most ``MAX_NODES`` nodes;
-        then the table is built."""
+        nonempty, holds the anchor and needs at most ``MAX_NODES`` nodes at
+        ``NODE_SPACING``; then the table is built."""
         lo, hi = check_range("time range", self.t_lo, self.t_hi)
         anchor = float(self.anchor)
         if not (lo <= anchor <= hi):
             raise ConfigurationError(f"anchor t0={anchor} outside time range ({lo}, {hi})")
-        n = _node_count(lo, hi)
-        if n > MAX_NODES:
-            raise ConfigurationError(
-                f"time range ({lo}, {hi}) needs {n} nodes at spacing {NODE_SPACING}; "
-                f"at most {MAX_NODES} are allowed"
-            )
+        _check_nodes(f"time range ({lo}, {hi})", lo, hi)
         for name, value in (("t_lo", lo), ("t_hi", hi), ("anchor", anchor)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_table", self._tabulate())
@@ -342,48 +366,71 @@ class _TimeTable:
         return t0 - (T[0] * lam[0] + T[1] * lam[1] + T[2] * lam[2])
 
     def _tabulate(self) -> tuple:
-        nodes = _uniform_nodes(self.t_lo, self.t_hi)
-        dx = float(nodes[1] - nodes[0])
+        lo, hi = self.t_lo, self.t_hi
+        fine = _node_count(lo, hi) - 1
+        cells = TIME_PROBE_CELLS
+        while 2 * cells <= fine:  # a grid finer than this saves too little to try
+            try:
+                nodes, values, slopes, exact, passed = self._build(
+                    np.linspace(lo, hi, cells + 1), False
+                )
+            except ConfigurationError:
+                break  # the grid at NODE_SPACING names the failure
+            with np.errstate(invalid="ignore", over="ignore"):
+                miss = float(np.max(_midpoint_miss(nodes, values, slopes, exact)))
+            if passed and miss <= TIME_TOL:
+                return _grid("t", nodes, values, slopes)
+            if not math.isfinite(miss):
+                break
+            cells = math.ceil(cells * max(2.0, 1.5 * (miss / TIME_TOL) ** 0.25))
+        nodes, values, slopes, exact, _ = self._build(_uniform_nodes(lo, hi), True)
+        _audit(nodes, values, slopes, exact, "the time factor")
+        return _grid("t", nodes, values, slopes)
+
+    def _build(self, nodes: np.ndarray, fallback: bool) -> tuple:
+        """The table on ``nodes``: its values and slopes there, its exact
+        values at the cell midpoints, and whether every half cell passed
+        its Lobatto check (always, with the ``fallback``)."""
         times = np.empty(2 * len(nodes) - 1)  # the nodes and the cell midpoints
         times[0::2], times[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
         rate = self._rate(times)
-        table = np.zeros(len(times))
-        np.cumsum(_cell_integrals(self._rate, times, rate), out=table[1:])
-        nodes_list = nodes.tolist()
+        if fallback:
+            halves, passed = _cell_integrals(self._rate, times, rate), True
+        else:
+            halves, failed = _lobatto_cells(self._rate, times, rate)
+            passed = failed.size == 0
+        table, slopes = np.zeros(len(times)), rate
+        # an overflow leaves non-finite values, which the audit locates
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumsum(halves, out=table[1:])
+            if self._T0_SIGN > 0.0:
+                frame = self.spec.frame
+                triples = frame.scale_triples(times)
+                log_modulus = 0.0
+                for (h, _, _), h0 in zip(triples, frame.scales(self.anchor)):
+                    log_modulus = log_modulus - 0.5 * np.log(h / h0)
+                table = log_modulus - 1j * table
+                slopes = -0.5 * sum(hd / h for h, hd, _ in triples) - 1j * rate
+        values, slopes, exact = table[0::2], slopes[0::2], table[1::2]
         # zero where the table itself reads the anchor, so that the exact 0
         # (or 1) a call returns there joins the table without a step
-        table -= _hermite(
-            ("t", nodes_list, table[0::2].tolist(), rate[0::2].tolist(), dx), self.anchor, False
-        )
-        slopes = rate
-        if self._T0_SIGN > 0.0:
-            frame = self.spec.frame
-            triples = frame.scale_triples(times)
-            log_modulus = 0.0
-            for (h, hd, _), h0 in zip(triples, frame.scales(self.anchor)):
-                log_modulus = log_modulus - 0.5 * np.log(h / h0)
-            # an overflow leaves non-finite values, which are located below
-            with np.errstate(over="ignore", invalid="ignore"):
-                table = np.exp(log_modulus - 1j * table)
-                slopes = table * (-0.5 * sum(hd / h for h, hd, _ in triples) - 1j * rate)
-        values, slopes = table[0::2], slopes[0::2]
-        _audit(nodes, values, slopes, table[1::2], "the time factor")
-        return ("t", nodes_list, values.tolist(), slopes.tolist(), dx)
+        shift = _hermite(_grid("t", nodes, values, slopes), self.anchor, False)
+        return nodes, values - shift, slopes, exact - shift, passed
 
 
 class TemporalFactor(_TimeTable):
     """phi0(t) = exp(-i integral_{t0}^{t} (T0 - T_i lambda_i)), anchored to 1.
 
     The imaginary part of T0, -(1/2) sum_i h_i'/h_i, integrates in closed
-    form: the modulus is exp(-(1/2) sum_i log(h_i(t)/h_i(t0))).  The real
-    part is the tabulated phase (:class:`_TimeTable`); the table holds
-    phi0 itself, with the slopes phi0 (-(1/2) sum_i h_i'/h_i - i rate).
+    form: the modulus is exp(-(1/2) sum_i log(h_i(t)/h_i(t0))).  The table
+    holds log phi0 (:class:`_TimeTable`), so a call is one
+    :func:`_hermite` evaluation and one ``cmath.exp`` on Python numbers.
     """
 
     _T0_SIGN = 1.0
 
     def __call__(self, t: float) -> complex:
-        return 1.0 + 0.0j if t == self.anchor else _hermite(self._table, t, False)
+        return 1.0 + 0.0j if t == self.anchor else cmath.exp(_hermite(self._table, t, False))
 
 
 def solve_phi0(
@@ -408,17 +455,23 @@ def _check_axis_range(spec: PotentialSpec, a: int, omega_range) -> tuple[float, 
             f"[{lo_min}, {hi_max}] on axis {a} of {spec.system.sid.value}",
             axis=a,
         )
-    n = _node_count(lo, hi)
-    if n > MAX_NODES:
-        raise ConfigurationError(
-            f"omega range ({lo}, {hi}) on axis {a} needs {n} nodes at spacing "
-            f"{NODE_SPACING}; at most {MAX_NODES} are allowed"
-        )
+    _check_nodes(f"omega range ({lo}, {hi}) on axis {a}", lo, hi)
     return lo, hi
 
 
 def _node_count(lo: float, hi: float) -> int:
     return max(2, int(math.ceil((hi - lo) / NODE_SPACING)) + 1)
+
+
+def _check_nodes(what: str, lo: float, hi: float) -> None:
+    """:class:`ConfigurationError` naming ``what`` unless the grid of
+    [lo, hi] at ``NODE_SPACING`` holds at most ``MAX_NODES`` nodes."""
+    n = _node_count(lo, hi)
+    if n > MAX_NODES:
+        raise ConfigurationError(
+            f"{what} needs {n} nodes at spacing {NODE_SPACING}; "
+            f"at most {MAX_NODES} are allowed"
+        )
 
 
 def _uniform_nodes(lo: float, hi: float) -> np.ndarray:
@@ -543,14 +596,21 @@ def solve_phi_a(
     return AxisInterpolant(axis=a, nodes=nodes, values=path.values, slopes=path.slopes)
 
 
+def _midpoint_miss(nodes: np.ndarray, values, slopes, exact) -> np.ndarray:
+    """|cubic Hermite prediction - exact| at every cell midpoint, over the
+    largest node value; the prediction is built from the nodes alone."""
+    dx = float(nodes[1] - nodes[0])
+    predicted = 0.5 * (values[:-1] + values[1:]) + 0.125 * dx * (slopes[:-1] - slopes[1:])
+    return np.abs(predicted - exact) / max(float(np.max(np.abs(values))), 1e-300)
+
+
 def _audit(nodes: np.ndarray, values, slopes, exact, what: str) -> None:
     """Check a Hermite table against its exact values at the cell midpoints.
 
     ``values`` and ``slopes`` belong to the nodes, ``exact`` to the
     midpoints.  A non-finite entry raises :class:`IntegrationError` at the
-    first node or midpoint that holds one, and so does a cubic Hermite
-    prediction at a midpoint, built from the nodes alone, that misses
-    ``exact`` by more than ``INTERP_BUDGET`` times the largest node value.
+    first node or midpoint that holds one, and so does a midpoint whose
+    :func:`_midpoint_miss` exceeds ``INTERP_BUDGET``.
     """
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     # every node and midpoint, in the order a propagation reaches them
@@ -561,14 +621,11 @@ def _audit(nodes: np.ndarray, values, slopes, exact, what: str) -> None:
         first = int(np.argmin(finite))
         where = nodes[first // 2] if first % 2 == 0 else mids[first // 2]
         raise IntegrationError(f"{what} overflowed during integration", location=float(where))
-    dx = float(nodes[1] - nodes[0])
-    predicted = 0.5 * (values[:-1] + values[1:]) + 0.125 * dx * (slopes[:-1] - slopes[1:])
-    scale = float(np.max(np.abs(values)))
-    err = np.abs(predicted - exact)
+    err = _midpoint_miss(nodes, values, slopes, exact)
     worst = int(np.argmax(err))
-    if err[worst] > INTERP_BUDGET * max(scale, 1e-300):
+    if err[worst] > INTERP_BUDGET:
         raise IntegrationError(
-            f"interpolation error {err[worst] / scale:.2e} of {what} exceeds budget",
+            f"interpolation error {err[worst]:.2e} of {what} exceeds budget",
             location=float(mids[worst]),
         )
 
@@ -672,14 +729,14 @@ LOBATTO_X = math.sqrt(3.0 / 7.0)
 LOBATTO_W = (0.1, 49.0 / 90.0, 32.0 / 45.0)
 
 
-def _cell_integrals(fn: Callable, nodes: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Integral of ``fn`` over each cell between consecutive ``nodes``.
+def _lobatto_cells(fn: Callable, nodes: np.ndarray, ends: np.ndarray):
+    """The five-point Lobatto integral of ``fn`` over each cell between
+    consecutive ``nodes``, and the indices of the cells that fail its
+    check against Simpson's rule (or whose estimate is not finite).
 
     ``ends`` holds ``fn`` at the nodes, and one call of ``fn`` on a
-    (3, cells) array gives the three inner points of every cell; the
-    fallback calls it on floats.  :func:`hj_solve` describes the rule,
-    its error estimate and the fallback.  A cell whose estimate is not
-    finite falls back too.
+    (3, cells) array gives the three inner points of every cell.
+    :func:`hj_solve` describes the rule and its check.
     """
     half = 0.5 * np.diff(nodes)
     mids = nodes[:-1] + half
@@ -689,7 +746,14 @@ def _cell_integrals(fn: Callable, nodes: np.ndarray, ends: np.ndarray) -> np.nda
     lobatto = half * (LOBATTO_W[0] * outer + LOBATTO_W[1] * (left + right) + LOBATTO_W[2] * centre)
     simpson = half / 3.0 * (outer + 4.0 * centre)
     budget = np.maximum(QUAD_EPSABS, np.abs(lobatto) * QUAD_EPSREL)
-    for j in np.flatnonzero(~(np.abs(lobatto - simpson) <= budget)):
+    return lobatto, np.flatnonzero(~(np.abs(lobatto - simpson) <= budget))
+
+
+def _cell_integrals(fn: Callable, nodes: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """:func:`_lobatto_cells`, with every cell that fails its check
+    integrated again by :func:`_quad` on floats."""
+    lobatto, failed = _lobatto_cells(fn, nodes, ends)
+    for j in failed:
         lobatto[j] = _quad(fn, float(nodes[j]), float(nodes[j + 1]))
     return lobatto
 

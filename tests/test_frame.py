@@ -329,6 +329,16 @@ def test_profile_on_array_equals_per_float(profile):
         assert np.array_equal(got[k].ravel(), [triple[k] for triple in per_float])
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [lambda t: (t[:-1], t, t), lambda t: (np.exp(1j * t), t, t), lambda t: (t, t)],
+    ids=["short", "complex", "two_parts"],
+)
+def test_profile_on_array_rejects_other_results(fn):
+    with pytest.raises(ConfigurationError, match="time profile"):
+        TimeProfile(fn).on_array(ARRAY_TIMES)
+
+
 def test_scalar_only_profile_is_called_once_per_element():
     tally = Counter()
     profile = counted(exponential_profile(0.4), tally, "exp")

@@ -1,5 +1,6 @@
 """Tests for the reduced ODEs, factor integration, and reassembly."""
 
+import cmath
 import importlib
 import io
 import math
@@ -27,6 +28,7 @@ from schrodsep.potential import coulomb_spec, electrostatic_spec, magnetic_spec,
 from schrodsep.separate import (
     QUAD_LIMIT,
     RADICAND_GRID,
+    TIME_PROBE_CELLS,
     AxisInterpolant,
     HJTemporal,
     QKind,
@@ -46,6 +48,7 @@ from schrodsep.separate import (
     write_interpolant_csv,
 )
 from schrodsep.stackel import stackel_row, stackel_values, t_functions
+from schrodsep.verify import chart_box_points, se_report
 
 from test_stackel import build, wiggly_frame
 
@@ -220,11 +223,14 @@ def test_replaced_temporal_builds_a_new_table():
         assert original(0.6) == before
 
 
+@pytest.mark.parametrize("t_range", [(-1.5, 1.5), (-10.0, 10.0)], ids=["narrow", "wide"])
 @pytest.mark.parametrize("kind", ["wave", "hj"])
-def test_temporal_table_matches_gk15_reference(kind):
+def test_temporal_table_matches_gk15_reference(kind, t_range):
     spec, lam = _wiggly_temporals()
     anchor = 0.3
-    table = _temporal(kind, spec, lam, anchor=anchor)
+    table = _temporal(kind, spec, lam, t_range, anchor)
+    if t_range[1] > 5.0:  # the wiggly rate is smooth enough for a coarser grid
+        assert len(table._table[1]) < len(_uniform_nodes(*t_range)) // 2
     sign = 1.0 if kind == "wave" else -1.0
 
     def rate(tau):
@@ -232,7 +238,7 @@ def test_temporal_table_matches_gk15_reference(kind):
         return sign * spec.t0_tilde(tau)[0] - sum(Ti * li for Ti, li in zip(T, lam.as_tuple()))
 
     h0 = spec.frame.scales(anchor)
-    for t in np.random.default_rng(16).uniform(-1.5, 1.5, 200).tolist():
+    for t in np.random.default_rng(16).uniform(*t_range, 200).tolist():
         integral = _quad(rate, anchor, t)
         if kind == "hj":
             assert table(t) == pytest.approx(integral, rel=1e-10, abs=1e-13)
@@ -241,6 +247,26 @@ def test_temporal_table_matches_gk15_reference(kind):
         want = modulus * complex(math.cos(integral), -math.sin(integral))
         assert abs(table(t)) == pytest.approx(modulus, rel=1e-10)
         assert abs(table(t) - want) <= 1e-10 * abs(want)
+
+
+def test_fast_time_factor_separates_and_verifies():
+    # phi0 = exp(-40 i t) turns 40 rad per unit time, but its exponent is
+    # linear: the coarsest time grid holds it to rounding.
+    spec, box = free_particle(), ((-0.5, 0.5),) * 3
+    solution = separate(
+        spec, SeparationConstants(-40.0, 0.0, 0.0), omega_ranges=box, t_range=(-1.0, 1.0)
+    )
+    assert len(solution.phi0._table[1]) == TIME_PROBE_CELLS + 1
+    for t in np.random.default_rng(40).uniform(-1.0, 1.0, 50).tolist():
+        assert abs(solution.phi0(t) - cmath.exp(-40j * t)) <= 1e-12
+    points = chart_box_points(spec.system, spec.frame, box, (-1.0, 1.0), 20, 3)
+    report = se_report(
+        lambda t, x, hint: evaluate_psi(solution, t, x, hint),
+        spec,
+        [(t, x) for t, x, _ in points],
+        hints=[omega for _, _, omega in points],
+    )
+    assert report.max_relative < 1e-5
 
 
 @pytest.mark.parametrize("kind", ["wave", "hj"])
