@@ -200,27 +200,24 @@ class FrameSpec:
         """(h_i, h_i', h_i'') for i = 1, 2, 3 at t, or arrays of the shape of
         a float array t (:meth:`TimeProfile.on_array`); the one check, by
         :class:`ConfigurationError`, that every h_i(t) > 0 (NaN fails it),
-        naming the first t that fails."""
-        if isinstance(t, np.ndarray):
-            return self._scale_arrays(t)
-        h1, h2, h3 = self.h1(t), self.h2(t), self.h3(t)
-        if not (h1[0] > 0.0 and h2[0] > 0.0 and h3[0] > 0.0):
+        naming the first t that fails.  A class tie (h2 = h1, h3 = h1)
+        shares the profile, which is evaluated once."""
+        array = isinstance(t, np.ndarray)
+        evaluate = (lambda p: p.on_array(t)) if array else (lambda p: p(t))
+        h1 = evaluate(self.h1)
+        h2 = h1 if self.h2 is self.h1 else evaluate(self.h2)
+        h3 = h1 if self.h3 is self.h1 else evaluate(self.h3)
+        if array:
+            bad = np.flatnonzero(~((h1[0] > 0.0) & (h2[0] > 0.0) & (h3[0] > 0.0)))
+            if bad.size:
+                j = bad[0]
+                values = (float(h1[0].flat[j]), float(h2[0].flat[j]), float(h3[0].flat[j]))
+                raise ConfigurationError(
+                    f"frame scale non-positive at t={float(t.flat[j])}: h = {values}"
+                )
+        elif not (h1[0] > 0.0 and h2[0] > 0.0 and h3[0] > 0.0):
             values = (h1[0], h2[0], h3[0])
             raise ConfigurationError(f"frame scale non-positive at t={t}: h = {values}")
-        return (h1, h2, h3)
-
-    def _scale_arrays(self, t: np.ndarray):
-        # a class tie (h2 = h1, h3 = h1) shares the profile: evaluate it once
-        h1 = self.h1.on_array(t)
-        h2 = h1 if self.h2 is self.h1 else self.h2.on_array(t)
-        h3 = h1 if self.h3 is self.h1 else self.h3.on_array(t)
-        bad = np.flatnonzero(~((h1[0] > 0.0) & (h2[0] > 0.0) & (h3[0] > 0.0)))
-        if bad.size:
-            j = bad[0]
-            values = (float(h1[0].flat[j]), float(h2[0].flat[j]), float(h3[0].flat[j]))
-            raise ConfigurationError(
-                f"frame scale non-positive at t={float(t.flat[j])}: h = {values}"
-            )
         return (h1, h2, h3)
 
     def translation_triples(self, t: float) -> tuple[tuple[float, float, float], ...]:

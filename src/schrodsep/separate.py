@@ -3,13 +3,14 @@
 A separable problem turns into four ODEs: one first-order equation in
 time whose solution is a pure quadrature, and three decoupled
 second-order equations, one per coordinate.  This module integrates
-them with numpy alone: the time integral by five-point Gauss-Lobatto
-cells, with adaptive Gauss-Kronrod quadrature as the fallback of a cell
-that fails its check, and the spatial equations by a fourth-order Magnus
-propagator whose steps are the half cells of a uniform grid.  It stores
-every spatial factor as a dense cubic Hermite interpolant on a uniform
-grid, and the time factor as one of its logarithm, on a grid as coarse
-as that smooth function allows, and reassembles the wavefunction
+them with numpy alone: the time integral and the square roots of the
+action by one rule, five-point Gauss-Lobatto cells checked against
+Simpson's rule, where a cell that fails its check bisects itself, and
+the spatial equations by a fourth-order Magnus propagator whose steps
+are the half cells of a uniform grid.  It stores every spatial factor
+as a dense cubic Hermite interpolant on a uniform grid, and the time
+factor as one of its logarithm, on a grid as coarse as that smooth
+function allows, and reassembles the wavefunction
 
     psi(t, x) = Q * phi0(t) * phi1(omega1) * phi2(omega2) * phi3(omega3)
 
@@ -26,7 +27,6 @@ singularities.
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -50,9 +50,11 @@ from .stackel import stackel_row, t_functions
 
 QUAD_EPSREL = 1e-11
 QUAD_EPSABS = 1e-13
-#: Most subintervals one adaptive quadrature may hold; each bisection adds
-#: one, so an integral costs at most 15 * (2 * QUAD_LIMIT - 1) evaluations.
-QUAD_LIMIT = 200
+#: Most cells one adaptive quadrature (:func:`quad`) may hold.  Each pass
+#: is one array call of the integrand and bisects at least one cell, and
+#: each half costs three new points, so an integral costs at most
+#: QUAD_LIMIT + 1 calls and 2 + 3 * (2 * QUAD_LIMIT - 1) evaluations.
+QUAD_LIMIT = 1000
 #: Hermite node spacing; the factors are propagated in steps of half of
 #: it, and the interpolation error of a cubic on this grid is audited
 #: against the propagated value at every cell midpoint.
@@ -131,95 +133,95 @@ def _axis_rate(spec: PotentialSpec, axis: int, lam, f_sign: float, w) -> np.ndar
 # ---------------------------------------------------------------------------
 # Quadrature
 
-#: Gauss-Kronrod (7, 15) rule on [-1, 1] (Piessens et al., QUADPACK,
-#: routine qk15): the Kronrod abscissae from the outermost in to 0 and
-#: their weights; the odd-indexed abscissae are the 7-point Gauss nodes,
-#: whose weights are GAUSS7_W.
-KRONROD15_X = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.0,
-)
-KRONROD15_W = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-GAUSS7_W = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
+#: Five-point Gauss-Lobatto rule on [-1, 1]: the ends, +-sqrt(3/7) and 0,
+#: with weights 1/10, 49/90 and 32/45 (Davis & Rabinowitz, section 2.7).
+LOBATTO_X = math.sqrt(3.0 / 7.0)
+LOBATTO_W = (0.1, 49.0 / 90.0, 32.0 / 45.0)
 
 
-def _quad_budget(value: float) -> float:
-    return max(QUAD_EPSABS, QUAD_EPSREL * abs(value))
+def _lobatto_cells(fn: Callable, lo: np.ndarray, hi: np.ndarray, f_lo, f_hi) -> tuple:
+    """The five-point Lobatto integral of ``fn`` over each of the disjoint
+    cells [lo, hi], its Simpson check, and the cell centres with ``fn``
+    there, the end that the halves of a bisected cell share.
 
-
-def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """The K15 value over [a, b] and its error estimate |K15 - G7|."""
-    centre, half = 0.5 * (a + b), 0.5 * (b - a)
-    f = fn(centre)
-    kronrod, gauss = KRONROD15_W[7] * f, GAUSS7_W[3] * f
-    for j in range(7):
-        dx = half * KRONROD15_X[j]
-        pair = fn(centre - dx) + fn(centre + dx)
-        kronrod += KRONROD15_W[j] * pair
-        if j % 2:
-            gauss += GAUSS7_W[j // 2] * pair
-    return half * kronrod, abs(half * (kronrod - gauss))
-
-
-def quad(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Integral of ``fn`` from a to b and its error estimate.
-
-    Global adaptive Gauss-Kronrod (7, 15): the interval with the largest
-    estimate is bisected until the summed estimate is within
-    max(QUAD_EPSABS, QUAD_EPSREL |value|) or ``QUAD_LIMIT`` subintervals
-    are held.  A non-finite integrand value stops it at once with a
-    non-finite value.  :func:`_quad` checks the result.  It is the fallback
-    of :func:`_cell_integrals` alone, for a cell whose Lobatto value fails
-    its check.  Each integral is one call, which ``benchmarks/tracer.py``
-    counts under this name.
+    The rule adds the centre and the points +-sqrt(3/7) h/2 around it to
+    the ends, where ``f_lo`` and ``f_hi`` hold ``fn``; one call of ``fn``
+    on a (3, cells) array gives the inner points of every cell.  The check
+    |Lobatto - Simpson| bounds Simpson's error, so as an estimate it is
+    conservative for the degree-7 Lobatto value; a cell passes when it is
+    within :func:`_quad_budget` of the value.
     """
-    value, error = _gk15(fn, a, b)
-    cells = [(-error, a, b, value)]
-    while (
-        math.isfinite(value + error)
-        and error > _quad_budget(value)
-        and len(cells) < QUAD_LIMIT
-    ):
-        _, lo, hi, _ = heapq.heappop(cells)
-        mid = 0.5 * (lo + hi)
-        for left, right in ((lo, mid), (mid, hi)):
-            v, e = _gk15(fn, left, right)
-            heapq.heappush(cells, (-e, left, right, v))
-        value = sum(cell[3] for cell in cells)
-        error = sum(-cell[0] for cell in cells)
-    return value, error
+    half = 0.5 * (hi - lo)
+    mids = lo + half
+    off = LOBATTO_X * half
+    left, centre, right = fn(np.stack((mids - off, mids, mids + off)))
+    outer = f_lo + f_hi
+    lobatto = half * (LOBATTO_W[0] * outer + LOBATTO_W[1] * (left + right) + LOBATTO_W[2] * centre)
+    simpson = half / 3.0 * (outer + 4.0 * centre)
+    return lobatto, np.abs(lobatto - simpson), mids, centre
 
 
-def _quad(fn: Callable[[float], float], a: float, b: float) -> float:
-    """:func:`quad`, or :class:`QuadratureError` unless it met its budget."""
-    value, error = quad(fn, a, b)
-    if not math.isfinite(value):
-        raise QuadratureError(f"integrand not finite on [{a}, {b}]")
-    if not error <= _quad_budget(value):
-        raise QuadratureError(
-            f"quadrature over [{a}, {b}] reports error {error:.2e} beyond tolerance "
-            f"after {QUAD_LIMIT} subintervals"
+def _quad_budget(value):
+    """max(QUAD_EPSABS, QUAD_EPSREL |value|), element-wise: the error
+    budget of every integral."""
+    return np.maximum(QUAD_EPSABS, np.abs(value) * QUAD_EPSREL)
+
+
+def quad(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
+    """Integral of ``fn`` (on arrays) from a to b and its error estimate,
+    by bisection of Lobatto cells (:func:`_lobatto_cells`).
+
+    From [a, b] alone, while the summed estimate of the cells exceeds
+    :func:`_quad_budget` of their sum, a pass bisects the fewest worst
+    cells that hold three quarters of it (Dorfler's bulk criterion) and
+    integrates the new halves in one call of ``fn``.  A half's estimate is
+    the larger of its Simpson check and half of |parent - (left + right)|
+    (Gander & Gautschi, BIT 40, 2000): each misses the error of some cells
+    with a kink or a square-root end, rarely of the same ones.
+    :class:`QuadratureError` ends a pass whose sum is not finite, and one
+    that misses the budget with ``QUAD_LIMIT`` cells.  Only
+    :func:`_cell_integrals` calls it, once per cell that fails its check;
+    ``benchmarks/tracer.py`` counts it under this name.
+    """
+    ends = fn(np.array([a, b], dtype=float))
+    cells = np.empty((8, 0))  # rows: lo, hi, fn at both, integral, estimate, centre, fn there
+    new = (np.array([a], dtype=float), np.array([b], dtype=float), ends[:1], ends[1:])
+    parent = None
+    while True:
+        value, estimate, mid, f_mid = _lobatto_cells(fn, *new)
+        if parent is not None:
+            pair = 0.5 * np.abs(parent - (value[: len(parent)] + value[len(parent) :]))
+            estimate = np.maximum(estimate, np.concatenate((pair, pair)))
+        cells = np.hstack((cells, np.stack((*new, value, estimate, mid, f_mid))))
+        total, error = float(np.sum(cells[4])), float(np.sum(cells[5]))
+        if not math.isfinite(total + error):
+            raise QuadratureError(f"integrand not finite on [{a}, {b}]")
+        if error <= _quad_budget(total):
+            return total, error
+        if cells.shape[1] >= QUAD_LIMIT:
+            raise QuadratureError(
+                f"quadrature over [{a}, {b}] reports error {error:.2e} beyond tolerance "
+                f"after {QUAD_LIMIT} subintervals"
+            )
+        worst = np.argsort(-cells[5], kind="stable")
+        # rest[k]: the estimate held by all but the k worst cells
+        rest = np.cumsum(cells[5, worst[::-1]])[::-1]
+        split = worst[: min(np.count_nonzero(rest > 0.25 * error), QUAD_LIMIT - cells.shape[1])]
+        lo, hi, f_lo, f_hi, parent, _, mid, f_mid = cells[:, split]
+        cells = np.delete(cells, split, axis=1)
+        new = (
+            np.concatenate((lo, mid)), np.concatenate((mid, hi)),
+            np.concatenate((f_lo, f_mid)), np.concatenate((f_mid, f_hi)),
         )
+
+
+def _cell_integrals(fn: Callable, nodes: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The Lobatto integrals of ``fn`` over the cells between consecutive
+    ``nodes`` (``ends`` holds ``fn`` there), with every cell that fails
+    its check integrated again by :func:`quad`."""
+    value, estimate, _, _ = _lobatto_cells(fn, nodes[:-1], nodes[1:], ends[:-1], ends[1:])
+    for j in np.flatnonzero(~(estimate <= _quad_budget(value))):
+        value[j] = quad(fn, float(nodes[j]), float(nodes[j + 1]))[0]
     return value
 
 
@@ -324,8 +326,8 @@ class _TimeTable:
     asks for (at least twice as many).  A grid with more than half the
     cells of the one at ``NODE_SPACING``, or a table that cannot be built
     on a coarser grid, gives way to the grid at ``NODE_SPACING``: there
-    the Gauss-Kronrod fallback serves the cells that fail the Lobatto
-    check, and the midpoints are audited against ``INTERP_BUDGET`` as
+    a cell that fails the Lobatto check bisects itself (:func:`quad`),
+    and the midpoints are audited against ``INTERP_BUDGET`` as
     :func:`solve_phi_a` audits the spatial factors, so every failure is
     reported on that grid.
     The table is shifted to 0 where it reads the anchor, and a call at the
@@ -397,8 +399,9 @@ class _TimeTable:
         if fallback:
             halves, passed = _cell_integrals(self._rate, times, rate), True
         else:
-            halves, failed = _lobatto_cells(self._rate, times, rate)
-            passed = failed.size == 0
+            cells = (times[:-1], times[1:], rate[:-1], rate[1:])
+            halves, estimate, _, _ = _lobatto_cells(self._rate, *cells)
+            passed = bool(np.all(estimate <= _quad_budget(halves)))
         table, slopes = np.zeros(len(times)), rate
         # an overflow leaves non-finite values, which the audit locates
         with np.errstate(over="ignore", invalid="ignore"):
@@ -723,39 +726,6 @@ class HJAction:
 
 
 RADICAND_GRID = 256
-#: Five-point Gauss-Lobatto rule on [-1, 1]: the ends, +-sqrt(3/7) and 0,
-#: with weights 1/10, 49/90 and 32/45 (Davis & Rabinowitz, section 2.7).
-LOBATTO_X = math.sqrt(3.0 / 7.0)
-LOBATTO_W = (0.1, 49.0 / 90.0, 32.0 / 45.0)
-
-
-def _lobatto_cells(fn: Callable, nodes: np.ndarray, ends: np.ndarray):
-    """The five-point Lobatto integral of ``fn`` over each cell between
-    consecutive ``nodes``, and the indices of the cells that fail its
-    check against Simpson's rule (or whose estimate is not finite).
-
-    ``ends`` holds ``fn`` at the nodes, and one call of ``fn`` on a
-    (3, cells) array gives the three inner points of every cell.
-    :func:`hj_solve` describes the rule and its check.
-    """
-    half = 0.5 * np.diff(nodes)
-    mids = nodes[:-1] + half
-    off = LOBATTO_X * half
-    left, centre, right = fn(np.stack((mids - off, mids, mids + off)))
-    outer = ends[:-1] + ends[1:]
-    lobatto = half * (LOBATTO_W[0] * outer + LOBATTO_W[1] * (left + right) + LOBATTO_W[2] * centre)
-    simpson = half / 3.0 * (outer + 4.0 * centre)
-    budget = np.maximum(QUAD_EPSABS, np.abs(lobatto) * QUAD_EPSREL)
-    return lobatto, np.flatnonzero(~(np.abs(lobatto - simpson) <= budget))
-
-
-def _cell_integrals(fn: Callable, nodes: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """:func:`_lobatto_cells`, with every cell that fails its check
-    integrated again by :func:`_quad` on floats."""
-    lobatto, failed = _lobatto_cells(fn, nodes, ends)
-    for j in failed:
-        lobatto[j] = _quad(fn, float(nodes[j]), float(nodes[j + 1]))
-    return lobatto
 
 
 def hj_solve(
@@ -776,18 +746,11 @@ def hj_solve(
     call each per axis.
 
     The speed sqrt(...) is evaluated once at every Hermite node; those
-    values are the stored slopes and the ends of a five-point
-    Gauss-Lobatto rule on each cell, which adds the midpoint and the two
-    points +-sqrt(3/7) h/2 around it.  Simpson's rule on the same ends and
-    midpoint gives the error estimate: a cell is accepted when the two
-    differ by at most max(QUAD_EPSABS, QUAD_EPSREL |value|), the budget of
-    the adaptive quadrature.  Since the difference bounds Simpson's error,
-    the test is conservative for the degree-7 Lobatto value.  A cell that
-    fails it, such as one holding the kink of the clamp at zero near a
-    turning point, is integrated by the adaptive Gauss-Kronrod quadrature
-    alone, which raises :class:`QuadratureError` if it cannot meet the
-    budget either.  The node values are the running sum of the cell
-    integrals.
+    values are the stored slopes and the ends of the Lobatto cells, whose
+    running sum gives the node values (:func:`_cell_integrals`).  A cell
+    that fails its Simpson check, such as one holding a square-root end of
+    the clamp at zero, bisects itself (:func:`quad`) until it meets the
+    budget, or :class:`QuadratureError` says it cannot.
     """
     if len(ranges) != 3:
         raise ConfigurationError("ranges must hold one (lo, hi) pair per axis")

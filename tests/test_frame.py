@@ -306,6 +306,17 @@ def test_scale_triples_reject_nonpositive_and_nan_scales():
             frame.scale_triples(t)
 
 
+def test_tied_scale_is_evaluated_once_per_time():
+    # h2 and h3 of a nonsplit frame are h1 itself: one evaluation serves all three
+    tally = Counter()
+    base = sinusoid(0.2, 0.9, 0.4, 1.4)
+    frame = make_frame("nonsplit", h1=counted(base, tally, "h"))
+    for t in (-1.5, 0.0, 0.7):
+        tally.clear()
+        assert frame.scale_triples(t) == (base(t),) * 3
+        assert tally["h"] == 1
+
+
 ARRAY_TIMES = np.linspace(-2.5, 2.5, 401).reshape(1, 401)
 
 

@@ -33,7 +33,6 @@ from schrodsep.separate import (
     HJTemporal,
     QKind,
     SeparationConstants,
-    _quad,
     _uniform_nodes,
     evaluate_action,
     evaluate_psi,
@@ -225,7 +224,7 @@ def test_replaced_temporal_builds_a_new_table():
 
 @pytest.mark.parametrize("t_range", [(-1.5, 1.5), (-10.0, 10.0)], ids=["narrow", "wide"])
 @pytest.mark.parametrize("kind", ["wave", "hj"])
-def test_temporal_table_matches_gk15_reference(kind, t_range):
+def test_temporal_table_matches_quadpack_reference(kind, t_range):
     spec, lam = _wiggly_temporals()
     anchor = 0.3
     table = _temporal(kind, spec, lam, t_range, anchor)
@@ -239,7 +238,7 @@ def test_temporal_table_matches_gk15_reference(kind, t_range):
 
     h0 = spec.frame.scales(anchor)
     for t in np.random.default_rng(16).uniform(*t_range, 200).tolist():
-        integral = _quad(rate, anchor, t)
+        integral = scipy_quad(rate, anchor, t, epsabs=1e-14, epsrel=1e-13)[0]
         if kind == "hj":
             assert table(t) == pytest.approx(integral, rel=1e-10, abs=1e-13)
             continue
@@ -554,8 +553,9 @@ def test_hj_turning_point_detected():
     assert (info.value.axis, info.value.omega) == (1, 1.2180392156862745)
 
 
-def _per_cell_quad_terms(spec, constants, ranges, signs):
-    """Reference node values: one adaptive quadrature per Hermite cell."""
+def _per_cell_quad_terms(spec, constants, ranges, signs, points=()):
+    """Reference node values: one QUADPACK quadrature per Hermite cell,
+    told of the ``points`` inside it where the integrand is not smooth."""
     lam = constants.as_tuple()
     terms = []
     for axis, (lo, hi) in enumerate(ranges):
@@ -567,7 +567,10 @@ def _per_cell_quad_terms(spec, constants, ranges, signs):
         nodes = _uniform_nodes(lo, hi)
         values = np.zeros(len(nodes))
         for j in range(len(nodes) - 1):
-            values[j + 1] = values[j] + _quad(speed, float(nodes[j]), float(nodes[j + 1]))
+            a, b = float(nodes[j]), float(nodes[j + 1])
+            inside = [p for p in points if a < p < b] or None
+            cell = scipy_quad(speed, a, b, points=inside, epsabs=1e-14, epsrel=1e-13)[0]
+            values[j + 1] = values[j] + cell
         terms.append(signs[axis] * values)
     return terms
 
@@ -598,8 +601,8 @@ def quad_calls(monkeypatch):
     """The (a, b) of every adaptive quadrature ``separate`` runs."""
     module = importlib.import_module("schrodsep.separate")
     calls = []
-    real = module._quad
-    monkeypatch.setattr(module, "_quad", lambda fn, a, b: calls.append((a, b)) or real(fn, a, b))
+    real = module.quad
+    monkeypatch.setattr(module, "quad", lambda fn, a, b: calls.append((a, b)) or real(fn, a, b))
     return calls
 
 
@@ -626,36 +629,72 @@ def test_hj_kinked_cell_falls_back_to_quad_alone(quad_calls):
     np.testing.assert_allclose(action.terms[0].values, reference[0], rtol=1e-13, atol=0.0)
 
 
+def test_hj_turning_point_cell_bisects_itself(quad_calls):
+    # The radicand (w - 0.50037)(w - 0.50061) dips below zero inside the
+    # Hermite cell [0.500, 0.501], between two points of the turning-point
+    # screen; the clamp at zero gives the speed two square-root ends there.
+    dip = (0.50037, 0.50061)
+    spec = magnetic_spec(
+        make_system("cartesian"),
+        identity_frame("complete"),
+        f10=lambda w: 1.0 - (w - dip[0]) * (w - dip[1]),
+    )
+    screen = np.linspace(0.0, 1.0, RADICAND_GRID)
+    assert not np.any((dip[0] <= screen) & (screen <= dip[1]))
+    constants = SeparationConstants(1.0, 1.0, 1.0)
+    ranges = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+    action = hj_solve(spec, constants, ranges, t_range=(-1.0, 1.0))
+    # the cell of the dip and the three cells on either side of it, whose
+    # Simpson check feels the branch points; none elsewhere
+    nodes = action.terms[0].nodes.tolist()
+    assert quad_calls == [(nodes[j], nodes[j + 1]) for j in range(497, 504)]
+    assert nodes[500] < dip[0] < dip[1] < nodes[501]
+    reference = _per_cell_quad_terms(spec, constants, ranges, (1, 1, 1), dip)
+    np.testing.assert_allclose(action.terms[0].values, reference[0], rtol=1e-13, atol=0.0)
+
+
 class _Counted:
-    """An integrand that counts its evaluations."""
+    """An integrand on arrays that counts its calls and their points."""
 
     def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+        self.fn, self.calls, self.points = fn, 0, 0
 
     def __call__(self, x):
         self.calls += 1
+        self.points += np.size(x)
         return self.fn(x)
 
 
 def test_quad_nonfinite_integrand_fails_at_once():
-    fn = _Counted(lambda x: math.nan if x > 0.3 else 1.0)
+    fn = _Counted(lambda x: np.where(x > 0.3, math.nan, 1.0))
     with pytest.raises(QuadratureError, match="not finite"):
-        _quad(fn, 0.0, 1.0)
-    assert fn.calls == 15
+        quad(fn, 0.0, 1.0)
+    assert fn.calls == 2  # the ends, then the first pass
 
 
 def test_quad_kinked_integrand_converges_by_bisection():
-    fn = _Counted(lambda x: abs(x - 1.0 / 3.0))
+    fn = _Counted(lambda x: np.abs(x - 1.0 / 3.0))
     value, error = quad(fn, 0.0, 1.0)
-    assert abs(value - 5.0 / 18.0) <= error <= 1e-11 * value
-    assert 15 < fn.calls <= 15 * 2 * 20
+    # Simpson's rule is exact on every cell that holds the kink (a third of
+    # the way in from one end), so the Simpson check alone equals the error
+    assert 2.0 * abs(value - 5.0 / 18.0) <= error <= 1e-11 * value
+    assert 2 < fn.calls <= 20
+
+
+def test_quad_square_root_end_meets_its_budget():
+    fn = _Counted(lambda x: np.sqrt(np.maximum(x - 0.2, 0.0)))
+    value, error = quad(fn, 0.0, 1.0)
+    assert abs(value - 2.0 / 3.0 * 0.8**1.5) <= error <= 1e-11 * value
+    assert fn.calls <= 30
 
 
 def test_quad_unmet_budget_stops_at_the_subinterval_limit():
-    fn = _Counted(lambda x: math.sin(1e6 * x))
+    fn = _Counted(lambda x: np.sin(1e6 * x))
     with pytest.raises(QuadratureError, match="beyond tolerance"):
-        _quad(fn, 0.0, 1.0)
-    assert fn.calls == 15 * (2 * QUAD_LIMIT - 1)
+        quad(fn, 0.0, 1.0)
+    # the ends, then 18 passes of one call each until QUAD_LIMIT cells are held
+    assert fn.calls == 19
+    assert fn.points == 2 + 3 * (2 * QUAD_LIMIT - 1)
 
 
 def test_hj_free_cartesian_nodes_are_linear():
