@@ -631,14 +631,18 @@ def jacobian(system: CoordinateSystem, omega) -> np.ndarray:
     :class:`SingularityError` when the determinant falls below
     ``DET_GUARD`` relative to the product of column norms.
     """
-    rows = _chart_map(system, omega)[1]
-    J = np.array(rows)
+    return _guarded_jacobian(system, omega, _chart_map(system, omega)[1])
+
+
+def _guarded_jacobian(system: CoordinateSystem, omega, rows) -> np.ndarray:
+    """The Jacobian rows of the chart map at omega as an array, or the
+    :class:`SingularityError` of :func:`jacobian`."""
     det = _det3(rows)
     if _near_singular(rows, det):
         raise SingularityError(
             f"{system.sid.value}: Jacobian determinant {det!r} below guard at omega={tuple(omega)}"
         )
-    return J
+    return np.array(rows)
 
 
 def _det3(m) -> float:
@@ -682,9 +686,12 @@ def _cramer(m, r, det):
 #: Default and guaranteed Newton convergence factors (times 1 + |z|).  The
 #: iteration aims for TARGET_TOL and the result is accepted when it beats
 #: CONTRACT_TOL; in practice quadratic convergence lands near machine
-#: precision, which downstream finite differencing relies on.
+#: precision, which downstream finite differencing relies on.  An accepted
+#: result above FLOOR_TOL gets one polishing step; at or below it the
+#: residual is rounding, and a step could move omega by ulps only.
 CONTRACT_TOL = 1e-11
 TARGET_TOL = 1e-13
+FLOOR_TOL = 2.0 * math.ulp(1.0)
 MAX_NEWTON_ITERS = 50
 
 
@@ -773,7 +780,7 @@ def invert(system: CoordinateSystem, z, guess) -> np.ndarray:
         # One full polishing step: quadratic convergence turns a landing
         # just under the target into an essentially machine-precision one,
         # which keeps Newton noise out of downstream difference stencils.
-        if r > 0.0:
+        if r > FLOOR_TOL * (1.0 + zn):
             try:
                 step = _solve3(J, d)
                 w_new = clamp((w[0] - step[0], w[1] - step[1], w[2] - step[2]))
@@ -862,8 +869,8 @@ def invert_batch(system: CoordinateSystem, Z, G) -> tuple[np.ndarray, np.ndarray
             moving = moving[improved]
             moving = moving[r[moving] > tol_target[moving]]
         ok = alive & (r <= tol_accept)
-        # one full polishing step, as in invert
-        done = np.flatnonzero(ok & (r > 0.0))
+        # one full polishing step above the rounding floor, as in invert
+        done = np.flatnonzero(ok & (r > FLOOR_TOL * (1.0 + zn)))
         keep, step = _steps_batch(J, d, done)
         done = done[keep]
         w_new = np.clip(w[:, done] - step, lo, hi)

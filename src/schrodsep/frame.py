@@ -295,19 +295,23 @@ def identity_frame(class_of: SplitClass | str) -> FrameSpec:
     return make_frame(SplitClass(class_of))
 
 
+def _euler_rows(a, b, g, cos, sin) -> tuple:
+    """The rows of the Euler rotation at angles (a, b, g), by ``cos`` and
+    ``sin`` from math on floats or from numpy on float arrays."""
+    ca, sa = cos(a), sin(a)
+    cb, sb = cos(b), sin(b)
+    cg, sg = cos(g), sin(g)
+    return (
+        (ca * cb - sa * sb * cg, -ca * sb - sa * cb * cg, sa * sg),
+        (sa * cb + ca * sb * cg, -sa * sb + ca * cb * cg, -ca * sg),
+        (sb * sg, cb * sg, cg),
+    )
+
+
 def rotation_matrix(frame: FrameSpec, t: float) -> np.ndarray:
     """The Euler rotation T(t); orthogonal with det +-1."""
     a, b, g = frame.alpha(t)[0], frame.beta(t)[0], frame.gamma(t)[0]
-    ca, sa = math.cos(a), math.sin(a)
-    cb, sb = math.cos(b), math.sin(b)
-    cg, sg = math.cos(g), math.sin(g)
-    return np.array(
-        [
-            [ca * cb - sa * sb * cg, -ca * sb - sa * cb * cg, sa * sg],
-            [sa * cb + ca * sb * cg, -sa * sb + ca * cb * cg, -ca * sg],
-            [sb * sg, cb * sg, cg],
-        ]
-    )
+    return np.array(_euler_rows(a, b, g, math.cos, math.sin))
 
 
 def rotation_rates(frame: FrameSpec, t: float) -> tuple[float, float, float]:
@@ -376,10 +380,33 @@ def embed(system: CoordinateSystem, frame: FrameSpec, t: float, omega) -> np.nda
     return rotation_matrix(frame, t) @ hz + frame.translation(t)
 
 
+def _placement(frame: FrameSpec, t) -> tuple:
+    """The rows of T, the translation w and the scales h at t, a float or
+    a float array (each entry then an array of t's shape): every profile
+    read once, a tied scale once in all, with the scale check of
+    :meth:`FrameSpec.scale_triples`."""
+    if isinstance(t, np.ndarray):
+        value, cos, sin = (lambda p: p.on_array(t)[0]), np.cos, np.sin
+    else:
+        value, cos, sin = (lambda p: p(t)[0]), math.cos, math.sin
+    rows = _euler_rows(value(frame.alpha), value(frame.beta), value(frame.gamma), cos, sin)
+    w = (value(frame.w1), value(frame.w2), value(frame.w3))
+    h1, h2, h3 = frame.scale_triples(t)
+    return rows, w, (h1[0], h2[0], h3[0])
+
+
+def _to_chart(rows, w, h, x) -> tuple:
+    """H^{-1} T^T (x - w) from :func:`_placement`'s values and the three
+    components of x: floats, or arrays that broadcast together."""
+    d0, d1, d2 = x[0] - w[0], x[1] - w[1], x[2] - w[2]
+    return tuple((rows[0][j] * d0 + rows[1][j] * d1 + rows[2][j] * d2) / h[j] for j in range(3))
+
+
 def unembed(frame: FrameSpec, t: float, x) -> np.ndarray:
-    """Chart-space target z = H^{-1} T^T (x - w); feeds coords.invert."""
-    y = rotation_matrix(frame, t).T @ (np.asarray(x, dtype=float) - frame.translation(t))
-    return y / np.array(frame.scales(t))
+    """Chart-space target z = H^{-1} T^T (x - w); feeds coords.invert.
+
+    The nine frame values are read once and combined on Python floats."""
+    return np.array(_to_chart(*_placement(frame, t), np.asarray(x, dtype=float).tolist()))
 
 
 def omega_gradients(system: CoordinateSystem, frame: FrameSpec, t: float, omega) -> np.ndarray:
@@ -390,7 +417,13 @@ def omega_gradients(system: CoordinateSystem, frame: FrameSpec, t: float, omega)
     """
     require_compatible(system, frame)
     J = jacobian(system, omega)
-    A = rotation_matrix(frame, t) @ (np.array(frame.scales(t))[:, None] * J)
+    return _gradients(system, t, omega, J, rotation_matrix(frame, t), np.array(frame.scales(t)))
+
+
+def _gradients(system: CoordinateSystem, t: float, omega, J, rot, h) -> np.ndarray:
+    """:func:`omega_gradients` from the chart Jacobian J, the rotation and
+    the scales (an array) at t, with its singularity guard."""
+    A = rot @ (h[:, None] * J)
     det = float(np.linalg.det(A))
     if _near_singular(A, det):
         raise SingularityError(

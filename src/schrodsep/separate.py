@@ -46,7 +46,7 @@ from .errors import (
 )
 from .frame import unembed
 from .potential import PotentialKind, PotentialSpec, phase_factor_S
-from .stackel import stackel_row, t_functions
+from .stackel import _t_from_scales, stackel_row
 
 QUAD_EPSREL = 1e-11
 QUAD_EPSABS = 1e-13
@@ -359,10 +359,13 @@ class _TimeTable:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_table", self._tabulate())
 
-    def _rate(self, tau):
-        """The rate at a float array of times, or a 0-d one at a float."""
+    def _rate(self, tau, triples=None):
+        """The rate at a float array of times, or a 0-d one at a float;
+        ``triples`` are the frame's scale triples there, if already read."""
         tau = np.asarray(tau, dtype=float)
-        T = t_functions(self.spec.system, self.spec.frame, tau)
+        if triples is None:
+            triples = self.spec.frame.scale_triples(tau)
+        T = _t_from_scales(self.spec.system, [h for h, _, _ in triples])
         lam = self.constants.as_tuple()
         t0 = self._T0_SIGN * self.spec.t0_tilde.on_array(tau)[0]
         return t0 - (T[0] * lam[0] + T[1] * lam[1] + T[2] * lam[2])
@@ -395,7 +398,9 @@ class _TimeTable:
         its Lobatto check (always, with the ``fallback``)."""
         times = np.empty(2 * len(nodes) - 1)  # the nodes and the cell midpoints
         times[0::2], times[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
-        rate = self._rate(times)
+        frame = self.spec.frame
+        triples = frame.scale_triples(times)  # for the rate and the log-modulus
+        rate = self._rate(times, triples)
         if fallback:
             halves, passed = _cell_integrals(self._rate, times, rate), True
         else:
@@ -407,8 +412,6 @@ class _TimeTable:
         with np.errstate(over="ignore", invalid="ignore"):
             np.cumsum(halves, out=table[1:])
             if self._T0_SIGN > 0.0:
-                frame = self.spec.frame
-                triples = frame.scale_triples(times)
                 log_modulus = 0.0
                 for (h, _, _), h0 in zip(triples, frame.scales(self.anchor)):
                     log_modulus = log_modulus - 0.5 * np.log(h / h0)

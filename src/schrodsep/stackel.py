@@ -72,9 +72,15 @@ def t_functions(system: CoordinateSystem, frame: FrameSpec, t: float) -> tuple[f
     that ``float ** -2`` calls, where ``np.power`` may take a vectorised
     one that rounds differently.
     """
-    h1, h2, h3 = frame.scales(t)
-    if isinstance(t, np.ndarray):
-        inv, zero = (lambda h: np.float_power(h, -2.0)), np.zeros(t.shape)
+    return _t_from_scales(system, frame.scales(t))
+
+
+def _t_from_scales(system: CoordinateSystem, scales) -> tuple:
+    """:func:`t_functions` from the frame scales (h1, h2, h3) at t, which
+    :meth:`FrameSpec.scales` gives at a float or a float array t."""
+    h1, h2, h3 = scales
+    if isinstance(h1, np.ndarray):
+        inv, zero = (lambda h: np.float_power(h, -2.0)), np.zeros(h1.shape)
     else:
         inv, zero = (lambda h: h ** -2), 0.0
     cls = system.split_class
@@ -96,8 +102,13 @@ def metric_r_squared(
     :class:`DomainError` as :func:`schrodsep.coords.forward` does, and
     :class:`SingularityError` when some R_a^2 is zero or not finite.
     """
-    J = _chart_map(system, omega)[1]
-    HJ = [[h * v for v in row] for h, row in zip(frame.scales(t), J)]
+    return _r_squared(system, t, omega, _chart_map(system, omega)[1], frame.scales(t))
+
+
+def _r_squared(system: CoordinateSystem, t: float, omega, J, scales) -> tuple:
+    """:func:`metric_r_squared` from the Jacobian rows J of the chart map
+    at omega and the frame scales at t, with its guard."""
+    HJ = [[h * v for v in row] for h, row in zip(scales, J)]
     R2 = tuple([x * x + y * y + z * z for x, y, z in zip(*HJ)])
     if not all([0.0 < r < math.inf for r in R2]):
         raise SingularityError(f"{system.sid.value}: metric {R2} at omega={tuple(omega)}, t={t}")

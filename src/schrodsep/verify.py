@@ -6,9 +6,13 @@ fourth-order central stencils and combine the derivatives with
 analytically evaluated potentials, so a separated solution is confirmed
 against the governing equation through a route it never touched.
 
-Stencil steps are scaled by the local coordinate magnitude.  Each
-stencil node's chart coordinates are found by Newton inversion seeded
-from the center node, which keeps every evaluation on the same branch.
+Stencil steps are scaled by the local coordinate magnitude.  Given a
+sample's chart point, the reports solve the chart coordinates of all its
+stencil nodes before its field calls: the centres in one batched Newton
+inversion seeded by the given points, then every node in another seeded
+by its centre, which keeps every evaluation on the centre's branch.  Each
+field call is then handed its own node's point, so its own inversion
+starts at the solution.
 """
 
 from __future__ import annotations
@@ -19,11 +23,19 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .coords import forward, invert, invert_batch, sample_domain
+from .coords import _chart_map, _guarded_jacobian, invert, invert_batch, sample_domain
 from .errors import NumericError, StencilError, check_range
-from .frame import embed, omega_gradients, rotation_matrix, unembed
+from .frame import (
+    _gradients,
+    _placement,
+    _to_chart,
+    embed,
+    require_compatible,
+    rotation_matrix,
+    unembed,
+)
 from .potential import PotentialSpec, vector_divergence, vector_potential
-from .stackel import metric_r_squared, stackel_values, t_functions
+from .stackel import _r_squared, stackel_values, t_functions
 
 DEFAULT_STEPS = (1e-3, 1e-3)
 #: Floor for the reported scale so a vanishing field still yields a
@@ -58,31 +70,55 @@ def _d2(samples, center, h: float):
 
 _OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 
+#: Nodes of a residual stencil, in stencil order: the centre, the four time
+#: offsets, then the four offsets along each spatial axis in turn.
+_NODES = 17
+
+
+def _shifted(x, h: float, axis: int, k: float) -> np.ndarray:
+    """x shifted by k h along ``axis``."""
+    p = np.array(x, dtype=float)
+    p[axis] += k * h
+    return p
+
 
 def _row(fn, x, h: float, axis: int) -> list:
     """fn at x shifted by k h along ``axis``, for the four stencil offsets k."""
-    out = []
-    for k in _OFFSETS:
-        p = np.array(x, dtype=float)
-        p[axis] += k * h
-        out.append(fn(p))
-    return out
+    return [fn(_shifted(x, h, axis, k)) for k in _OFFSETS]
+
+
+def _steps_at(t: float, x: np.ndarray, steps) -> tuple[float, float]:
+    """The time and space steps of the stencil around (t, x)."""
+    return float(steps[0]) * (1.0 + abs(t)), float(steps[1]) * (1.0 + float(np.linalg.norm(x)))
 
 
 def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre: bool):
     """The set-up the SE and HJ residuals share: the chart point of x (None
     without ``omega_hint``), the spatial step, the field at the centre (None
-    unless ``centre``), its time derivative and its three spatial rows."""
+    unless ``centre``), its time derivative and its three spatial rows.
+
+    ``omega_hint`` is a start for the centre's Newton inversion, whose
+    result is then every node's hint, or the chart points of all
+    ``_NODES`` nodes in stencil order (:func:`_node_points`), each handed
+    to the field at its own node."""
     x = np.asarray(x, dtype=float)
-    ht = float(steps[0]) * (1.0 + abs(t))
-    hx = float(steps[1]) * (1.0 + float(np.linalg.norm(x)))
-    hint = None
-    if omega_hint is not None:
-        hint = invert(spec.system, unembed(spec.frame, t, x), omega_hint)
-    value = _guard(field, t, x, hint) if centre else None
-    d_t = _d1([_guard(field, t + k * ht, x, hint) for k in _OFFSETS], ht)
-    rows = [_row(lambda p: _guard(field, t, p, hint), x, hx, axis) for axis in range(3)]
-    return hint, hx, value, d_t, rows
+    ht, hx = _steps_at(t, x, steps)
+    if omega_hint is None:
+        hints = [None] * _NODES
+    elif np.ndim(omega_hint) == 2:
+        hints = omega_hint
+    else:
+        hints = [invert(spec.system, unembed(spec.frame, t, x), omega_hint)] * _NODES
+    value = _guard(field, t, x, hints[0]) if centre else None
+    d_t = _d1([_guard(field, t + k * ht, x, h) for k, h in zip(_OFFSETS, hints[1:5])], ht)
+    rows = [
+        [
+            _guard(field, t, _shifted(x, hx, axis, k), h)
+            for k, h in zip(_OFFSETS, hints[5 + 4 * axis:9 + 4 * axis])
+        ]
+        for axis in range(3)
+    ]
+    return hints[0], hx, value, d_t, rows
 
 
 def _residual(terms) -> tuple:
@@ -104,7 +140,9 @@ def se_residual_with_scale(
 ) -> tuple[complex, float]:
     """Residual of the wave equation at (t, x) plus the largest term size.
 
-    The operator, fully expanded:
+    ``omega_hint`` is a Newton start for the chart point of x, or the chart
+    points of the 17 stencil nodes that the reports hand in.  The operator,
+    fully expanded:
 
         i psi_t - e A0 psi + lap psi + i e (div A) psi
                 + 2 i e (A . grad psi) - e^2 |A|^2 psi
@@ -186,7 +224,8 @@ def hj_residual_with_scale(
     steps: Sequence[float] = DEFAULT_STEPS,
     omega_hint=None,
 ) -> tuple[float, float]:
-    """Residual u_t + e A0 + sum_a (u_{x_a} + e A_a)^2 at (t, x)."""
+    """Residual u_t + e A0 + sum_a (u_{x_a} + e A_a)^2 at (t, x); ``omega_hint``
+    as in :func:`se_residual_with_scale`."""
     hint, hx, _, u_t, rows = _stencil(action, spec, t, x, steps, omega_hint, centre=False)
     grad = np.array([_d1(row, hx) for row in rows], dtype=float)
 
@@ -255,12 +294,97 @@ def _record(index, channel, t, x, residual, scale) -> PointRecord:
     )
 
 
+#: Samples of a report whose stencil nodes are solved together; bounds the
+#: node arrays of a long report.
+_NODE_CHUNK = 256
+
+#: The column of a node's time among a sample's five distinct times (the
+#: centre's, then its four offsets), in stencil order.
+_TIME_COLUMN = np.array([0, 1, 2, 3, 4] + [0] * 12)
+
+
+def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
+    """The chart points of the ``_NODES`` stencil nodes of each sample
+    (t, x) with chart point ``hints[j]``, as an array in stencil order, or
+    None for a sample left to the per-sample path of :func:`_stencil`.
+
+    The nodes are built by the arithmetic of :func:`_stencil`, so they are
+    its nodes bit for bit, and mapped to chart space in one array pass
+    that reads the frame once at each distinct time.  The centres are
+    inverted in one :func:`invert_batch` call seeded by the hints, then
+    the other nodes in one more, each seeded by its centre's point.  A
+    sample is left out when its point or hint is not three finite
+    numbers, or when one of its nodes failed its batch inversion; every
+    sample is when the frame cannot be read at one of the times, so that
+    the per-sample path raises that error at the sample it belongs to.
+    """
+    out = [None] * len(points)
+    live, ts, xs, starts = [], [], [], []
+    for j, ((t, x), hint) in enumerate(zip(points, hints)):
+        try:
+            t, x, hint = float(t), np.asarray(x, dtype=float), np.asarray(hint, dtype=float)
+        except (TypeError, ValueError):
+            continue
+        if x.shape == hint.shape == (3,) and math.isfinite(t) and np.isfinite(x).all():
+            live.append(j)
+            ts.append(t)
+            xs.append(x)
+            starts.append(hint)
+    if not live:
+        return out
+    t, x = np.array(ts), np.array(xs)
+    ht, hx = np.array([_steps_at(*tx, steps) for tx in zip(ts, xs)]).T
+    times = np.concatenate((t[:, None], t[:, None] + np.array(_OFFSETS) * ht[:, None]), axis=1)
+    nodes = np.repeat(x[:, None, :], _NODES, axis=1)
+    for axis in range(3):
+        nodes[:, 5 + 4 * axis:9 + 4 * axis, axis] += np.array(_OFFSETS) * hx[:, None]
+    try:
+        rows, w, h = _placement(spec.frame, times)
+    except Exception:  # a profile may raise anything; the per-sample path raises it in turn
+        return out
+
+    def per_node(v):
+        return np.broadcast_to(v, times.shape)[:, _TIME_COLUMN]
+
+    with np.errstate(all="ignore"):  # a node whose target is not finite fails its inversion
+        z = _to_chart(
+            [[per_node(v) for v in row] for row in rows],
+            [per_node(v) for v in w],
+            [per_node(v) for v in h],
+            nodes.transpose(2, 0, 1),
+        )
+    z = np.stack(z, axis=-1)  # (samples, nodes, 3)
+    centres, ok = invert_batch(spec.system, z[:, 0], np.array(starts))
+    solved = np.flatnonzero(ok)
+    if not solved.size:
+        return out
+    others, good = invert_batch(
+        spec.system, z[solved, 1:].reshape(-1, 3), np.repeat(centres[solved], _NODES - 1, axis=0)
+    )
+    others = others.reshape(-1, _NODES - 1, 3)
+    for k in np.flatnonzero(good.reshape(-1, _NODES - 1).all(axis=1)):
+        s = solved[k]
+        out[live[s]] = np.concatenate((centres[s:s + 1], others[k]))
+    return out
+
+
 def _report(residual_with_scale, channel, field, spec, points, steps, hints) -> ResidualReport:
+    """One record per sample, in order.  With ``hints``, the stencil nodes
+    of ``_NODE_CHUNK`` samples at a time are solved together
+    (:func:`_node_points`) and each sample gets its nodes' points, or its
+    hint where they are missing."""
     records = []
-    for idx, (t, x) in enumerate(points):
-        hint = None if hints is None else hints[idx]
-        res, scale = residual_with_scale(field, spec, t, x, steps, hint)
-        records.append(_record(idx, channel, t, x, res, scale))
+    points = list(points)
+    for lo in range(0, len(points), _NODE_CHUNK):
+        chunk = points[lo:lo + _NODE_CHUNK]
+        nodes = [None] * len(chunk)
+        if hints is not None:
+            nodes = _node_points(spec, chunk, steps, hints[lo:lo + _NODE_CHUNK])
+        for idx, (t, x), hint in zip(range(lo, lo + len(chunk)), chunk, nodes):
+            if hint is None and hints is not None:
+                hint = hints[idx]
+            res, scale = residual_with_scale(field, spec, t, x, steps, hint)
+            records.append(_record(idx, channel, t, x, res, scale))
     return ResidualReport(tuple(records), ht=float(steps[0]), hx=float(steps[1]))
 
 
@@ -503,9 +627,10 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
     harmonicity of each coordinate (finite differences), and the metric
     against the gradients (``colnorm``: max_a |R_a^2 |grad omega_a|^2 - 1|,
     the metric the potentials divide by against the inverse of the
-    embedded Jacobian T H J).  Violations are data, not errors.  Positions
-    and stencil targets come from the frame evaluated once, at t, and the
-    Stackel rows from one call for all samples.  Harmonicity, the only
+    embedded Jacobian T H J).  Violations are data, not errors.  Positions,
+    gradients, metric and stencil targets come from the frame evaluated
+    once, at t, and one chart map per sample, and the Stackel rows from one
+    call for all samples.  Harmonicity, the only
     finite-difference channel, is reported only where the singular values
     1 / |grad omega_a| of T H J lie in the window the stencil resolves;
     the samples that pass walk the step ladder together, a chunk at a
@@ -516,18 +641,21 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
     samples = sample_domain(system, seed=seed, n=n_samples)
     hx = DEFAULT_STEPS[1]
     rot = rotation_matrix(frame, t)
-    h = np.array(frame.scales(t))
+    scales = frame.scales(t)
+    h = np.array(scales)
     w = frame.translation(t)
     to_chart = rot.T / h[:, None]
     T = t_functions(system, frame, t)
     rows = stackel_values(system, samples)
     for idx, (omega, F) in enumerate(zip(samples, rows)):
-        z = forward(system, omega)
+        z, J = _chart_map(system, omega)
+        z = np.array(z)
         x = rot @ (h * z) + w
         records = []
         per_sample.append(records)
 
-        grads = omega_gradients(system, frame, t, omega)
+        require_compatible(system, frame)
+        grads = _gradients(system, t, omega, _guarded_jacobian(system, omega, J), rot, h)
         norms = np.linalg.norm(grads, axis=1)
         worst_dot = max(
             abs(float(grads[i] @ grads[j])) / (norms[i] * norms[j])
@@ -543,7 +671,7 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
             worst_rel = max(worst_rel, abs(sum(terms) - T[j]) / scale)
         records.append(_record(idx, "stackel", t, x, worst_rel, 1.0))
 
-        R2 = metric_r_squared(system, frame, t, omega)
+        R2 = _r_squared(system, t, omega, J, scales)
         worst_col = max(abs(R2[a] * g2[a] - 1.0) for a in range(3))
         records.append(_record(idx, "colnorm", t, x, worst_col, 1.0))
 

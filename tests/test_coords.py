@@ -12,6 +12,8 @@ from schrodsep.coords import (
     _CHARTS,
     _near_singular,
     CONTRACT_TOL,
+    FLOOR_TOL,
+    TARGET_TOL,
     SplitClass,
     SystemId,
     all_system_ids,
@@ -422,3 +424,27 @@ def test_invert_batch_fails_bad_rows_alone():
         for z, g in bad_rows:
             with pytest.raises(SchrodsepError):
                 invert(s, z, g)
+
+
+@pytest.mark.parametrize("name", ["spherical", "parabolic", "conical", "paraboloidal"])
+def test_invert_leaves_a_start_at_the_rounding_floor_alone(name):
+    # A start whose image misses the target by one ulp is at the rounding
+    # floor: both inversions return it bit for bit, with no polishing step.
+    # A start that misses by half of TARGET_TOL needs no Newton step but is
+    # still polished, and the polish lowers the residual.
+    s = build(name)
+    for omega in sample_domain(s, seed=4, n=5):
+        z = forward(s, omega)
+        at_floor = z.copy()
+        at_floor[0] = np.nextafter(z[0], math.inf)
+        miss = np.linalg.norm(forward(s, omega) - at_floor)
+        assert 0.0 < miss <= FLOOR_TOL * (1.0 + np.linalg.norm(at_floor))
+        assert invert(s, at_floor, omega).tobytes() == omega.tobytes()
+        batch, ok = invert_batch(s, at_floor[None], omega[None])
+        assert ok[0] and batch[0].tobytes() == omega.tobytes()
+
+        near = z + 0.5 * TARGET_TOL * (1.0 + np.linalg.norm(z)) * np.array([0.6, 0.0, 0.8])
+        before = np.linalg.norm(forward(s, omega) - near)
+        for got in (invert(s, near, omega), invert_batch(s, near[None], omega[None])[0][0]):
+            assert got.tobytes() != omega.tobytes()
+            assert np.linalg.norm(forward(s, got) - near) < before

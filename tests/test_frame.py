@@ -243,6 +243,28 @@ def test_unembed_inverts_embed():
         np.testing.assert_allclose(unembed(fr, t, x), forward(s, w), atol=1e-13)
 
 
+@pytest.mark.parametrize("class_of", ["complete", "partial", "nonsplit"])
+def test_unembed_reads_each_profile_once(class_of):
+    # nine profiles, a tied scale read once, and the matrix form to rounding
+    frame = wiggly_frame(class_of)
+    tally = Counter()
+    names = ("alpha", "beta", "gamma", "h1", "h2", "h3", "w1", "w2", "w3")
+    profiles = {name: counted(getattr(frame, name), tally, name) for name in names}
+    if frame.h2 is frame.h1:
+        profiles["h2"] = profiles["h1"]
+    if frame.h3 is frame.h1:
+        profiles["h3"] = profiles["h1"]
+    tallied = make_frame(class_of, **profiles)
+    x = np.array([0.7, -1.2, 0.4])
+    for t in (-0.8, 0.37):
+        tally.clear()
+        got = unembed(tallied, t, x)
+        assert set(tally.values()) == {1}
+        assert len(tally) == 9 - (frame.h2 is frame.h1) - (frame.h3 is frame.h1)
+        want = rotation_matrix(frame, t).T @ (x - frame.translation(t)) / np.array(frame.scales(t))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=4e-16 * np.abs(want).max())
+
+
 def test_omega_gradients_cartesian_identity():
     G = omega_gradients(build("cartesian"), identity_frame("complete"), 0.0, (0.1, 0.2, 0.3))
     np.testing.assert_allclose(G, np.eye(3), atol=1e-15)

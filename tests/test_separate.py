@@ -23,13 +23,21 @@ from schrodsep.errors import (
     QuadratureError,
     TurningPointError,
 )
-from schrodsep.frame import TimeProfile, identity_frame, make_frame, polynomial, sinusoid
+from schrodsep.frame import (
+    FrameSpec,
+    TimeProfile,
+    identity_frame,
+    make_frame,
+    polynomial,
+    sinusoid,
+)
 from schrodsep.potential import coulomb_spec, electrostatic_spec, magnetic_spec, t0_profile
 from schrodsep.separate import (
     QUAD_LIMIT,
     RADICAND_GRID,
     TIME_PROBE_CELLS,
     AxisInterpolant,
+    _TimeTable,
     HJTemporal,
     QKind,
     SeparationConstants,
@@ -207,6 +215,33 @@ def test_temporal_table_is_bit_identical_in_any_order(kind):
         assert swept(t) == want[t]
     for t in reversed(times):
         assert backward(t) == want[t]
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_time_table_reads_the_frame_scales_once_per_grid(path, monkeypatch):
+    # The rate and the log-modulus share one read of the scale triples over
+    # the nodes and midpoints of a grid, and the table has bit for bit the
+    # values of a build that reads them once for each.
+    sc = load_scenario(path)
+    reads = []
+    scale_triples = FrameSpec.scale_triples
+
+    def counted(frame, t):
+        reads.append(np.array(t, copy=True))
+        return scale_triples(frame, t)
+
+    monkeypatch.setattr(FrameSpec, "scale_triples", counted)
+    table = solve_phi0(sc.spec, sc.constants, sc.t_range, sc.anchor)._table
+    nodes = np.array(table[1])
+    times = np.empty(2 * len(nodes) - 1)
+    times[0::2], times[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
+    assert sum(np.array_equal(t, times) for t in reads) == 1
+
+    rate = _TimeTable._rate
+    monkeypatch.setattr(_TimeTable, "_rate", lambda self, tau, triples=None: rate(self, tau))
+    twice = solve_phi0(sc.spec, sc.constants, sc.t_range, sc.anchor)._table
+    for got, want in zip(table[1:], twice[1:]):
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_replaced_temporal_builds_a_new_table():

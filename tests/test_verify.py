@@ -1,15 +1,23 @@
 """Tests for the finite-difference residual checks and the geometry audit."""
 
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import schrodsep.separate
 import schrodsep.stackel
 import schrodsep.verify
 from schrodsep.coords import SystemId, all_system_ids, make_system
-from schrodsep.errors import ConfigurationError, NumericError, StencilError
+from schrodsep.errors import (
+    ConfigurationError,
+    DomainError,
+    InversionError,
+    NumericError,
+    StencilError,
+)
 from schrodsep.frame import (
     TimeProfile,
     constant,
@@ -405,6 +413,189 @@ def test_hj_report_channel():
 
 
 # ---------------------------------------------------------------------------
+# Stencil nodes solved per report
+
+#: (spec, chart box, wave constants, action constants) of three inputs on
+#: three charts: a rotating frame with per-axis profiles, a drifting
+#: electrostatic one and a spinning point charge on an elliptic chart.
+NODE_INPUTS = {
+    "magnetic_spherical_rotating": lambda: (
+        magnetic_spec(build("spherical"), wiggly_frame("nonsplit"),
+                      t0_tilde=sinusoid(0.5, 0.8), **profile_trio()),
+        BOXES["spherical"], LAMBDAS, SeparationConstants(12.0, 3.0, 0.8)),
+    "electrostatic_parabolic": lambda: (
+        electrostatic_spec(build("parabolic"), drift_frame("nonsplit"),
+                           t0_tilde=sinusoid(0.5, 0.8), **profile_trio()),
+        ((-0.6, 0.6), (-0.6, 0.6), (0.4, 2.6)), LAMBDAS, SeparationConstants(15.0, 0.3, 1.0)),
+    "coulomb_conical": lambda: (
+        coulomb_spec("conical", q=-1.5, alpha=sinusoid(0.4, 1.1), k=0.8),
+        BOXES["conical"], LAMBDAS, SeparationConstants(-0.3, 0.3, 0.0)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(NODE_INPUTS))
+def node_input(request):
+    spec, box, wave, hj = NODE_INPUTS[request.param]()
+    sol = separate(spec, wave, omega_ranges=box, t_range=(-1.0, 1.0))
+    action = hj_solve(spec, hj, box, t_range=(-1.0, 1.0))
+    points = chart_box_points(spec.system, spec.frame, box, (-1.0, 1.0), 10, 31)
+    fields = {
+        "se": (se_report, se_residual_with_scale, lambda t, x, h: evaluate_psi(sol, t, x, h)),
+        "hj": (hj_report, hj_residual_with_scale, lambda t, x, h: evaluate_action(action, t, x, h)),
+    }
+    return spec, points, fields
+
+
+def recording(field, nodes):
+    """``field`` that appends each node (t, x) it is called at to ``nodes``."""
+    def wrapped(t, x, hint):
+        nodes.append((t, tuple(x)))
+        return field(t, x, hint)
+    return wrapped
+
+
+@pytest.mark.parametrize("channel", ["se", "hj"])
+def test_report_solves_stencil_nodes_in_batches(node_input, channel, monkeypatch):
+    # The report keeps the records and field nodes of a per-sample loop with
+    # centre hints, and its residuals to within 1 %, while it inverts nodes
+    # in two batches per chunk and hands each field call its own node's
+    # point as the start, so that the field's own inversion starts at the
+    # solution.
+    spec, points, fields = node_input
+    report, residual, field = fields[channel]
+    loop_nodes, loop_worst = [], 0.0
+    for t, x, omega in points:
+        res, scale = residual(recording(field, loop_nodes), spec, t, x, omega_hint=omega)
+        loop_worst = max(loop_worst, abs(res) / scale)
+
+    batches, starts = [], []
+    invert_batch = schrodsep.verify.invert_batch
+    invert = schrodsep.separate.invert
+
+    def counted(system, Z, G):
+        batches.append(len(Z))
+        return invert_batch(system, Z, G)
+
+    def traced(system, z, guess):
+        omega = invert(system, z, guess)
+        starts.append(np.max(np.abs(omega - np.asarray(guess))))
+        return omega
+
+    monkeypatch.setattr(schrodsep.verify, "invert_batch", counted)
+    monkeypatch.setattr(schrodsep.separate, "invert", traced)
+    monkeypatch.setattr(schrodsep.verify, "_NODE_CHUNK", 4)
+    nodes = []
+    rep = report(recording(field, nodes), spec, [(t, x) for t, x, _ in points],
+                 hints=[omega for _, _, omega in points])
+    assert batches == [4, 64, 4, 64, 2, 32]  # centres, then the other 16 nodes of each
+    assert nodes == loop_nodes
+    assert [(r.index, r.channel, r.t, r.x) for r in rep.records] == [
+        (j, channel, t, tuple(x)) for j, (t, x, _) in enumerate(points)]
+    assert rep.max_relative == pytest.approx(loop_worst, rel=0.01)
+    assert len(starts) == len(nodes) and max(starts) <= 1e-12
+
+
+def failures(spec, points, field, at_calls):
+    """The error the per-sample loop with centre hints raises and the one
+    the report raises, for ``field`` failing at the given field calls."""
+    def failing():
+        count = itertools.count()
+
+        def wrapped(t, x, hint):
+            if next(count) in at_calls:
+                raise DomainError("refused at this node")
+            return field(t, x, hint)
+        return wrapped
+
+    errors = []
+    with pytest.raises(NumericError) as info:
+        f = failing()
+        for t, x, omega in points:
+            se_residual_with_scale(f, spec, t, x, omega_hint=omega)
+    errors.append(info.value)
+    with pytest.raises(NumericError) as info:
+        se_report(failing(), spec, [(t, x) for t, x, _ in points],
+                  hints=[omega for _, _, omega in points])
+    errors.append(info.value)
+    return [(type(e), str(e)) for e in errors]
+
+
+def test_report_node_failures_keep_their_order_and_text():
+    spec, box, lam, _ = NODE_INPUTS["magnetic_spherical_rotating"]()
+    sol = separate(spec, lam, omega_ranges=box, t_range=(-1.0, 1.0))
+    field = lambda t, x, h: evaluate_psi(sol, t, x, h)  # noqa: E731
+    points = chart_box_points(spec.system, spec.frame, box, (-1.0, 1.0), 6, 32)
+
+    # one node of sample 3 refuses: a time node, then a spatial one
+    for at in (3 * 17 + 2, 3 * 17 + 11):
+        loop, batched = failures(spec, points, field, {at})
+        assert loop == batched
+        assert loop[0] is StencilError and "refused at this node" in loop[1]
+    # two samples fail: the earlier one's error wins
+    loop, batched = failures(spec, points, field, {4 * 17 + 3, 2 * 17 + 9})
+    assert loop == batched
+    assert failures(spec, points, field, {2 * 17 + 9}) == [loop, loop]
+
+    # sample 2 sits at the chart's centre, where no Newton inversion meets
+    # the contract: its batch rows fail, and the per-sample path raises the
+    # inversion error of today's centre inversion, which wins over a later
+    # sample's node and loses to an earlier one's
+    t = points[2][0]
+    points[2] = (t, spec.frame.translation(t), points[2][2])
+    loop, batched = failures(spec, points, field, {4 * 17 + 3})
+    assert loop == batched and loop[0] is InversionError
+    loop, batched = failures(spec, points, field, {17 + 5})
+    assert loop == batched and loop[0] is StencilError
+
+
+def test_report_frame_failure_stays_with_its_sample():
+    # h1 = 1 - 0.4 t reaches zero at t = 2.5: the node pass cannot read the
+    # frame there, and the samples take the per-sample path in turn
+    frame = make_frame("complete", h1=polynomial([1.0, -0.4]))
+    spec = magnetic_spec(make_system("cartesian"), frame)
+    k = np.array([1.0, 0.5, -0.3])
+    field = lambda t, x, h: np.exp(1j * (k @ np.asarray(x) - float(k @ k) * t))  # noqa: E731
+    points = [(0.5, (0.2, 0.3, -0.1), np.array([0.2, 0.3, -0.1])),
+              (2.5, (0.1, 0.1, 0.1), np.array([0.1, 0.1, 0.1]))]
+    for at_calls in ({3}, set()):
+        errors = []
+        for run in ("loop", "report"):
+            count = itertools.count()
+
+            def failing(t, x, h, count=count):
+                if next(count) in at_calls:
+                    raise DomainError("refused at this node")
+                return field(t, x, h)
+
+            with pytest.raises((NumericError, ConfigurationError)) as info:
+                if run == "loop":
+                    for t, x, omega in points:
+                        se_residual_with_scale(failing, spec, t, x, omega_hint=omega)
+                else:
+                    se_report(failing, spec, [(t, x) for t, x, _ in points],
+                              hints=[omega for _, _, omega in points])
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] is (StencilError if at_calls else ConfigurationError)
+
+
+def test_report_nodes_leave_unusable_samples_to_the_stencil():
+    # A sample whose hint is not a chart point or whose point is not finite
+    # takes the per-sample path, and the other samples are unchanged.
+    spec, box, lam, _ = NODE_INPUTS["magnetic_spherical_rotating"]()
+    points = chart_box_points(spec.system, spec.frame, box, (-1.0, 1.0), 3, 33)
+    pairs = [(t, x) for t, x, _ in points]
+    hints = [omega for _, _, omega in points]
+    nodes = schrodsep.verify._node_points(spec, pairs, schrodsep.verify.DEFAULT_STEPS, hints)
+    assert all(n is not None and n.shape == (17, 3) for n in nodes)
+    bad = schrodsep.verify._node_points(
+        spec, [pairs[0], (pairs[1][0], (math.nan, 0.0, 0.0)), pairs[2]],
+        schrodsep.verify.DEFAULT_STEPS, [hints[0], hints[1], None])
+    assert bad[1] is None and bad[2] is None
+    assert bad[0].tobytes() == nodes[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Geometry audit
 
 
@@ -445,13 +636,13 @@ def test_audit_detects_corrupted_stackel_entry(monkeypatch):
 
 
 def test_audit_colnorm_detects_a_metric_defect(monkeypatch):
-    original = schrodsep.verify.metric_r_squared
+    original = schrodsep.verify._r_squared
 
-    def scaled(system, frame, t, omega):
-        r1, r2, r3 = original(system, frame, t, omega)
+    def scaled(system, t, omega, J, scales):
+        r1, r2, r3 = original(system, t, omega, J, scales)
         return (r1, r2 * (1.0 + 1e-6), r3)
 
-    monkeypatch.setattr(schrodsep.verify, "metric_r_squared", scaled)
+    monkeypatch.setattr(schrodsep.verify, "_r_squared", scaled)
     rep = geometry_audit(make_system("spherical"), wiggly_frame("nonsplit"), 0.37, 20, seed=5)
     assert channel_max(rep, "colnorm") >= 1e-7
     # the gradients and the Stackel relation do not see the metric
@@ -468,6 +659,20 @@ def test_audit_needs_no_per_node_frame_evaluation(monkeypatch):
     for ch in ("orthogonality", "stackel", "colnorm", "harmonicity"):
         assert any(r.channel == ch for r in rep.records), ch
     assert channel_max(rep, "harmonicity") < 1e-5
+
+
+def test_audit_reads_the_frame_once_for_all_samples(monkeypatch):
+    # positions, gradients and metric all come from the frame read at t
+    calls = []
+    call = TimeProfile.__call__
+    monkeypatch.setattr(TimeProfile, "__call__", lambda self, t: calls.append(t) or call(self, t))
+    frame = wiggly_frame("nonsplit")
+    counts = []
+    for n in (4, 12):
+        calls.clear()
+        geometry_audit(make_system("spherical"), frame, 0.37, n, seed=5)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_audit_stencil_steps_along_the_cartesian_axes(monkeypatch):
