@@ -29,8 +29,8 @@ import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -68,6 +68,9 @@ from .verify import (
     report_to_dict,
     se_report,
 )
+
+if TYPE_CHECKING:
+    import jsonschema
 
 AUDIT_CHANNELS = ("orthogonality", "stackel", "colnorm", "harmonicity")
 
@@ -115,7 +118,10 @@ class Scenario:
 
 @functools.cache
 def _validator() -> jsonschema.Draft202012Validator:
-    """The scenario schema's validator, built once per process."""
+    """The scenario schema's validator, built once per process.  jsonschema
+    is imported here, so the commands that load no scenario never pay for it."""
+    import jsonschema
+
     text = resources.files("schrodsep").joinpath("scenario.schema.json").read_text("utf-8")
     return jsonschema.Draft202012Validator(json.loads(text))
 
@@ -229,7 +235,9 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # undecodable bytes, bad JSON or an over-long integer
         raise ConfigurationError(f"scenario {path}: not valid JSON ({exc})") from exc
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(doc))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "(top level)"
         raise ConfigurationError(f"scenario {path}: {error.message} at {where}")

@@ -95,14 +95,12 @@ class AxisInterval:
     singular_lo: bool = False
     singular_hi: bool = False
 
-    def contains(self, w: float) -> bool:
-        if not (self.lo <= w <= self.hi):
-            return False
-        if self.singular_lo and w <= self.lo:
-            return False
-        if self.singular_hi and w >= self.hi:
-            return False
-        return True
+    def contains(self, w):
+        """Whether w is admissible: a float, or each element of a float
+        array (NaN never is)."""
+        above = w > self.lo if self.singular_lo else w >= self.lo
+        below = w < self.hi if self.singular_hi else w <= self.hi
+        return above & below
 
 
 Domain = tuple[AxisInterval, AxisInterval, AxisInterval]
@@ -612,16 +610,23 @@ def forward(system: CoordinateSystem, omega) -> np.ndarray:
 DET_GUARD = 1e-12
 
 
-def _near_singular(rows, det: float) -> bool:
+def _hypot3(a, b, c):
+    """math.hypot of three float arrays, element-wise, without overflow."""
+    return np.hypot(np.hypot(a, b), c)
+
+
+def _near_singular(rows, det):
     """Whether |det| of the 3x3 matrix with these rows is at most
     ``DET_GUARD`` times the product of its column norms.
 
     That product bounds |det| (Hadamard) and equals it when the columns
     are orthogonal, as they are for every chart, so the guard measures
     only how far the columns are from parallel, not how their lengths
-    differ.
+    differ.  Entries are floats, or arrays of det's shape for a stack of
+    matrices (rows[a][i] is entry (a, i)), and so is the answer.
     """
-    return abs(det) <= DET_GUARD * math.prod(map(math.hypot, *rows))
+    hypot = _hypot3 if isinstance(det, np.ndarray) else math.hypot
+    return abs(det) <= DET_GUARD * math.prod(map(hypot, *rows))
 
 
 def jacobian(system: CoordinateSystem, omega) -> np.ndarray:

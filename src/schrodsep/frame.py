@@ -422,15 +422,23 @@ def omega_gradients(system: CoordinateSystem, frame: FrameSpec, t: float, omega)
 
 def _gradients(system: CoordinateSystem, t: float, omega, J, rot, h) -> np.ndarray:
     """:func:`omega_gradients` from the chart Jacobian J, the rotation and
-    the scales (an array) at t, with its singularity guard."""
+    the scales (an array) at t, with its singularity guard.
+
+    J is the 3x3 Jacobian at the point omega, or a stack (n, 3, 3) of them
+    at the n points of omega, with the gradients of the same shape; the
+    body is one.  At a point a failed guard raises; in a stack the
+    failing sample's gradients are NaN, and the caller that wants the
+    error evaluates that sample alone."""
     A = rot @ (h[:, None] * J)
-    det = float(np.linalg.det(A))
-    if _near_singular(A, det):
+    det = np.linalg.det(A)
+    a = np.moveaxis(A, (-2, -1), (0, 1))  # a[i][j] is entry (i, j): a float or a stack
+    near = _near_singular(a, det)
+    stack = isinstance(det, np.ndarray)
+    if not stack and near:
         raise SingularityError(
             f"{system.sid.value}: embedded Jacobian singular at t={t}, omega={tuple(omega)}"
         )
     # Adjugate transpose over determinant; rows of the inverse.
-    a = A
     adj = np.array(
         [
             [a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1],
@@ -444,4 +452,9 @@ def _gradients(system: CoordinateSystem, t: float, omega, J, rot, h) -> np.ndarr
              a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]],
         ]
     )
-    return adj / det
+    if not stack:
+        return adj / det
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero det is a guarded sample
+        inv = np.moveaxis(adj / det, (0, 1), (-2, -1))
+    inv[near] = np.nan
+    return inv

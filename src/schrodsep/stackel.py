@@ -15,7 +15,8 @@ The per-chart rows and the map giving J live in the chart records of
 time functions and the metric.  A row is evaluated at one coordinate or
 over a whole grid of them in one call (:func:`stackel_row`), the full
 matrix at one point or a stack of them (:func:`stackel_values`), and the
-metric at one point.  The three are tied together by the relation
+metric at one point (:func:`metric_r_squared`) or, from the chart map's
+Jacobian, at a stack of them.  The three are tied together by the relation
 
     sum_i F[i][j](omega_i) / R_i^2  =  T_j(t),   j = 1, 2, 3,
 
@@ -51,10 +52,17 @@ def stackel_row(system: CoordinateSystem, axis: int, w) -> tuple:
 def stackel_values(system: CoordinateSystem, omega) -> np.ndarray:
     """The full Stackel matrix, entry (i, j) = F_ij(omega_i), at one point
     (shape (3,), giving 3x3) or at each of a stack of points (shape (n, 3),
-    giving (n, 3, 3)); one :func:`stackel_row` call per row either way."""
+    giving (n, 3, 3)); one :func:`stackel_row` call per row either way.
+    The first point outside the domain raises the error of
+    :func:`schrodsep.coords.check_domain`."""
     w = np.asarray(omega, dtype=float)
-    for point in w.reshape(-1, 3):
-        check_domain(system, point)
+    points = w.reshape(-1, 3)
+    inside = np.isfinite(points).all(axis=1)
+    for i, axis in enumerate(system.domain):
+        inside &= axis.contains(points[:, i])
+    outside = np.flatnonzero(~inside)
+    if outside.size:
+        check_domain(system, points[outside[0]])
     F = np.empty(w.shape[:-1] + (3, 3))
     for i in range(3):
         for j, entry in enumerate(stackel_row(system, i, w[..., i])):
@@ -107,9 +115,20 @@ def metric_r_squared(
 
 def _r_squared(system: CoordinateSystem, t: float, omega, J, scales) -> tuple:
     """:func:`metric_r_squared` from the Jacobian rows J of the chart map
-    at omega and the frame scales at t, with its guard."""
+    at omega and the frame scales at t, with its guard.
+
+    J[a][i] is entry (a, i): floats at one point, or arrays of one shape at
+    a stack of points omega, which give each R_a^2 as an array of that
+    shape with the bits of the float evaluation; the body is one.  At a
+    point a failed guard raises; in a stack the failing sample's R^2 are
+    NaN, and the caller that wants the error evaluates that sample alone.
+    """
     HJ = [[h * v for v in row] for h, row in zip(scales, J)]
     R2 = tuple([x * x + y * y + z * z for x, y, z in zip(*HJ)])
+    if isinstance(R2[0], np.ndarray):
+        stack = np.array(R2)
+        ok = ((0.0 < stack) & (stack < math.inf)).all(axis=0)
+        return tuple(np.where(ok, stack, math.nan))
     if not all([0.0 < r < math.inf for r in R2]):
         raise SingularityError(f"{system.sid.value}: metric {R2} at omega={tuple(omega)}, t={t}")
     return R2

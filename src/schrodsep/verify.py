@@ -23,7 +23,15 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .coords import _chart_map, _guarded_jacobian, invert, invert_batch, sample_domain
+from .coords import (
+    _chart_map,
+    _det3,
+    _guarded_jacobian,
+    _near_singular,
+    invert,
+    invert_batch,
+    sample_domain,
+)
 from .errors import NumericError, StencilError, check_range
 from .frame import (
     _gradients,
@@ -287,7 +295,7 @@ def _record(index, channel, t, x, residual, scale) -> PointRecord:
         index=index,
         channel=channel,
         t=float(t),
-        x=tuple(float(v) for v in x),
+        x=tuple(map(float, x)),
         residual=float(residual),
         scale=scale,
         relative=float(residual / scale),
@@ -619,6 +627,54 @@ HARMONICITY_SIGMA_MIN = 0.3
 HARMONICITY_SIGMA_MAX = 20.0
 
 
+#: The gradient pairs the orthogonality channel compares.
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _orthogonality(grads, norms):
+    """max over pairs i < j of |grad_i . grad_j| / (|grad_i| |grad_j|), for
+    the gradient rows of one sample (3, 3) or of a stack (n, 3, 3)."""
+    return np.max([
+        np.abs(np.sum(grads[..., i, :] * grads[..., j, :], axis=-1)) / (norms[..., i] * norms[..., j])
+        for i, j in _PAIRS
+    ], axis=0)
+
+
+def _stackel_defect(F, T, g2):
+    """max_j |sum_i F_ij |grad omega_i|^2 - T_j| / max(|T_j|, max_i |F_ij g2_i|, 1)
+    for one sample (F 3x3) or a stack (n, 3, 3)."""
+    terms = F * g2[..., :, None]
+    scale = np.maximum(np.maximum(np.abs(T), np.max(np.abs(terms), axis=-2)), 1.0)
+    lhs = terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :]
+    return np.max(np.abs(lhs - T) / scale, axis=-1)
+
+
+def _colnorm(R2, g2):
+    """max_a |R_a^2 |grad omega_a|^2 - 1| for one sample or a stack."""
+    return np.max(np.abs(np.stack(R2, axis=-1) * g2 - 1.0), axis=-1)
+
+
+def _audit_point(system, t, idx, omega, F, T, rot, h, w, scales):
+    """The chart point z, position x, gradient norms and analytic records
+    of sample ``idx`` by the point bodies, whose checks raise in the order
+    the records need them: domain and overflow of the chart map, the
+    Jacobian guard, the embedded guard, a non-finite orthogonality or
+    Stackel value, the metric guard, a non-finite colnorm."""
+    z, J = _chart_map(system, omega)
+    z = np.array(z)
+    x = rot @ (h * z) + w
+    grads = _gradients(system, t, omega, _guarded_jacobian(system, omega, J), rot, h)
+    norms = np.linalg.norm(grads, axis=-1)
+    g2 = norms**2
+    records = [
+        _record(idx, "orthogonality", t, x, _orthogonality(grads, norms), 1.0),
+        _record(idx, "stackel", t, x, _stackel_defect(F, T, g2), 1.0),
+    ]
+    R2 = _r_squared(system, t, omega, J, scales)
+    records.append(_record(idx, "colnorm", t, x, _colnorm(R2, g2), 1.0))
+    return z, x, norms, records
+
+
 def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> ResidualReport:
     """Audit the chart-frame pairing on random interior samples.
 
@@ -627,17 +683,21 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
     harmonicity of each coordinate (finite differences), and the metric
     against the gradients (``colnorm``: max_a |R_a^2 |grad omega_a|^2 - 1|,
     the metric the potentials divide by against the inverse of the
-    embedded Jacobian T H J).  Violations are data, not errors.  Positions,
-    gradients, metric and stencil targets come from the frame evaluated
-    once, at t, and one chart map per sample, and the Stackel rows from one
-    call for all samples.  Harmonicity, the only
-    finite-difference channel, is reported only where the singular values
-    1 / |grad omega_a| of T H J lie in the window the stencil resolves;
-    the samples that pass walk the step ladder together, a chunk at a
-    time, so its Newton inversions are batched across samples.
+    embedded Jacobian T H J).  Violations are data, not errors.  The frame
+    is read once, at t; positions, Jacobians, gradients, metric and the
+    three analytic channels are array expressions over the whole sample
+    stack, from one chart map call, and the Stackel rows come from one
+    call for all samples.  A sample the stack flags (a chart map that
+    overflows, a guard that fails, a channel that is not finite) is
+    evaluated again by the point bodies, first flagged first, so it raises
+    the typed error of the per-point checks or, if they pass after all,
+    keeps their values.  Harmonicity, the only finite-difference channel,
+    is reported only where the singular values 1 / |grad omega_a| of T H J
+    lie in the window the stencil resolves; the samples that pass walk the
+    step ladder together, a chunk at a time, so its Newton inversions are
+    batched across samples.
     """
-    per_sample = []
-    gated = []
+    require_compatible(system, frame)
     samples = sample_domain(system, seed=seed, n=n_samples)
     hx = DEFAULT_STEPS[1]
     rot = rotation_matrix(frame, t)
@@ -645,47 +705,55 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
     h = np.array(scales)
     w = frame.translation(t)
     to_chart = rot.T / h[:, None]
-    T = t_functions(system, frame, t)
-    rows = stackel_values(system, samples)
-    for idx, (omega, F) in enumerate(zip(samples, rows)):
-        z, J = _chart_map(system, omega)
-        z = np.array(z)
-        x = rot @ (h * z) + w
-        records = []
-        per_sample.append(records)
+    T = np.array(t_functions(system, frame, t))
+    F = stackel_values(system, samples)  # raises the domain error of the first sample outside
 
-        require_compatible(system, frame)
-        grads = _gradients(system, t, omega, _guarded_jacobian(system, omega, J), rot, h)
-        norms = np.linalg.norm(grads, axis=1)
-        worst_dot = max(
-            abs(float(grads[i] @ grads[j])) / (norms[i] * norms[j])
-            for i, j in ((0, 1), (0, 2), (1, 2))
-        )
-        records.append(_record(idx, "orthogonality", t, x, worst_dot, 1.0))
-
+    n = len(samples)
+    z = np.empty((n, 3))
+    J = np.empty((3, 3, n))  # J[a][i] = d z_a / d omega_i, sample by sample
+    with np.errstate(all="ignore"):  # an overflow is flagged below
+        z_parts, J_rows = system.chart.array_map(system, *samples.T)
+        for a in range(3):
+            z[:, a] = z_parts[a]
+            for i in range(3):
+                J[a, i] = J_rows[a][i]
+        x = (h * z) @ rot.T + w
+        grads = _gradients(system, t, samples, J.transpose(2, 0, 1), rot, h)
+        norms = np.linalg.norm(grads, axis=-1)
         g2 = norms**2
-        worst_rel = 0.0
-        for j in range(3):
-            terms = [F[i][j] * g2[i] for i in range(3)]
-            scale = max(abs(T[j]), max(abs(v) for v in terms), 1.0)
-            worst_rel = max(worst_rel, abs(sum(terms) - T[j]) / scale)
-        records.append(_record(idx, "stackel", t, x, worst_rel, 1.0))
+        channels = np.array([
+            _orthogonality(grads, norms),
+            _stackel_defect(F, T, g2),
+            _colnorm(_r_squared(system, t, samples, J, scales), g2),
+        ]).T  # (n, 3)
+        flagged = ~(
+            np.isfinite(z).all(axis=1)
+            & np.isfinite(J).all(axis=(0, 1))
+            & ~_near_singular(J, _det3(J))
+            & np.isfinite(channels).all(axis=1)
+        )
 
-        R2 = _r_squared(system, t, omega, J, scales)
-        worst_col = max(abs(R2[a] * g2[a] - 1.0) for a in range(3))
-        records.append(_record(idx, "colnorm", t, x, worst_col, 1.0))
+    per_sample = [None] * n
+    for idx in np.flatnonzero(flagged).tolist():
+        z[idx], x[idx], norms[idx], per_sample[idx] = _audit_point(
+            system, t, idx, samples[idx], F[idx], T, rot, h, w, scales)
+    for idx, (xi, values) in enumerate(zip(x.tolist(), channels.tolist())):
+        if per_sample[idx] is None:
+            per_sample[idx] = [
+                _record(idx, name, t, xi, value, 1.0)
+                for name, value in zip(("orthogonality", "stackel", "colnorm"), values)
+            ]
 
-        sigma = 1.0 / norms
-        if HARMONICITY_SIGMA_MIN <= sigma.min() and sigma.max() <= HARMONICITY_SIGMA_MAX:
-            gated.append((idx, omega, z, x, hx * (1.0 + float(np.linalg.norm(x)))))
-
+    sigma = 1.0 / norms
+    gated = np.flatnonzero(
+        (HARMONICITY_SIGMA_MIN <= sigma.min(axis=1)) & (sigma.max(axis=1) <= HARMONICITY_SIGMA_MAX))
+    base_h = hx * (1.0 + np.linalg.norm(x, axis=1))
     for lo in range(0, len(gated), _LADDER_CHUNK):
-        chunk = gated[lo:lo + _LADDER_CHUNK]
-        idxs, centres, zs, xs, base_h = zip(*chunk)
-        values = _harmonicity_estimate(system, centres, zs, to_chart, np.array(base_h))
-        for idx, x, value in zip(idxs, xs, values):
+        idxs = gated[lo:lo + _LADDER_CHUNK]
+        values = _harmonicity_estimate(system, samples[idxs], z[idxs], to_chart, base_h[idxs])
+        for idx, value in zip(idxs.tolist(), values):
             if value is not None:
-                per_sample[idx].append(_record(idx, "harmonicity", t, x, value, 1.0))
+                per_sample[idx].append(_record(idx, "harmonicity", t, x[idx], value, 1.0))
 
     return ResidualReport(
         tuple(r for records in per_sample for r in records), ht=DEFAULT_STEPS[0], hx=hx)

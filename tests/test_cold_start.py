@@ -1,10 +1,12 @@
-"""The command line runs without scipy.
+"""The command line runs without scipy, and without jsonschema where it
+loads no scenario.
 
 scipy is a reference for the tests only; the package integrates with its
-own numeric core.  Each command below runs in a fresh interpreter whose
-import system refuses ``scipy`` (a meta-path finder installed by a
-``sitecustomize`` on ``PYTHONPATH``), so an import of it anywhere on the
-command's path fails the run.
+own numeric core.  jsonschema validates scenarios, so the commands that
+load none never import it.  Each command below runs in a fresh
+interpreter whose import system refuses a package (a meta-path finder
+installed by a ``sitecustomize`` on ``PYTHONPATH``), so an import of it
+anywhere on the command's path fails the run.
 """
 
 import os
@@ -21,14 +23,14 @@ BLOCKER = """\
 import sys
 
 
-class _RefuseScipy:
+class _Refuse:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ImportError(f"{name} is blocked for this run")
+        if name == {package!r} or name.startswith({package!r} + "."):
+            raise ImportError(f"{{name}} is blocked for this run")
         return None
 
 
-sys.meta_path.insert(0, _RefuseScipy())
+sys.meta_path.insert(0, _Refuse())
 """
 
 
@@ -41,12 +43,22 @@ def _env(*paths):
     return env
 
 
+def _refusing(tmp_path, package):
+    """An environment whose interpreters cannot import ``package``."""
+    site = tmp_path / f"site-{package}"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(BLOCKER.format(package=package))
+    return _env(site)
+
+
 @pytest.fixture
 def no_scipy(tmp_path):
-    site = tmp_path / "site"
-    site.mkdir()
-    (site / "sitecustomize.py").write_text(BLOCKER)
-    return _env(site)
+    return _refusing(tmp_path, "scipy")
+
+
+@pytest.fixture
+def no_jsonschema(tmp_path):
+    return _refusing(tmp_path, "jsonschema")
 
 
 def _python(env, *args, cwd):
@@ -80,3 +92,17 @@ def test_commands_run_without_scipy(no_scipy, tmp_path, commands):
         proc = _python(no_scipy, "-m", "schrodsep", *argv, "--out", tmp_path / "out",
                        cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_blocker_refuses_jsonschema(no_jsonschema, tmp_path):
+    proc = _python(no_jsonschema, "-c", "import jsonschema.exceptions", cwd=tmp_path)
+    assert proc.returncode != 0 and "blocked" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["list-systems"], ["coulomb-demo", "--samples", "8"]], ids=["list-systems", "coulomb-demo"])
+def test_commands_without_a_scenario_run_without_jsonschema(no_jsonschema, tmp_path, argv):
+    out = [] if argv == ["list-systems"] else ["--out", tmp_path / "out"]
+    proc = _python(no_jsonschema, "-m", "schrodsep", *argv, *out, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+

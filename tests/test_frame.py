@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from schrodsep.coords import all_system_ids, forward, make_system, sample_domain
-from schrodsep.errors import ConfigurationError
+from schrodsep.errors import ConfigurationError, SingularityError
 from schrodsep.frame import (
     PROBE_TIMES,
+    _gradients,
     TimeProfile,
     constant,
     embed,
@@ -295,6 +296,38 @@ def test_omega_gradients_orthogonal(name):
         for i in range(3):
             for j in range(i + 1, 3):
                 assert abs(np.dot(G[i], G[j])) <= 1e-9 * norms[i] * norms[j]
+
+
+@pytest.mark.parametrize("name", all_system_ids())
+def test_gradients_of_a_stack_are_those_of_each_point(name):
+    # one body: the (n, 3, 3) stack gives each point's gradients; the
+    # rounding of a stacked matrix product may differ in the last bit
+    s = build(name)
+    fr = wiggly_frame(s.split_class.value)
+    t = 0.37
+    rot, h = rotation_matrix(fr, t), np.array(fr.scales(t))
+    omega = sample_domain(s, seed=46, n=30)
+    J = np.array([s.chart.map(s, *w)[1] for w in omega])
+    stack = _gradients(s, t, omega, J, rot, h)
+    for w, G in zip(omega, stack):
+        want = omega_gradients(s, fr, t, w)
+        np.testing.assert_allclose(G, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
+
+
+def test_gradients_of_a_stack_mark_a_singular_sample():
+    # a Jacobian with nearly parallel columns fails the guard: the point
+    # raises, the stack leaves NaN in that sample's rows only
+    s, fr, t = build("spherical"), wiggly_frame("nonsplit"), 0.37
+    rot, h = rotation_matrix(fr, t), np.array(fr.scales(t))
+    J = np.array([np.eye(3), [[1.0, 1.0, 0.0], [0.0, 1e-13, 0.0], [0.0, 0.0, 1.0]], np.diag([2.0, 3.0, 4.0])])
+    omega = np.zeros((3, 3))
+    with pytest.raises(SingularityError, match="embedded Jacobian singular"):
+        _gradients(s, t, omega[1], J[1], rot, h)
+    stack = _gradients(s, t, omega, J, rot, h)
+    assert np.isnan(stack[1]).all() and np.isfinite(stack[[0, 2]]).all()
+    for k in (0, 2):
+        want = _gradients(s, t, omega[k], J[k], rot, h)
+        np.testing.assert_allclose(stack[k], want, rtol=0.0, atol=1e-15 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("name", all_system_ids())

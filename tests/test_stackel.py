@@ -9,7 +9,7 @@ import schrodsep.stackel
 from schrodsep import coords
 from schrodsep.coords import all_system_ids, jacobian, make_system, sample_domain
 from schrodsep.elliptic import modulus
-from schrodsep.errors import ConfigurationError, DomainError
+from schrodsep.errors import ConfigurationError, DomainError, SingularityError
 from schrodsep.frame import (
     constant,
     identity_frame,
@@ -136,6 +136,25 @@ def test_stackel_values_domain_check():
 
 
 @pytest.mark.parametrize("name", all_system_ids())
+def test_stackel_values_name_the_first_point_outside(name):
+    # the stack's domain mask finds the point the per-point check finds:
+    # an infinite coordinate, then an endpoint, each outside the domain
+    s = build(name)
+    w = sample_domain(s, seed=4, n=8)
+    w[3, 1], w[6, 0] = math.inf, s.domain[0].lo - 1.0
+    if not s.domain[0].singular_lo and math.isfinite(s.domain[0].lo):
+        w[2, 0] = s.domain[0].lo  # a closed end is inside
+    with pytest.raises(DomainError) as want:
+        coords.check_domain(s, w[3])
+    with pytest.raises(DomainError) as got:
+        stackel_values(s, w)
+    assert str(got.value) == str(want.value)
+    ends = [v for ax in s.domain for v in (ax.lo, ax.hi, math.nan) if not math.isinf(v)]
+    for ax in s.domain:
+        assert ax.contains(np.array(ends)).tolist() == [ax.contains(v) for v in ends]
+
+
+@pytest.mark.parametrize("name", all_system_ids())
 def test_stackel_matrix_nondegenerate(name):
     s = build(name)
     for w in sample_domain(s, seed=12, n=25):
@@ -204,6 +223,29 @@ def test_metric_equals_jacobian_column_norms(name):
             col2 = np.sum(Acols * Acols, axis=0)
             R2 = np.array(metric_r_squared(s, fr, t, w))
             np.testing.assert_allclose(col2, R2, rtol=1e-9)
+
+
+@pytest.mark.parametrize("name", all_system_ids())
+def test_metric_of_a_stack_has_the_bits_of_each_point(name):
+    # one body: Jacobian entries as arrays give each point's R^2 exactly
+    s = build(name)
+    fr = wiggly_frame(s.split_class.value)
+    t = 0.37
+    omega = sample_domain(s, seed=8, n=30)
+    J = np.array([s.chart.map(s, *w)[1] for w in omega]).transpose(1, 2, 0)
+    stack = schrodsep.stackel._r_squared(s, t, omega, J, fr.scales(t))
+    want = [metric_r_squared(s, fr, t, w) for w in omega]
+    assert [tuple(float(r[j]) for r in stack) for j in range(len(omega))] == want
+
+
+def test_metric_of_a_stack_marks_a_degenerate_sample():
+    s = build("spherical")
+    J = np.stack([np.eye(3)] * 3, axis=-1)
+    J[:, 1, 2] = 0.0  # sample 2 has a zero column
+    with pytest.raises(SingularityError, match="metric"):
+        schrodsep.stackel._r_squared(s, 0.0, (1.0, 0.5, 0.5), J[:, :, 2], (1.0, 1.0, 1.0))
+    R2 = np.array(schrodsep.stackel._r_squared(s, 0.0, None, J, (1.0, 1.0, 1.0)))
+    assert np.isnan(R2[:, 2]).all() and (R2[:, :2] == 1.0).all()
 
 
 #: Relative bound on the metric against a 40-digit evaluation of the same

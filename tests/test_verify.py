@@ -10,18 +10,21 @@ import pytest
 import schrodsep.separate
 import schrodsep.stackel
 import schrodsep.verify
-from schrodsep.coords import SystemId, all_system_ids, make_system
+from schrodsep.coords import SystemId, all_system_ids, make_system, sample_domain
 from schrodsep.errors import (
     ConfigurationError,
     DomainError,
     InversionError,
     NumericError,
+    SingularityError,
     StencilError,
 )
 from schrodsep.frame import (
     TimeProfile,
     constant,
+    embed,
     make_frame,
+    omega_gradients,
     polynomial,
     rotation_matrix,
     sinusoid,
@@ -34,7 +37,7 @@ from schrodsep.separate import (
     hj_solve,
     separate,
 )
-from schrodsep.stackel import t_functions
+from schrodsep.stackel import metric_r_squared, stackel_values, t_functions
 from schrodsep.verify import (
     channel_max,
     chart_box_points,
@@ -616,6 +619,122 @@ def test_audit_all_systems_wiggly_frame(sid):
     assert channel_max(rep, "harmonicity") < 1e-5
     # the conditioning gate may drop samples but never the whole channel
     assert any(r.channel == "harmonicity" for r in rep.records)
+
+
+def _audit_reference(system, frame, t, n, seed):
+    """The analytic records (index, channel, value, x) of the audit and its
+    harmonicity gate, one sample at a time from the point functions."""
+    records, gated = [], set()
+    T = t_functions(system, frame, t)
+    for idx, omega in enumerate(sample_domain(system, seed=seed, n=n)):
+        grads = omega_gradients(system, frame, t, omega)
+        R2 = metric_r_squared(system, frame, t, omega)
+        F = stackel_values(system, omega)
+        x = embed(system, frame, t, omega)
+        norms = [math.sqrt(float(g @ g)) for g in grads]
+        g2 = [v * v for v in norms]
+        orth = max(
+            abs(float(grads[i] @ grads[j])) / (norms[i] * norms[j])
+            for i, j in ((0, 1), (0, 2), (1, 2))
+        )
+        stackel = max(
+            abs(sum(F[i][j] * g2[i] for i in range(3)) - T[j])
+            / max(abs(T[j]), *(abs(F[i][j] * g2[i]) for i in range(3)), 1.0)
+            for j in range(3)
+        )
+        colnorm = max(abs(R2[a] * g2[a] - 1.0) for a in range(3))
+        for channel, value in (("orthogonality", orth), ("stackel", stackel), ("colnorm", colnorm)):
+            records.append((idx, channel, value, x))
+        if 0.3 <= 1.0 / max(norms) and 1.0 / min(norms) <= 20.0:
+            gated.add(idx)
+    return records, gated
+
+
+@pytest.mark.parametrize("n", [0, 1, 30])
+@pytest.mark.parametrize("sid", all_system_ids())
+def test_audit_stack_matches_the_per_sample_reference(sid, n):
+    system = build(sid)
+    frame = wiggly_frame(system.split_class.value)
+    rep = geometry_audit(system, frame, 0.37, n, seed=5)
+    want, gated = _audit_reference(system, frame, 0.37, n, seed=5)
+    order = [
+        (idx, channel)
+        for idx in range(n)
+        for channel in ("orthogonality", "stackel", "colnorm", "harmonicity")
+        if channel != "harmonicity" or idx in gated
+    ]
+    assert [(r.index, r.channel) for r in rep.records] == order
+    analytic = [r for r in rep.records if r.channel != "harmonicity"]
+    for r, (_, _, value, x) in zip(analytic, want):
+        assert abs(r.relative - value) <= 1e-14, (r.index, r.channel)
+        np.testing.assert_allclose(r.x, x, rtol=0.0, atol=1e-14 * (1.0 + np.abs(x).max()))
+
+
+def test_audit_checks_the_frame_class_before_sampling():
+    for n in (0, 1):
+        with pytest.raises(ConfigurationError, match="cannot drive"):
+            geometry_audit(make_system("spherical"), make_frame("complete"), 0.0, n, seed=1)
+    rep = geometry_audit(make_system("spherical"), make_frame("nonsplit"), 0.0, 0, seed=1)
+    assert rep.records == ()
+
+
+#: Two samples of each chart that fail a point check: the elliptic
+#: cylinder's focal segment (Jacobian guard), a radius outside the spherical
+#: domain, and a parabolic chart map that overflows.
+_FAILING = {
+    "elliptic_cylindrical": ((0.0, 0.0, 0.3), (0.0, 0.0, -0.8)),
+    "spherical": ((-0.5, 0.7, 1.0), (0.0, 0.2, 1.0)),
+    "parabolic": ((400.0, 0.2, 1.0), (0.1, 500.0, 1.0)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the Stackel rows overflow too
+@pytest.mark.parametrize("sid", sorted(_FAILING))
+def test_audit_raises_the_point_error_of_the_first_failing_sample(monkeypatch, sid):
+    system = build(sid)
+    frame, t = wiggly_frame(system.split_class.value), 0.37
+    samples = sample_domain(system, seed=5, n=6)
+    samples[3], samples[5] = _FAILING[sid]
+    with pytest.raises((DomainError, SingularityError)) as want:
+        omega_gradients(system, frame, t, samples[3])
+    monkeypatch.setattr(schrodsep.verify, "sample_domain", lambda system, seed, n: samples)
+    with pytest.raises(type(want.value)) as got:
+        geometry_audit(system, frame, t, 6, seed=5)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_audit_flagged_sample_that_passes_keeps_its_point_values(monkeypatch):
+    # a stack flag from last-bit noise: the point checks pass, and the
+    # sample's records are the point evaluation's
+    system, frame = make_system("spherical"), wiggly_frame("nonsplit")
+    clean = geometry_audit(system, frame, 0.37, 6, seed=5)
+    det3 = schrodsep.verify._det3
+    audit_point = schrodsep.verify._audit_point
+    evaluated = []
+
+    def flag_sample_2(m):
+        det = det3(m)
+        if isinstance(det, np.ndarray):
+            det = det.copy()
+            det[2] = 0.0
+        return det
+
+    def spy(system_, t, idx, *args):
+        evaluated.append(idx)
+        return audit_point(system_, t, idx, *args)
+
+    monkeypatch.setattr(schrodsep.verify, "_det3", flag_sample_2)
+    monkeypatch.setattr(schrodsep.verify, "_audit_point", spy)
+    flagged = geometry_audit(system, frame, 0.37, 6, seed=5)
+    assert evaluated == [2]
+    assert [(r.index, r.channel) for r in flagged.records] == [
+        (r.index, r.channel) for r in clean.records]
+    for a, b in zip(flagged.records, clean.records):
+        if a.index != 2:
+            assert a == b
+        elif a.channel != "harmonicity":
+            assert abs(a.relative - b.relative) <= 1e-14
 
 
 def test_audit_detects_corrupted_stackel_entry(monkeypatch):
