@@ -19,13 +19,16 @@ Everything known about a chart sits in its one :class:`Chart` record in
 ``_CHARTS``: split class, parameters, domain, the map giving z and its
 Jacobian together, and Stackel rows.  The map is written once, in scalar
 ``math`` for the per-point callers; the record also holds the same body
-evaluated over numpy arrays, which the batched Newton inversion
-(:func:`invert_batch`) uses.  The rows are numpy functions of their
-coordinate, so one call evaluates a row over a whole grid.  The metric is
-not stored: it is the squared column norms of that Jacobian under the
-frame scales (:func:`schrodsep.stackel.metric_r_squared`).  A chart is
-added by writing its functions and adding one ``_CHARTS`` record; nothing
-else dispatches on the system id.
+evaluated over numpy arrays, which the Newton inversion
+(:func:`invert_batch`) uses.  There is one Newton iteration, over a stack
+of targets: :func:`invert` takes a single target as a one-row stack unless
+one scalar map call shows that its start already maps onto it to
+rounding.  The rows are numpy functions of their coordinate, so one call
+evaluates a row over a whole grid.  The metric is not stored: it is the
+squared column norms of that Jacobian under the frame scales
+(:func:`schrodsep.stackel.metric_r_squared`).  A chart is added by writing
+its functions and adding one ``_CHARTS`` record; nothing else dispatches
+on the system id.
 
 Angles are kept in their principal boxes; radial-like axes that make the
 map blow up at an endpoint are flagged singular and excluded from the
@@ -658,14 +661,6 @@ def _det3(m) -> float:
     )
 
 
-def _solve3(m, r):
-    """Solve the 3x3 system m @ x = r by the adjugate; tuples in, tuple out."""
-    det = _det3(m)
-    if det == 0.0:
-        raise SingularityError("singular 3x3 system in Newton step")
-    return _cramer(m, r, det)
-
-
 def _cramer(m, r, det):
     """The adjugate solution of m @ x = r given det = det m, unchecked.
     Entries are floats or arrays of one shape (m[a][i] is entry (a, i))."""
@@ -700,15 +695,32 @@ FLOOR_TOL = 2.0 * math.ulp(1.0)
 MAX_NEWTON_ITERS = 50
 
 
+def _miss(system: CoordinateSystem, w, zt) -> tuple[float, float]:
+    """|z| and ||z(w) - z|| by the scalar map; an image that overflows
+    misses by inf, and a target that does so has |z| = inf."""
+    try:
+        f = system.chart.map(system, *w)[0]
+    except OverflowError:
+        f = (math.inf,) * 3
+    d = (f[0] - zt[0], f[1] - zt[1], f[2] - zt[2])
+    zn = math.sqrt(zt[0] * zt[0] + zt[1] * zt[1] + zt[2] * zt[2])
+    return zn, math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+
+
 def invert(system: CoordinateSystem, z, guess) -> np.ndarray:
-    """Invert the forward map by Newton iteration with the analytic Jacobian.
+    """Invert the forward map: omega with z(omega) = z.
+
+    The guess is clamped into the shrunk domain box.  A clamped guess whose
+    image already misses a finite z by at most FLOOR_TOL (1 + |z|) is
+    returned as it is, after one scalar map call; any other target is
+    inverted as a one-row stack by :func:`invert_batch`.
 
     Parameters
     ----------
     z : array_like, shape (3,)
         Cartesian target.
     guess : array_like, shape (3,)
-        Starting point; clamped into the shrunk domain box.
+        Starting point.
 
     Returns
     -------
@@ -718,86 +730,30 @@ def invert(system: CoordinateSystem, z, guess) -> np.ndarray:
     Raises
     ------
     InversionError
-        If the contract tolerance is not met within ``MAX_NEWTON_ITERS`` Newton
-        steps, or z or an iterate's image overflows; carries the last iterate
-        and its residual.
+        If the contract is not met; carries the last iterate and its
+        residual, which is inf, with "overflow" in the text, when z or
+        that iterate's image is not finite.
     """
     zt = (float(z[0]), float(z[1]), float(z[2]))
-    box = system.clamp
-    chart = system.chart
-
-    def clamp(w):
-        return tuple(min(max(w[i], box[i][0]), box[i][1]) for i in range(3))
-
-    def overflow(w):
-        return InversionError(
+    w = tuple(min(max(float(guess[i]), lo), hi) for i, (lo, hi) in enumerate(system.clamp))
+    zn, r = _miss(system, w, zt)
+    if zn < math.inf and r <= FLOOR_TOL * (1.0 + zn):
+        return np.array(w)
+    omega, ok = invert_batch(system, (zt,), (w,))
+    if ok[0]:
+        return omega[0]
+    w = tuple(omega[0].tolist())
+    zn, r = _miss(system, w, zt)
+    if not (zn < math.inf and r < math.inf):
+        raise InversionError(
             f"{system.sid.value}: overflow while inverting z={zt} at omega={w}",
-            last_omega=np.array(w),
+            last_omega=omega[0],
             residual=math.inf,
         )
-
-    def miss(w):
-        """forward(w) - z, its norm and the Jacobian at w."""
-        try:
-            f, J = chart.map(system, *w)
-            d = (f[0] - zt[0], f[1] - zt[1], f[2] - zt[2])
-            return d, math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2), J
-        except OverflowError:
-            raise overflow(w) from None
-
-    w = clamp((float(guess[0]), float(guess[1]), float(guess[2])))
-    try:
-        zn = math.sqrt(zt[0] ** 2 + zt[1] ** 2 + zt[2] ** 2)
-    except OverflowError:
-        zn = math.inf
-    if zn == math.inf:  # an infinite target would meet an infinite tolerance
-        raise overflow(w)
-    tol_target = TARGET_TOL * (1.0 + zn)
-    tol_accept = CONTRACT_TOL * (1.0 + zn)
-    d, r, J = miss(w)
-    for _ in range(MAX_NEWTON_ITERS):
-        if r <= tol_target:
-            break
-        try:
-            step = _solve3(J, d)
-        except SingularityError as exc:
-            raise InversionError(
-                f"{system.sid.value}: singular Jacobian during inversion at omega={w}",
-                last_omega=np.array(w),
-                residual=r,
-            ) from exc
-        # Cap the raw step to tame wild early iterates, then backtrack if
-        # the residual refuses to drop.
-        mag = max(abs(step[0]), abs(step[1]), abs(step[2]))
-        s = 1.0 if mag <= 1.0 else 1.0 / mag
-        improved = False
-        for _bt in range(12):
-            w_new = clamp((w[0] - s * step[0], w[1] - s * step[1], w[2] - s * step[2]))
-            d_new, r_new, J_new = miss(w_new)
-            if r_new < r or r_new <= tol_target:
-                improved = True
-                break
-            s *= 0.5
-        if not improved:
-            break
-        w, d, r, J = w_new, d_new, r_new, J_new
-    if r <= tol_accept:
-        # One full polishing step: quadratic convergence turns a landing
-        # just under the target into an essentially machine-precision one,
-        # which keeps Newton noise out of downstream difference stencils.
-        if r > FLOOR_TOL * (1.0 + zn):
-            try:
-                step = _solve3(J, d)
-                w_new = clamp((w[0] - step[0], w[1] - step[1], w[2] - step[2]))
-                if miss(w_new)[1] < r:
-                    w = w_new
-            except SingularityError:
-                pass
-        return np.array(w)
     raise InversionError(
         f"{system.sid.value}: Newton inversion stalled with residual {r:.3e} "
-        f"(needed {tol_accept:.3e})",
-        last_omega=np.array(w),
+        f"(needed {CONTRACT_TOL * (1.0 + zn):.3e})",
+        last_omega=omega[0],
         residual=r,
     )
 
@@ -824,19 +780,22 @@ def _steps_batch(J, d, rows):
 
 
 def invert_batch(system: CoordinateSystem, Z, G) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`invert` for a stack of targets, in lockstep.
+    """Invert the forward map for a stack of targets by Newton iteration
+    with the analytic Jacobian, all rows in lockstep.
 
     Row j is inverted from target ``Z[j]`` and guess ``G[j]`` (shape (n, 3)
-    each) by the steps of :func:`invert` (the clamp, the capped step, up to
-    12 halvings, the tolerances and the polishing step) on the array map,
-    with each iteration one map evaluation and one adjugate solve for every
-    row still moving.  Returns ``(omega, ok)``: omega of shape (n, 3), and
-    ok true where row j met ||z(omega_j) - z_j|| <= CONTRACT_TOL (1 + |z_j|).
-    Nothing is raised: a target that overflows or is not finite, a
-    non-finite image at the start, a zero Jacobian determinant or a stall
-    above the contract fails its own row only (ok false, omega its last
-    iterate), and an iterate whose image is not finite counts as no
-    improvement, as an infinite residual does in :func:`invert`.
+    each).  The guess is clamped into the shrunk domain box; each step is
+    the Newton step capped at length 1 in its largest component, and is
+    halved up to 12 times until the residual drops.  Iteration stops at
+    TARGET_TOL, and an accepted row above FLOOR_TOL gets one polishing
+    step.  Each iteration is one array map evaluation and one adjugate
+    solve for every row still moving.  Returns ``(omega, ok)``: omega of
+    shape (n, 3), and ok true where row j met
+    ||z(omega_j) - z_j|| <= CONTRACT_TOL (1 + |z_j|).  Nothing is raised: a
+    target that overflows or is not finite, a non-finite image at the
+    start, a zero Jacobian determinant or a stall above the contract fails
+    its own row only (ok false, omega its last iterate), and a trial
+    iterate whose image is not finite counts as no improvement.
     """
     z = np.asarray(Z, dtype=float).reshape(-1, 3).T
     lo, hi = (np.array(b)[:, None] for b in zip(*system.clamp))
@@ -854,7 +813,7 @@ def invert_batch(system: CoordinateSystem, Z, G) -> tuple[np.ndarray, np.ndarray
             keep, step = _steps_batch(J, d, moving)
             alive[moving[~keep]] = False
             moving = moving[keep]
-            # the cap and the halvings of invert, one trial per row per pass
+            # the capped step and its halvings, one trial per row per pass
             mag = np.max(np.abs(step), axis=0)
             s = np.where(mag <= 1.0, 1.0, 1.0 / mag)
             trying = np.arange(moving.size)
@@ -874,7 +833,7 @@ def invert_batch(system: CoordinateSystem, Z, G) -> tuple[np.ndarray, np.ndarray
             moving = moving[improved]
             moving = moving[r[moving] > tol_target[moving]]
         ok = alive & (r <= tol_accept)
-        # one full polishing step above the rounding floor, as in invert
+        # one full polishing step above the rounding floor
         done = np.flatnonzero(ok & (r > FLOOR_TOL * (1.0 + zn)))
         keep, step = _steps_batch(J, d, done)
         done = done[keep]

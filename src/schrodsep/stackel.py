@@ -54,7 +54,8 @@ def stackel_values(system: CoordinateSystem, omega) -> np.ndarray:
     (shape (3,), giving 3x3) or at each of a stack of points (shape (n, 3),
     giving (n, 3, 3)); one :func:`stackel_row` call per row either way.
     The first point outside the domain raises the error of
-    :func:`schrodsep.coords.check_domain`."""
+    :func:`schrodsep.coords.check_domain`; an entry that overflows inside
+    it is inf or NaN, without a numpy warning, for the caller to flag."""
     w = np.asarray(omega, dtype=float)
     points = w.reshape(-1, 3)
     inside = np.isfinite(points).all(axis=1)
@@ -64,9 +65,10 @@ def stackel_values(system: CoordinateSystem, omega) -> np.ndarray:
     if outside.size:
         check_domain(system, points[outside[0]])
     F = np.empty(w.shape[:-1] + (3, 3))
-    for i in range(3):
-        for j, entry in enumerate(stackel_row(system, i, w[..., i])):
-            F[..., i, j] = entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(3):
+            for j, entry in enumerate(stackel_row(system, i, w[..., i])):
+                F[..., i, j] = entry
     return F
 
 

@@ -12,14 +12,16 @@ stencil nodes before its field calls: the centres in one batched Newton
 inversion seeded by the given points, then every node in another seeded
 by its centre, which keeps every evaluation on the centre's branch.  Each
 field call is then handed its own node's point, so its own inversion
-starts at the solution.
+starts at the solution.  The per-sample residuals, given one chart point,
+solve that sample's nodes the same way, so they equal the reports' records
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable, Sequence, TextIO
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -105,10 +107,12 @@ def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre:
     without ``omega_hint``), the spatial step, the field at the centre (None
     unless ``centre``), its time derivative and its three spatial rows.
 
-    ``omega_hint`` is a start for the centre's Newton inversion, whose
-    result is then every node's hint, or the chart points of all
-    ``_NODES`` nodes in stencil order (:func:`_node_points`), each handed
-    to the field at its own node."""
+    ``omega_hint`` is the chart points of all ``_NODES`` nodes in stencil
+    order (:func:`_node_points`), each handed to the field at its own node,
+    or a start for the centre's point, from which the nodes are solved as
+    the reports solve them.  A sample that :func:`_node_points` leaves out
+    has its centre inverted on its own, and that point is every node's
+    hint."""
     x = np.asarray(x, dtype=float)
     ht, hx = _steps_at(t, x, steps)
     if omega_hint is None:
@@ -116,7 +120,9 @@ def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre:
     elif np.ndim(omega_hint) == 2:
         hints = omega_hint
     else:
-        hints = [invert(spec.system, unembed(spec.frame, t, x), omega_hint)] * _NODES
+        hints = _node_points(spec, [(t, x)], steps, [omega_hint])[0]
+        if hints is None:
+            hints = [invert(spec.system, unembed(spec.frame, t, x), omega_hint)] * _NODES
     value = _guard(field, t, x, hints[0]) if centre else None
     d_t = _d1([_guard(field, t + k * ht, x, h) for k, h in zip(_OFFSETS, hints[1:5])], ht)
     rows = [
@@ -247,8 +253,10 @@ def hj_residual_with_scale(
 # Reports
 
 
-@dataclass(frozen=True)
-class PointRecord:
+class PointRecord(NamedTuple):
+    """One channel's value at one sample; built by :func:`_record`, which
+    refuses a non-finite residual or scale and floors the scale."""
+
     index: int
     channel: str
     t: float
@@ -256,10 +264,6 @@ class PointRecord:
     residual: float
     scale: float
     relative: float
-
-    def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ValueError("record scale must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,7 +437,7 @@ def report_to_dict(report: ResidualReport) -> dict:
             "max_relative": report.max_relative,
             "mean_relative": report.mean_relative,
         },
-        "records": [asdict(r) for r in report.records],
+        "records": [r._asdict() for r in report.records],
     }
 
 

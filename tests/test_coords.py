@@ -1,6 +1,7 @@
 """Tests for the coordinate chart catalogue, Jacobians and inversion."""
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import schrodsep.coords
 from schrodsep.coords import (
     _CHARTS,
     _near_singular,
@@ -366,7 +368,7 @@ def test_invert_batch_keeps_the_scalar_contract(name, data):
     # them, some far enough off that Newton backtracks, clamps or fails.
     # Every accepted row meets the contract of invert, and every row that
     # invert solves from the same guess the batch solves too, to the same
-    # omega.
+    # omega bit for bit: invert is a one-row batch.
     s = build(name)
     box = sampling_box(s)
     n = data.draw(st.integers(1, 6), label="rows")
@@ -391,7 +393,7 @@ def test_invert_batch_keeps_the_scalar_contract(name, data):
         except SchrodsepError:
             continue
         assert accepted
-        assert np.max(np.abs(w - w_scalar)) <= 1e-9
+        assert w.tobytes() == w_scalar.tobytes()
 
 
 def test_invert_batch_fails_bad_rows_alone():
@@ -424,6 +426,47 @@ def test_invert_batch_fails_bad_rows_alone():
         for z, g in bad_rows:
             with pytest.raises(SchrodsepError):
                 invert(s, z, g)
+
+
+def test_invert_checks_the_floor_then_inverts_one_row(monkeypatch):
+    # A start at the rounding floor costs one scalar chart map and no
+    # batch; any other start is a one-row invert_batch call, and a row that
+    # fails is typed: a singular Jacobian and a target off the image read
+    # as a stall that carries the last iterate and its residual.
+    batches = []
+
+    def counted(system, Z, G):
+        batches.append(np.shape(Z))
+        return invert_batch(system, Z, G)
+
+    monkeypatch.setattr(schrodsep.coords, "invert_batch", counted)
+    s = build("spherical")
+    maps = []
+
+    def chart_map(*args):
+        maps.append(args[1:])
+        return _CHARTS[SystemId.SPHERICAL].map(*args)
+
+    object.__setattr__(s, "chart", types.SimpleNamespace(
+        map=chart_map, array_map=_CHARTS[SystemId.SPHERICAL].array_map))
+    omega = sample_domain(s, seed=2, n=1)[0]
+    z = forward(s, omega)
+    maps.clear()
+    assert invert(s, z, omega).tobytes() == omega.tobytes()
+    assert len(maps) == 1 and batches == []
+
+    maps.clear()
+    got = invert(s, z, omega + 1e-3)
+    assert batches == [(1, 3)] and len(maps) == 1
+    assert np.linalg.norm(forward(s, got) - z) <= CONTRACT_TOL * (1.0 + np.linalg.norm(z))
+
+    for system, target, start in ((s, (0.0, 0.0, 0.0), (1.0, 0.1, 1.0)),
+                                  (build("cylindrical"), (1.0, 0.0, 0.0), (-800.0, 0.0, 0.0))):
+        with pytest.raises(InversionError, match="stalled") as info:
+            invert(system, target, start)
+        assert info.value.last_omega.shape == (3,)
+        assert 0.0 < info.value.residual < math.inf
+    assert len(batches) == 3
 
 
 @pytest.mark.parametrize("name", ["spherical", "parabolic", "conical", "paraboloidal"])
