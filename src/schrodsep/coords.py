@@ -19,16 +19,16 @@ Everything known about a chart sits in its one :class:`Chart` record in
 ``_CHARTS``: split class, parameters, domain, the map giving z and its
 Jacobian together, and Stackel rows.  The map is written once, in scalar
 ``math`` for the per-point callers; the record also holds the same body
-evaluated over numpy arrays, which the Newton inversion
-(:func:`invert_batch`) uses.  There is one Newton iteration, over a stack
-of targets: :func:`invert` takes a single target as a one-row stack unless
-one scalar map call shows that its start already maps onto it to
-rounding.  The rows are numpy functions of their coordinate, so one call
-evaluates a row over a whole grid.  The metric is not stored: it is the
-squared column norms of that Jacobian under the frame scales
-(:func:`schrodsep.stackel.metric_r_squared`).  A chart is added by writing
-its functions and adding one ``_CHARTS`` record; nothing else dispatches
-on the system id.
+run over numpy arrays, its results stacked into two arrays, which the
+Newton inversion (:func:`invert_batch`) and the geometry audit use.  There
+is one Newton iteration, over a stack of targets: :func:`invert` takes a
+single target as a one-row stack unless one scalar map call shows that
+its start already maps onto it to rounding.  The rows are numpy functions
+of their coordinate, so one call evaluates a row over a whole grid.  The
+metric is not stored: it is the squared column norms of that Jacobian
+under the frame scales (:func:`schrodsep.stackel.metric_r_squared`).  A
+chart is added by writing its functions and adding one ``_CHARTS``
+record; nothing else dispatches on the system id.
 
 Angles are kept in their principal boxes; radial-like axes that make the
 map blow up at an endpoint are flagged singular and excluded from the
@@ -39,7 +39,6 @@ samplers and the Newton clamp.
 from __future__ import annotations
 
 import math
-import types
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -47,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import Modulus, jacobi, jacobi_array, modulus
+from .elliptic import Modulus, _over_arrays, jacobi, jacobi_array, modulus
 from .errors import ConfigurationError, DomainError, InversionError, SingularityError
 
 EPS_DOM = 1e-6
@@ -122,10 +121,10 @@ class Chart:
       z as a tuple and the rows J[a][i] = d z_a / d omega_i, sharing their
       intermediate values;
     * ``array_map(s, w1, w2, w3)`` - the same, at three float arrays of one
-      shape: the body of ``map`` with ``math`` bound to numpy and
-      ``jacobi`` to :func:`schrodsep.elliptic.jacobi_array`, so each entry
-      is an array of that shape or a constant that broadcasts against it;
-      derived on construction, not written;
+      shape S: z as a (3,) + S array and J as a (3, 3) + S array, with
+      constant entries broadcast; the body of ``map`` run over numpy by
+      :func:`schrodsep.elliptic._over_arrays`, with ``jacobi`` bound to
+      :func:`schrodsep.elliptic.jacobi_array`, derived on construction;
     * ``rows[i](s, w)`` - Stackel row i at omega_{i+1} = w, a float or a
       float array, in numpy: three entries, each an array of w's shape or
       a constant that broadcasts against it.
@@ -133,8 +132,9 @@ class Chart:
     The metric is derived, not stored: R_i^2 is the squared norm of column
     i of J under the frame scales.  ``map`` looks up this module's
     ``math`` and ``jacobi`` at call time, so it can be evaluated in
-    another arithmetic by swapping those two names; ``array_map`` and the
-    rows use ``np`` and :func:`schrodsep.elliptic.jacobi_array`.
+    another arithmetic by swapping those two names; ``array_map`` reads
+    the array forms bound on construction, and the rows use ``np`` and
+    :func:`schrodsep.elliptic.jacobi_array`.
     """
 
     split_class: SplitClass
@@ -147,7 +147,19 @@ class Chart:
     array_map: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "array_map", _over_arrays(self.map))
+        array_map = partial(_stacked, _over_arrays(self.map, jacobi=jacobi_array))
+        object.__setattr__(self, "array_map", array_map)
+
+
+def _stacked(map_over_arrays, s, w1, w2, w3):
+    """A chart map run over arrays of one shape S, its z and J copied into a
+    (3,) + S and a (3, 3) + S array, constant entries broadcast."""
+    z, J = map_over_arrays(s, w1, w2, w3)
+    out = np.empty((4, 3, *np.shape(w1)))
+    for a, row in enumerate((z, *J)):
+        for i in range(3):
+            out[a, i] = row[i]
+    return out[0], out[1:]
 
 
 @dataclass(frozen=True)
@@ -529,20 +541,6 @@ def _row3_conical(s, w):
     return (0.0, m.k * m.k * cn * cn, 1.0)
 
 
-#: This module's names, with the two that the map bodies compute through
-#: bound to their array twins.
-_ARRAY_NAMES = {**globals(), "math": np, "jacobi": jacobi_array}
-
-
-def _over_arrays(fn):
-    """The map ``fn`` (a function or a partial of one) with its body run
-    over :data:`_ARRAY_NAMES`: the same code, element-wise on arrays."""
-    if isinstance(fn, partial):
-        return partial(_over_arrays(fn.func), *fn.args, **fn.keywords)
-    return types.FunctionType(
-        fn.__code__, _ARRAY_NAMES, fn.__name__, fn.__defaults__, fn.__closure__)
-
-
 def _prolate_chart(shift: float) -> Chart:
     """The prolate spheroidal chart with its z3 offset by shift * a."""
     return Chart(
@@ -762,12 +760,8 @@ def _miss_batch(system: CoordinateSystem, w, z):
     """z(w) - z, its norm and the Jacobian at w, for the columns of the
     (3, k) arrays w and z; the Jacobian as a (3, 3, k) array."""
     f, J = system.chart.array_map(system, w[0], w[1], w[2])
-    d = np.array([f[0] - z[0], f[1] - z[1], f[2] - z[2]])
-    Jk = np.empty((3, 3, w.shape[1]))
-    for a in range(3):
-        for i in range(3):
-            Jk[a, i] = J[a][i]
-    return d, np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]), Jk
+    d = f - z
+    return d, np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]), J
 
 
 def _steps_batch(J, d, rows):

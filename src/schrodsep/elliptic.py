@@ -15,9 +15,10 @@ through
     phi_{n-1} = (phi_n + asin((c_n / a_n) * sin(phi_n))) / 2,
 
 with sn = sin(phi_0), cn = cos(phi_0) and dn = sqrt(1 - k**2 * sn**2).
-The iteration converges quadratically; its count is capped.
-:func:`jacobi` runs the descent on one float, :func:`jacobi_array` on
-every element of an array at once (DLMF 22.20).
+The iteration converges quadratically; its count is capped (DLMF 22.20).
+:func:`jacobi` runs the descent on one float; :func:`jacobi_array` is its
+body run over numpy by :func:`_over_arrays`, the rule that also derives the
+array forms of the chart maps and of the sinusoid time profile.
 
 The chart Jacobians take first derivatives from the standard identities
 
@@ -27,8 +28,9 @@ The chart Jacobians take first derivatives from the standard identities
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -36,6 +38,21 @@ from .errors import DomainError
 
 AGM_CAP = 32
 _AGM_STOP = 1e-17
+
+#: The ``math`` of a body run over arrays (numpy 1.24 has no ``np.asin``).
+_ARRAY_MATH = types.SimpleNamespace(asin=np.arcsin, cos=np.cos, cosh=np.cosh, exp=np.exp,
+                                    ldexp=np.ldexp, sin=np.sin, sinh=np.sinh, sqrt=np.sqrt,
+                                    tanh=np.tanh)
+
+
+def _over_arrays(fn, **names):
+    """``fn``, a function or a partial of one, with its body run over numpy
+    arrays: a copy of its module's names, with ``math`` bound to
+    :data:`_ARRAY_MATH` and each of ``names`` as given."""
+    if isinstance(fn, partial):
+        return partial(_over_arrays(fn.func, **names), *fn.args, **fn.keywords)
+    scope = {**fn.__globals__, "math": _ARRAY_MATH, **names}
+    return types.FunctionType(fn.__code__, scope, fn.__name__, fn.__defaults__, fn.__closure__)
 
 
 def complete_K(k: float) -> float:
@@ -108,6 +125,16 @@ def _landen_scheme(k: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return (tuple(aa), tuple(cc))
 
 
+def _clamp(s: float) -> float:
+    """s clamped to [-1, 1], against harmless rounding excursions beyond."""
+    return min(max(s, -1.0), 1.0)
+
+
+def _unit(u) -> float:
+    """dn at modulus 0, for a float u."""
+    return 1.0
+
+
 @lru_cache(maxsize=1024)
 def jacobi(u: float, k: float) -> tuple[float, float, float]:
     """Jacobi elliptic functions sn, cn, dn at argument u, modulus k.
@@ -138,48 +165,25 @@ def jacobi(u: float, k: float) -> tuple[float, float, float]:
         sech = 1.0 / math.cosh(u)
         return math.tanh(u), sech, sech
     if k < 1e-14:
-        return math.sin(u), math.cos(u), 1.0
+        return math.sin(u), math.cos(u), _unit(u)
     aa, cc = _landen_scheme(k)
     n = len(aa) - 1
     phi = math.ldexp(aa[n] * u, n)
     for i in range(n, 0, -1):
-        s = cc[i] / aa[i] * math.sin(phi)
-        # Clamp against harmless rounding excursions beyond +-1.
-        if s > 1.0:
-            s = 1.0
-        elif s < -1.0:
-            s = -1.0
-        phi = 0.5 * (phi + math.asin(s))
+        phi = 0.5 * (phi + math.asin(_clamp(cc[i] / aa[i] * math.sin(phi))))
     sn = math.sin(phi)
     cn = math.cos(phi)
     dn = math.sqrt((1.0 - k * sn) * (1.0 + k * sn))
     return sn, cn, dn
 
 
-def jacobi_array(u, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sn, cn, dn at every element of ``u``, modulus k; the array twin of
-    :func:`jacobi`.
+_jacobi_over_arrays = _over_arrays(
+    jacobi.__wrapped__, _clamp=lambda s: np.clip(s, -1.0, 1.0), _unit=np.ones_like)
 
-    The same Landen descent, branches and clamp, element-wise in numpy, so
-    it agrees with :func:`jacobi` to a few ulp (numpy's sin, asin and
-    friends may round differently from ``math``'s).  Not memoized.
-    """
-    if not 0.0 <= k <= 1.0:
-        raise DomainError(f"modulus must satisfy 0 <= k <= 1, got {k!r}")
-    u = np.asarray(u, dtype=float)
-    if k == 1.0:
-        sech = 1.0 / np.cosh(u)
-        return np.tanh(u), sech, sech
-    if k < 1e-14:
-        return np.sin(u), np.cos(u), np.ones_like(u)
-    aa, cc = _landen_scheme(k)
-    n = len(aa) - 1
-    phi = np.ldexp(aa[n] * u, n)
-    for i in range(n, 0, -1):
-        # Clamp against harmless rounding excursions beyond +-1.
-        s = np.clip(cc[i] / aa[i] * np.sin(phi), -1.0, 1.0)
-        phi = 0.5 * (phi + np.arcsin(s))
-    sn = np.sin(phi)
-    cn = np.cos(phi)
-    dn = np.sqrt((1.0 - k * sn) * (1.0 + k * sn))
-    return sn, cn, dn
+
+def jacobi_array(u, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sn, cn, dn at every element of ``u``, modulus k: the body of
+    :func:`jacobi` over numpy, with the clamp and the unit dn of k = 0 in
+    array form, so within a few ulp of :func:`jacobi` (numpy's sin, asin
+    and friends may round unlike math's).  Not memoized."""
+    return _jacobi_over_arrays(np.asarray(u, dtype=float), k)

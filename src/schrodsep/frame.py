@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coords import CoordinateSystem, SplitClass, _near_singular, forward, jacobian
+from .elliptic import _over_arrays
 from .errors import ConfigurationError, SingularityError
 
 #: Construction-time validation grid for profile and class constraints.
@@ -70,9 +71,10 @@ def on_float_array(fn: Callable, w: np.ndarray, what: str, parts: int = 0):
 class TimeProfile:
     """A smooth scalar function of time with two analytic derivatives.
 
-    ``fn(t)`` returns the triple (value, d/dt, d2/dt2) at a float.  The
-    built-in sinusoid also carries ``array_fn``, the same triple by numpy
-    on a float array, bit for bit the per-float values.
+    ``fn(t)`` returns the triple (value, d/dt, d2/dt2) at a float.
+    ``array_fn``, where given, returns the triple at every element of a
+    float array; the built-in sinusoid derives it from ``fn``, whose body
+    it runs over numpy.
     """
 
     fn: Callable[[float], tuple[float, float, float]]
@@ -139,7 +141,8 @@ def sinusoid(
     amplitude: float, angular_frequency: float, phase: float = 0.0, offset: float = 0.0
 ) -> TimeProfile:
     """offset + amplitude * sin(angular_frequency * t + phase), by ``math``
-    on a float and by numpy on a float array."""
+    on a float; ``array_fn`` is the same body run over numpy
+    (:func:`schrodsep.elliptic._over_arrays`)."""
     A = float(amplitude)
     om = float(angular_frequency)
     ph = float(phase)
@@ -150,12 +153,7 @@ def sinusoid(
         c = math.cos(om * t + ph)
         return (off + A * s, A * om * c, -A * om * om * s)
 
-    def array_fn(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        s = np.sin(om * t + ph)
-        c = np.cos(om * t + ph)
-        return (off + A * s, A * om * c, -A * om * om * s)
-
-    return TimeProfile(fn, array_fn)
+    return TimeProfile(fn, _over_arrays(fn))
 
 
 def _check_profile(name: str, p: TimeProfile) -> None:

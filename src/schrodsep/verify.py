@@ -84,17 +84,30 @@ _OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 #: offsets, then the four offsets along each spatial axis in turn.
 _NODES = 17
 
+#: The step multiples of the nodes, one row each in stencil order: column 0
+#: counts time steps, column 1 + a spatial steps along axis a.
+_MULTIPLES = np.vstack((np.zeros(4), np.kron(np.eye(4), np.array(_OFFSETS)[:, None])))
+#: (node, axis) of each spatial step and its multiple; the nodes of the time
+#: derivative and of each axis's row; the column of each node's time among
+#: a sample's five distinct times (the centre's, then its four offsets).
+_MOVED = np.nonzero(_MULTIPLES[:, 1:])
+_MOVED_BY = _MULTIPLES[:, 1:][_MOVED]
+_TIME_ROW = slice(1, 5)
+_AXIS_ROWS = tuple(slice(5 + 4 * axis, 9 + 4 * axis) for axis in range(3))
+_TIME_COLUMN = (0, 1, 2, 3, 4) + (0,) * 12
 
-def _shifted(x, h: float, axis: int, k: float) -> np.ndarray:
-    """x shifted by k h along ``axis``."""
-    p = np.array(x, dtype=float)
-    p[axis] += k * h
-    return p
 
-
-def _row(fn, x, h: float, axis: int) -> list:
-    """fn at x shifted by k h along ``axis``, for the four stencil offsets k."""
-    return [fn(_shifted(x, h, axis, k)) for k in _OFFSETS]
+def _stencil_nodes(t, x, ht, hx) -> tuple[np.ndarray, np.ndarray]:
+    """The five distinct times, centre's first, and the ``_NODES`` positions
+    of the stencils around samples (t, x) with steps ht and hx: t, ht and hx
+    floats or arrays of one shape S, x of shape S + (3,), the answers of
+    shapes S + (5,) and S + (17, 3).  Off its axis a node keeps the sample's
+    bits (-0.0 and non-finite values included)."""
+    t, ht, hx = (np.asarray(v, dtype=float)[..., None] for v in (t, ht, hx))
+    times = np.concatenate((t, t + ht * _MULTIPLES[_TIME_ROW, 0]), axis=-1)
+    nodes = np.repeat(np.asarray(x, dtype=float)[..., None, :], _NODES, axis=-2)
+    nodes[(..., *_MOVED)] += hx * _MOVED_BY
+    return times, nodes
 
 
 def _steps_at(t: float, x: np.ndarray, steps) -> tuple[float, float]:
@@ -106,6 +119,8 @@ def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre:
     """The set-up the SE and HJ residuals share: the chart point of x (None
     without ``omega_hint``), the spatial step, the field at the centre (None
     unless ``centre``), its time derivative and its three spatial rows.
+    The field is called at each node of :func:`_stencil_nodes` in stencil
+    order (the centre only with ``centre``); the rest are slices of that list.
 
     ``omega_hint`` is the chart points of all ``_NODES`` nodes in stencil
     order (:func:`_node_points`), each handed to the field at its own node,
@@ -123,16 +138,15 @@ def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre:
         hints = _node_points(spec, [(t, x)], steps, [omega_hint])[0]
         if hints is None:
             hints = [invert(spec.system, unembed(spec.frame, t, x), omega_hint)] * _NODES
-    value = _guard(field, t, x, hints[0]) if centre else None
-    d_t = _d1([_guard(field, t + k * ht, x, h) for k, h in zip(_OFFSETS, hints[1:5])], ht)
-    rows = [
-        [
-            _guard(field, t, _shifted(x, hx, axis, k), h)
-            for k, h in zip(_OFFSETS, hints[5 + 4 * axis:9 + 4 * axis])
-        ]
-        for axis in range(3)
+    times, nodes = _stencil_nodes(t, x, ht, hx)
+    times = times.tolist()
+    skip = 0 if centre else 1
+    values = [None] * skip + [
+        _guard(field, times[c], p, h)
+        for c, p, h in zip(_TIME_COLUMN[skip:], nodes[skip:], hints[skip:])
     ]
-    return hints[0], hx, value, d_t, rows
+    rows = [values[axis] for axis in _AXIS_ROWS]
+    return hints[0], hx, values[0], _d1(values[_TIME_ROW], ht), rows
 
 
 def _residual(terms) -> tuple:
@@ -203,15 +217,16 @@ def stationary_residual_with_scale(
     """
     x = np.asarray(x, dtype=float)
     h = hx * (1.0 + float(np.linalg.norm(x)))
+    nodes = _stencil_nodes(0.0, x, 0.0, h)[1]
     psi0 = psi(x)
     grad = np.zeros(3, dtype=complex)
     lap = 0.0 + 0.0j
     div_a = 0.0
-    for axis in range(3):
-        row = _row(psi, x, h, axis)
+    for axis, rows in enumerate(_AXIS_ROWS):
+        row = [psi(p) for p in nodes[rows]]
         grad[axis] = _d1(row, h)
         lap += _d2(row, psi0, h)
-        div_a += _d1([a[axis] for a in _row(a_field, x, h, axis)], h)
+        div_a += _d1([a_field(p)[axis] for p in nodes[rows]], h)
 
     e = e_charge
     avec = np.asarray(a_field(x), dtype=float)
@@ -310,18 +325,14 @@ def _record(index, channel, t, x, residual, scale) -> PointRecord:
 #: node arrays of a long report.
 _NODE_CHUNK = 256
 
-#: The column of a node's time among a sample's five distinct times (the
-#: centre's, then its four offsets), in stencil order.
-_TIME_COLUMN = np.array([0, 1, 2, 3, 4] + [0] * 12)
-
 
 def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
     """The chart points of the ``_NODES`` stencil nodes of each sample
     (t, x) with chart point ``hints[j]``, as an array in stencil order, or
     None for a sample left to the per-sample path of :func:`_stencil`.
 
-    The nodes are built by the arithmetic of :func:`_stencil`, so they are
-    its nodes bit for bit, and mapped to chart space in one array pass
+    The nodes come from :func:`_stencil_nodes`, as those of
+    :func:`_stencil` do, and are mapped to chart space in one array pass
     that reads the frame once at each distinct time.  The centres are
     inverted in one :func:`invert_batch` call seeded by the hints, then
     the other nodes in one more, each seeded by its centre's point.  A
@@ -344,12 +355,8 @@ def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
             starts.append(hint)
     if not live:
         return out
-    t, x = np.array(ts), np.array(xs)
     ht, hx = np.array([_steps_at(*tx, steps) for tx in zip(ts, xs)]).T
-    times = np.concatenate((t[:, None], t[:, None] + np.array(_OFFSETS) * ht[:, None]), axis=1)
-    nodes = np.repeat(x[:, None, :], _NODES, axis=1)
-    for axis in range(3):
-        nodes[:, 5 + 4 * axis:9 + 4 * axis, axis] += np.array(_OFFSETS) * hx[:, None]
+    times, nodes = _stencil_nodes(np.array(ts), np.array(xs), ht, hx)
     try:
         rows, w, h = _placement(spec.frame, times)
     except Exception:  # a profile may raise anything; the per-sample path raises it in turn
@@ -500,8 +507,8 @@ _LEVEL_LOW = round(math.log2(_HARMONICITY_FLOOR))
 _LEVELS = round(math.log2(_HARMONICITY_TOP)) + 2 - _LEVEL_LOW
 #: The four offsets k of a rung as (side, level above the rung's), in the
 #: order the rows of _d2 take them.
-_SIDES = np.array([0, 0, 1, 1])
-_RAISE = np.array([1, 0, 0, 1])
+_SIDES = (np.array(_OFFSETS) > 0.0).astype(int)
+_RAISE = np.log2(np.abs(_OFFSETS)).astype(int)
 
 #: Samples walked through the ladder together; bounds the node store.
 _LADDER_CHUNK = 256
@@ -713,14 +720,9 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
     F = stackel_values(system, samples)  # raises the domain error of the first sample outside
 
     n = len(samples)
-    z = np.empty((n, 3))
-    J = np.empty((3, 3, n))  # J[a][i] = d z_a / d omega_i, sample by sample
     with np.errstate(all="ignore"):  # an overflow is flagged below
-        z_parts, J_rows = system.chart.array_map(system, *samples.T)
-        for a in range(3):
-            z[:, a] = z_parts[a]
-            for i in range(3):
-                J[a, i] = J_rows[a][i]
+        z, J = system.chart.array_map(system, *samples.T)  # J[a, i] = d z_a / d omega_i
+        z = np.ascontiguousarray(z.T)
         x = (h * z) @ rot.T + w
         grads = _gradients(system, t, samples, J.transpose(2, 0, 1), rot, h)
         norms = np.linalg.norm(grads, axis=-1)

@@ -188,6 +188,24 @@ def test_jacobian_matches_finite_differences(name):
         assert np.max(np.abs(J - Jfd)) <= 1e-7 * scale
 
 
+@pytest.mark.parametrize("name", all_system_ids())
+def test_array_map_stacks_the_scalar_map(name):
+    # z comes as one (3, n) float array and J as one (3, 3, n), a constant
+    # entry broadcast to that shape, each entry the scalar map's at its
+    # sample up to the rounding of numpy's functions against math's,
+    # relative to the largest entry there (the shifted prolate z3 cancels).
+    s = build(name)
+    w = sample_domain(s, seed=17, n=40)
+    z, J = s.chart.array_map(s, *w.T)
+    assert (z.dtype, z.shape, J.dtype, J.shape) == (np.float64, (3, 40), np.float64, (3, 3, 40))
+    if name == "cartesian":
+        assert J.tobytes() == np.repeat(np.eye(3)[:, :, None], 40, axis=2).tobytes()
+    for j, point in enumerate(w):
+        z_j, J_j = (np.array(part) for part in s.chart.map(s, *point))
+        assert np.max(np.abs(z[:, j] - z_j)) <= 1e-14 * np.max(np.abs(z_j))
+        assert np.max(np.abs(J[:, :, j] - J_j)) <= 1e-14 * np.max(np.abs(J_j))
+
+
 def test_jacobian_singularity_guard():
     # The elliptic cylinder chart degenerates on the focal segment
     # (omega1 = omega2 = 0), which is an admissible boundary point of the

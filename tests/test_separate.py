@@ -9,8 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad as scipy_quad
-from scipy.special import airy
 
 from schrodsep.cli import load_scenario
 from schrodsep.coords import make_system, sample_domain
@@ -174,6 +172,7 @@ def test_phi0_closed_form_modulus_matches_quadrature():
     )
     spec = magnetic_spec(make_system("cartesian"), frame)
     phi0 = solve_phi0(spec, SeparationConstants(0.7, -0.4, 0.9), (-2.0, 2.0), 0.3)
+    scipy_quad = pytest.importorskip("scipy.integrate").quad
     for t in (-1.9, -0.6, 0.31, 1.2, 2.0):
         log_mod, _ = scipy_quad(
             lambda tau: t0_profile(spec, tau).imag, 0.3, t, epsabs=1e-14, epsrel=1e-13, limit=200
@@ -272,6 +271,7 @@ def test_temporal_table_matches_quadpack_reference(kind, t_range):
         return sign * spec.t0_tilde(tau)[0] - sum(Ti * li for Ti, li in zip(T, lam.as_tuple()))
 
     h0 = spec.frame.scales(anchor)
+    scipy_quad = pytest.importorskip("scipy.integrate").quad
     for t in np.random.default_rng(16).uniform(*t_range, 200).tolist():
         integral = scipy_quad(rate, anchor, t, epsabs=1e-14, epsrel=1e-13)[0]
         if kind == "hj":
@@ -404,6 +404,7 @@ def test_phi_a_complex_initial_data():
 def test_phi_a_airy_matches_scipy():
     # c(w) = w varies across every step, so the commutator term of the
     # Magnus step matters; Ai + i Bi is the reference.
+    airy = pytest.importorskip("scipy.special").airy
     spec = magnetic_spec(make_system("cartesian"), identity_frame("complete"), f10=lambda w: w)
     ai, aip, bi, bip = airy(-6.0)
     phi = solve_phi_a(spec, 1, SeparationConstants(0, 0, 0), (-6.0, 2.0),
@@ -590,7 +591,9 @@ def test_hj_turning_point_detected():
 
 def _per_cell_quad_terms(spec, constants, ranges, signs, points=()):
     """Reference node values: one QUADPACK quadrature per Hermite cell,
-    told of the ``points`` inside it where the integrand is not smooth."""
+    told of the ``points`` inside it where the integrand is not smooth;
+    skips the calling test without scipy."""
+    scipy_quad = pytest.importorskip("scipy.integrate").quad
     lam = constants.as_tuple()
     terms = []
     for axis, (lo, hi) in enumerate(ranges):

@@ -168,6 +168,31 @@ def test_stencil_failure_is_reported_with_node():
         )
 
 
+def test_stencil_nodes_keep_the_sample_bits_off_their_axis():
+    # Each node steps along one axis or in time; its other coordinates are
+    # the sample's own bits, so the -0.0 of x2 stays -0.0 at the thirteen
+    # nodes that do not step along x2.
+    spec = free_particle()
+    k = np.array([0.4, -0.2, 0.3])
+    nodes = []
+
+    def field(t, x, hint):
+        nodes.append((t, np.array(x)))
+        return np.exp(1j * (k @ np.asarray(x) - float(k @ k) * t))
+
+    x = np.array([0.2, -0.0, 0.4])
+    se_residual_with_scale(field, spec, 0.3, x)
+    ht, hx = 1e-3 * 1.3, 1e-3 * (1.0 + float(np.linalg.norm(x)))
+    offsets = (-2.0, -1.0, 1.0, 2.0)
+    want = np.tile(x, (17, 1))
+    for axis in range(3):
+        for j, step in enumerate(offsets):
+            want[5 + 4 * axis + j, axis] += step * hx
+    assert np.array([p for _, p in nodes]).tobytes() == want.tobytes()
+    assert [t for t, _ in nodes] == [0.3] + [0.3 + step * ht for step in offsets] + [0.3] * 12
+    assert np.signbit(want[:, 1]).sum() == 15  # the two -x2 nodes are negative too
+
+
 # ---------------------------------------------------------------------------
 # Stationary form
 
@@ -493,6 +518,8 @@ def test_report_solves_stencil_nodes_in_batches(node_input, channel, monkeypatch
                  hints=[omega for _, _, omega in points])
     assert batches == [4, 64, 4, 64, 2, 32]  # centres, then the other 16 nodes of each
     assert nodes == loop_nodes
+    assert (np.array([x for _, x in nodes]).tobytes()
+            == np.array([x for _, x in loop_nodes]).tobytes())
     assert [(r.index, r.channel, r.t, r.x) for r in rep.records] == [
         (j, channel, t, tuple(x)) for j, (t, x, _) in enumerate(points)]
     assert rep.max_relative == pytest.approx(loop_worst, rel=0.01)
