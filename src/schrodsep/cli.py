@@ -10,7 +10,9 @@ Usage:
     schrodsep coulomb-demo --out results
 
 Scenarios are JSON documents validated against the shipped schema
-(``scenario.schema.json``); unknown keys are rejected.  Runs are
+(``scenario.schema.json``) by this module's interpreter of the JSON Schema
+keywords that schema uses, so no validation package is imported; unknown
+keys are rejected.  Runs are
 deterministic: the same scenario and seed produce byte-identical
 artifacts, and every report carries the scenario SHA-256 plus the tool
 version.  Exit codes: 0 success, 1 configuration problem, 2 numerical
@@ -25,11 +27,12 @@ import functools
 import hashlib
 import json
 import math
+import operator
+import reprlib
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -68,9 +71,6 @@ from .verify import (
     report_to_dict,
     se_report,
 )
-
-if TYPE_CHECKING:
-    import jsonschema
 
 AUDIT_CHANNELS = ("orthogonality", "stackel", "colnorm", "harmonicity")
 
@@ -116,14 +116,109 @@ class Scenario:
     assert_tol: float | None
 
 
-@functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
-    """The scenario schema's validator, built once per process.  jsonschema
-    is imported here, so the commands that load no scenario never pay for it."""
-    import jsonschema
+#: The keywords of ``scenario.schema.json`` that `_schema_errors` checks, and
+#: the annotations it reads past; the tests refuse a schema that uses any
+#: other, so no constraint is silently ignored.
+SCHEMA_KEYWORDS = frozenset({
+    "type", "const", "enum", "required", "properties", "additionalProperties", "items",
+    "minItems", "maxItems", "minimum", "exclusiveMinimum", "exclusiveMaximum", "oneOf",
+    "$ref", "$defs",
+})
+SCHEMA_ANNOTATIONS = frozenset({"$schema", "title", "description"})
 
+#: The JSON Schema types the scenario schema names: a bool is neither a
+#: number nor an integer, and an integral float such as 3.0 is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+
+
+@functools.cache
+def _schema() -> dict:
+    """The shipped scenario schema, read once per process."""
     text = resources.files("schrodsep").joinpath("scenario.schema.json").read_text("utf-8")
-    return jsonschema.Draft202012Validator(json.loads(text))
+    return json.loads(text)
+
+
+def _same(a, b) -> bool:
+    """JSON equality of a value and one of the schema's scalar constants:
+    true is not 1, while 1 and 1.0 are equal."""
+    return isinstance(a, bool) is isinstance(b, bool) and a == b
+
+
+def _says(node, text: str) -> str:
+    """A message about ``node`` that shows its value abbreviated, so that a
+    value nested past the recursion limit prints too."""
+    return f"{reprlib.repr(node)} {text}"
+
+
+#: The bound keywords.  Each fails where jsonschema's own comparison holds,
+#: so NaN passes them all and `_check_finite` names it.
+_BOUNDS = (
+    ("minimum", operator.lt, "is less than the minimum of"),
+    ("exclusiveMinimum", operator.le, "is less than or equal to the minimum of"),
+    ("exclusiveMaximum", operator.ge, "is greater than or equal to the maximum of"),
+)
+
+
+def _schema_errors(node, schema: dict, where: tuple = ()):
+    """Yield ``(location, keyword, message)`` for each way the parsed JSON
+    value ``node`` at location ``where`` fails ``schema``, a part of the scenario
+    schema, with JSON Schema 2020-12's meaning of each of `SCHEMA_KEYWORDS`
+    and jsonschema's wording.  It descends only where the schema does, so
+    its depth is the schema's, whatever the document's."""
+    if "$ref" in schema:  # a reference into the schema's $defs
+        target = _schema()["$defs"][schema["$ref"].removeprefix("#/$defs/")]
+        yield from _schema_errors(node, target, where)
+    if "type" in schema:
+        names = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+        if not any(_TYPES[name](node) for name in names):
+            yield where, "type", _says(node, f"is not of type {', '.join(map(repr, names))}")
+    if "const" in schema and not _same(node, schema["const"]):
+        yield where, "const", f"{schema['const']!r} was expected"
+    if "enum" in schema and not any(_same(node, each) for each in schema["enum"]):
+        yield where, "enum", _says(node, f"is not one of {schema['enum']!r}")
+    if isinstance(node, dict):
+        known = schema.get("properties", {})
+        extras = [key for key in node if key not in known]
+        if schema.get("additionalProperties") is False and extras:
+            yield where, "additionalProperties", (
+                f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
+                f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        for key in schema.get("required", ()):
+            if key not in node:
+                yield where, "required", f"{key!r} is a required property"
+        for key, sub in known.items():
+            if key in node:
+                yield from _schema_errors(node[key], sub, (*where, key))
+    if isinstance(node, list):
+        if len(node) < schema.get("minItems", 0):
+            short = "should be non-empty" if schema["minItems"] == 1 else "is too short"
+            yield where, "minItems", _says(node, short)
+        if len(node) > schema.get("maxItems", math.inf):
+            yield where, "maxItems", _says(node, "is too long")
+        for i, item in enumerate(node if "items" in schema else ()):
+            yield from _schema_errors(item, schema["items"], (*where, i))
+    if _TYPES["number"](node):
+        for keyword, fails, text in _BOUNDS:
+            if keyword in schema and fails(node, schema[keyword]):
+                yield where, keyword, _says(node, f"{text} {schema[keyword]!r}")
+    if "oneOf" in schema:
+        failures = [list(_schema_errors(node, branch, where)) for branch in schema["oneOf"]]
+        if failures.count([]) > 1:
+            yield where, "oneOf", _says(node, "is valid under more than one of the given schemas")
+        elif [] not in failures:
+            # the one branch whose constants hold, as its "type" does, tells what is wrong
+            matched = [errors for errors in failures if all(kw != "const" for _, kw, _ in errors)]
+            if len(matched) == 1:
+                yield from matched[0]
+            else:
+                yield where, "oneOf", _says(node, "is not valid under any of the given schemas")
 
 
 def _check_finite(node, path, where: str = "") -> None:
@@ -229,18 +324,27 @@ def _build_spec(doc: dict, system: CoordinateSystem, frame: FrameSpec) -> Potent
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """The scenario document at ``path``, validated and built.  A document
+    that is not JSON, fails the schema (the message names an error at the
+    shallowest location) or holds a number that is not finite raises
+    :class:`ConfigurationError` naming the file; a missing file raises
+    :class:`OSError`."""
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # undecodable bytes, bad JSON or an over-long integer
+    except (ValueError, RecursionError) as exc:
+        # undecodable bytes, bad JSON, an over-long integer or nesting past
+        # the interpreter's recursion limit
         raise ConfigurationError(f"scenario {path}: not valid JSON ({exc})") from exc
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_validator().iter_errors(doc))
+    # the error at the shallowest location; among siblings, the one
+    # jsonschema's best_match would pick: the last location, not a oneOf
+    error = max(_schema_errors(doc, _schema()), default=None,
+                key=lambda e: (-len(e[0]), e[0], e[1] != "oneOf"))
     if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "(top level)"
-        raise ConfigurationError(f"scenario {path}: {error.message} at {where}")
+        where, _, message = error
+        location = "/".join(map(str, where)) or "(top level)"
+        raise ConfigurationError(f"scenario {path}: {message} at {location}")
 
     ranges = tuple(
         check_range("omega range", lo, hi, f" on axis {a} of scenario {path}")
@@ -453,7 +557,7 @@ def _load_solution(sc: Scenario, out: Path) -> SeparatedSolution:
                 factors.append(read_interpolant_csv(fh, a))
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing field {exc}") from exc
-    except (ConfigurationError, TypeError, ValueError) as exc:
+    except (ConfigurationError, TypeError, ValueError, RecursionError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return SeparatedSolution(sc.spec, constants, phi0, tuple(factors), q_kind)
 

@@ -451,6 +451,30 @@ def test_overlong_integer_is_config_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000,
+     (SCENARIOS / "audit_cartesian.json").read_text().replace(
+         '"seed": 3', '"seed": 3, "extra_knob": ' + "[" * 5000 + "]" * 5000)],
+    ids=["whole_document", "under_unknown_key"],
+)
+def test_deeply_nested_scenario_is_config_error(tmp_path, capsys, text):
+    scen = tmp_path / "nested.json"
+    scen.write_text(text)
+    assert run("audit-geometry", "--scenario", scen, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: scenario {scen}: ")
+
+
+def test_deeply_nested_solution_is_config_error(separated, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(separated, out)
+    (out / "solution.json").write_text("[" * 100_000)
+    assert run("verify", "--scenario", MAGNETIC, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {out / 'solution.json'}: ")
+
+
 def test_mirrored_frame_is_one_config_error(tmp_path, capsys):
     # h1 = 1 - 0.2 t^2 passes the probe grid [-2, 2] and is negative on the time range.
     doc = read_json(SCENARIOS / "electrostatic_cartesian_drift.json")

@@ -1,9 +1,8 @@
-"""The command line runs without scipy, and without jsonschema where it
-loads no scenario.
+"""The command line runs without scipy and without jsonschema.
 
-scipy is a reference for the tests only; the package integrates with its
-own numeric core.  jsonschema validates scenarios, so the commands that
-load none never import it.  Each command below runs in a fresh
+scipy and jsonschema are references for the tests only: the package
+integrates with its own numeric core and checks scenarios with its own
+interpreter of the schema's keywords.  Each command below runs in a fresh
 interpreter whose import system refuses a package (a meta-path finder
 installed by a ``sitecustomize`` on ``PYTHONPATH``), so an import of it
 anywhere on the command's path fails the run.
@@ -106,3 +105,31 @@ def test_commands_without_a_scenario_run_without_jsonschema(no_jsonschema, tmp_p
     proc = _python(no_jsonschema, "-m", "schrodsep", *argv, *out, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
 
+
+
+@pytest.mark.parametrize(
+    "commands",
+    [
+        [["audit-geometry", "--scenario", SCENARIOS / "audit_cartesian.json"]],
+        [["build-potential", "--scenario", SCENARIOS / "electrostatic_cartesian_drift.json"]],
+        [["separate", "--scenario", SCENARIOS / "coulomb_parabolic.json"],
+         ["verify", "--scenario", SCENARIOS / "coulomb_parabolic.json", "--samples", "6"]],
+        [["hj", "--scenario", SCENARIOS / "hj_coulomb_spherical.json", "--samples", "6"]],
+    ],
+    ids=["audit-geometry", "build-potential", "separate-verify", "hj"],
+)
+def test_scenario_commands_run_without_jsonschema(no_jsonschema, tmp_path, commands):
+    for argv in commands:
+        proc = _python(no_jsonschema, "-m", "schrodsep", *argv, "--out", tmp_path / "out",
+                       cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_load_scenario_leaves_jsonschema_unloaded(tmp_path):
+    code = ("import pathlib, sys\n"
+            "from schrodsep.cli import load_scenario\n"
+            "for path in sorted(pathlib.Path(sys.argv[1]).glob('*.json')):\n"
+            "    load_scenario(path)\n"
+            "sys.exit('jsonschema' in sys.modules)")
+    proc = _python(_env(), "-c", code, SCENARIOS, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
