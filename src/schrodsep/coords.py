@@ -611,11 +611,6 @@ def forward(system: CoordinateSystem, omega) -> np.ndarray:
 DET_GUARD = 1e-12
 
 
-def _hypot3(a, b, c):
-    """math.hypot of three float arrays, element-wise, without overflow."""
-    return np.hypot(np.hypot(a, b), c)
-
-
 def _near_singular(rows, det):
     """Whether |det| of the 3x3 matrix with these rows is at most
     ``DET_GUARD`` times the product of its column norms.
@@ -623,11 +618,14 @@ def _near_singular(rows, det):
     That product bounds |det| (Hadamard) and equals it when the columns
     are orthogonal, as they are for every chart, so the guard measures
     only how far the columns are from parallel, not how their lengths
-    differ.  Entries are floats, or arrays of det's shape for a stack of
-    matrices (rows[a][i] is entry (a, i)), and so is the answer.
+    differ.  Entries are floats; :data:`_near_singular_array` takes arrays
+    of det's shape for a stack of matrices (rows[a][i] is entry (a, i))
+    and answers in that shape.
     """
-    hypot = _hypot3 if isinstance(det, np.ndarray) else math.hypot
-    return abs(det) <= DET_GUARD * math.prod(map(hypot, *rows))
+    return abs(det) <= DET_GUARD * math.prod(map(math.hypot, *rows))
+
+
+_near_singular_array = _over_arrays(_near_singular)
 
 
 def jacobian(system: CoordinateSystem, omega) -> np.ndarray:
@@ -733,7 +731,8 @@ def invert(system: CoordinateSystem, z, guess) -> np.ndarray:
         that iterate's image is not finite.
     """
     zt = (float(z[0]), float(z[1]), float(z[2]))
-    w = tuple(min(max(float(guess[i]), lo), hi) for i, (lo, hi) in enumerate(system.clamp))
+    guess = np.asarray(guess, dtype=float).tolist()
+    w = tuple(min(max(guess[i], lo), hi) for i, (lo, hi) in enumerate(system.clamp))
     zn, r = _miss(system, w, zt)
     if zn < math.inf and r <= FLOOR_TOL * (1.0 + zn):
         return np.array(w)

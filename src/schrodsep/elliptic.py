@@ -18,7 +18,8 @@ with sn = sin(phi_0), cn = cos(phi_0) and dn = sqrt(1 - k**2 * sn**2).
 The iteration converges quadratically; its count is capped (DLMF 22.20).
 :func:`jacobi` runs the descent on one float; :func:`jacobi_array` is its
 body run over numpy by :func:`_over_arrays`, the rule that also derives the
-array forms of the chart maps and of the sinusoid time profile.
+array forms of the chart maps, of the Jacobian guard, of the Euler rotation
+and of the sinusoid time profile.
 
 The chart Jacobians take first derivatives from the standard identities
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import types
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache, partial, reduce
 
 import numpy as np
 
@@ -39,10 +40,16 @@ from .errors import DomainError
 AGM_CAP = 32
 _AGM_STOP = 1e-17
 
+
+def _hypot(*coordinates):
+    """math.hypot of float arrays, element-wise, without overflow."""
+    return reduce(np.hypot, coordinates)
+
+
 #: The ``math`` of a body run over arrays (numpy 1.24 has no ``np.asin``).
 _ARRAY_MATH = types.SimpleNamespace(asin=np.arcsin, cos=np.cos, cosh=np.cosh, exp=np.exp,
-                                    ldexp=np.ldexp, sin=np.sin, sinh=np.sinh, sqrt=np.sqrt,
-                                    tanh=np.tanh)
+                                    hypot=_hypot, ldexp=np.ldexp, prod=math.prod, sin=np.sin,
+                                    sinh=np.sinh, sqrt=np.sqrt, tanh=np.tanh)
 
 
 def _over_arrays(fn, **names):

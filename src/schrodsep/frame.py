@@ -15,18 +15,28 @@ constraints on a probe time grid at construction.
 Profiles expose analytic first and second time derivatives because the
 potential formulas need them pointwise; differentiating opaque evaluators
 numerically would inject noise exactly where the residual checks are most
-sensitive.
+sensitive.  They are pure functions of time: a frame reads all nine once at
+a float time and keeps that reading for every reader until another time is
+read, while time tables and sample stacks read them over arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+import struct
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .coords import CoordinateSystem, SplitClass, _near_singular, forward, jacobian
+from .coords import (
+    CoordinateSystem,
+    SplitClass,
+    _near_singular,
+    _near_singular_array,
+    forward,
+    jacobian,
+)
 from .elliptic import _over_arrays
 from .errors import ConfigurationError, SingularityError
 
@@ -74,7 +84,8 @@ class TimeProfile:
     ``fn(t)`` returns the triple (value, d/dt, d2/dt2) at a float.
     ``array_fn``, where given, returns the triple at every element of a
     float array; the built-in sinusoid derives it from ``fn``, whose body
-    it runs over numpy.
+    it runs over numpy.  Both are pure functions of t: a frame reads a
+    profile once per time and keeps that reading (:meth:`FrameSpec._read`).
     """
 
     fn: Callable[[float], tuple[float, float, float]]
@@ -194,40 +205,81 @@ class FrameSpec:
     w3: TimeProfile
     class_of: SplitClass
 
+    #: The last reading of a float time, as (the bits of t, :class:`_Reading`).
+    _kept: tuple = field(default=(b"", None), init=False, repr=False, compare=False)
+
+    def _read(self, t: float) -> _Reading:
+        """The nine profile triples at the float t and the rows of the Euler
+        rotation, with the check, by :class:`ConfigurationError`, that every
+        h_i(t) > 0 (NaN fails it).  Angles are read first, then
+        translations, then scales; a class tie (h2 = h1, h3 = h1) shares
+        the profile, which is read once.
+
+        Profiles are pure functions of t, so the reading of the last time
+        is kept and serves every reader at that time.  It is keyed by the
+        bits of t (-0.0 is not 0.0); a NaN is never kept, nor is a reading
+        that raised."""
+        key = _BITS(t)
+        if self._kept[0] == key:
+            return self._kept[1]
+        angles = (self.alpha(t), self.beta(t), self.gamma(t))
+        translations = (self.w1(t), self.w2(t), self.w3(t))
+        h1 = self.h1(t)
+        h2 = h1 if self.h2 is self.h1 else self.h2(t)
+        h3 = h1 if self.h3 is self.h1 else self.h3(t)
+        if not (h1[0] > 0.0 and h2[0] > 0.0 and h3[0] > 0.0):
+            raise ConfigurationError(
+                f"frame scale non-positive at t={t}: h = {(h1[0], h2[0], h3[0])}"
+            )
+        rows = _euler_rows(angles[0][0], angles[1][0], angles[2][0])
+        reading = _Reading(angles, translations, (h1, h2, h3), rows)
+        if t == t:
+            object.__setattr__(self, "_kept", (key, reading))
+        return reading
+
     def scale_triples(self, t: float) -> tuple[tuple[float, float, float], ...]:
-        """(h_i, h_i', h_i'') for i = 1, 2, 3 at t, or arrays of the shape of
-        a float array t (:meth:`TimeProfile.on_array`); the one check, by
-        :class:`ConfigurationError`, that every h_i(t) > 0 (NaN fails it),
-        naming the first t that fails.  A class tie (h2 = h1, h3 = h1)
-        shares the profile, which is evaluated once."""
-        array = isinstance(t, np.ndarray)
-        evaluate = (lambda p: p.on_array(t)) if array else (lambda p: p(t))
-        h1 = evaluate(self.h1)
-        h2 = h1 if self.h2 is self.h1 else evaluate(self.h2)
-        h3 = h1 if self.h3 is self.h1 else evaluate(self.h3)
-        if array:
-            bad = np.flatnonzero(~((h1[0] > 0.0) & (h2[0] > 0.0) & (h3[0] > 0.0)))
-            if bad.size:
-                j = bad[0]
-                values = (float(h1[0].flat[j]), float(h2[0].flat[j]), float(h3[0].flat[j]))
-                raise ConfigurationError(
-                    f"frame scale non-positive at t={float(t.flat[j])}: h = {values}"
-                )
-        elif not (h1[0] > 0.0 and h2[0] > 0.0 and h3[0] > 0.0):
-            values = (h1[0], h2[0], h3[0])
-            raise ConfigurationError(f"frame scale non-positive at t={t}: h = {values}")
+        """(h_i, h_i', h_i'') for i = 1, 2, 3 at t (:meth:`_read`), or
+        arrays of the shape of a float array t (:meth:`TimeProfile.on_array`)
+        with the same check, naming the first t that fails."""
+        if not isinstance(t, np.ndarray):
+            return self._read(t).scales
+        h1 = self.h1.on_array(t)
+        h2 = h1 if self.h2 is self.h1 else self.h2.on_array(t)
+        h3 = h1 if self.h3 is self.h1 else self.h3.on_array(t)
+        bad = np.flatnonzero(~((h1[0] > 0.0) & (h2[0] > 0.0) & (h3[0] > 0.0)))
+        if bad.size:
+            j = bad[0]
+            values = (float(h1[0].flat[j]), float(h2[0].flat[j]), float(h3[0].flat[j]))
+            raise ConfigurationError(
+                f"frame scale non-positive at t={float(t.flat[j])}: h = {values}"
+            )
         return (h1, h2, h3)
 
     def translation_triples(self, t: float) -> tuple[tuple[float, float, float], ...]:
-        """(w_i, w_i', w_i'') for i = 1, 2, 3 at t."""
-        return (self.w1(t), self.w2(t), self.w3(t))
+        """(w_i, w_i', w_i'') for i = 1, 2, 3 at t (:meth:`_read`)."""
+        return self._read(t).translations
 
     def scales(self, t: float) -> tuple[float, float, float]:
         h1, h2, h3 = self.scale_triples(t)
         return (h1[0], h2[0], h3[0])
 
     def translation(self, t: float) -> np.ndarray:
-        return np.array([self.w1(t)[0], self.w2(t)[0], self.w3(t)[0]])
+        w1, w2, w3 = self._read(t).translations
+        return np.array([w1[0], w2[0], w3[0]])
+
+
+class _Reading(NamedTuple):
+    """A frame at one float time (:meth:`FrameSpec._read`): the triples
+    (value, d/dt, d2/dt2) of the angles, the translations and the scales,
+    and the rows of the Euler rotation."""
+
+    angles: tuple
+    translations: tuple
+    scales: tuple
+    rows: tuple
+
+
+_BITS = struct.Struct("<d").pack
 
 
 _ZERO = constant(0.0)
@@ -293,12 +345,12 @@ def identity_frame(class_of: SplitClass | str) -> FrameSpec:
     return make_frame(SplitClass(class_of))
 
 
-def _euler_rows(a, b, g, cos, sin) -> tuple:
-    """The rows of the Euler rotation at angles (a, b, g), by ``cos`` and
-    ``sin`` from math on floats or from numpy on float arrays."""
-    ca, sa = cos(a), sin(a)
-    cb, sb = cos(b), sin(b)
-    cg, sg = cos(g), sin(g)
+def _euler_rows(a, b, g) -> tuple:
+    """The rows of the Euler rotation at the angles (a, b, g): floats, or
+    float arrays in :data:`_euler_rows_array`."""
+    ca, sa = math.cos(a), math.sin(a)
+    cb, sb = math.cos(b), math.sin(b)
+    cg, sg = math.cos(g), math.sin(g)
     return (
         (ca * cb - sa * sb * cg, -ca * sb - sa * cb * cg, sa * sg),
         (sa * cb + ca * sb * cg, -sa * sb + ca * cb * cg, -ca * sg),
@@ -306,10 +358,12 @@ def _euler_rows(a, b, g, cos, sin) -> tuple:
     )
 
 
+_euler_rows_array = _over_arrays(_euler_rows)
+
+
 def rotation_matrix(frame: FrameSpec, t: float) -> np.ndarray:
     """The Euler rotation T(t); orthogonal with det +-1."""
-    a, b, g = frame.alpha(t)[0], frame.beta(t)[0], frame.gamma(t)[0]
-    return np.array(_euler_rows(a, b, g, math.cos, math.sin))
+    return np.array(frame._read(t).rows)
 
 
 def rotation_rates(frame: FrameSpec, t: float) -> tuple[float, float, float]:
@@ -323,9 +377,7 @@ def rotation_rates(frame: FrameSpec, t: float) -> tuple[float, float, float]:
     rotate there, which is the compatibility criterion for potentials that
     require a symmetric M matrix.
     """
-    a, da, _ = frame.alpha(t)
-    _, db, _ = frame.beta(t)
-    g, dg, _ = frame.gamma(t)
+    (a, da, _), (_, db, _), (g, dg, _) = frame._read(t).angles
     ca, sa = math.cos(a), math.sin(a)
     cg, sg = math.cos(g), math.sin(g)
     s1 = 0.5 * (da + db * cg)
@@ -379,16 +431,17 @@ def embed(system: CoordinateSystem, frame: FrameSpec, t: float, omega) -> np.nda
 
 
 def _placement(frame: FrameSpec, t) -> tuple:
-    """The rows of T, the translation w and the scales h at t, a float or
-    a float array (each entry then an array of t's shape): every profile
-    read once, a tied scale once in all, with the scale check of
-    :meth:`FrameSpec.scale_triples`."""
-    if isinstance(t, np.ndarray):
-        value, cos, sin = (lambda p: p.on_array(t)[0]), np.cos, np.sin
-    else:
-        value, cos, sin = (lambda p: p(t)[0]), math.cos, math.sin
-    rows = _euler_rows(value(frame.alpha), value(frame.beta), value(frame.gamma), cos, sin)
-    w = (value(frame.w1), value(frame.w2), value(frame.w3))
+    """The rows of T, the translation w and the scales h at t, a float
+    (:meth:`FrameSpec._read`) or a float array (each entry then an array of
+    t's shape, every profile read once, a tied scale once in all, with the
+    scale check of :meth:`FrameSpec.scale_triples`)."""
+    if not isinstance(t, np.ndarray):
+        r = frame._read(t)
+        (w1, _, _), (w2, _, _), (w3, _, _) = r.translations
+        (h1, _, _), (h2, _, _), (h3, _, _) = r.scales
+        return r.rows, (w1, w2, w3), (h1, h2, h3)
+    rows = _euler_rows_array(*(p.on_array(t)[0] for p in (frame.alpha, frame.beta, frame.gamma)))
+    w = tuple(p.on_array(t)[0] for p in (frame.w1, frame.w2, frame.w3))
     h1, h2, h3 = frame.scale_triples(t)
     return rows, w, (h1[0], h2[0], h3[0])
 
@@ -430,8 +483,8 @@ def _gradients(system: CoordinateSystem, t: float, omega, J, rot, h) -> np.ndarr
     A = rot @ (h[:, None] * J)
     det = np.linalg.det(A)
     a = np.moveaxis(A, (-2, -1), (0, 1))  # a[i][j] is entry (i, j): a float or a stack
-    near = _near_singular(a, det)
     stack = isinstance(det, np.ndarray)
+    near = (_near_singular_array if stack else _near_singular)(a, det)
     if not stack and near:
         raise SingularityError(
             f"{system.sid.value}: embedded Jacobian singular at t={t}, omega={tuple(omega)}"

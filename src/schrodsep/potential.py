@@ -302,15 +302,16 @@ def vector_potential(spec: PotentialSpec, t: float, x, omega_hint=None):
     beyond the float range, in any family, is a :class:`DomainError`.
     """
     x = np.asarray(x, dtype=float)
+    xs = x.tolist()
     e = spec.e_charge
 
     if spec.kind is PotentialKind.COULOMB:
         s1, s2, s3 = rotation_rates(spec.frame, t)
         eA = np.array(
             [
-                -s1 * x[1] - s2 * x[2],
-                s1 * x[0] - s3 * x[2],
-                s2 * x[0] + s3 * x[1],
+                -s1 * xs[1] - s2 * xs[2],
+                s1 * xs[0] - s3 * xs[2],
+                s2 * xs[0] + s3 * xs[1],
             ]
         )
         r = float(np.linalg.norm(x))
@@ -333,14 +334,14 @@ def vector_potential(spec: PotentialSpec, t: float, x, omega_hint=None):
         try:
             for i, ((h, hd, hdd), (w, wd, wdd)) in enumerate(pairs):
                 hr = hdd / h
-                acc += hr * x[i] ** 2 + 2.0 * (wdd - hr * w) * x[i] + (wd - (hd / h) * w) ** 2
+                acc += hr * xs[i] ** 2 + 2.0 * (wdd - hr * w) * xs[i] + (wd - (hd / h) * w) ** 2
         except OverflowError:  # a float square beyond the range
             acc = math.inf
         eA0 = _axis_part(spec, t, x, omega_hint, spec.t0_tilde(t)[0] - 0.25 * acc)
         A = np.zeros(3)
     A0 = eA0 / e
     if not (math.isfinite(A0) and np.isfinite(A).all()):
-        raise DomainError(f"{spec.kind.value} potential overflows at t={t}, x={x.tolist()}")
+        raise DomainError(f"{spec.kind.value} potential overflows at t={t}, x={xs}")
     return (A0, A)
 
 
@@ -352,11 +353,14 @@ def phase_factor_S(spec: PotentialSpec, t: float, x) -> float:
     """
     if spec.kind is not PotentialKind.ELECTROSTATIC:
         raise UsageError(f"phase factor S is defined for the electrostatic family, not {spec.kind.value}")
-    x = np.asarray(x, dtype=float)
+    xs = np.asarray(x, dtype=float).tolist()
     acc = 0.0
     pairs = zip(spec.frame.scale_triples(t), spec.frame.translation_triples(t))
-    for i, ((h, hd, _), (w, wd, _)) in enumerate(pairs):
-        acc += (hd / h) * (0.5 * x[i] ** 2 - w * x[i]) + wd * x[i]
+    try:
+        for i, ((h, hd, _), (w, wd, _)) in enumerate(pairs):
+            acc += (hd / h) * (0.5 * xs[i] ** 2 - w * xs[i]) + wd * xs[i]
+    except OverflowError:  # a float square beyond the range
+        raise DomainError(f"electrostatic phase overflows at t={t}, x={xs}") from None
     return 0.5 * acc
 
 

@@ -471,11 +471,13 @@ def _node_count(lo: float, hi: float) -> int:
 
 def _check_nodes(what: str, lo: float, hi: float) -> None:
     """:class:`ConfigurationError` naming ``what`` unless the grid of
-    [lo, hi] at ``NODE_SPACING`` holds at most ``MAX_NODES`` nodes."""
-    n = _node_count(lo, hi)
-    if n > MAX_NODES:
+    [lo, hi] at ``NODE_SPACING`` holds at most ``MAX_NODES`` nodes
+    (:func:`_node_count`); a count too large for a float is infinite."""
+    cells = (hi - lo) / NODE_SPACING
+    if cells > MAX_NODES - 1:
+        n = math.ceil(cells) + 1 if math.isfinite(cells) else cells
         raise ConfigurationError(
-            f"{what} needs {n} nodes at spacing {NODE_SPACING}; "
+            f"{what} needs {n:.7g} nodes at spacing {NODE_SPACING}; "
             f"at most {MAX_NODES} are allowed"
         )
 
@@ -693,10 +695,10 @@ def _chart_point(spec: PotentialSpec, t: float, x, omega_hint, factors) -> np.nd
 def evaluate_psi(solution: SeparatedSolution, t: float, x, omega_hint=None) -> complex:
     """Reassemble psi = Q phi0 phi1 phi2 phi3 at a laboratory point."""
     spec = solution.spec
-    omega = _chart_point(spec, t, x, omega_hint, solution.factors)
+    omega = _chart_point(spec, t, x, omega_hint, solution.factors).tolist()
     value = solution.phi0(t)
     for i in range(3):
-        value *= solution.factors[i](float(omega[i]))
+        value *= solution.factors[i](omega[i])
     if solution.q_kind is QKind.PHASE:
         S = phase_factor_S(spec, t, x)
         value *= complex(math.cos(S), math.sin(S))
@@ -794,10 +796,10 @@ def hj_solve(
 def evaluate_action(action: HJAction, t: float, x, omega_hint=None) -> float:
     """u(t, x) for a separated action."""
     spec = action.spec
-    omega = _chart_point(spec, t, x, omega_hint, action.terms)
+    omega = _chart_point(spec, t, x, omega_hint, action.terms).tolist()
     value = action.phi0(t)
     for i in range(3):
-        value += float(action.terms[i](float(omega[i])).real)
+        value += float(action.terms[i](omega[i]).real)
     if spec.kind is PotentialKind.ELECTROSTATIC:
         value += phase_factor_S(spec, t, x)
     return value

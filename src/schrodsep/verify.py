@@ -12,9 +12,13 @@ stencil nodes before its field calls: the centres in one batched Newton
 inversion seeded by the given points, then every node in another seeded
 by its centre, which keeps every evaluation on the centre's branch.  Each
 field call is then handed its own node's point, so its own inversion
-starts at the solution.  The per-sample residuals, given one chart point,
-solve that sample's nodes the same way, so they equal the reports' records
-bit for bit.
+starts at the solution: every call still maps its own node to chart space.
+The field is called at the four time offsets first and then at the nodes
+at the sample's time, and a frame keeps its reading of the last time, so
+the frame's profiles are read once at each of a stencil's five times,
+however many calls and potentials use them.  The per-sample residuals,
+given one chart point, solve that sample's nodes the same way, so they
+equal the reports' records bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .coords import (
     _chart_map,
     _det3,
     _guarded_jacobian,
-    _near_singular,
+    _near_singular_array,
     invert,
     invert_batch,
     sample_domain,
@@ -95,6 +99,11 @@ _MOVED_BY = _MULTIPLES[:, 1:][_MOVED]
 _TIME_ROW = slice(1, 5)
 _AXIS_ROWS = tuple(slice(5 + 4 * axis, 9 + 4 * axis) for axis in range(3))
 _TIME_COLUMN = (0, 1, 2, 3, 4) + (0,) * 12
+#: The order of a stencil's field calls: the four time offsets, then the
+#: nodes at the sample's time, the centre first.  The frame keeps its last
+#: reading, so it is read once at each of the five times, and the
+#: potentials at t after the calls read nothing.
+_CALL_ORDER = (1, 2, 3, 4, 0, *range(5, _NODES))
 
 
 def _stencil_nodes(t, x, ht, hx) -> tuple[np.ndarray, np.ndarray]:
@@ -119,8 +128,9 @@ def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre:
     """The set-up the SE and HJ residuals share: the chart point of x (None
     without ``omega_hint``), the spatial step, the field at the centre (None
     unless ``centre``), its time derivative and its three spatial rows.
-    The field is called at each node of :func:`_stencil_nodes` in stencil
-    order (the centre only with ``centre``); the rest are slices of that list.
+    The field is called once at each node of :func:`_stencil_nodes` (the
+    centre only with ``centre``), in ``_CALL_ORDER``; its values are listed
+    in stencil order, and the rest are slices of that list.
 
     ``omega_hint`` is the chart points of all ``_NODES`` nodes in stencil
     order (:func:`_node_points`), each handed to the field at its own node,
@@ -140,11 +150,10 @@ def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre:
             hints = [invert(spec.system, unembed(spec.frame, t, x), omega_hint)] * _NODES
     times, nodes = _stencil_nodes(t, x, ht, hx)
     times = times.tolist()
-    skip = 0 if centre else 1
-    values = [None] * skip + [
-        _guard(field, times[c], p, h)
-        for c, p, h in zip(_TIME_COLUMN[skip:], nodes[skip:], hints[skip:])
-    ]
+    values = [None] * _NODES
+    for k in _CALL_ORDER:
+        if k or centre:
+            values[k] = _guard(field, times[_TIME_COLUMN[k]], nodes[k], hints[k])
     rows = [values[axis] for axis in _AXIS_ROWS]
     return hints[0], hx, values[0], _d1(values[_TIME_ROW], ht), rows
 
@@ -735,7 +744,7 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
         flagged = ~(
             np.isfinite(z).all(axis=1)
             & np.isfinite(J).all(axis=(0, 1))
-            & ~_near_singular(J, _det3(J))
+            & ~_near_singular_array(J, _det3(J))
             & np.isfinite(channels).all(axis=1)
         )
 

@@ -12,8 +12,9 @@ import sys
 from pathlib import Path
 
 import schrodsep.separate as sep
+import schrodsep.verify as ver
 from schrodsep.coords import make_system
-from schrodsep.frame import identity_frame
+from schrodsep.frame import identity_frame, make_frame, sinusoid
 from schrodsep.potential import magnetic_spec
 
 TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
@@ -62,3 +63,31 @@ def test_tracer_wraps_and_restores_every_binding():
     # the time tables of both phi0 pass their Lobatto check everywhere, so
     # the adaptive fallback never runs
     assert s["counts"]["separate.quad"] == 0
+
+
+def test_tracer_identities_hold_for_reports():
+    # the call-count identities of a traced round (one field call per
+    # stencil node, one inversion and one unembed per field call) on a
+    # two-sample SE report and a two-sample HJ report with hints
+    module = _load_tracer()
+    tracer = module.Tracer()
+    system = make_system("cartesian")
+    spec = magnetic_spec(system, make_frame("complete", alpha=sinusoid(0.4, 1.1)),
+                         f10=lambda w: 0.2 * w)
+    constants = sep.SeparationConstants(1.0, 0.5, 0.25)
+    box, t_range = ((-0.5, 0.5),) * 3, (-1.0, 1.0)
+    points = ver.chart_box_points(system, spec.frame, box, t_range, 2, 3)
+    pairs, hints = [(t, x) for t, x, _ in points], [omega for _, _, omega in points]
+    solution = sep.separate(spec, constants, omega_ranges=box, t_range=t_range)
+    action = sep.hj_solve(spec, constants, box, t_range=t_range)
+    tracer.install()
+    try:
+        ver.se_report(lambda t, x, h: sep.evaluate_psi(solution, t, x, h), spec, pairs, hints=hints)
+        ver.hj_report(lambda t, x, h: sep.evaluate_action(action, t, x, h), spec, pairs,
+                      hints=hints)
+    finally:
+        tracer.uninstall()
+    s = tracer.summary()
+    assert s["calls"]["verify.se_residual_with_scale"] == 2
+    assert s["calls"]["verify.hj_residual_with_scale"] == 2
+    assert module.identities(s) == []

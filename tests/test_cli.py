@@ -284,6 +284,17 @@ def test_separate_oversized_t_range_writes_nothing(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("t_range, count", [((-1e300, 1e300), "2e+303"), ((-8e307, 8e307), "inf")],
+                         ids=["huge_count", "count_beyond_floats"])
+def test_hj_huge_t_range_names_its_node_count(tmp_path, capsys, t_range, count):
+    # the count is printed in a few digits, and one too large for a float
+    # is a configuration error as well
+    scen = _unbounded_scenario(tmp_path, t_range=t_range)
+    assert run("hj", "--scenario", scen, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert f"needs {count} nodes at spacing" in err and len(err) < 200
+
+
 @pytest.fixture(scope="module")
 def separated(tmp_path_factory):
     out = tmp_path_factory.mktemp("separated")

@@ -1,5 +1,6 @@
 """Tests for time-dependent frames and omega gradients."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -45,6 +46,18 @@ def counted(profile, tally, name):
         return profile(t)
 
     return TimeProfile(fn)
+
+
+def counted_frame(class_of, tally):
+    """:func:`wiggly_frame` with every profile read counted in ``tally``
+    under its name; a tied scale stays tied, under the name h1."""
+    frame = wiggly_frame(class_of)
+    names = ("alpha", "beta", "gamma", "h1", "h2", "h3", "w1", "w2", "w3")
+    profiles = {name: counted(getattr(frame, name), tally, name) for name in names}
+    for tied in ("h2", "h3"):
+        if getattr(frame, tied) is frame.h1:
+            profiles[tied] = profiles["h1"]
+    return make_frame(class_of, **profiles)
 
 
 def test_profiles_evaluate():
@@ -249,13 +262,7 @@ def test_unembed_reads_each_profile_once(class_of):
     # nine profiles, a tied scale read once, and the matrix form to rounding
     frame = wiggly_frame(class_of)
     tally = Counter()
-    names = ("alpha", "beta", "gamma", "h1", "h2", "h3", "w1", "w2", "w3")
-    profiles = {name: counted(getattr(frame, name), tally, name) for name in names}
-    if frame.h2 is frame.h1:
-        profiles["h2"] = profiles["h1"]
-    if frame.h3 is frame.h1:
-        profiles["h3"] = profiles["h1"]
-    tallied = make_frame(class_of, **profiles)
+    tallied = counted_frame(class_of, tally)
     x = np.array([0.7, -1.2, 0.4])
     for t in (-0.8, 0.37):
         tally.clear()
@@ -437,3 +444,70 @@ def test_embed_and_unembed_reject_mirrored_frame():
         embed(system, frame, 2.5, (0.3, 0.2, 0.1))
     with pytest.raises(ConfigurationError, match="non-positive"):
         unembed(frame, 2.5, (0.3, 0.2, 0.1))
+
+
+@pytest.mark.parametrize("class_of", ["complete", "partial", "nonsplit"])
+def test_float_time_readers_share_one_reading(class_of):
+    # every reader at a float t takes its values from one reading of the
+    # profiles, kept until another time is read; the values are a fresh
+    # frame's bit for bit
+    tally = Counter()
+    frame = counted_frame(class_of, tally)
+    x = np.array([0.7, -1.2, 0.4])
+    for t in (-0.8, 0.37, -0.8):
+        tally.clear()
+        got = (frame.scale_triples(t), frame.translation_triples(t), frame.scales(t),
+               frame.translation(t), rotation_matrix(frame, t), rotation_rates(frame, t),
+               rotation_rate(frame, t), m_matrix(frame, t), unembed(frame, t, x))
+        assert set(tally.values()) == {1}
+        assert len(tally) == 9 - (frame.h2 is frame.h1) - (frame.h3 is frame.h1)
+        fresh = dataclasses.replace(frame)
+        want = (fresh.scale_triples(t), fresh.translation_triples(t), fresh.scales(t),
+                fresh.translation(t), rotation_matrix(fresh, t), rotation_rates(fresh, t),
+                rotation_rate(fresh, t), m_matrix(fresh, t), unembed(fresh, t, x))
+        for a, b in zip(got, want):
+            assert np.array(a).tobytes() == np.array(b).tobytes()
+
+
+#: An angle 0.4 sin(1.1 t) that keeps the sign of a zero t (the built-in
+#: sinusoid adds its phase, which turns -0.0 into 0.0).
+ODD_ANGLE = TimeProfile(
+    lambda t: (0.4 * math.sin(1.1 * t), 0.44 * math.cos(1.1 * t), -0.484 * math.sin(1.1 * t)))
+
+
+def test_kept_reading_tells_minus_zero_from_zero():
+    frame = make_frame("nonsplit", alpha=ODD_ANGLE)
+    x = (-0.0, -0.0, -0.0)
+    zeros = (0.0, -0.0)
+    fresh = [unembed(dataclasses.replace(frame), t, x).tobytes() for t in zeros]
+    assert fresh[0] != fresh[1]  # so a reading kept across the two would show
+    for first, then in ((0, 1), (1, 0)):
+        assert unembed(frame, zeros[first], x).tobytes() == fresh[first]
+        assert unembed(frame, zeros[then], x).tobytes() == fresh[then]
+
+
+def test_nan_time_is_read_every_time():
+    tally = Counter()
+    frame = make_frame("complete", w1=counted(constant(0.5), tally, "w1"))
+    tally.clear()  # make_frame probes every profile
+    for _ in range(3):
+        frame.translation_triples(math.nan)  # constant scales pass the check at NaN
+    assert tally["w1"] == 3
+
+
+def test_failed_reading_is_not_kept():
+    # a non-positive scale raises the same error at every call, and the
+    # next good time reads normally
+    tally = Counter()
+    base = mirrored_frame()
+    frame = make_frame("complete", h1=counted(base.h1, tally, "h1"))
+    tally.clear()
+    x = (0.3, 0.2, 0.1)
+    texts = []
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="non-positive") as info:
+            unembed(frame, 2.5, x)
+        texts.append(str(info.value))
+    assert texts[0] == texts[1] and tally["h1"] == 2
+    assert frame.scale_triples(1.0) == base.scale_triples(1.0)
+    assert unembed(frame, 1.0, x).tobytes() == unembed(base, 1.0, x).tobytes()

@@ -277,14 +277,16 @@ def test_electrostatic_has_no_vector_part():
 
 
 def test_electrostatic_overflow_at_extreme_finite_input_is_typed():
-    # The square of the drift term (float arithmetic) and the square of
-    # x_1 (numpy arithmetic) each leave the float range.
+    # The square of the drift term and the square of x_1 each leave the
+    # float range; so does the square of x_1 in the phase S.
     drift = make_frame("complete", h1=polynomial([1.0, 0.1]), w1=constant(1e308))
     growing = make_frame("complete", h1=exp_profile(0.2))
     for frame, x in ((drift, (1.0, 0.0, 0.0)), (growing, (1e200, 0.0, 0.0))):
         spec = electrostatic_spec(make_system("cartesian"), frame)
         with pytest.raises(DomainError, match="overflow"), np.errstate(over="ignore"):
             vector_potential(spec, 0.5, x)
+    with pytest.raises(DomainError, match="electrostatic phase overflows"):
+        phase_factor_S(spec, 0.5, x)
 
 
 @pytest.mark.parametrize("translated", [True, False], ids=["far_translation", "far_point"])

@@ -1,8 +1,10 @@
 """Tests for the finite-difference residual checks and the geometry audit."""
 
+import dataclasses
 import io
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -51,6 +53,7 @@ from schrodsep.verify import (
     stationary_residual_with_scale,
 )
 
+from test_frame import counted_frame
 from test_stackel import build, wiggly_frame
 
 #: Per-system chart boxes used by the end-to-end checks.  They sit well
@@ -189,7 +192,8 @@ def test_stencil_nodes_keep_the_sample_bits_off_their_axis():
         for j, step in enumerate(offsets):
             want[5 + 4 * axis + j, axis] += step * hx
     assert np.array([p for _, p in nodes]).tobytes() == want.tobytes()
-    assert [t for t, _ in nodes] == [0.3] + [0.3 + step * ht for step in offsets] + [0.3] * 12
+    # the field is called at the four time offsets first, then at the nodes at t
+    assert [t for t, _ in nodes] == [0.3 + step * ht for step in offsets] + [0.3] * 13
     assert np.signbit(want[:, 1]).sum() == 15  # the two -x2 nodes are negative too
 
 
@@ -539,6 +543,49 @@ def test_per_sample_residual_equals_the_report_record(node_input, channel):
         assert repr(schrodsep.verify._record(j, channel, t, x, res, scale)) == repr(rep.records[j])
 
 
+@pytest.mark.parametrize("channel", ["se", "hj"])
+def test_stencil_reads_the_frame_once_per_time(channel):
+    # The frame keeps its last reading: the 17 (SE) or 16 (HJ) field calls
+    # of a stencil and the potentials after them read each profile once at
+    # each of the stencil's five times, and every value has the bits of a
+    # field and a residual whose frame is a fresh one at every call.
+    tally = Counter()
+    frame = counted_frame("nonsplit", tally)
+    spec = magnetic_spec(build("spherical"), frame, t0_tilde=sinusoid(0.5, 0.8), **profile_trio())
+    box = BOXES["spherical"]
+    if channel == "se":
+        product = separate(spec, LAMBDAS, omega_ranges=box, t_range=(-1.0, 1.0))
+        evaluate, residual = evaluate_psi, se_residual_with_scale
+    else:
+        product = hj_solve(spec, SeparationConstants(12.0, 3.0, 0.8), box, t_range=(-1.0, 1.0))
+        evaluate, residual = evaluate_action, hj_residual_with_scale
+    points = chart_box_points(spec.system, frame, box, (-1.0, 1.0), 3, 31)
+    nodes = schrodsep.verify._node_points(spec, [(t, x) for t, x, _ in points],
+                                          schrodsep.verify.DEFAULT_STEPS,
+                                          [omega for _, _, omega in points])
+
+    def fresh_spec():
+        return dataclasses.replace(spec, frame=dataclasses.replace(frame))
+
+    def field(fresh, values):
+        def call(t, x, hint):
+            spec_ = fresh_spec() if fresh else spec
+            value = evaluate(dataclasses.replace(product, spec=spec_), t, x, hint)
+            values.append(value)
+            return value
+        return call
+
+    for (t, x, _), hint in zip(points, nodes):
+        kept, fresh = [], []
+        tally.clear()
+        got = residual(field(False, kept), spec, t, x, omega_hint=hint)
+        assert tally == {name: 5 for name in ("alpha", "beta", "gamma", "h1", "w1", "w2", "w3")}
+        want = residual(field(True, fresh), fresh_spec(), t, x, omega_hint=hint)
+        assert len(kept) == (17 if channel == "se" else 16)
+        assert np.array(kept).tobytes() == np.array(fresh).tobytes()
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def failures(spec, points, field, at_calls):
     """The error the per-sample loop with centre hints raises and the one
     the report raises, for ``field`` failing at the given field calls."""
@@ -825,9 +872,9 @@ def test_audit_reads_the_frame_once_for_all_samples(monkeypatch):
     calls = []
     call = TimeProfile.__call__
     monkeypatch.setattr(TimeProfile, "__call__", lambda self, t: calls.append(t) or call(self, t))
-    frame = wiggly_frame("nonsplit")
     counts = []
     for n in (4, 12):
+        frame = wiggly_frame("nonsplit")  # a fresh frame keeps no reading of t
         calls.clear()
         geometry_audit(make_system("spherical"), frame, 0.37, n, seed=5)
         counts.append(len(calls))
