@@ -691,6 +691,14 @@ FLOOR_TOL = 2.0 * math.ulp(1.0)
 MAX_NEWTON_ITERS = 50
 
 
+def _norm(x: np.ndarray) -> float:
+    """``numpy.linalg.norm`` of the float vector x, with its bits and
+    without its wrapper: the square root of the same dot product, whose
+    multiply-adds BLAS may fuse, so a sum of float squares may differ."""
+    x = x.ravel()
+    return math.sqrt(x.dot(x))
+
+
 def _miss(system: CoordinateSystem, w, zt) -> tuple[float, float]:
     """|z| and ||z(w) - z|| by the scalar map; an image that overflows
     misses by inf, and a target that does so has |z| = inf."""
@@ -730,9 +738,11 @@ def invert(system: CoordinateSystem, z, guess) -> np.ndarray:
         residual, which is inf, with "overflow" in the text, when z or
         that iterate's image is not finite.
     """
-    zt = (float(z[0]), float(z[1]), float(z[2]))
-    guess = np.asarray(guess, dtype=float).tolist()
-    w = tuple(min(max(guess[i], lo), hi) for i, (lo, hi) in enumerate(system.clamp))
+    z = np.asarray(z, dtype=float).tolist()
+    zt = (z[0], z[1], z[2])
+    g = np.asarray(guess, dtype=float).tolist()
+    (lo0, hi0), (lo1, hi1), (lo2, hi2) = system.clamp
+    w = (min(max(g[0], lo0), hi0), min(max(g[1], lo1), hi1), min(max(g[2], lo2), hi2))
     zn, r = _miss(system, w, zt)
     if zn < math.inf and r <= FLOOR_TOL * (1.0 + zn):
         return np.array(w)

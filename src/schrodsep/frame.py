@@ -22,6 +22,7 @@ read, while time tables and sample stacks read them over arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -186,6 +187,30 @@ def _check_profile(name: str, p: TimeProfile) -> None:
             )
 
 
+_BITS = struct.Struct("<d").pack
+
+
+def kept_per_time(read: Callable) -> Callable:
+    """``read(self, t)``, a pure function of the float time t, with its
+    value at the last t kept on the instance, in a ``_kept`` field that
+    starts as ``(b"", None)`` (``init=False``, so that
+    ``dataclasses.replace`` starts empty).  The key is the bits of t, so
+    -0.0 is not 0.0; a NaN time is never kept, nor is a call that raised."""
+
+    @functools.wraps(read)
+    def kept(self, t):
+        key = _BITS(t)
+        last = self._kept
+        if last[0] == key:
+            return last[1]
+        value = read(self, t)
+        if t == t:
+            object.__setattr__(self, "_kept", (key, value))
+        return value
+
+    return kept
+
+
 @dataclass(frozen=True)
 class FrameSpec:
     """Validated time-dependent frame for one split class.
@@ -208,6 +233,7 @@ class FrameSpec:
     #: The last reading of a float time, as (the bits of t, :class:`_Reading`).
     _kept: tuple = field(default=(b"", None), init=False, repr=False, compare=False)
 
+    @kept_per_time
     def _read(self, t: float) -> _Reading:
         """The nine profile triples at the float t and the rows of the Euler
         rotation, with the check, by :class:`ConfigurationError`, that every
@@ -216,26 +242,18 @@ class FrameSpec:
         the profile, which is read once.
 
         Profiles are pure functions of t, so the reading of the last time
-        is kept and serves every reader at that time.  It is keyed by the
-        bits of t (-0.0 is not 0.0); a NaN is never kept, nor is a reading
-        that raised."""
-        key = _BITS(t)
-        if self._kept[0] == key:
-            return self._kept[1]
+        is kept and serves every reader at that time (:func:`kept_per_time`)."""
         angles = (self.alpha(t), self.beta(t), self.gamma(t))
         translations = (self.w1(t), self.w2(t), self.w3(t))
         h1 = self.h1(t)
         h2 = h1 if self.h2 is self.h1 else self.h2(t)
         h3 = h1 if self.h3 is self.h1 else self.h3(t)
-        if not (h1[0] > 0.0 and h2[0] > 0.0 and h3[0] > 0.0):
-            raise ConfigurationError(
-                f"frame scale non-positive at t={t}: h = {(h1[0], h2[0], h3[0])}"
-            )
+        h = (h1[0], h2[0], h3[0])
+        if not (h[0] > 0.0 and h[1] > 0.0 and h[2] > 0.0):
+            raise ConfigurationError(f"frame scale non-positive at t={t}: h = {h}")
         rows = _euler_rows(angles[0][0], angles[1][0], angles[2][0])
-        reading = _Reading(angles, translations, (h1, h2, h3), rows)
-        if t == t:
-            object.__setattr__(self, "_kept", (key, reading))
-        return reading
+        w = (translations[0][0], translations[1][0], translations[2][0])
+        return _Reading(angles, translations, (h1, h2, h3), rows, w, h)
 
     def scale_triples(self, t: float) -> tuple[tuple[float, float, float], ...]:
         """(h_i, h_i', h_i'') for i = 1, 2, 3 at t (:meth:`_read`), or
@@ -243,9 +261,7 @@ class FrameSpec:
         with the same check, naming the first t that fails."""
         if not isinstance(t, np.ndarray):
             return self._read(t).scales
-        h1 = self.h1.on_array(t)
-        h2 = h1 if self.h2 is self.h1 else self.h2.on_array(t)
-        h3 = h1 if self.h3 is self.h1 else self.h3.on_array(t)
+        h1, h2, h3 = self._scales_on(t)
         bad = np.flatnonzero(~((h1[0] > 0.0) & (h2[0] > 0.0) & (h3[0] > 0.0)))
         if bad.size:
             j = bad[0]
@@ -253,6 +269,14 @@ class FrameSpec:
             raise ConfigurationError(
                 f"frame scale non-positive at t={float(t.flat[j])}: h = {values}"
             )
+        return (h1, h2, h3)
+
+    def _scales_on(self, t: np.ndarray) -> tuple:
+        """The three scale triples at every element of the float array t,
+        unchecked; a tied scale is read once."""
+        h1 = self.h1.on_array(t)
+        h2 = h1 if self.h2 is self.h1 else self.h2.on_array(t)
+        h3 = h1 if self.h3 is self.h1 else self.h3.on_array(t)
         return (h1, h2, h3)
 
     def translation_triples(self, t: float) -> tuple[tuple[float, float, float], ...]:
@@ -264,22 +288,21 @@ class FrameSpec:
         return (h1[0], h2[0], h3[0])
 
     def translation(self, t: float) -> np.ndarray:
-        w1, w2, w3 = self._read(t).translations
-        return np.array([w1[0], w2[0], w3[0]])
+        return np.array(self._read(t).w)
 
 
 class _Reading(NamedTuple):
     """A frame at one float time (:meth:`FrameSpec._read`): the triples
     (value, d/dt, d2/dt2) of the angles, the translations and the scales,
-    and the rows of the Euler rotation."""
+    the rows of the Euler rotation, and the values w of the translations
+    and h of the scales."""
 
     angles: tuple
     translations: tuple
     scales: tuple
     rows: tuple
-
-
-_BITS = struct.Struct("<d").pack
+    w: tuple
+    h: tuple
 
 
 _ZERO = constant(0.0)
@@ -326,7 +349,15 @@ def make_frame(
         _check_profile(name, p)
 
     frame = FrameSpec(alpha, beta, gamma, h1, h2, h3, w1, w2, w3, cls)
-    for t in PROBE_TIMES:
+    # the scales over the whole grid locate the times that may fail; each is
+    # then checked at its float, in order, so the first failing time raises
+    (v1, _, _), (v2, _, _), (v3, _, _) = frame._scales_on(PROBE_TIMES)
+    suspect = ~((v1 > 0.0) & (v2 > 0.0) & (v3 > 0.0))
+    if cls is not SplitClass.COMPLETE:
+        suspect |= abs(v1 - v2) > _CLASS_TOL
+    if cls is SplitClass.NONSPLIT:
+        suspect |= abs(v1 - v3) > _CLASS_TOL
+    for t in PROBE_TIMES[suspect]:
         hv = frame.scales(float(t))
         if cls is not SplitClass.COMPLETE and abs(hv[0] - hv[1]) > _CLASS_TOL:
             raise ConfigurationError(
@@ -437,9 +468,7 @@ def _placement(frame: FrameSpec, t) -> tuple:
     scale check of :meth:`FrameSpec.scale_triples`)."""
     if not isinstance(t, np.ndarray):
         r = frame._read(t)
-        (w1, _, _), (w2, _, _), (w3, _, _) = r.translations
-        (h1, _, _), (h2, _, _), (h3, _, _) = r.scales
-        return r.rows, (w1, w2, w3), (h1, h2, h3)
+        return r.rows, r.w, r.h
     rows = _euler_rows_array(*(p.on_array(t)[0] for p in (frame.alpha, frame.beta, frame.gamma)))
     w = tuple(p.on_array(t)[0] for p in (frame.w1, frame.w2, frame.w3))
     h1, h2, h3 = frame.scale_triples(t)
@@ -450,7 +479,12 @@ def _to_chart(rows, w, h, x) -> tuple:
     """H^{-1} T^T (x - w) from :func:`_placement`'s values and the three
     components of x: floats, or arrays that broadcast together."""
     d0, d1, d2 = x[0] - w[0], x[1] - w[1], x[2] - w[2]
-    return tuple((rows[0][j] * d0 + rows[1][j] * d1 + rows[2][j] * d2) / h[j] for j in range(3))
+    r0, r1, r2 = rows
+    return (
+        (r0[0] * d0 + r1[0] * d1 + r2[0] * d2) / h[0],
+        (r0[1] * d0 + r1[1] * d1 + r2[1] * d2) / h[1],
+        (r0[2] * d0 + r1[2] * d1 + r2[2] * d2) / h[2],
+    )
 
 
 def unembed(frame: FrameSpec, t: float, x) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coords import CoordinateSystem, SystemId, invert, make_system
+from .coords import CoordinateSystem, SystemId, _norm, invert, make_system
 from .errors import ConfigurationError, DomainError, SingularityError, UsageError
 from .frame import (
     PROBE_TIMES,
@@ -290,7 +290,8 @@ def _axis_part(spec: PotentialSpec, t: float, x, omega_hint, eA0: float) -> floa
         raise ConfigurationError("omega_hint is required when per-axis profiles F_a0 are present")
     omega = invert(spec.system, unembed(spec.frame, t, x), omega_hint)
     R2 = metric_r_squared(spec.system, spec.frame, t, omega)
-    return eA0 + sum(spec.f_a0(i, float(omega[i])) / R2[i] for i in range(3))
+    w = omega.tolist()
+    return eA0 + sum([spec.f_a0(i, w[i]) / R2[i] for i in range(3)])
 
 
 def vector_potential(spec: PotentialSpec, t: float, x, omega_hint=None):
@@ -314,7 +315,7 @@ def vector_potential(spec: PotentialSpec, t: float, x, omega_hint=None):
                 s2 * xs[0] + s3 * xs[1],
             ]
         )
-        r = float(np.linalg.norm(x))
+        r = _norm(x)
         if r == 0.0:
             raise SingularityError("coulomb potential is singular at x = 0")
         eA0 = spec.q / r - float(eA @ eA)

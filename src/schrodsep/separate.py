@@ -44,7 +44,7 @@ from .errors import (
     TurningPointError,
     check_range,
 )
-from .frame import unembed
+from .frame import kept_per_time, unembed
 from .potential import PotentialKind, PotentialSpec, phase_factor_S
 from .stackel import _t_from_scales, stackel_row
 
@@ -236,13 +236,17 @@ def _hermite(grid: tuple, w: float, slope: bool):
     cost.
     """
     name, nodes, values, slopes, dx = grid
-    if not (nodes[0] <= w <= nodes[-1]):
-        raise OutOfRangeError(f"{name}={w} outside tabulated range [{nodes[0]}, {nodes[-1]}]")
-    j = min(int((w - nodes[0]) / dx), len(nodes) - 2)
+    lo, hi = nodes[0], nodes[-1]
+    if not (lo <= w <= hi):
+        raise OutOfRangeError(f"{name}={w} outside tabulated range [{lo}, {hi}]")
+    j = int((w - lo) / dx)
+    if j > len(nodes) - 2:  # w = hi
+        j = len(nodes) - 2
     s = (w - nodes[j]) / dx
     v0, v1 = values[j], values[j + 1]
     m0, m1 = slopes[j] * dx, slopes[j + 1] * dx
-    s2, s3 = s * s, s * s * s
+    s2 = s * s
+    s3 = s2 * s
     value = (
         (2 * s3 - 3 * s2 + 1) * v0
         + (s3 - 2 * s2 + s) * m0
@@ -331,7 +335,9 @@ class _TimeTable:
     :func:`solve_phi_a` audits the spatial factors, so every failure is
     reported on that grid.
     The table is shifted to 0 where it reads the anchor, and a call at the
-    anchor itself returns exactly 1 (wave) or 0 (action).  Each subclass
+    anchor itself returns exactly 1 (wave) or 0 (action).  A call keeps
+    its value at the last time, as a frame keeps its reading, so the nodes
+    of a stencil at one time evaluate the table once.  Each subclass
     defines its own ``__call__``, the name under which
     ``benchmarks/tracer.py`` wraps it.
     """
@@ -343,6 +349,8 @@ class _TimeTable:
     anchor: float
     #: The grid of :func:`_hermite` for the table.
     _table: tuple = field(init=False, repr=False, compare=False)
+    #: The value at the last float time (:func:`schrodsep.frame.kept_per_time`).
+    _kept: tuple = field(default=(b"", None), init=False, repr=False, compare=False)
     #: The sign s of T0_tilde in the rate; the wave (s = +1) adds the log-modulus.
     _T0_SIGN: ClassVar[float]
 
@@ -435,6 +443,7 @@ class TemporalFactor(_TimeTable):
 
     _T0_SIGN = 1.0
 
+    @kept_per_time
     def __call__(self, t: float) -> complex:
         return 1.0 + 0.0j if t == self.anchor else cmath.exp(_hermite(self._table, t, False))
 
@@ -695,10 +704,14 @@ def _chart_point(spec: PotentialSpec, t: float, x, omega_hint, factors) -> np.nd
 def evaluate_psi(solution: SeparatedSolution, t: float, x, omega_hint=None) -> complex:
     """Reassemble psi = Q phi0 phi1 phi2 phi3 at a laboratory point."""
     spec = solution.spec
-    omega = _chart_point(spec, t, x, omega_hint, solution.factors).tolist()
-    value = solution.phi0(t)
-    for i in range(3):
-        value *= solution.factors[i](omega[i])
+    w1, w2, w3 = _chart_point(spec, t, x, omega_hint, solution.factors).tolist()
+    f1, f2, f3 = solution.factors
+    value = (
+        solution.phi0(t)
+        * f1.evaluate(w1, False)
+        * f2.evaluate(w2, False)
+        * f3.evaluate(w3, False)
+    )
     if solution.q_kind is QKind.PHASE:
         S = phase_factor_S(spec, t, x)
         value *= complex(math.cos(S), math.sin(S))
@@ -715,6 +728,7 @@ class HJTemporal(_TimeTable):
 
     _T0_SIGN = -1.0
 
+    @kept_per_time
     def __call__(self, t: float) -> float:
         return 0.0 if t == self.anchor else _hermite(self._table, t, False)
 
@@ -796,10 +810,14 @@ def hj_solve(
 def evaluate_action(action: HJAction, t: float, x, omega_hint=None) -> float:
     """u(t, x) for a separated action."""
     spec = action.spec
-    omega = _chart_point(spec, t, x, omega_hint, action.terms).tolist()
-    value = action.phi0(t)
-    for i in range(3):
-        value += float(action.terms[i](omega[i]).real)
+    w1, w2, w3 = _chart_point(spec, t, x, omega_hint, action.terms).tolist()
+    f1, f2, f3 = action.terms
+    value = (
+        action.phi0(t)
+        + float(f1.evaluate(w1, False).real)
+        + float(f2.evaluate(w2, False).real)
+        + float(f3.evaluate(w3, False).real)
+    )
     if spec.kind is PotentialKind.ELECTROSTATIC:
         value += phase_factor_S(spec, t, x)
     return value

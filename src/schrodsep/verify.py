@@ -34,6 +34,7 @@ from .coords import (
     _det3,
     _guarded_jacobian,
     _near_singular_array,
+    _norm,
     invert,
     invert_batch,
     sample_domain,
@@ -121,7 +122,7 @@ def _stencil_nodes(t, x, ht, hx) -> tuple[np.ndarray, np.ndarray]:
 
 def _steps_at(t: float, x: np.ndarray, steps) -> tuple[float, float]:
     """The time and space steps of the stencil around (t, x)."""
-    return float(steps[0]) * (1.0 + abs(t)), float(steps[1]) * (1.0 + float(np.linalg.norm(x)))
+    return float(steps[0]) * (1.0 + abs(t)), float(steps[1]) * (1.0 + _norm(x))
 
 
 def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre: bool):
@@ -135,9 +136,8 @@ def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre:
     ``omega_hint`` is the chart points of all ``_NODES`` nodes in stencil
     order (:func:`_node_points`), each handed to the field at its own node,
     or a start for the centre's point, from which the nodes are solved as
-    the reports solve them.  A sample that :func:`_node_points` leaves out
-    has its centre inverted on its own, and that point is every node's
-    hint."""
+    the reports solve them.  A sample whose nodes :func:`_node_points`
+    does not give has them from :func:`_centre_hints`."""
     x = np.asarray(x, dtype=float)
     ht, hx = _steps_at(t, x, steps)
     if omega_hint is None:
@@ -146,8 +146,8 @@ def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre:
         hints = omega_hint
     else:
         hints = _node_points(spec, [(t, x)], steps, [omega_hint])[0]
-        if hints is None:
-            hints = [invert(spec.system, unembed(spec.frame, t, x), omega_hint)] * _NODES
+        if not isinstance(hints, np.ndarray):
+            hints = _centre_hints(spec, t, x, omega_hint)
     times, nodes = _stencil_nodes(t, x, ht, hx)
     times = times.tolist()
     values = [None] * _NODES
@@ -156,6 +156,12 @@ def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre:
             values[k] = _guard(field, times[_TIME_COLUMN[k]], nodes[k], hints[k])
     rows = [values[axis] for axis in _AXIS_ROWS]
     return hints[0], hx, values[0], _d1(values[_TIME_ROW], ht), rows
+
+
+def _centre_hints(spec: PotentialSpec, t: float, x, start) -> list:
+    """The node hints of a sample whose nodes are not solved together: its
+    centre inverted on its own from ``start``, whose point every node takes."""
+    return [invert(spec.system, unembed(spec.frame, t, x), start)] * _NODES
 
 
 def _residual(terms) -> tuple:
@@ -225,7 +231,7 @@ def stationary_residual_with_scale(
     be screened, not only the spatially uniform ones the builders make.
     """
     x = np.asarray(x, dtype=float)
-    h = hx * (1.0 + float(np.linalg.norm(x)))
+    h = hx * (1.0 + _norm(x))
     nodes = _stencil_nodes(0.0, x, 0.0, h)[1]
     psi0 = psi(x)
     grad = np.zeros(3, dtype=complex)
@@ -337,18 +343,21 @@ _NODE_CHUNK = 256
 
 def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
     """The chart points of the ``_NODES`` stencil nodes of each sample
-    (t, x) with chart point ``hints[j]``, as an array in stencil order, or
-    None for a sample left to the per-sample path of :func:`_stencil`.
+    (t, x) with chart point ``hints[j]``, as an array in stencil order;
+    False for a sample whose nodes the batch inversion did not all solve,
+    and None for one that it did not try.  A False sample takes
+    :func:`_centre_hints` (solved alone, its rows would fail again), and
+    a None sample the per-sample path of :func:`_stencil`.
 
     The nodes come from :func:`_stencil_nodes`, as those of
     :func:`_stencil` do, and are mapped to chart space in one array pass
     that reads the frame once at each distinct time.  The centres are
     inverted in one :func:`invert_batch` call seeded by the hints, then
     the other nodes in one more, each seeded by its centre's point.  A
-    sample is left out when its point or hint is not three finite
-    numbers, or when one of its nodes failed its batch inversion; every
-    sample is when the frame cannot be read at one of the times, so that
-    the per-sample path raises that error at the sample it belongs to.
+    sample is not tried when its point or hint is not three finite
+    numbers; no sample is when the frame cannot be read at one of the
+    times, so that the per-sample path raises that error at the sample it
+    belongs to.
     """
     out = [None] * len(points)
     live, ts, xs, starts = [], [], [], []
@@ -370,6 +379,8 @@ def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
         rows, w, h = _placement(spec.frame, times)
     except Exception:  # a profile may raise anything; the per-sample path raises it in turn
         return out
+    for j in live:
+        out[j] = False
 
     def per_node(v):
         return np.broadcast_to(v, times.shape)[:, _TIME_COLUMN]
@@ -399,8 +410,9 @@ def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
 def _report(residual_with_scale, channel, field, spec, points, steps, hints) -> ResidualReport:
     """One record per sample, in order.  With ``hints``, the stencil nodes
     of ``_NODE_CHUNK`` samples at a time are solved together
-    (:func:`_node_points`) and each sample gets its nodes' points, or its
-    hint where they are missing."""
+    (:func:`_node_points`) and each sample gets its nodes' points, the
+    hints of its centre where the batch failed, or its hint where the
+    batch did not try it."""
     records = []
     points = list(points)
     for lo in range(0, len(points), _NODE_CHUNK):
@@ -409,7 +421,9 @@ def _report(residual_with_scale, channel, field, spec, points, steps, hints) -> 
         if hints is not None:
             nodes = _node_points(spec, chunk, steps, hints[lo:lo + _NODE_CHUNK])
         for idx, (t, x), hint in zip(range(lo, lo + len(chunk)), chunk, nodes):
-            if hint is None and hints is not None:
+            if hint is False:
+                hint = _centre_hints(spec, t, x, hints[idx])
+            elif hint is None and hints is not None:
                 hint = hints[idx]
             res, scale = residual_with_scale(field, spec, t, x, steps, hint)
             records.append(_record(idx, channel, t, x, res, scale))

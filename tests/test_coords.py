@@ -13,6 +13,7 @@ import schrodsep.coords
 from schrodsep.coords import (
     _CHARTS,
     _near_singular,
+    _norm,
     CONTRACT_TOL,
     FLOOR_TOL,
     TARGET_TOL,
@@ -509,3 +510,73 @@ def test_invert_leaves_a_start_at_the_rounding_floor_alone(name):
         for got in (invert(s, near, omega), invert_batch(s, near[None], omega[None])[0][0]):
             assert got.tobytes() != omega.tobytes()
             assert np.linalg.norm(forward(s, got) - near) < before
+
+
+def triple_forms(values):
+    """The input forms of the real triple ``values`` that ``invert`` and
+    ``unembed`` take, by name: a list, a tuple, and the int64 and float32
+    arrays where those hold the values; each must give what the float64
+    array of its values gives."""
+    forms = {"list": list(values), "tuple": tuple(values)}
+    if all(float(v).is_integer() and abs(v) < 2**53 for v in values):
+        forms["int array"] = np.array(values, dtype=np.int64)
+    if not any(1e38 < abs(v) < math.inf for v in values):
+        forms["float32 array"] = np.array(values, dtype=np.float32)
+    return forms
+
+
+def outcome(call):
+    """The bits of a result, or the type, text and fields of the error."""
+    try:
+        got = call()
+    except SchrodsepError as exc:
+        last = getattr(exc, "last_omega", None)
+        residual = getattr(exc, "residual", None)
+        return type(exc), str(exc), None if last is None else last.tobytes(), residual
+    return got.dtype, got.shape, got.tobytes()
+
+
+@pytest.mark.parametrize("name", ["spherical", "cartesian", "parabolic"])
+def test_invert_takes_every_real_triple_as_a_float_array(name):
+    # Targets and starts with -0.0, non-finite and overflowing entries:
+    # every input form gives the float64 array's bits, or its error with
+    # the same text, last iterate and residual.
+    s = build(name)
+    targets = [(1, 2, 2), (0.5, -0.25, 1.5), (-0.0, 0.0, -0.0), (0, 0, 0),
+               (math.inf, 0.0, 1.0), (math.nan, 1.0, 1.0), (1e300, 1e300, 1e300)]
+    starts = [(1, 1, 1), (-0.0, 0.5, -0.0), (math.nan, 0.5, 0.5), (1e300, -1e300, 3)]
+    errors = set()
+    for z in targets:
+        for g in starts:
+            for form, zg in triple_forms(z + g).items():
+                zf, gf = zg[:3], zg[3:]
+                want = outcome(lambda: invert(s, np.asarray(zf, dtype=float), np.asarray(gf, dtype=float)))
+                assert outcome(lambda: invert(s, zf, gf)) == want, (z, g, form)
+                if want[0] is InversionError:
+                    errors.add(want[1].split(":")[1].split()[0])
+    assert "overflow" in errors and (name == "cartesian" or "Newton" in errors)
+
+
+def test_invert_failure_texts_keep_their_form():
+    s = build("spherical")
+    with pytest.raises(InversionError) as info:
+        invert(s, [math.inf, 0, 1], (1, 1, 1))
+    assert str(info.value).startswith("spherical: overflow while inverting z=(inf, 0.0, 1.0) at omega=(")
+    assert info.value.residual == math.inf
+    with pytest.raises(InversionError) as info:
+        invert(s, (1, 2, 2), np.array([math.nan, 0.5, 0.5], dtype=np.float32))
+    assert str(info.value) == (
+        "spherical: overflow while inverting z=(1.0, 2.0, 2.0) at omega=(nan, 0.5, 0.5)")
+
+
+def test_norm_has_the_bits_of_numpy_norm():
+    # the same dot product under the square root, on contiguous vectors and
+    # strided views alike; a sum of float squares differs where BLAS fuses
+    rng = np.random.default_rng(5)
+    stack = rng.uniform(-3.0, 3.0, (2000, 3))
+    vectors = list(stack) + list(stack.T.copy().T[:50]) + [stack[:, 0][:3], stack[::7, 1][:3]]
+    vectors += [np.array(v) for v in ((-0.0, 0.0, -0.0), (math.inf, 1.0, 0.0),
+                                       (math.nan, 1.0, 0.0), (1e200, 1e200, 0.0))]
+    with np.errstate(over="ignore"):  # both warn alike where the squares overflow
+        for x in vectors:
+            assert np.float64(_norm(x)).tobytes() == np.linalg.norm(x).tobytes()

@@ -16,6 +16,7 @@ from schrodsep.frame import (
     constant,
     embed,
     identity_frame,
+    kept_per_time,
     m_matrix,
     make_frame,
     omega_gradients,
@@ -28,6 +29,7 @@ from schrodsep.frame import (
 )
 from schrodsep.stackel import stackel_values, t_functions
 
+from test_coords import triple_forms
 from test_stackel import build, wiggly_frame
 
 
@@ -511,3 +513,121 @@ def test_failed_reading_is_not_kept():
     assert texts[0] == texts[1] and tally["h1"] == 2
     assert frame.scale_triples(1.0) == base.scale_triples(1.0)
     assert unembed(frame, 1.0, x).tobytes() == unembed(base, 1.0, x).tobytes()
+
+
+@pytest.mark.parametrize("t", [-0.0, 0.0, 0.37])
+@pytest.mark.parametrize("moving", [True, False])
+def test_unembed_takes_every_real_triple_as_a_float_array(t, moving):
+    # Every input form gives the bits of the float64 array of its values,
+    # and those are the float body H^-1 T^T (x - w), entry by entry in the
+    # order of the rows; -0.0, non-finite and overflowing entries included.
+    frame = wiggly_frame("nonsplit") if moving else identity_frame("complete")
+    rows = rotation_matrix(frame, t).tolist()
+    w = frame.translation(t).tolist()
+    h = frame.scales(t)
+    points = [(1, 2, 2), (0.5, 0.25, -0.75), (-0.0, 0.0, -0.0), (-0.0, 1.0, -0.0),
+              (math.inf, 0.0, 1.0), (math.nan, 1.0, 1.0), (1e308, -1e308, 1e308)]
+    for x in points:
+        d = [x[i] - w[i] for i in range(3)]
+        want = [(rows[0][j] * d[0] + rows[1][j] * d[1] + rows[2][j] * d[2]) / h[j]
+                for j in range(3)]
+        assert unembed(frame, t, np.array(x, dtype=float)).tobytes() == np.array(want).tobytes()
+        for name, form in triple_forms(x).items():
+            got = unembed(frame, t, form)
+            assert got.dtype == float and got.shape == (3,)
+            want = unembed(frame, t, np.asarray(form, dtype=float))
+            assert got.tobytes() == want.tobytes(), (x, name)
+
+
+#: make_frame's probe on frames that fail it, the error each raises and the
+#: profile calls of the failing time's reading: the first failing probe
+#: time wins, and at one time a non-positive scale comes before the h1 = h2
+#: tie, which comes before the h1 = h3 tie.
+PROBE_FAILURES = {
+    # the tie fails from t = -2, a scale from t = 1.05 on
+    "tie, then a scale": (
+        dict(class_of="partial", h1=polynomial([1.0, 1e-9]), h2=constant(1.0),
+             h3=polynomial([0.5, -0.5])),
+        "partial class requires h1 = h2; differ by -2.000e-09 at t=-2.0", 9),
+    "a scale and a tie": (
+        dict(class_of="partial", h1=polynomial([1.0, 1e-9]), h2=constant(1.0),
+             h3=polynomial([-0.5, 0.5])),
+        "frame scale non-positive at t=-2.0: h = (0.999999998, 1.0, -1.5)", 9),
+    "both ties": (
+        dict(class_of="nonsplit", h1=constant(1.0), h2=polynomial([1.0, 1e-9]),
+             h3=polynomial([1.0, -1e-9])),
+        "nonsplit class requires h1 = h2; differ by 2.000e-09 at t=-2.0", 9),
+    "a scale, late": (
+        dict(class_of="nonsplit", h1=polynomial([0.5, -0.5])),
+        "frame scale non-positive at t=1.0476190476190474: h = "
+        "(-0.023809523809523725, -0.023809523809523725, -0.023809523809523725)", 7),
+}
+
+
+def counting_calls(monkeypatch):
+    """Count every ``TimeProfile`` call at a float from now on."""
+    calls = Counter()
+    call = TimeProfile.__call__
+
+    def counted_call(self, t):
+        calls["profile"] += 1
+        return call(self, t)
+
+    monkeypatch.setattr(TimeProfile, "__call__", counted_call)
+    return calls
+
+
+@pytest.mark.parametrize("case", PROBE_FAILURES)
+def test_make_frame_raises_at_the_first_failing_probe_time(case, monkeypatch):
+    # The scales are read over the whole probe grid at once; only the
+    # first failing time is read at its float, for the error text, so
+    # beyond the derivative checks (five calls per profile and probe time)
+    # the probe reads each distinct profile once.
+    kwargs, message, reads = PROBE_FAILURES[case]
+    calls = counting_calls(monkeypatch)
+    with pytest.raises(ConfigurationError) as info:
+        make_frame(**kwargs)
+    assert str(info.value) == message
+    assert calls["profile"] == 9 * 5 * len(PROBE_TIMES) + reads
+
+
+@pytest.mark.parametrize("class_of", ["complete", "partial", "nonsplit"])
+def test_make_frame_probe_makes_no_profile_call(class_of, monkeypatch):
+    # The class-tie probe reads the scales as arrays: every profile call of
+    # an admissible frame is one of its derivative checks.  Read at each
+    # probe time as floats, the probe made 64 calls per distinct profile.
+    calls = counting_calls(monkeypatch)
+    frame = wiggly_frame(class_of)
+    assert calls["profile"] == 9 * 5 * len(PROBE_TIMES)
+    assert frame._kept == (b"", None)
+
+
+def test_kept_per_time_keys_the_bits_of_t():
+    # The last time's value is kept: -0.0 and 0.0 are two keys, a NaN is
+    # computed at every call, a call that raised keeps nothing, and a
+    # replaced instance starts empty.
+    @dataclasses.dataclass(frozen=True)
+    class Square:
+        calls: list
+        _kept: tuple = dataclasses.field(default=(b"", None), init=False)
+
+        @kept_per_time
+        def __call__(self, t):
+            self.calls.append(t)
+            if t > 1.0:
+                raise ValueError(t)
+            return t * t
+
+    square = Square([])
+    for t in (0.0, 0.0, -0.0, -0.0, 0.0, math.nan, math.nan, 0.0):
+        square(t)
+    assert [math.copysign(1.0, t) for t in square.calls[:3]] == [1.0, -1.0, 1.0]
+    assert len(square.calls) == 5 and math.isnan(square.calls[3])
+    with pytest.raises(ValueError):
+        square(2.0)
+    square(0.0)
+    assert len(square.calls) == 6
+    fresh = dataclasses.replace(square)
+    assert fresh._kept == (b"", None)
+    fresh(0.0)
+    assert len(square.calls) == 7

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import schrodsep.separate
 from schrodsep.cli import load_scenario
 from schrodsep.coords import make_system, sample_domain
 from schrodsep.elliptic import jacobi
@@ -254,6 +255,39 @@ def test_replaced_temporal_builds_a_new_table():
         assert tampered(0.6) != before
         assert tampered(0.6) == _temporal(kind, spec, damaged)(0.6)
         assert original(0.6) == before
+
+
+@pytest.mark.parametrize("kind", ["wave", "hj"])
+def test_time_factor_keeps_the_value_at_its_last_time(kind, monkeypatch):
+    # A call at the last time returns its value again without the table;
+    # -0.0 and 0.0 are each evaluated from their own key, a NaN time is
+    # never kept, and a replaced factor starts empty, so it never returns
+    # its parent's value.
+    spec, lam = _wiggly_temporals()
+    factor, fresh = _temporal(kind, spec, lam, anchor=0.3), _temporal(kind, spec, lam, anchor=0.3)
+    evaluated = []
+    hermite = schrodsep.separate._hermite
+
+    def counted(grid, w, slope):
+        evaluated.append(w)
+        return hermite(grid, w, slope)
+
+    monkeypatch.setattr(schrodsep.separate, "_hermite", counted)
+    for t in (0.0, 0.0, -0.0, -0.0, 0.0):
+        assert factor(t) == fresh(t)
+    signs = [math.copysign(1.0, w) for w in evaluated]
+    assert signs == [1.0, 1.0, -1.0, -1.0, 1.0, 1.0]  # factor and fresh at each new key
+    evaluated.clear()
+    for _ in range(2):
+        with pytest.raises(OutOfRangeError):
+            factor(math.nan)
+    assert len(evaluated) == 2
+    evaluated.clear()
+    before = factor(0.6)
+    tampered = replace(factor, constants=SeparationConstants(1.1 * lam.lambda1, lam.lambda2,
+                                                             lam.lambda3))
+    assert tampered._kept == (b"", None)
+    assert tampered(0.6) != before and evaluated.count(0.6) == 2
 
 
 @pytest.mark.parametrize("t_range", [(-1.5, 1.5), (-10.0, 10.0)], ids=["narrow", "wide"])

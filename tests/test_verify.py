@@ -544,11 +544,30 @@ def test_per_sample_residual_equals_the_report_record(node_input, channel):
 
 
 @pytest.mark.parametrize("channel", ["se", "hj"])
-def test_stencil_reads_the_frame_once_per_time(channel):
+def test_reports_repeat_bit_for_bit_in_any_order(node_input, channel):
+    # The frame and the time factor keep their values at the last time: a
+    # report run again, or over its samples in reverse, gives every record
+    # bit for bit.
+    spec, points, fields = node_input
+    report, _, field = fields[channel]
+    pairs, hints = [(t, x) for t, x, _ in points], [omega for _, _, omega in points]
+
+    def bits(records):
+        return [np.array([r.t, *r.x, r.residual, r.scale, r.relative]).tobytes() for r in records]
+
+    first = bits(report(field, spec, pairs, hints=hints).records)
+    assert bits(report(field, spec, pairs, hints=hints).records) == first
+    assert bits(report(field, spec, pairs[::-1], hints=hints[::-1]).records)[::-1] == first
+
+
+@pytest.mark.parametrize("channel", ["se", "hj"])
+def test_stencil_reads_the_frame_once_per_time(channel, monkeypatch):
     # The frame keeps its last reading: the 17 (SE) or 16 (HJ) field calls
     # of a stencil and the potentials after them read each profile once at
     # each of the stencil's five times, and every value has the bits of a
-    # field and a residual whose frame is a fresh one at every call.
+    # field and a residual whose frame is a fresh one at every call.  The
+    # time factor keeps its value as well, so its table is evaluated once
+    # at each of the five times.
     tally = Counter()
     frame = counted_frame("nonsplit", tally)
     spec = magnetic_spec(build("spherical"), frame, t0_tilde=sinusoid(0.5, 0.8), **profile_trio())
@@ -575,11 +594,22 @@ def test_stencil_reads_the_frame_once_per_time(channel):
             return value
         return call
 
+    table_times = []
+    hermite = schrodsep.separate._hermite
+
+    def counted_hermite(grid, w, slope):
+        if grid is product.phi0._table:
+            table_times.append(w)
+        return hermite(grid, w, slope)
+
+    monkeypatch.setattr(schrodsep.separate, "_hermite", counted_hermite)
     for (t, x, _), hint in zip(points, nodes):
         kept, fresh = [], []
         tally.clear()
+        table_times.clear()
         got = residual(field(False, kept), spec, t, x, omega_hint=hint)
         assert tally == {name: 5 for name in ("alpha", "beta", "gamma", "h1", "w1", "w2", "w3")}
+        assert len(table_times) == len(set(table_times)) == 5
         want = residual(field(True, fresh), fresh_spec(), t, x, omega_hint=hint)
         assert len(kept) == (17 if channel == "se" else 16)
         assert np.array(kept).tobytes() == np.array(fresh).tobytes()
@@ -637,6 +667,34 @@ def test_report_node_failures_keep_their_order_and_text():
     assert loop == batched and loop[0] is InversionError
     loop, batched = failures(spec, points, field, {17 + 5})
     assert loop == batched and loop[0] is StencilError
+
+
+def test_report_solves_a_failed_sample_once(monkeypatch):
+    # Sample 2 sits at the chart's centre, where its batch rows fail: the
+    # report inverts its centre alone, without a second node solve, and
+    # raises that inversion's error.
+    spec, box, lam, _ = NODE_INPUTS["magnetic_spherical_rotating"]()
+    sol = separate(spec, lam, omega_ranges=box, t_range=(-1.0, 1.0))
+    points = chart_box_points(spec.system, spec.frame, box, (-1.0, 1.0), 6, 32)
+    t = points[2][0]
+    points[2] = (t, spec.frame.translation(t), points[2][2])
+    calls = []
+    node_points = schrodsep.verify._node_points
+
+    def counted(spec_, pts, steps, hints):
+        calls.append(len(pts))
+        return node_points(spec_, pts, steps, hints)
+
+    monkeypatch.setattr(schrodsep.verify, "_node_points", counted)
+    with pytest.raises(InversionError) as info:
+        se_report(lambda t, x, h: evaluate_psi(sol, t, x, h), spec,
+                  [(t, x) for t, x, _ in points], hints=[omega for _, _, omega in points])
+    assert calls == [6]
+    with pytest.raises(InversionError) as alone:
+        se_residual_with_scale(lambda t, x, h: evaluate_psi(sol, t, x, h), spec,
+                               t, points[2][1], omega_hint=points[2][2])
+    assert str(alone.value) == str(info.value)
+    assert calls == [6, 1]  # the per-sample residual solves its nodes first
 
 
 def test_report_frame_failure_stays_with_its_sample():
