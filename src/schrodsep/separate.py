@@ -8,16 +8,16 @@ action by one rule, five-point Gauss-Lobatto cells checked against
 Simpson's rule, where a cell that fails its check bisects itself, and
 the spatial equations by a fourth-order Magnus propagator whose steps
 are the half cells of a uniform grid.  It stores every spatial factor
-as a dense cubic Hermite interpolant on a uniform grid, and the time
-factor as one of its logarithm, on a grid as coarse as that smooth
-function allows, and reassembles the wavefunction
+as a quintic Hermite table of its values, slopes and phi'' = c phi, and
+the time factor as a cubic one of its logarithm, each on the coarsest
+uniform grid that meets its budgets, and reassembles the wavefunction
 
     psi(t, x) = Q * phi0(t) * phi1(omega1) * phi2(omega2) * phi3(omega3)
 
 with Q = 1 for the magnetic and coulomb families and Q = exp(iS) for
 the electrostatic one.  The Hamilton-Jacobi counterpart replaces the
 product by a sum and the second-order equations by signed square-root
-quadratures.
+quadratures, whose terms are cubic Hermite tables at ``NODE_SPACING``.
 
 Spectra are out of scope: factors are integrated over user-chosen
 compact ranges with user-supplied initial data, never across coordinate
@@ -55,16 +55,39 @@ QUAD_EPSABS = 1e-13
 #: each half costs three new points, so an integral costs at most
 #: QUAD_LIMIT + 1 calls and 2 + 3 * (2 * QUAD_LIMIT - 1) evaluations.
 QUAD_LIMIT = 1000
-#: Hermite node spacing; the factors are propagated in steps of half of
-#: it, and the interpolation error of a cubic on this grid is audited
-#: against the propagated value at every cell midpoint.
+#: Finest grid spacing of a table: the grid a table falls back to when no
+#: coarser one meets its budgets (:func:`_coarsest_grid`), and the unit of
+#: the ``MAX_NODES`` check.
 NODE_SPACING = 1e-3
+#: Largest midpoint miss of a table, relative to its largest node value.
+#: A wave factor on a grid coarser than NODE_SPACING is also held to it in
+#: phi'', relative to its largest c phi: its quintic table must predict
+#: phi'' = c phi at the cell midpoints that well, because phi'' is what the
+#: residual's Laplacian sees.  At NODE_SPACING the phi'' of the quintic at
+#: arbitrary points sits at its rounding floor (up to 4.8e-9 of the largest
+#: c phi at 4 000 random points per axis of the seed-7 benchmark inputs),
+#: so that grid is audited on values only, as the cubic tables were.
 INTERP_BUDGET = 1e-9
+#: Largest estimated error of the Magnus propagation of a wave factor on a
+#: grid coarser than NODE_SPACING: the Richardson estimate of
+#: :func:`solve_ivp`.  The midpoint audits cannot see this error, because a
+#: midpoint and its prediction come from the same propagation.  Against a
+#: propagation 16 times finer, the estimate reads a median 1.3 times the
+#: error of the node values relative to the largest (from a sixth to 14
+#: times, on the seed-7 benchmark inputs at 64 to 256 cells where that
+#: error exceeds 1e-12; it cannot see a cell amplify the error of the
+#: cells before it).  On the grid the midpoint audits alone accept,
+#: Airy's propagation on (-6, 2) errs by about 4e-11, beyond the 1e-11 of
+#: the scipy reference test; held to this tolerance it errs by 1e-13, and
+#: the seed-7 and seed-3 wave_verify rounds hold 6 839 and 6 819 factor
+#: nodes (4 748 and 4 745 without the check, 40 827 each with cubic
+#: tables at NODE_SPACING).
+MAGNUS_TOL = 3e-12
 #: Largest Hermite grid a factor may ask for; checked before anything is
 #: integrated, so an oversized range fails at once instead of allocating.
 MAX_NODES = 10**6
-#: Cells of the first grid a time table tries (:class:`_TimeTable`).
-TIME_PROBE_CELLS = 64
+#: Cells of the first grid a table tries (:func:`_coarsest_grid`).
+PROBE_CELLS = 64
 #: Largest midpoint miss, relative to the largest node value, of a time
 #: table coarser than NODE_SPACING.  The slope of a cubic Hermite table
 #: errs by up to about 3 miss / h between the nodes, so at this level the
@@ -227,7 +250,9 @@ def _cell_integrals(fn: Callable, nodes: np.ndarray, ends: np.ndarray) -> np.nda
 
 def _hermite(grid: tuple, w: float, slope: bool):
     """Cubic Hermite value at w on a uniform grid, with the derivative as
-    well if ``slope``, on Python numbers throughout.
+    well if ``slope``, on Python numbers throughout: the evaluator of the
+    time tables and the action terms, whose residuals take only first
+    derivatives of them (the wave factors are quintic, :func:`_quintic`).
 
     ``grid`` is (name, nodes, values, slopes, dx): the columns are lists,
     dx is their spacing, and :class:`OutOfRangeError` names w as ``name``
@@ -272,22 +297,35 @@ def _grid(name: str, nodes, values, slopes) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class AxisInterpolant:
-    """One separated factor on a uniform grid, cubic Hermite between nodes.
+    """One separated factor on a uniform grid.
 
-    Stores values and first derivatives; evaluation preserves the dtype
-    (complex factors for the wave equation, real ones for the action).
+    A wave factor stores values, first derivatives and the second
+    derivatives phi'' = c phi of its ODE, and is a quintic Hermite table
+    (:func:`_quintic`): each cell keeps the six power-form coefficients of
+    its polynomial.  An action term stores no second derivatives
+    (``curvatures`` is None) and is a cubic Hermite table
+    (:func:`_hermite`).  Evaluation preserves the dtype (complex factors
+    for the wave equation, real ones for the action).
     """
 
     axis: int
     nodes: np.ndarray
     values: np.ndarray
     slopes: np.ndarray
-    #: The grid of :func:`_hermite`.
+    curvatures: np.ndarray | None = None
+    #: The grid of :func:`_quintic` or :func:`_hermite`, and that function.
     _grid: tuple = field(init=False, repr=False)
+    _rule: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        grid = _grid(f"omega_{self.axis}", self.nodes, self.values, self.slopes)
+        name = f"omega_{self.axis}"
+        if self.curvatures is None:
+            grid, rule = _grid(name, self.nodes, self.values, self.slopes), _hermite
+        else:
+            grid = _power_form(name, self.nodes, self.values, self.slopes, self.curvatures)
+            rule = _quintic
         object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_rule", rule)
 
     @property
     def lo(self) -> float:
@@ -300,7 +338,7 @@ class AxisInterpolant:
     def evaluate(self, w: float, slope: bool = True):
         """Value and derivative with respect to omega at w, or the value
         alone unless ``slope``."""
-        return _hermite(self._grid, w, slope)
+        return self._rule(self._grid, w, slope)
 
     def __call__(self, w: float):
         return self.evaluate(w, False)
@@ -322,18 +360,14 @@ class _TimeTable:
     On a grid, the rate is called once on the nodes and cell midpoints,
     which gives the exact slopes, and once on the inner Lobatto points of
     the half cells (:func:`_cell_integrals`); the running sum of the
-    half-cell integrals gives the phase at both.  The grid is as coarse
-    as the rate allows: ``TIME_PROBE_CELLS`` cells first, and then, while
-    a half cell fails its Lobatto check or the cubic Hermite prediction at
-    a midpoint misses the exact value by more than ``TIME_TOL`` times the
-    largest node value, as many more cells as the h^4 law of that error
-    asks for (at least twice as many).  A grid with more than half the
-    cells of the one at ``NODE_SPACING``, or a table that cannot be built
-    on a coarser grid, gives way to the grid at ``NODE_SPACING``: there
-    a cell that fails the Lobatto check bisects itself (:func:`quad`),
-    and the midpoints are audited against ``INTERP_BUDGET`` as
-    :func:`solve_phi_a` audits the spatial factors, so every failure is
-    reported on that grid.
+    half-cell integrals gives the phase at both.  The grid is the coarsest
+    that :func:`_coarsest_grid` finds where every half cell passes its
+    Lobatto check and the cubic Hermite prediction at each midpoint misses
+    the exact value by at most ``TIME_TOL`` times the largest node value.
+    Failing that, the grid at ``NODE_SPACING`` is used: there a cell that
+    fails the Lobatto check bisects itself (:func:`quad`), and the
+    midpoints are audited against ``INTERP_BUDGET`` (:func:`_audit`), so
+    every failure is reported on that grid.
     The table is shifted to 0 where it reads the anchor, and a call at the
     anchor itself returns exactly 1 (wave) or 0 (action).  A call keeps
     its value at the last time, as a frame keeps its reading, so the nodes
@@ -380,25 +414,24 @@ class _TimeTable:
 
     def _tabulate(self) -> tuple:
         lo, hi = self.t_lo, self.t_hi
-        fine = _node_count(lo, hi) - 1
-        cells = TIME_PROBE_CELLS
-        while 2 * cells <= fine:  # a grid finer than this saves too little to try
-            try:
-                nodes, values, slopes, exact, passed = self._build(
-                    np.linspace(lo, hi, cells + 1), False
-                )
-            except ConfigurationError:
-                break  # the grid at NODE_SPACING names the failure
-            with np.errstate(invalid="ignore", over="ignore"):
-                miss = float(np.max(_midpoint_miss(nodes, values, slopes, exact)))
-            if passed and miss <= TIME_TOL:
-                return _grid("t", nodes, values, slopes)
-            if not math.isfinite(miss):
-                break
-            cells = math.ceil(cells * max(2.0, 1.5 * (miss / TIME_TOL) ** 0.25))
-        nodes, values, slopes, exact, _ = self._build(_uniform_nodes(lo, hi), True)
-        _audit(nodes, values, slopes, exact, "the time factor")
-        return _grid("t", nodes, values, slopes)
+        table = _coarsest_grid(lo, hi, self._attempt)
+        if table is None:
+            nodes, values, slopes, exact, _ = self._build(_uniform_nodes(lo, hi), True)
+            _audit(nodes, values, slopes, exact, "the time factor")
+            table = nodes, values, slopes
+        return _grid("t", *table)
+
+    def _attempt(self, nodes: np.ndarray) -> tuple:
+        """The table on a coarse grid and its miss over ``TIME_TOL``, at
+        least 2 when a half cell fails its Lobatto check (which doubles the
+        cells), and infinite when it cannot be built there."""
+        try:
+            nodes, values, slopes, exact, passed = self._build(nodes, False)
+        except ConfigurationError:
+            return None, math.inf  # the grid at NODE_SPACING names the failure
+        with np.errstate(invalid="ignore", over="ignore"):
+            ratio = float(np.max(_midpoint_miss(nodes, values, slopes, exact))) / TIME_TOL
+        return (nodes, values, slopes), (ratio if passed else max(ratio, 2.0))
 
     def _build(self, nodes: np.ndarray, fallback: bool) -> tuple:
         """The table on ``nodes``: its values and slopes there, its exact
@@ -495,20 +528,47 @@ def _uniform_nodes(lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, _node_count(lo, hi))
 
 
+def _coarsest_grid(lo: float, hi: float, attempt: Callable[[np.ndarray], tuple]):
+    """The table ``attempt`` builds on the coarsest uniform grid of [lo, hi]
+    it accepts, or None when the grid at ``NODE_SPACING`` should be used.
+
+    ``attempt(nodes)`` returns the table on ``nodes`` and the worst of its
+    misses over their budgets: at most 1 accepts the table, and a value
+    that is not finite gives up.  The grids start at ``PROBE_CELLS`` cells
+    and grow by the h^4 law of the worst miss, at least twice over.  A grid
+    with more than half the cells of the one at ``NODE_SPACING`` saves too
+    little to try.
+    """
+    fine = _node_count(lo, hi) - 1
+    cells = PROBE_CELLS
+    while 2 * cells <= fine:
+        table, ratio = attempt(np.linspace(lo, hi, cells + 1))
+        if ratio <= 1.0:
+            return table
+        if not math.isfinite(ratio):
+            return None
+        cells = math.ceil(cells * max(2.0, 1.5 * ratio**0.25))
+    return None
+
+
 #: Offset of the two Gauss-Legendre points from the middle of a step, in
 #: step widths.
 GAUSS2_X = math.sqrt(3.0) / 6.0
 
 
 class Trajectory(NamedTuple):
-    """(phi, phi') at the nodes of a propagation, phi at the cell
-    midpoints, and ``nfev``, the number of calls it made to the
-    coefficient: two, one per set of half cells, each over an array of
-    Gauss points.  The points themselves number 4 (len(nodes) - 1)."""
+    """A propagation of phi'' = c(w) phi over the cells of a grid: (phi,
+    phi', phi'' = c phi) at the nodes, phi and phi'' at the cell midpoints,
+    ``error``, the estimate of the propagation's own error
+    (:func:`solve_ivp`), and ``nfev``, the number of calls it made to the
+    coefficient: one, over 8 points per cell and the last node."""
 
     values: np.ndarray
     slopes: np.ndarray
+    curvatures: np.ndarray
     midpoints: np.ndarray
+    mid_curvatures: np.ndarray
+    error: float
     nfev: int
 
 
@@ -530,22 +590,17 @@ def _cosh_sinhc(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(small, ch_series, ch), np.where(small, sh_series, sh)
 
 
-def _magnus_steps(coeff: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
-    """The propagators of phi'' = c(w) phi over the steps [lo, hi], as the
-    four arrays (m00, m01, m10, m11) of the real 2x2 matrices.  ``coeff``
-    is called once, on the (2, steps) array of Gauss points.
+def _magnus_steps(c1: np.ndarray, c2: np.ndarray, h: np.ndarray):
+    """The propagators of phi'' = c(w) phi over steps of widths ``h``, as
+    the four arrays (m00, m01, m10, m11) of the real 2x2 matrices; c1 and
+    c2 hold the coefficient at the two Gauss points of each step.
 
     One fourth-order Magnus step each (Iserles & Norsett 1999; Blanes,
-    Casas, Oteo & Ros 2009, section 4): with c1 and c2 the coefficient at
-    the two Gauss points of a step of width h,
-    Omega = [[d, h], [h cbar, -d]], cbar = (c1 + c2) / 2 and
-    d = (sqrt(3) h^2 / 12)(c1 - c2).  Omega is traceless with
-    Omega^2 = theta I, theta = d^2 + h^2 cbar, so
+    Casas, Oteo & Ros 2009, section 4): Omega = [[d, h], [h cbar, -d]],
+    cbar = (c1 + c2) / 2 and d = (sqrt(3) h^2 / 12)(c1 - c2).  Omega is
+    traceless with Omega^2 = theta I, theta = d^2 + h^2 cbar, so
     exp(Omega) = cosh(sqrt theta) I + (sinh(sqrt theta) / sqrt theta) Omega.
     """
-    h = hi - lo
-    centres = lo + 0.5 * h
-    c1, c2 = coeff(np.stack((centres - GAUSS2_X * h, centres + GAUSS2_X * h)))
     cbar = 0.5 * (c1 + c2)
     d = (math.sqrt(3.0) / 12.0) * h * h * (c1 - c2)
     ch, sh = _cosh_sinhc(d * d + h * h * cbar)
@@ -562,28 +617,127 @@ def solve_ivp(
     one matrix carries the real and imaginary parts of the complex pair
     alike; the two halves of a cell are multiplied into one matrix before
     the pair is carried from node to node, and the first half alone gives
-    phi at the midpoint.  Overflow leaves non-finite values, which the
-    caller locates.  ``coeff`` maps an array of points to the coefficient
-    at each; ``nfev`` counts its calls (two, see :class:`Trajectory`), and
-    ``benchmarks/tracer.py`` sums it under this function's name.
+    phi at the midpoint.  ``coeff`` maps an array of points to the
+    coefficient at each, and is called once: on the Gauss points of the
+    half steps and of one whole-cell step, and on the nodes and midpoints,
+    which give phi'' = c phi there.
+
+    The whole-cell step estimates the error (Richardson): a fourth-order
+    step errs by about 16 times what its two halves do together, so the
+    difference of the two, applied to the pair the cell carries, is about
+    15 times the error of the halves.  ``error`` sums those errors over the
+    cells, each as a fraction of the pair, with phi' weighted by the cell
+    width; it bounds the relative error the cells add up to when no cell
+    amplifies it.  Overflow leaves non-finite values, which the caller
+    locates.  ``benchmarks/tracer.py`` sums ``nfev`` under this function's
+    name.
     """
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    lo, hi = nodes[:-1], nodes[1:]
+    mids = 0.5 * (lo + hi)
+    cells = len(lo)
+    # the left halves, the right halves and the whole cells, in one array
+    starts, ends = np.concatenate((lo, mids, lo)), np.concatenate((mids, hi, hi))
+    h = ends - starts
+    centres = starts + 0.5 * h
+    at = np.empty(2 * cells + 1)  # the nodes and the cell midpoints
+    at[0::2], at[1::2] = nodes, mids
     with np.errstate(over="ignore", invalid="ignore"):
-        l00, l01, l10, l11 = _magnus_steps(coeff, nodes[:-1], mids)
-        r00, r01, r10, r11 = _magnus_steps(coeff, mids, nodes[1:])
-        cells = zip(
-            (r00 * l00 + r01 * l10).tolist(), (r00 * l01 + r01 * l11).tolist(),
-            (r10 * l00 + r11 * l10).tolist(), (r10 * l01 + r11 * l11).tolist(),
+        c = coeff(np.concatenate((centres - GAUSS2_X * h, centres + GAUSS2_X * h, at)))
+        steps = _magnus_steps(c[: 3 * cells], c[3 * cells : 6 * cells], h)
+        (l00, r00, w00), (l01, r01, w01), (l10, r10, w10), (l11, r11, w11) = (
+            m.reshape(3, cells) for m in steps
         )
+        p00, p01 = r00 * l00 + r01 * l10, r00 * l01 + r01 * l11
+        p10, p11 = r10 * l00 + r11 * l10, r10 * l01 + r11 * l11
         v, s = complex(initial[0]), complex(initial[1])
         values, slopes = [v], [s]
-        for p00, p01, p10, p11 in cells:
-            v, s = p00 * v + p01 * s, p10 * v + p11 * s
+        for q00, q01, q10, q11 in zip(p00.tolist(), p01.tolist(), p10.tolist(), p11.tolist()):
+            v, s = q00 * v + q01 * s, q10 * v + q11 * s
             values.append(v)
             slopes.append(s)
         values, slopes = np.array(values), np.array(slopes)
-        midpoints = l00 * values[:-1] + l01 * slopes[:-1]
-    return Trajectory(values, slopes, midpoints, 2)
+        v, s = values[:-1], slopes[:-1]
+        midpoints = l00 * v + l01 * s
+        width = h[2 * cells :]
+        miss = (np.abs((w00 - p00) * v + (w01 - p01) * s)
+                + width * np.abs((w10 - p10) * v + (w11 - p11) * s))
+        size = np.maximum(np.abs(v) + width * np.abs(s), 1e-300)
+        error = float(np.sum(miss / size)) / 15.0
+        rate = c[6 * cells :]
+        curvatures, mid_curvatures = rate[0::2] * values, rate[1::2] * midpoints
+    return Trajectory(values, slopes, curvatures, midpoints, mid_curvatures, error, 1)
+
+
+def _quintic(grid: tuple, w: float, slope: bool):
+    """Quintic Hermite value at w on a uniform grid, with the derivative as
+    well if ``slope``, on Python numbers throughout.
+
+    ``grid`` is (name, nodes, cells, dx) of :func:`_power_form`: each cell
+    holds the six coefficients of its polynomial in s = (w - node) / dx,
+    evaluated by Horner's rule.  :class:`OutOfRangeError` names w as
+    ``name`` unless it lies within the nodes.
+    """
+    name, nodes, cells, dx = grid
+    lo, hi = nodes[0], nodes[-1]
+    if not (lo <= w <= hi):
+        raise OutOfRangeError(f"{name}={w} outside tabulated range [{lo}, {hi}]")
+    j = int((w - lo) / dx)
+    if j > len(cells) - 1:  # w = hi
+        j = len(cells) - 1
+    s = (w - nodes[j]) / dx
+    c0, c1, c2, c3, c4, c5 = cells[j]
+    value = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+    if not slope:
+        return value
+    return value, (c1 + s * (2 * c2 + s * (3 * c3 + s * (4 * c4 + s * (5 * c5))))) / dx
+
+
+def _power_coefficients(dx: float, values, slopes, curvatures) -> np.ndarray:
+    """The (6, cells) coefficients c_k of the quintic Hermite polynomials
+    sum_k c_k s^k, s in [0, 1], that match value, slope and second
+    derivative at both nodes of each cell of width dx (de Boor, *A
+    Practical Guide to Splines*, ch. II)."""
+    v0, v1 = values[:-1], values[1:]
+    m0, m1 = dx * slopes[:-1], dx * slopes[1:]
+    a0, a1 = (dx * dx) * curvatures[:-1], (dx * dx) * curvatures[1:]
+    # what the quadratic c0 + c1 s + c2 s^2 leaves to c3..c5 at s = 1:
+    # their sum, their first and their second derivative
+    rest = v1 - v0 - m0 - 0.5 * a0
+    rest_d = m1 - m0 - a0
+    rest_dd = a1 - a0
+    return np.stack((
+        v0,
+        m0,
+        0.5 * a0,
+        10.0 * rest - 4.0 * rest_d + 0.5 * rest_dd,
+        -15.0 * rest + 7.0 * rest_d - rest_dd,
+        6.0 * rest - 3.0 * rest_d + 0.5 * rest_dd,
+    ))
+
+
+def _power_form(name: str, nodes, values, slopes, curvatures) -> tuple:
+    """The grid of :func:`_quintic` for a table on uniform ``nodes``.  A
+    coefficient that overflows is infinite, and so is every value of its
+    cell, which a residual then refuses."""
+    dx = float(nodes[1] - nodes[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _power_coefficients(dx, *(np.asarray(c) for c in (values, slopes, curvatures)))
+    return (name, np.asarray(nodes).tolist(), list(zip(*coeffs.tolist())), dx)
+
+
+def _midpoint_quintic(nodes: np.ndarray, values, slopes, curvatures) -> tuple:
+    """The quintic Hermite value and second derivative at every cell
+    midpoint, built from the nodes alone."""
+    dx = float(nodes[1] - nodes[0])
+    c0, c1, c2, c3, c4, c5 = _power_coefficients(dx, values, slopes, curvatures)
+    value = c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * (c3 + 0.5 * (c4 + 0.5 * c5))))
+    second = (2.0 * c2 + 3.0 * c3 + 3.0 * c4 + 2.5 * c5) / (dx * dx)
+    return value, second
+
+
+def _largest(values) -> float:
+    """The largest modulus in ``values``, floored at 1e-300."""
+    return max(float(np.max(np.abs(values))), 1e-300)
 
 
 def solve_phi_a(
@@ -597,48 +751,84 @@ def solve_phi_a(
 
     ``initial`` is the complex pair (value, slope) at the lower end of
     the range.  :func:`solve_ivp` propagates it over the half cells of a
-    uniform Hermite grid.  The nodes give the stored table, and phi at
-    the cell midpoints audits the cubic Hermite prediction there, which
-    is built from the nodes alone.
+    uniform grid, and the nodes give the stored quintic Hermite table:
+    values, slopes and phi'' = c phi.  The grid is the coarsest that
+    :func:`_coarsest_grid` finds where three checks pass: the quintic
+    value at the cell midpoints misses the propagated one by at most
+    ``INTERP_BUDGET`` of the largest node value, its phi'' there misses
+    c phi by at most ``INTERP_BUDGET`` of the largest c phi, and the
+    propagation's own error estimate is within ``MAGNUS_TOL``.  Failing
+    that, the grid is the one at ``NODE_SPACING``, whose table is audited
+    on its values alone (:func:`_audit`), so every failure is reported on
+    that grid.
     """
     lo, hi = _check_axis_range(spec, a, omega_range)
     v0, s0 = complex(initial[0]), complex(initial[1])
     if not (np.isfinite([v0.real, v0.imag, s0.real, s0.imag]).all()):
         raise ConfigurationError(f"initial data {initial!r} must be finite")
 
-    nodes = _uniform_nodes(lo, hi)
     lam = constants.as_tuple()
-    path = solve_ivp(lambda w: _axis_rate(spec, a - 1, lam, 1.0, w), nodes, (v0, s0))
-    _audit(nodes, path.values, path.slopes, path.midpoints, f"the factor on axis {a}")
-    return AxisInterpolant(axis=a, nodes=nodes, values=path.values, slopes=path.slopes)
+
+    def coeff(w):
+        return _axis_rate(spec, a - 1, lam, 1.0, w)
+
+    def attempt(nodes: np.ndarray) -> tuple:
+        path = solve_ivp(coeff, nodes, (v0, s0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, second = _midpoint_quintic(nodes, path.values, path.slopes, path.curvatures)
+            ratios = (
+                np.max(np.abs(value - path.midpoints)) / _largest(path.values) / INTERP_BUDGET,
+                np.max(np.abs(second - path.mid_curvatures))
+                / _largest(path.curvatures) / INTERP_BUDGET,
+                path.error / MAGNUS_TOL,
+            )
+        return (nodes, path), float(np.max(ratios))  # a NaN gives up
+
+    table = _coarsest_grid(lo, hi, attempt)
+    if table is None:
+        nodes = _uniform_nodes(lo, hi)
+        path = solve_ivp(coeff, nodes, (v0, s0))
+        _audit(nodes, path.values, path.slopes, path.midpoints, f"the factor on axis {a}",
+               path.curvatures)
+        table = nodes, path
+    nodes, path = table
+    return AxisInterpolant(a, nodes, path.values, path.slopes, path.curvatures)
 
 
-def _midpoint_miss(nodes: np.ndarray, values, slopes, exact) -> np.ndarray:
-    """|cubic Hermite prediction - exact| at every cell midpoint, over the
-    largest node value; the prediction is built from the nodes alone."""
-    dx = float(nodes[1] - nodes[0])
-    predicted = 0.5 * (values[:-1] + values[1:]) + 0.125 * dx * (slopes[:-1] - slopes[1:])
-    return np.abs(predicted - exact) / max(float(np.max(np.abs(values))), 1e-300)
+def _midpoint_miss(nodes: np.ndarray, values, slopes, exact, curvatures=None) -> np.ndarray:
+    """|Hermite prediction - exact| at every cell midpoint, over the largest
+    node value: the cubic prediction, or the quintic one given the second
+    derivatives at the nodes; either is built from the nodes alone."""
+    if curvatures is None:
+        dx = float(nodes[1] - nodes[0])
+        predicted = 0.5 * (values[:-1] + values[1:]) + 0.125 * dx * (slopes[:-1] - slopes[1:])
+    else:
+        predicted = _midpoint_quintic(nodes, values, slopes, curvatures)[0]
+    return np.abs(predicted - exact) / _largest(values)
 
 
-def _audit(nodes: np.ndarray, values, slopes, exact, what: str) -> None:
+def _audit(nodes: np.ndarray, values, slopes, exact, what: str, curvatures=None) -> None:
     """Check a Hermite table against its exact values at the cell midpoints.
 
-    ``values`` and ``slopes`` belong to the nodes, ``exact`` to the
-    midpoints.  A non-finite entry raises :class:`IntegrationError` at the
-    first node or midpoint that holds one, and so does a midpoint whose
-    :func:`_midpoint_miss` exceeds ``INTERP_BUDGET``.
+    ``values``, ``slopes`` and the ``curvatures`` of a quintic table belong
+    to the nodes, ``exact`` to the midpoints.  A non-finite entry raises
+    :class:`IntegrationError` at the first node or midpoint that holds one,
+    and so does a midpoint whose :func:`_midpoint_miss` exceeds
+    ``INTERP_BUDGET``.
     """
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     # every node and midpoint, in the order a propagation reaches them
     finite = np.empty(2 * len(nodes) - 1, dtype=bool)
     finite[0::2] = np.isfinite(values) & np.isfinite(slopes)
+    if curvatures is not None:
+        finite[0::2] &= np.isfinite(curvatures)
     finite[1::2] = np.isfinite(exact)
     if not finite.all():
         first = int(np.argmin(finite))
         where = nodes[first // 2] if first % 2 == 0 else mids[first // 2]
         raise IntegrationError(f"{what} overflowed during integration", location=float(where))
-    err = _midpoint_miss(nodes, values, slopes, exact)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = _midpoint_miss(nodes, values, slopes, exact, curvatures)
     worst = int(np.argmax(err))
     if err[worst] > INTERP_BUDGET:
         raise IntegrationError(
@@ -827,55 +1017,66 @@ def evaluate_action(action: HJAction, t: float, x, omega_hint=None) -> float:
 # Export
 
 
+#: The header of a wave factor's table: phi, phi' and phi'' at each node.
+FACTOR_HEADER = "omega,re_phi,im_phi,re_dphi,im_dphi,re_ddphi,im_ddphi"
+
+
 def write_interpolant_csv(interp: AxisInterpolant, dest: TextIO) -> None:
-    """Dump the stored nodes as omega, Re phi, Im phi, Re phi', Im phi'."""
-    dest.write("omega,re_phi,im_phi,re_dphi,im_dphi\n")
-    values = np.asarray(interp.values, dtype=complex)
-    slopes = np.asarray(interp.slopes, dtype=complex)
-    for w, v, m in zip(interp.nodes, values, slopes):
-        dest.write(
-            f"{float(w)!r},{float(v.real)!r},{float(v.imag)!r},"
-            f"{float(m.real)!r},{float(m.imag)!r}\n"
-        )
+    """Dump the stored nodes as omega, Re phi, Im phi, Re phi', Im phi', and
+    Re phi'', Im phi'' for a wave factor (``FACTOR_HEADER``); an action
+    term has no phi'' columns."""
+    columns = (interp.values, interp.slopes, interp.curvatures)
+    if interp.curvatures is None:
+        columns = columns[:2]
+    dest.write(",".join(FACTOR_HEADER.split(",")[: 1 + 2 * len(columns)]) + "\n")
+    columns = (np.asarray(c, dtype=complex).tolist() for c in columns)
+    for w, *row in zip(np.asarray(interp.nodes, dtype=float).tolist(), *columns):
+        dest.write(",".join([repr(w)] + [f"{z.real!r},{z.imag!r}" for z in row]) + "\n")
 
 
 def read_interpolant_csv(src: TextIO, axis: int) -> AxisInterpolant:
-    """Rebuild an :class:`AxisInterpolant` written by the dumper above.
+    """Rebuild a wave factor written by :func:`write_interpolant_csv`.
 
-    Every field must be a finite number and the node column strictly
-    increasing and uniformly spaced, or :class:`ConfigurationError` is
-    raised; floats written with ``repr`` round-trip exactly, so a rebuilt factor
-    evaluates bit-for-bit like the original.
+    The header must be ``FACTOR_HEADER``: a table without the phi'' columns
+    cannot be the quintic one ``separate`` evaluates.  Every field must be
+    a finite number and the node column strictly increasing and uniformly
+    spaced, or :class:`ConfigurationError` is raised; floats written with
+    ``repr`` round-trip exactly, so a rebuilt factor evaluates bit-for-bit
+    like the original.
     """
     if axis not in (1, 2, 3):
         raise ConfigurationError(f"axis must be 1, 2 or 3, got {axis!r}")
     header = src.readline().strip()
-    if header != "omega,re_phi,im_phi,re_dphi,im_dphi":
-        raise ConfigurationError(f"unrecognised interpolant header {header!r}")
-    nodes, values, slopes = [], [], []
+    if header != FACTOR_HEADER:
+        raise ConfigurationError(
+            f"unrecognised interpolant header {header!r}; a wave factor's table "
+            f"has the columns {FACTOR_HEADER}"
+        )
+    rows = []
     for line in src:
         line = line.strip()
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 5:
+        if len(parts) != 7:
             raise ConfigurationError(f"malformed interpolant row {line!r}")
         try:
-            w, vr, vi, mr, mi = (float(p) for p in parts)
+            fields = [float(p) for p in parts]
         except ValueError:
             raise ConfigurationError(f"non-numeric field in interpolant row {line!r}") from None
-        if not all(map(math.isfinite, (w, vr, vi, mr, mi))):
+        if not all(map(math.isfinite, fields)):
             raise ConfigurationError(f"non-finite field in interpolant row {line!r}")
-        nodes.append(w)
-        values.append(complex(vr, vi))
-        slopes.append(complex(mr, mi))
-    if len(nodes) < 2:
+        rows.append(fields)
+    if len(rows) < 2:
         raise ConfigurationError("interpolant file holds fewer than two nodes")
-    arr = np.array(nodes)
+    table = np.array(rows)
+    arr = table[:, 0].copy()
     gaps = np.diff(arr)
     if np.any(gaps <= 0.0):
         raise ConfigurationError("interpolant nodes must increase strictly")
     dx = float(gaps[0])
     if float(np.max(np.abs(gaps - dx))) > 1e-9 * dx:
         raise ConfigurationError("interpolant nodes must be uniformly spaced")
-    return AxisInterpolant(axis, arr, np.array(values), np.array(slopes))
+    # each (re, im) pair of columns is one complex column, bit for bit
+    columns = np.ascontiguousarray(table[:, 1:]).view(complex)
+    return AxisInterpolant(axis, arr, *(columns[:, k].copy() for k in range(3)))

@@ -10,9 +10,11 @@ Stencil steps are scaled by the local coordinate magnitude.  Given a
 sample's chart point, the reports solve the chart coordinates of all its
 stencil nodes before its field calls: the centres in one batched Newton
 inversion seeded by the given points, then every node in another seeded
-by its centre, which keeps every evaluation on the centre's branch.  Each
-field call is then handed its own node's point, so its own inversion
-starts at the solution: every call still maps its own node to chart space.
+by its centre, which keeps every evaluation on the centre's branch.  The
+node positions of those samples are built once, in one array, and each
+sample's stencil takes its rows of it.  Each field call is then handed its
+own node's point, so its own inversion starts at the solution: every call
+still maps its own node to chart space.
 The field is called at the four time offsets first and then at the nodes
 at the sample's time, and a frame keeps its reading of the last time, so
 the frame's profiles are read once at each of a stencil's five times,
@@ -125,6 +127,18 @@ def _steps_at(t: float, x: np.ndarray, steps) -> tuple[float, float]:
     return float(steps[0]) * (1.0 + abs(t)), float(steps[1]) * (1.0 + _norm(x))
 
 
+class _Stencil(NamedTuple):
+    """A sample's stencil as :func:`_node_points` solves it: the time and
+    space steps, the five distinct times (centre's first), and the
+    positions and chart points of the ``_NODES`` nodes in stencil order."""
+
+    ht: float
+    hx: float
+    times: list
+    nodes: np.ndarray
+    points: np.ndarray
+
+
 def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre: bool):
     """The set-up the SE and HJ residuals share: the chart point of x (None
     without ``omega_hint``), the spatial step, the field at the centre (None
@@ -133,23 +147,31 @@ def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre:
     centre only with ``centre``), in ``_CALL_ORDER``; its values are listed
     in stencil order, and the rest are slices of that list.
 
-    ``omega_hint`` is the chart points of all ``_NODES`` nodes in stencil
-    order (:func:`_node_points`), each handed to the field at its own node,
-    or a start for the centre's point, from which the nodes are solved as
-    the reports solve them.  A sample whose nodes :func:`_node_points`
-    does not give has them from :func:`_centre_hints`."""
+    ``omega_hint`` is the :class:`_Stencil` the reports hand in, whose
+    nodes and chart points are used as they are; or the chart points of
+    all ``_NODES`` nodes in stencil order, each handed to the field at its
+    own node; or a start for the centre's point, from which the nodes are
+    solved as the reports solve them (:func:`_node_points`).  A sample
+    whose nodes :func:`_node_points` does not give has them from
+    :func:`_centre_hints`."""
     x = np.asarray(x, dtype=float)
-    ht, hx = _steps_at(t, x, steps)
-    if omega_hint is None:
+    stencil = None
+    if isinstance(omega_hint, _Stencil):
+        stencil = omega_hint
+    elif omega_hint is None:
         hints = [None] * _NODES
     elif np.ndim(omega_hint) == 2:
         hints = omega_hint
     else:
-        hints = _node_points(spec, [(t, x)], steps, [omega_hint])[0]
-        if not isinstance(hints, np.ndarray):
-            hints = _centre_hints(spec, t, x, omega_hint)
-    times, nodes = _stencil_nodes(t, x, ht, hx)
-    times = times.tolist()
+        stencil = _node_points(spec, [(t, x)], steps, [omega_hint])[0]
+        if not isinstance(stencil, _Stencil):
+            stencil, hints = None, _centre_hints(spec, t, x, omega_hint)
+    if stencil is None:
+        ht, hx = _steps_at(t, x, steps)
+        times, nodes = _stencil_nodes(t, x, ht, hx)
+        times = times.tolist()
+    else:
+        ht, hx, times, nodes, hints = stencil
     values = [None] * _NODES
     for k in _CALL_ORDER:
         if k or centre:
@@ -183,9 +205,9 @@ def se_residual_with_scale(
 ) -> tuple[complex, float]:
     """Residual of the wave equation at (t, x) plus the largest term size.
 
-    ``omega_hint`` is a Newton start for the chart point of x, or the chart
-    points of the 17 stencil nodes that the reports hand in.  The operator,
-    fully expanded:
+    ``omega_hint`` is a Newton start for the chart point of x, the chart
+    points of the 17 stencil nodes, or the stencil the reports hand in
+    (:func:`_stencil`).  The operator, fully expanded:
 
         i psi_t - e A0 psi + lap psi + i e (div A) psi
                 + 2 i e (A . grad psi) - e^2 |A|^2 psi
@@ -342,22 +364,21 @@ _NODE_CHUNK = 256
 
 
 def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
-    """The chart points of the ``_NODES`` stencil nodes of each sample
-    (t, x) with chart point ``hints[j]``, as an array in stencil order;
-    False for a sample whose nodes the batch inversion did not all solve,
-    and None for one that it did not try.  A False sample takes
+    """The :class:`_Stencil` of each sample (t, x) with chart point
+    ``hints[j]``: its nodes and their chart points in stencil order; False
+    for a sample whose nodes the batch inversion did not all solve, and
+    None for one that it did not try.  A False sample takes
     :func:`_centre_hints` (solved alone, its rows would fail again), and
     a None sample the per-sample path of :func:`_stencil`.
 
-    The nodes come from :func:`_stencil_nodes`, as those of
-    :func:`_stencil` do, and are mapped to chart space in one array pass
-    that reads the frame once at each distinct time.  The centres are
-    inverted in one :func:`invert_batch` call seeded by the hints, then
-    the other nodes in one more, each seeded by its centre's point.  A
-    sample is not tried when its point or hint is not three finite
-    numbers; no sample is when the frame cannot be read at one of the
-    times, so that the per-sample path raises that error at the sample it
-    belongs to.
+    The nodes of all samples come from one :func:`_stencil_nodes` call and
+    are mapped to chart space in one array pass that reads the frame once
+    at each distinct time.  The centres are inverted in one
+    :func:`invert_batch` call seeded by the hints, then the other nodes in
+    one more, each seeded by its centre's point.  A sample is not tried
+    when its point or hint is not three finite numbers; no sample is when
+    the frame cannot be read at one of the times, so that the per-sample
+    path raises that error at the sample it belongs to.
     """
     out = [None] * len(points)
     live, ts, xs, starts = [], [], [], []
@@ -401,18 +422,20 @@ def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
         spec.system, z[solved, 1:].reshape(-1, 3), np.repeat(centres[solved], _NODES - 1, axis=0)
     )
     others = others.reshape(-1, _NODES - 1, 3)
+    ht, hx, times = ht.tolist(), hx.tolist(), times.tolist()
     for k in np.flatnonzero(good.reshape(-1, _NODES - 1).all(axis=1)):
         s = solved[k]
-        out[live[s]] = np.concatenate((centres[s:s + 1], others[k]))
+        chart = np.concatenate((centres[s:s + 1], others[k]))
+        out[live[s]] = _Stencil(ht[s], hx[s], times[s], nodes[s], chart)
     return out
 
 
 def _report(residual_with_scale, channel, field, spec, points, steps, hints) -> ResidualReport:
     """One record per sample, in order.  With ``hints``, the stencil nodes
     of ``_NODE_CHUNK`` samples at a time are solved together
-    (:func:`_node_points`) and each sample gets its nodes' points, the
-    hints of its centre where the batch failed, or its hint where the
-    batch did not try it."""
+    (:func:`_node_points`) and each sample gets its stencil, node
+    positions and points as the chunk built them, the hints of its centre
+    where the batch failed, or its hint where the batch did not try it."""
     records = []
     points = list(points)
     for lo in range(0, len(points), _NODE_CHUNK):

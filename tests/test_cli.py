@@ -336,16 +336,25 @@ def _edit_csv(name, field, text):
     return damage
 
 
+def _five_columns(out):
+    # the phi'' columns cut from every line, as in a table of cubic factors
+    lines = (out / "phi_1.csv").read_text().splitlines()
+    (out / "phi_1.csv").write_text("\n".join(",".join(line.split(",")[:5]) for line in lines))
+    return "phi_1.csv"
+
+
 @pytest.mark.parametrize(
     "damage",
     [
         _truncate,
+        _five_columns,
         _edit_solution(lambda s: s.pop("q_kind")),
         _edit_solution(lambda s: s.update(t_range=s["t_range"][:1])),
         _edit_csv("phi_2.csv", 1, "abc"),
         _edit_csv("phi_1.csv", 0, "nan"),
     ],
-    ids=["truncated_json", "missing_q_kind", "short_t_range", "text_in_csv", "nan_node"],
+    ids=["truncated_json", "five_column_csv", "missing_q_kind", "short_t_range", "text_in_csv",
+         "nan_node"],
 )
 def test_verify_on_damaged_artifacts_is_config_error(separated, tmp_path, capsys, damage):
     out = tmp_path / "out"

@@ -32,9 +32,10 @@ from schrodsep.frame import (
 )
 from schrodsep.potential import coulomb_spec, electrostatic_spec, magnetic_spec, t0_profile
 from schrodsep.separate import (
+    MAGNUS_TOL,
     QUAD_LIMIT,
     RADICAND_GRID,
-    TIME_PROBE_CELLS,
+    PROBE_CELLS,
     AxisInterpolant,
     _TimeTable,
     HJTemporal,
@@ -324,7 +325,7 @@ def test_fast_time_factor_separates_and_verifies():
     solution = separate(
         spec, SeparationConstants(-40.0, 0.0, 0.0), omega_ranges=box, t_range=(-1.0, 1.0)
     )
-    assert len(solution.phi0._table[1]) == TIME_PROBE_CELLS + 1
+    assert len(solution.phi0._table[1]) == PROBE_CELLS + 1
     for t in np.random.default_rng(40).uniform(-1.0, 1.0, 50).tolist():
         assert abs(solution.phi0(t) - cmath.exp(-40j * t)) <= 1e-12
     points = chart_box_points(spec.system, spec.frame, box, (-1.0, 1.0), 20, 3)
@@ -498,6 +499,114 @@ def test_phi_a_overflow_reports_location():
         solve_phi_a(spec, 1, SeparationConstants(0, 0, 0), (0.0, 2.0))
     assert info.value.location is not None
     assert 0.0 <= info.value.location <= 2.0
+
+
+def test_overflow_on_a_probe_grid_is_located_at_node_spacing():
+    # The probe grids overflow too and give up; the grid at NODE_SPACING
+    # names the first node or midpoint its propagation cannot reach.
+    spec = magnetic_spec(
+        make_system("cartesian"), identity_frame("complete"), f10=lambda w: 1e8
+    )
+    lam = SeparationConstants(0, 0, 0)
+    with pytest.raises(IntegrationError, match="factor on axis 1 overflowed") as info:
+        solve_phi_a(spec, 1, lam, (0.0, 2.0))
+    nodes = _uniform_nodes(0.0, 2.0)
+    path = solve_ivp(lambda w: np.full(np.shape(w), 1e8), nodes, (1.0, 0.0))
+    at = np.empty(2 * len(nodes) - 1)  # nodes and midpoints, in propagation order
+    at[0::2], at[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
+    finite = np.empty(len(at), dtype=bool)
+    finite[0::2] = np.isfinite(path.values + path.slopes + path.curvatures)
+    finite[1::2] = np.isfinite(path.midpoints)
+    assert info.value.location == at[np.argmin(finite)]
+
+
+def _quintic_factor(p, nodes):
+    """The quintic table of the complex polynomial with coefficients p
+    (lowest first) on ``nodes``, built from its exact derivatives."""
+    poly = np.polynomial.Polynomial(p)
+    columns = (poly(nodes), poly.deriv(1)(nodes), poly.deriv(2)(nodes))
+    return AxisInterpolant(1, nodes, *columns), poly
+
+
+def test_quintic_reproduces_a_degree_five_polynomial():
+    p = np.array([0.3 - 1j, -1.2 + 0.5j, 0.7, 2.0 - 0.3j, -1.5 + 1j, 0.8 + 0.2j])
+    table, poly = _quintic_factor(p, np.linspace(-1.3, 0.9, 12))
+    for w in np.random.default_rng(5).uniform(-1.3, 0.9, 300).tolist():
+        value, slope = table.evaluate(w)
+        assert abs(value - poly(w)) <= 1e-14 * 8.0
+        assert abs(slope - poly.deriv(1)(w)) <= 1e-13 * 8.0
+    assert table(0.9) == pytest.approx(complex(poly(0.9)), abs=1e-14 * 8.0)
+
+
+def test_quintic_is_twice_continuously_differentiable_across_nodes():
+    # Each cell's polynomial ends, in value, slope and phi'', where the
+    # next one starts: both match the node's three stored columns.
+    k = 2.3
+    phi = solve_phi_a(free_particle(), 1, SeparationConstants(-k * k, 0, 0), (0.0, 1.0),
+                      (1.0, 1j * k))
+    cells = np.array(phi._grid[2]).T  # (6, cells): c_0 .. c_5
+    dx = phi._grid[3]
+    ends = (
+        cells.sum(axis=0),
+        (np.arange(6)[:, None] * cells).sum(axis=0) / dx,
+        (np.arange(6)[:, None] * np.arange(-1, 5)[:, None] * cells).sum(axis=0) / dx**2,
+    )
+    starts = (cells[0], cells[1] / dx, 2.0 * cells[2] / dx**2)
+    stored = (phi.values, phi.slopes, phi.curvatures)
+    for end, start, column in zip(ends, starts, stored):
+        scale = np.max(np.abs(column))
+        assert np.max(np.abs(end[:-1] - start[1:])) <= 1e-13 * scale
+        assert np.max(np.abs(end - column[1:])) <= 1e-13 * scale
+        assert np.max(np.abs(start - column[:-1])) <= 1e-13 * scale
+
+
+def test_quintic_power_form_matches_the_hermite_basis():
+    # c_k s^k summed by Horner's rule against the six quintic Hermite basis
+    # functions of value, slope and second derivative at both ends.
+    sc = load_scenario(SCENARIOS / "magnetic_spherical_rotating.json")
+    solution = separate(sc.spec, sc.constants, omega_ranges=sc.omega_ranges, t_range=sc.t_range)
+    for f in solution.factors:
+        nodes, dx = f.nodes, float(f.nodes[1] - f.nodes[0])
+        scale = np.max(np.abs(f.values))
+        for w in np.random.default_rng(f.axis).uniform(f.lo, f.hi, 300).tolist():
+            j = min(int((w - f.lo) / dx), len(nodes) - 2)
+            s = (w - nodes[j]) / dx
+            basis = (
+                1 - 10 * s**3 + 15 * s**4 - 6 * s**5,
+                s - 6 * s**3 + 8 * s**4 - 3 * s**5,
+                (s**2 - 3 * s**3 + 3 * s**4 - s**5) / 2,
+                10 * s**3 - 15 * s**4 + 6 * s**5,
+                -4 * s**3 + 7 * s**4 - 3 * s**5,
+                (s**3 - 2 * s**4 + s**5) / 2,
+            )
+            data = (f.values[j], dx * f.slopes[j], dx * dx * f.curvatures[j],
+                    f.values[j + 1], dx * f.slopes[j + 1], dx * dx * f.curvatures[j + 1])
+            hermite = sum(b * d for b, d in zip(basis, data))
+            assert abs(f(w) - hermite) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_chosen_grid_factors_match_the_node_spacing_propagation(path):
+    # A factor on its chosen grid, read at the nodes of the grid at
+    # NODE_SPACING, holds the values and slopes of the propagation on that
+    # grid to 10 MAGNUS_TOL of the largest, and phi'' = c phi at its own
+    # nodes.
+    sc = load_scenario(path)
+    solution = separate(sc.spec, sc.constants, omega_ranges=sc.omega_ranges, t_range=sc.t_range)
+    lam = sc.constants.as_tuple()
+    for f in solution.factors:
+        fine = _uniform_nodes(f.lo, f.hi)
+        assert len(f.nodes) <= len(fine) // 2 + 1
+
+        def coeff(w, axis=f.axis - 1):
+            return schrodsep.separate._axis_rate(sc.spec, axis, lam, 1.0, w)
+
+        want = solve_ivp(coeff, fine, (1.0, 0.0))
+        got = np.array([f.evaluate(w) for w in fine.tolist()])
+        for column, reference in zip(got.T, (want.values, want.slopes)):
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(column - reference)) <= 10 * MAGNUS_TOL * scale
+        assert np.array_equal(f.curvatures, coeff(f.nodes) * f.values)
 
 
 def test_interpolant_range_enforced():
@@ -823,29 +932,62 @@ def test_interpolant_csv_round_trip():
     buf = io.StringIO()
     write_interpolant_csv(phi, buf)
     lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "omega,re_phi,im_phi,re_dphi,im_dphi"
+    assert lines[0] == "omega,re_phi,im_phi,re_dphi,im_dphi,re_ddphi,im_ddphi"
     assert len(lines) == len(phi.nodes) + 1
     first = [float(tok) for tok in lines[1].split(",")]
-    assert first == [0.0, 1.0, 0.0, 0.0, 0.0]
+    assert first == [0.0, 1.0, 0.0, 0.0, 0.0, -4.0, 0.0]  # phi'' = c phi with c = -4
     mid = [float(tok) for tok in lines[len(lines) // 2].split(",")]
     w = mid[0]
     assert mid[1] == pytest.approx(math.cos(2.0 * w), abs=1e-9)
+    assert mid[5] == -4.0 * mid[1]
 
 
 def test_interpolant_csv_round_trip_is_bitwise():
-    # Signed zeros, subnormals and the ends of the float range survive the text form.
+    # Signed zeros, subnormals and the ends of the float range survive the
+    # text form in all seven columns.
     nodes = np.array([-0.0, 0.25, 0.5, 0.75, 1.0])
     values = np.array([complex(-0.0, 0.0), complex(5e-324, -5e-324), complex(1e308, -1e308),
                        complex(2.2250738585072014e-308, -1e-310), complex(0.1, -0.0)])
     slopes = np.array([complex(1.7976931348623157e308, -0.0), complex(-1e-320, 3.0),
                        complex(-0.0, -0.0), complex(1.0 / 3.0, -1e308), complex(4e-323, 0.0)])
+    curvatures = np.array([complex(0.0, -0.0), complex(-1e308, 1e-320), complex(-0.0, 2.5),
+                           complex(7e-310, -1.0 / 3.0), complex(-1.7976931348623157e308, 0.0)])
     buf = io.StringIO()
-    write_interpolant_csv(AxisInterpolant(2, nodes, values, slopes), buf)
+    write_interpolant_csv(AxisInterpolant(2, nodes, values, slopes, curvatures), buf)
+    assert buf.getvalue().splitlines()[0].count(",") == 6
     buf.seek(0)
     back = read_interpolant_csv(buf, 2)
     assert back.nodes.tobytes() == nodes.tobytes()
     assert back.values.tobytes() == values.tobytes()
     assert back.slopes.tobytes() == slopes.tobytes()
+    assert back.curvatures.tobytes() == curvatures.tobytes()
+
+
+def test_rebuilt_factor_evaluates_bit_for_bit():
+    # The seven columns rebuild the power form of every cell, so values and
+    # slopes anywhere on the grid match the factor that was written.
+    sc = load_scenario(SCENARIOS / "magnetic_spherical_rotating.json")
+    solution = separate(sc.spec, sc.constants, omega_ranges=sc.omega_ranges, t_range=sc.t_range)
+    for factor in solution.factors:
+        buf = io.StringIO()
+        write_interpolant_csv(factor, buf)
+        buf.seek(0)
+        back = read_interpolant_csv(buf, factor.axis)
+        for w in np.random.default_rng(factor.axis).uniform(factor.lo, factor.hi, 200).tolist():
+            assert repr(back.evaluate(w)) == repr(factor.evaluate(w))
+
+
+def test_five_column_table_is_refused():
+    # A table without phi'' (an action term's, or one written before the
+    # quintic tables) is not a wave factor.
+    action = hj_solve(free_particle(), SeparationConstants(1, 1, 1), ((0, 1),) * 3,
+                      t_range=(-1.0, 1.0))
+    buf = io.StringIO()
+    write_interpolant_csv(action.terms[0], buf)
+    assert buf.getvalue().splitlines()[0] == "omega,re_phi,im_phi,re_dphi,im_dphi"
+    buf.seek(0)
+    with pytest.raises(ConfigurationError, match="re_ddphi,im_ddphi"):
+        read_interpolant_csv(buf, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +1009,9 @@ def rate_calls(monkeypatch):
     return calls
 
 
-def test_solve_ivp_makes_two_coefficient_calls_on_four_points_per_cell():
+def test_solve_ivp_makes_one_coefficient_call_on_eight_points_per_cell():
+    # the two Gauss points of each half cell and of the whole cell, then
+    # the nodes and the cell midpoints
     nodes = _uniform_nodes(0.0, 0.25)
     shapes = []
 
@@ -877,16 +1021,22 @@ def test_solve_ivp_makes_two_coefficient_calls_on_four_points_per_cell():
 
     path = solve_ivp(coeff, nodes, (1.0, 0.0))
     cells = len(nodes) - 1
-    assert path.nfev == len(shapes) == 2
-    assert shapes == [(2, cells), (2, cells)]
+    assert path.nfev == len(shapes) == 1
+    assert shapes == [(8 * cells + 1,)]
     np.testing.assert_allclose(path.values.real, np.cos(2.0 * nodes), rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(path.curvatures, -4.0 * path.values)
+    # a constant coefficient is propagated exactly, up to rounding
+    assert path.error <= 1e-14
 
 
-def test_solve_phi_a_sees_four_points_per_cell(rate_calls):
+def test_solve_phi_a_sees_one_call_per_grid_tried(rate_calls):
+    # The probe grid, then the grid the h^4 law asks for, which is the
+    # table's: each one coefficient call on 8 points per cell and a node.
     phi = solve_phi_a(coulomb_spec("spherical", q=1.0), 1, SeparationConstants(1.0, 0.5, 0.0),
                       (0.6, 1.4))
     cells = len(phi.nodes) - 1
-    assert rate_calls == [(0, 1.0, 2 * cells), (0, 1.0, 2 * cells)]
+    assert PROBE_CELLS < cells <= (len(_uniform_nodes(0.6, 1.4)) - 1) // 2
+    assert rate_calls == [(0, 1.0, 8 * PROBE_CELLS + 1), (0, 1.0, 8 * cells + 1)]
 
 
 def test_hj_radicand_is_one_call_per_point_set(rate_calls, quad_calls):

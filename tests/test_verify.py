@@ -736,12 +736,45 @@ def test_report_nodes_leave_unusable_samples_to_the_stencil():
     pairs = [(t, x) for t, x, _ in points]
     hints = [omega for _, _, omega in points]
     nodes = schrodsep.verify._node_points(spec, pairs, schrodsep.verify.DEFAULT_STEPS, hints)
-    assert all(n is not None and n.shape == (17, 3) for n in nodes)
+    assert all(n is not None and n.points.shape == n.nodes.shape == (17, 3) for n in nodes)
     bad = schrodsep.verify._node_points(
         spec, [pairs[0], (pairs[1][0], (math.nan, 0.0, 0.0)), pairs[2]],
         schrodsep.verify.DEFAULT_STEPS, [hints[0], hints[1], None])
     assert bad[1] is None and bad[2] is None
-    assert bad[0].tobytes() == nodes[0].tobytes()
+    assert bad[0].points.tobytes() == nodes[0].points.tobytes()
+    assert bad[0].nodes.tobytes() == nodes[0].nodes.tobytes()
+
+
+@pytest.mark.parametrize("channel", ["se", "hj"])
+def test_report_builds_node_positions_once_per_chunk(node_input, channel, monkeypatch):
+    # The chunk's node build hands each sample its rows: one build per
+    # chunk, and every field call sits, bit for bit, where a build for
+    # its sample alone puts it.
+    spec, points, fields = node_input
+    report, _, field = fields[channel]
+    verify = schrodsep.verify
+    builds = []
+    stencil_nodes = verify._stencil_nodes
+
+    def counted(t, x, ht, hx):
+        builds.append(np.shape(t))
+        return stencil_nodes(t, x, ht, hx)
+
+    monkeypatch.setattr(verify, "_stencil_nodes", counted)
+    monkeypatch.setattr(verify, "_NODE_CHUNK", 8)
+    called = []
+    report(recording(field, called), spec, [(t, x) for t, x, _ in points],
+           hints=[omega for _, _, omega in points])
+    assert builds == [(8,), (8,), (4,)]
+    want = []
+    for t, x, _ in points:
+        times, nodes = stencil_nodes(t, np.asarray(x), *verify._steps_at(t, np.asarray(x),
+                                                                         verify.DEFAULT_STEPS))
+        order = [k for k in verify._CALL_ORDER if k or channel == "se"]
+        want += [(times.tolist()[verify._TIME_COLUMN[k]], tuple(nodes[k])) for k in order]
+    assert called == want
+    assert (np.array([x for _, x in called]).tobytes()
+            == np.array([x for _, x in want]).tobytes())
 
 
 # ---------------------------------------------------------------------------
