@@ -505,6 +505,25 @@ def omega_gradients(system: CoordinateSystem, frame: FrameSpec, t: float, omega)
     return _gradients(system, t, omega, J, rotation_matrix(frame, t), np.array(frame.scales(t)))
 
 
+def _adjugate(a) -> np.ndarray:
+    """The adjugate of the 3x3 matrix whose entry (i, j) is a[i, j], a float
+    or an array of one shape: an array (3, 3) + that shape whose rows are
+    det a times the rows of the inverse."""
+    return np.array(
+        [
+            [a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1],
+             a[0, 2] * a[2, 1] - a[0, 1] * a[2, 2],
+             a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]],
+            [a[1, 2] * a[2, 0] - a[1, 0] * a[2, 2],
+             a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0],
+             a[0, 2] * a[1, 0] - a[0, 0] * a[1, 2]],
+            [a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0],
+             a[0, 1] * a[2, 0] - a[0, 0] * a[2, 1],
+             a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]],
+        ]
+    )
+
+
 def _gradients(system: CoordinateSystem, t: float, omega, J, rot, h) -> np.ndarray:
     """:func:`omega_gradients` from the chart Jacobian J, the rotation and
     the scales (an array) at t, with its singularity guard.
@@ -523,20 +542,7 @@ def _gradients(system: CoordinateSystem, t: float, omega, J, rot, h) -> np.ndarr
         raise SingularityError(
             f"{system.sid.value}: embedded Jacobian singular at t={t}, omega={tuple(omega)}"
         )
-    # Adjugate transpose over determinant; rows of the inverse.
-    adj = np.array(
-        [
-            [a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1],
-             a[0, 2] * a[2, 1] - a[0, 1] * a[2, 2],
-             a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]],
-            [a[1, 2] * a[2, 0] - a[1, 0] * a[2, 2],
-             a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0],
-             a[0, 2] * a[1, 0] - a[0, 0] * a[1, 2]],
-            [a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0],
-             a[0, 1] * a[2, 0] - a[0, 0] * a[2, 1],
-             a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]],
-        ]
-    )
+    adj = _adjugate(a)  # rows of the inverse times det
     if not stack:
         return adj / det
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero det is a guarded sample

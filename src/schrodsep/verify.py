@@ -21,6 +21,12 @@ the frame's profiles are read once at each of a stencil's five times,
 however many calls and potentials use them.  The per-sample residuals,
 given one chart point, solve that sample's nodes the same way, so they
 equal the reports' records bit for bit.
+
+The geometry audit inverts nothing.  Its harmonicity channel takes the
+divergence form of the Laplacian in chart coordinates, which needs only
+first derivatives of the chart's own map and Jacobian, taken by central
+differences over chart points that one array call of the map evaluates;
+the same differences of the map check its analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .coords import (
 )
 from .errors import NumericError, StencilError, check_range
 from .frame import (
+    _adjugate,
     _gradients,
     _placement,
     _to_chart,
@@ -533,155 +540,59 @@ def chart_box_points(
 # Geometry audit
 
 
-#: Stop refining a harmonicity estimate once it drops this low; far below
-#: every acceptance threshold yet above the double-precision noise floor.
-_HARMONICITY_STOP = 5e-13
+#: Relative step of the chart-space differences of :func:`_harmonicity`.
+_CHART_STEP = 1e-3
+#: The step multiples of a chart stencil, one row per node: the centre,
+#: then the four offsets along each chart axis in turn, and each axis's rows.
+_CHART_NODES = np.delete(_MULTIPLES, _TIME_ROW, axis=0)[:, 1:]
+_CHART_ROWS = tuple(slice(1 + 4 * b, 5 + 4 * b) for b in range(3))
 
-#: Values under this are inversion-noise plateau, where a single rung may
-#: fail to improve on its neighbour without the trend having turned.
-_HARMONICITY_PLATEAU = 1e-10
-
-#: Step-multiple limits of the ladder.
-_HARMONICITY_TOP = 16.0
-_HARMONICITY_FLOOR = 2.0 / 512.0
+#: Samples whose chart stencils are evaluated together; bounds the stacks.
+_AUDIT_CHUNK = 1024
 
 
-#: A stencil node sits at offset k * mult, k = +-1 or +-2, along one axis;
-#: every offset is a power of two from the floor rung's to twice the top
-#: rung's, stored at level log2|offset| - _LEVEL_LOW.
-_LEVEL_LOW = round(math.log2(_HARMONICITY_FLOOR))
-_LEVELS = round(math.log2(_HARMONICITY_TOP)) + 2 - _LEVEL_LOW
-#: The four offsets k of a rung as (side, level above the rung's), in the
-#: order the rows of _d2 take them.
-_SIDES = (np.array(_OFFSETS) > 0.0).astype(int)
-_RAISE = np.log2(np.abs(_OFFSETS)).astype(int)
-
-#: Samples walked through the ladder together; bounds the node store.
-_LADDER_CHUNK = 256
+def _dot(u, v):
+    """u . v over the first axis of two stacks of 3-vectors."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _ladder():
-    """One sample's walk over the step ladder: yields the step multiple of
-    each rung it needs, is sent that rung's value (None where a node
-    failed) and returns the estimate (None when no start rung has one)."""
-    start = None
-    for mult in (2.0, 1.0, 0.5, 0.25):
-        value = yield mult
-        if value is not None:
-            start = mult
-            best = value
-            break
-    if start is None:
-        return None
-    if best < _HARMONICITY_STOP:
-        return best
-    for grow in (True, False):
-        mult = start
-        while True:
-            mult = mult * 2.0 if grow else mult * 0.5
-            if not _HARMONICITY_FLOOR <= mult <= _HARMONICITY_TOP:
-                break
-            value = yield mult
-            if value is None:
-                break
-            if value < best:
-                best = value
-                if best < _HARMONICITY_STOP:
-                    return best
-            elif not grow or value >= _HARMONICITY_PLATEAU:
-                break
-    return best
+def _harmonicity(system, h, omega) -> np.ndarray:
+    """The harmonicity value of each sample of omega (n, 3) under the frame
+    scales h: the larger of max_a |lap omega_a| and max_b |J_b - dz/domega_b|
+    / |J_b|, the defect of each column of the chart's Jacobian against
+    differences of its map.
 
-
-def _harmonicity_estimate(system, centres, zs, to_chart, base_h) -> list:
-    """max_a |lap omega_a| by central stencils, best over a step ladder, for
-    each sample omega = ``centres[j]`` with image ``zs[j]`` and base step
-    ``base_h[j]``; None for a sample where no start rung could be inverted.
-
-    The stencil lives in chart space, centred on z: a step s along x_a is
-    the step s * to_chart[:, a] in z, with to_chart = H^-1 T^T the inverse
-    of the frame's linear part.  The true value is zero for an intact chart,
-    so the reported number is whichever of truncation or inversion noise
-    dominates locally, while a genuine defect stays O(1) at every step.
-    Starting from a mid-sized step the ladder is walked outward in both
-    directions, dyadically: larger steps win on near-linear charts
-    (truncation vanishes, node noise is divided by a bigger h^2), smaller
-    steps win where a sixth derivative is locally huge.  Growing stops at
-    the first rung that fails to improve once the estimate is out of the
-    noise plateau; shrinking stops at the first rise, because on that side
-    node noise grows steadily as the step falls.
-
-    The samples walk in lockstep, each by its own rules (:func:`_ladder`):
-    a step gathers the nodes that the rung of every unfinished sample still
-    lacks (rungs share nodes: the rung at step m uses offsets +-m and +-2m)
-    and inverts them in one :func:`invert_batch` call, seeded by the last
-    node solved on that sample's axis and side, scaled to the new offset,
-    or by the sample where there is none, which is also the retry.  A
-    node that fails stays failed, and a rung with a failed node has no
-    value.  The rung values of the step are then one array expression.
+    With E = T H J = dx/domega, sqrt g = |det E| and M = sqrt g E^-1 E^-T,
+    lap omega_a = (1 / sqrt g) sum_b d_b M^ab (the divergence form of the
+    Laplacian in curvilinear coordinates).  The rotation T cancels from M,
+    so M^ab = A_a . A_b / sqrt g with A_a the rows of the adjugate of H J.
+    The d_b are fourth-order central differences over the 13
+    chart points of ``_CHART_NODES``, from one chart map call, with step
+    ``_CHART_STEP`` * min(1 + |omega_b|, distance to a singular end of axis
+    b), so that no node crosses a singular end.  The arithmetic is element
+    by element, so a sample's value does not depend on the others.
     """
-    centres, zs = np.asarray(centres), np.asarray(zs)
-    n = len(centres)
-    nodes = np.zeros((n, 3, 2, _LEVELS, 3))  # omega of each solved node, else 0
-    state = np.zeros((n, 3, 2, _LEVELS), dtype=np.int8)  # 1 solved, -1 failed
-    last = np.full((n, 3, 2), -1)  # level of the last node solved there
-
-    def solve(slot):
-        """Invert the unsolved nodes among ``slot``, index arrays that
-        broadcast to (m, 3, 4): sample, axis, side and level."""
-        need = state[slot] == 0
-        pos = np.nonzero(need)
-        s, a, side, lev = (np.broadcast_to(ix, need.shape)[pos] for ix in slot)
-        sign = np.where(side == 1, 1.0, -1.0)
-        offset = sign * np.exp2(lev + _LEVEL_LOW)
-        targets = zs[s] + (offset * base_h[s])[:, None] * to_chart.T[a]
-        prev = last[s, a, side]
-        seeded = prev >= 0
-        guesses = centres[s]
-        # scale the last solved node on this axis and side: a much closer
-        # Newton start than the sample itself
-        ratio = offset[seeded] / (sign[seeded] * np.exp2(prev[seeded] + _LEVEL_LOW))
-        guesses[seeded] += (nodes[s, a, side, prev][seeded] - guesses[seeded]) * ratio[:, None]
-        omega, ok = invert_batch(system, targets, guesses)
-        retry = np.flatnonzero(seeded & ~ok)
-        if retry.size:
-            omega[retry], ok[retry] = invert_batch(system, targets[retry], centres[s[retry]])
-        nodes[s[ok], a[ok], side[ok], lev[ok]] = omega[ok]
-        state[s, a, side, lev] = np.where(ok, 1, -1)
-        # offsets -2m, -m, m, 2m in turn, the order of the rows of _d2
-        for k in range(4):
-            done = ok & (pos[2] == k)
-            last[s[done], a[done], side[done]] = lev[done]
-
-    walks = [_ladder() for _ in range(n)]
-    wants = {j: next(walk) for j, walk in enumerate(walks)}
-    out: list = [None] * n
-    axes = np.arange(3)[None, :, None]
-    while wants:
-        sample = np.fromiter(wants.keys(), dtype=int)[:, None, None]
-        mult = np.fromiter(wants.values(), dtype=float)[:, None, None]
-        level = np.log2(mult).astype(int) - _LEVEL_LOW + _RAISE
-        solve((sample, axes, _SIDES, level))
-        rows = nodes[sample, axes, _SIDES, level].transpose(2, 0, 1, 3)
-        d2 = _d2(rows, centres[sample[:, 0]], base_h[sample] * mult)
-        lap = d2[:, 0] + d2[:, 1] + d2[:, 2]
-        values = np.max(np.abs(lap), axis=1)
-        solved = np.all(state[sample, axes, _SIDES, level] == 1, axis=(1, 2))
-        for j, value, ok in zip(sample[:, 0, 0].tolist(), values.tolist(), solved):
-            try:
-                wants[j] = walks[j].send(value if ok else None)
-            except StopIteration as stop:
-                out[j] = stop.value
-                del wants[j]
-    return out
-
-
-#: Conditioning window for the finite-difference harmonicity channel.
-#: Outside it the stencil cannot resolve the property at the step budget,
-#: so no record is emitted for that sample (the other channels are
-#: analytic and always reported).
-HARMONICITY_SIGMA_MIN = 0.3
-HARMONICITY_SIGMA_MAX = 20.0
+    lo, hi = np.array([
+        (ax.lo if ax.singular_lo else -math.inf, ax.hi if ax.singular_hi else math.inf)
+        for ax in system.domain]).T
+    steps = (_CHART_STEP * np.minimum(1.0 + np.abs(omega), np.minimum(omega - lo, hi - omega))).T
+    nodes = omega.T[:, None, :] + steps[:, None, :] * _CHART_NODES.T[:, :, None]
+    z, J = system.chart.array_map(system, *nodes)  # (3, 13, n) and (3, 3, 13, n)
+    E = h[:, None, None, None] * J
+    adj = _adjugate(E)
+    root_g = np.abs(_dot(E[0], adj[:, 0]))  # (13, n)
+    lap = [0.0, 0.0, 0.0]
+    value = 0.0
+    for b, rows in enumerate(_CHART_ROWS):
+        for a in range(3):
+            m_ab = _dot(adj[a][:, rows], adj[b][:, rows]) / root_g[rows]
+            lap[a] = lap[a] + _d1(m_ab, steps[b])
+        column = J[:, b, 0]
+        miss = column - _d1(z[:, rows].swapaxes(0, 1), steps[b])
+        value = np.maximum(value, np.sqrt(_dot(miss, miss) / _dot(column, column)))
+    for a in range(3):
+        value = np.maximum(value, np.abs(lap[a]) / root_g[0])
+    return value
 
 
 #: The gradient pairs the orthogonality channel compares.
@@ -712,14 +623,13 @@ def _colnorm(R2, g2):
 
 
 def _audit_point(system, t, idx, omega, F, T, rot, h, w, scales):
-    """The chart point z, position x, gradient norms and analytic records
-    of sample ``idx`` by the point bodies, whose checks raise in the order
-    the records need them: domain and overflow of the chart map, the
-    Jacobian guard, the embedded guard, a non-finite orthogonality or
-    Stackel value, the metric guard, a non-finite colnorm."""
+    """The position x and analytic records of sample ``idx`` by the point
+    bodies, whose checks raise in the order the records need them: domain
+    and overflow of the chart map, the Jacobian guard, the embedded guard,
+    a non-finite orthogonality or Stackel value, the metric guard, a
+    non-finite colnorm."""
     z, J = _chart_map(system, omega)
-    z = np.array(z)
-    x = rot @ (h * z) + w
+    x = rot @ (h * np.array(z)) + w
     grads = _gradients(system, t, omega, _guarded_jacobian(system, omega, J), rot, h)
     norms = np.linalg.norm(grads, axis=-1)
     g2 = norms**2
@@ -729,7 +639,7 @@ def _audit_point(system, t, idx, omega, F, T, rot, h, w, scales):
     ]
     R2 = _r_squared(system, t, omega, J, scales)
     records.append(_record(idx, "colnorm", t, x, _colnorm(R2, g2), 1.0))
-    return z, x, norms, records
+    return x, records
 
 
 def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> ResidualReport:
@@ -737,31 +647,26 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
 
     Four channels per sample: gradient orthogonality, the defining
     relation between the coefficient table and the time functions, the
-    harmonicity of each coordinate (finite differences), and the metric
-    against the gradients (``colnorm``: max_a |R_a^2 |grad omega_a|^2 - 1|,
-    the metric the potentials divide by against the inverse of the
-    embedded Jacobian T H J).  Violations are data, not errors.  The frame
-    is read once, at t; positions, Jacobians, gradients, metric and the
+    metric against the gradients (``colnorm``: max_a |R_a^2 |grad
+    omega_a|^2 - 1|, the metric the potentials divide by against the
+    inverse of the embedded Jacobian T H J), and harmonicity
+    (:func:`_harmonicity`, differences in chart space, no inversion).
+    Violations are data, not errors.  The frame is read once, at t; the
     three analytic channels are array expressions over the whole sample
-    stack, from one chart map call, and the Stackel rows come from one
-    call for all samples.  A sample the stack flags (a chart map that
-    overflows, a guard that fails, a channel that is not finite) is
-    evaluated again by the point bodies, first flagged first, so it raises
-    the typed error of the per-point checks or, if they pass after all,
-    keeps their values.  Harmonicity, the only finite-difference channel,
-    is reported only where the singular values 1 / |grad omega_a| of T H J
-    lie in the window the stencil resolves; the samples that pass walk the
-    step ladder together, a chunk at a time, so its Newton inversions are
-    batched across samples.
+    stack, from one chart map call and one call for the Stackel rows.  A
+    sample the stack flags (a chart map that overflows, a guard that fails,
+    a channel that is not finite) is evaluated again by the point bodies,
+    first flagged first, so it raises the typed error of the per-point
+    checks or, if they pass after all, keeps their values.  Every sample
+    has a harmonicity record, evaluated ``_AUDIT_CHUNK`` samples at a time;
+    a non-finite one raises :class:`NumericError`.
     """
     require_compatible(system, frame)
     samples = sample_domain(system, seed=seed, n=n_samples)
-    hx = DEFAULT_STEPS[1]
     rot = rotation_matrix(frame, t)
     scales = frame.scales(t)
     h = np.array(scales)
     w = frame.translation(t)
-    to_chart = rot.T / h[:, None]
     T = np.array(t_functions(system, frame, t))
     F = stackel_values(system, samples)  # raises the domain error of the first sample outside
 
@@ -784,28 +689,17 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
             & ~_near_singular_array(J, _det3(J))
             & np.isfinite(channels).all(axis=1)
         )
+        harmonic = np.empty(n)
+        for lo in range(0, n, _AUDIT_CHUNK):
+            harmonic[lo:lo + _AUDIT_CHUNK] = _harmonicity(system, h, samples[lo:lo + _AUDIT_CHUNK])
 
     per_sample = [None] * n
     for idx in np.flatnonzero(flagged).tolist():
-        z[idx], x[idx], norms[idx], per_sample[idx] = _audit_point(
+        x[idx], per_sample[idx] = _audit_point(
             system, t, idx, samples[idx], F[idx], T, rot, h, w, scales)
-    for idx, (xi, values) in enumerate(zip(x.tolist(), channels.tolist())):
-        if per_sample[idx] is None:
-            per_sample[idx] = [
-                _record(idx, name, t, xi, value, 1.0)
-                for name, value in zip(("orthogonality", "stackel", "colnorm"), values)
-            ]
-
-    sigma = 1.0 / norms
-    gated = np.flatnonzero(
-        (HARMONICITY_SIGMA_MIN <= sigma.min(axis=1)) & (sigma.max(axis=1) <= HARMONICITY_SIGMA_MAX))
-    base_h = hx * (1.0 + np.linalg.norm(x, axis=1))
-    for lo in range(0, len(gated), _LADDER_CHUNK):
-        idxs = gated[lo:lo + _LADDER_CHUNK]
-        values = _harmonicity_estimate(system, samples[idxs], z[idxs], to_chart, base_h[idxs])
-        for idx, value in zip(idxs.tolist(), values):
-            if value is not None:
-                per_sample[idx].append(_record(idx, "harmonicity", t, x[idx], value, 1.0))
-
-    return ResidualReport(
-        tuple(r for records in per_sample for r in records), ht=DEFAULT_STEPS[0], hx=hx)
+    records = []
+    for idx, (xi, values, value) in enumerate(zip(x.tolist(), channels.tolist(), harmonic.tolist())):
+        records += per_sample[idx] or [
+            _record(idx, name, t, xi, v, 1.0) for name, v in zip(("orthogonality", "stackel", "colnorm"), values)]
+        records.append(_record(idx, "harmonicity", t, xi, value, 1.0))
+    return ResidualReport(tuple(records), ht=DEFAULT_STEPS[0], hx=DEFAULT_STEPS[1])

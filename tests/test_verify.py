@@ -5,14 +5,16 @@ import io
 import itertools
 import math
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
+import schrodsep.coords
 import schrodsep.separate
 import schrodsep.stackel
 import schrodsep.verify
-from schrodsep.coords import SystemId, all_system_ids, make_system, sample_domain
+from schrodsep.coords import SystemId, all_system_ids, make_system, sample_domain, sampling_box
 from schrodsep.errors import (
     ConfigurationError,
     DomainError,
@@ -28,7 +30,6 @@ from schrodsep.frame import (
     make_frame,
     omega_gradients,
     polynomial,
-    rotation_matrix,
     sinusoid,
 )
 from schrodsep.potential import coulomb_spec, electrostatic_spec, magnetic_spec, vector_potential
@@ -796,14 +797,14 @@ def test_audit_all_systems_wiggly_frame(sid):
     assert channel_max(rep, "stackel") < 1e-9
     assert channel_max(rep, "colnorm") < 1e-9
     assert channel_max(rep, "harmonicity") < 1e-5
-    # the conditioning gate may drop samples but never the whole channel
-    assert any(r.channel == "harmonicity" for r in rep.records)
+    # every sample has a harmonicity record
+    assert sum(r.channel == "harmonicity" for r in rep.records) == 30
 
 
 def _audit_reference(system, frame, t, n, seed):
-    """The analytic records (index, channel, value, x) of the audit and its
-    harmonicity gate, one sample at a time from the point functions."""
-    records, gated = [], set()
+    """The analytic records (index, channel, value, x) of the audit, one
+    sample at a time from the point functions."""
+    records = []
     T = t_functions(system, frame, t)
     for idx, omega in enumerate(sample_domain(system, seed=seed, n=n)):
         grads = omega_gradients(system, frame, t, omega)
@@ -824,9 +825,7 @@ def _audit_reference(system, frame, t, n, seed):
         colnorm = max(abs(R2[a] * g2[a] - 1.0) for a in range(3))
         for channel, value in (("orthogonality", orth), ("stackel", stackel), ("colnorm", colnorm)):
             records.append((idx, channel, value, x))
-        if 0.3 <= 1.0 / max(norms) and 1.0 / min(norms) <= 20.0:
-            gated.add(idx)
-    return records, gated
+    return records
 
 
 @pytest.mark.parametrize("n", [0, 1, 30])
@@ -835,12 +834,11 @@ def test_audit_stack_matches_the_per_sample_reference(sid, n):
     system = build(sid)
     frame = wiggly_frame(system.split_class.value)
     rep = geometry_audit(system, frame, 0.37, n, seed=5)
-    want, gated = _audit_reference(system, frame, 0.37, n, seed=5)
+    want = _audit_reference(system, frame, 0.37, n, seed=5)
     order = [
         (idx, channel)
         for idx in range(n)
         for channel in ("orthogonality", "stackel", "colnorm", "harmonicity")
-        if channel != "harmonicity" or idx in gated
     ]
     assert [(r.index, r.channel) for r in rep.records] == order
     analytic = [r for r in rep.records if r.channel != "harmonicity"]
@@ -972,47 +970,125 @@ def test_audit_reads_the_frame_once_for_all_samples(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_audit_stencil_steps_along_the_cartesian_axes(monkeypatch):
-    # Harmonicity cannot tell a wrong stencil basis: a harmonic coordinate
-    # has zero Laplacian in any orthonormal basis, and under a split-class
-    # frame mostly in the skewed ones too.  So check the geometry itself:
-    # every Newton target, mapped back to x, is the sample plus a step
-    # along one Cartesian axis.
-    system, frame, t = make_system("cartesian"), wiggly_frame("complete"), 0.37
-    rot, h, w = rotation_matrix(frame, t), np.array(frame.scales(t)), frame.translation(t)
-    original = schrodsep.verify.invert_batch
-    targets = []
-
-    def recording(system_, Z, G):
-        targets.extend(np.array(Z))
-        return original(system_, Z, G)
-
-    monkeypatch.setattr(schrodsep.verify, "invert_batch", recording)
-    rep = geometry_audit(system, frame, t, 1, seed=5)
-    [centre] = [np.array(r.x) for r in rep.records if r.channel == "harmonicity"]
-    assert len(targets) >= 12
-    for z in targets:
-        d = np.abs(rot @ (h * z) + w - centre)
-        assert np.sort(d)[1] <= 1e-13 * (1.0 + np.abs(centre).max()) < d.max()
+def test_audit_harmonicity_sees_the_frame_scales(monkeypatch):
+    # The rotation cancels from M = sqrt g E^-1 E^-T, so only the scales
+    # can be checked this way: the cylindrical chart is conformal in its
+    # first two axes, and stays harmonic only while they share one scale.
+    system, frame, t = make_system("cylindrical"), wiggly_frame("partial"), 0.37
+    intact = geometry_audit(system, frame, t, 20, seed=5)
+    scales = type(frame).scales
+    h1, _, h3 = scales(frame, t)
+    assert abs(h1 - h3) > 0.1
+    monkeypatch.setattr(type(frame), "scales", lambda self, t: tuple(reversed(scales(self, t))))
+    permuted = geometry_audit(system, frame, t, 20, seed=5)
+    assert channel_max(intact, "harmonicity") < 1e-9
+    assert min(r.relative for r in permuted.records if r.channel == "harmonicity") > 1e-5
 
 
-def test_audit_makes_no_scalar_inversion(monkeypatch):
-    # the ladder inverts its stencil nodes in batches, never one by one
+def test_audit_makes_no_newton_call(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the audit inverted a stencil node on its own")
+        raise AssertionError("the audit inverted the chart map")
 
-    monkeypatch.setattr(schrodsep.verify, "invert", refuse)
+    for module in (schrodsep.verify, schrodsep.coords):
+        monkeypatch.setattr(module, "invert", refuse)
+        monkeypatch.setattr(module, "invert_batch", refuse)
     rep = geometry_audit(make_system("spherical"), wiggly_frame("nonsplit"), 0.37, 20, seed=5)
-    assert any(r.channel == "harmonicity" for r in rep.records)
+    assert sum(r.channel == "harmonicity" for r in rep.records) == 20
     assert channel_max(rep, "harmonicity") < 1e-5
 
 
-def test_audit_ladder_chunks_give_the_same_records(monkeypatch):
-    # samples walk the ladder independently, so splitting them into chunks
-    # of the lockstep walk changes no record
+def test_audit_chunks_give_the_same_records(monkeypatch):
+    # each sample's chart stencil is its own, so splitting the samples into
+    # chunks changes no record
     system, frame = make_system("oblate_spheroidal", a=1.3), wiggly_frame("nonsplit")
     whole = geometry_audit(system, frame, 0.37, 40, seed=2)
-    monkeypatch.setattr(schrodsep.verify, "_LADDER_CHUNK", 3)
+    monkeypatch.setattr(schrodsep.verify, "_AUDIT_CHUNK", 3)
     chunked = geometry_audit(system, frame, 0.37, 40, seed=2)
-    assert sum(r.channel == "harmonicity" for r in whole.records) > 3
+    assert sum(r.channel == "harmonicity" for r in whole.records) == 40
     assert chunked.records == whole.records
+
+
+def _spherical_variant(s, w1, w2, w3, stretch=0.0, column=None):
+    """The spherical chart map at omega_1 + stretch omega_1^2 with its
+    consistent Jacobian; with ``column``, that column of the Jacobian is
+    scaled by 1.01 and z is left as it is."""
+    u = w1 + stretch * w1 * w1
+    du = 1.0 + 2.0 * stretch * w1
+    r = 1.0 / u
+    se, th = 1.0 / math.cosh(w2), math.tanh(w2)
+    c, sn = math.cos(w3), math.sin(w3)
+    J = [
+        [-r * r * se * c * du, -r * se * th * c, -r * se * sn],
+        [-r * r * se * sn * du, -r * se * th * sn, r * se * c],
+        [-r * r * th * du, r * se * se, 0.0],
+    ]
+    if column is not None:
+        for row in J:
+            row[column] = 1.01 * row[column]
+    return (r * se * c, r * se * sn, r * th), J
+
+
+def _cartesian_variant(s, w1, w2, w3, column):
+    """The identity chart with column ``column`` of its Jacobian scaled by 1.01."""
+    J = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    J[column][column] = 1.01
+    return (w1, w2, w3), J
+
+
+def _damaged(monkeypatch, name, chart_map):
+    """The system ``name`` with its chart map replaced by ``chart_map``."""
+    sid = SystemId(name)
+    chart = dataclasses.replace(sid.chart, map=chart_map)
+    monkeypatch.setitem(schrodsep.coords._CHARTS, sid, chart)
+    return make_system(name)
+
+
+def test_audit_harmonicity_sees_a_reparametrised_chart(monkeypatch):
+    # omega_1 -> omega_1 + 0.1 omega_1^2 keeps the chart orthogonal and its
+    # Jacobian consistent with its map, but omega_1 is no longer harmonic
+    system = _damaged(monkeypatch, "spherical", partial(_spherical_variant, stretch=0.1))
+    rep = geometry_audit(system, wiggly_frame("nonsplit"), 0.37, 100, seed=5)
+    values = [r.relative for r in rep.records if r.channel == "harmonicity"]
+    assert len(values) == 100
+    assert sum(v > 1e-5 for v in values) >= 90
+
+
+@pytest.mark.parametrize("column", range(3))
+def test_audit_harmonicity_checks_the_jacobian_against_the_map(monkeypatch, column):
+    # the identity chart's M is constant with any constant Jacobian, so only
+    # the check of J against differences of z can see the scaled column:
+    # it reads 0.01 / 1.01 on every sample
+    system = _damaged(monkeypatch, "cartesian", partial(_cartesian_variant, column=column))
+    rep = geometry_audit(system, make_frame("complete"), 0.0, 20, seed=3)
+    values = [r.relative for r in rep.records if r.channel == "harmonicity"]
+    assert len(values) == 20
+    np.testing.assert_allclose(values, 0.01 / 1.01, rtol=1e-9)
+    # a constant factor on a column keeps an orthogonal chart's coordinates
+    # harmonic, so on a curved chart too only the Jacobian check reads it,
+    # column by column, however small the column is against the others
+    system = _damaged(monkeypatch, "spherical", partial(_spherical_variant, column=column))
+    rep = geometry_audit(system, wiggly_frame("nonsplit"), 0.37, 100, seed=5)
+    assert min(r.relative for r in rep.records if r.channel == "harmonicity") > 1e-5
+
+
+@pytest.mark.parametrize("sid", all_system_ids())
+def test_audit_harmonicity_at_the_ends_of_the_sampling_box(monkeypatch, sid):
+    # Samples within 1e-4 of the box width from each end of the sampling
+    # box: the singular ends of the domain (a radius at infinity, a focal
+    # set) and the truncated ones, among them parabolic's focal end at
+    # omega_1, omega_2 = -3.  The chart-space step along axis b is
+    # 1e-3 * min(1 + |omega_b|, distance to a singular end of the axis),
+    # so no stencil node crosses a singular end; every sample gets a record.
+    system = build(sid)
+    frame = wiggly_frame(system.split_class.value)
+    box = sampling_box(system)
+    for axis, end in itertools.product(range(3), (0, 1)):
+        samples = sample_domain(system, seed=11, n=20)
+        inward = 1.0 - 2.0 * end
+        depth = np.random.default_rng(2 * axis + end).uniform(0.0, 1e-4, 20)
+        samples[:, axis] = box[axis, end] + inward * depth * (box[axis, 1] - box[axis, 0])
+        monkeypatch.setattr(schrodsep.verify, "sample_domain", lambda system, seed, n: samples)
+        rep = geometry_audit(system, frame, 0.37, 20, seed=5)
+        values = [r.relative for r in rep.records if r.channel == "harmonicity"]
+        assert len(values) == 20, (axis, end)
+        assert max(values) <= 1e-5, (axis, end)
