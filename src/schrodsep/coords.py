@@ -733,14 +733,19 @@ def invert(system: CoordinateSystem, z, guess) -> np.ndarray:
 
     Raises
     ------
+    ConfigurationError
+        If z or the guess is not three numbers.
     InversionError
         If the contract is not met; carries the last iterate and its
         residual, which is inf, with "overflow" in the text, when z or
         that iterate's image is not finite.
     """
-    z = np.asarray(z, dtype=float).tolist()
+    z, g = np.asarray(z, dtype=float), np.asarray(guess, dtype=float)
+    if z.shape != (3,) or g.shape != (3,):
+        raise ConfigurationError(
+            f"invert needs three numbers for z and the start, got shapes {z.shape} and {g.shape}")
+    z, g = z.tolist(), g.tolist()
     zt = (z[0], z[1], z[2])
-    g = np.asarray(guess, dtype=float).tolist()
     (lo0, hi0), (lo1, hi1), (lo2, hi2) = system.clamp
     w = (min(max(g[0], lo0), hi0), min(max(g[1], lo1), hi1), min(max(g[2], lo2), hi2))
     zn, r = _miss(system, w, zt)

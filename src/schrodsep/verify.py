@@ -6,21 +6,20 @@ fourth-order central stencils and combine the derivatives with
 analytically evaluated potentials, so a separated solution is confirmed
 against the governing equation through a route it never touched.
 
-Stencil steps are scaled by the local coordinate magnitude.  Given a
-sample's chart point, the reports solve the chart coordinates of all its
-stencil nodes before its field calls: the centres in one batched Newton
-inversion seeded by the given points, then every node in another seeded
-by its centre, which keeps every evaluation on the centre's branch.  The
-node positions of those samples are built once, in one array, and each
-sample's stencil takes its rows of it.  Each field call is then handed its
-own node's point, so its own inversion starts at the solution: every call
-still maps its own node to chart space.
-The field is called at the four time offsets first and then at the nodes
-at the sample's time, and a frame keeps its reading of the last time, so
-the frame's profiles are read once at each of a stencil's five times,
-however many calls and potentials use them.  The per-sample residuals,
-given one chart point, solve that sample's nodes the same way, so they
-equal the reports' records bit for bit.
+Stencil steps are scaled by the local coordinate magnitude.  A residual's
+``omega_hint`` is one of two things: a Newton start for the chart point
+of x, or the stencil a report hands in.  A start goes through the same
+node solve as a report's samples (:func:`_node_points`), so the
+per-sample residuals equal the reports' records bit for bit.  That solve
+builds the node positions of a chunk of samples in one array, inverts
+the centres in one batched Newton call seeded by the starts, then every
+node in another seeded by its centre, which keeps every evaluation on the
+centre's branch.  Each field call is handed its own node's point, so its
+own inversion starts at the solution: every call still maps its own node
+to chart space.  The field is called at the four time offsets first and
+then at the nodes at the sample's time, and a frame keeps its reading of
+the last time, so the frame's profiles are read once at each of a
+stencil's five times, however many calls and potentials use them.
 
 The geometry audit inverts nothing.  Its harmonicity channel takes the
 divergence form of the Laplacian in chart coordinates, which needs only
@@ -47,7 +46,7 @@ from .coords import (
     invert_batch,
     sample_domain,
 )
-from .errors import NumericError, StencilError, check_range
+from .errors import ConfigurationError, NumericError, StencilError, check_range
 from .frame import (
     _adjugate,
     _gradients,
@@ -135,62 +134,53 @@ def _steps_at(t: float, x: np.ndarray, steps) -> tuple[float, float]:
 
 
 class _Stencil(NamedTuple):
-    """A sample's stencil as :func:`_node_points` solves it: the time and
-    space steps, the five distinct times (centre's first), and the
-    positions and chart points of the ``_NODES`` nodes in stencil order."""
+    """A sample's stencil: the time and space steps, the five distinct times
+    (centre's first), the positions of the ``_NODES`` nodes in stencil
+    order, the Newton start for the centre's chart point, and the nodes'
+    chart points in stencil order, None unless :func:`_node_points` solved
+    every node."""
 
     ht: float
     hx: float
     times: list
     nodes: np.ndarray
-    points: np.ndarray
+    start: object
+    points: np.ndarray | None
 
 
 def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre: bool):
     """The set-up the SE and HJ residuals share: the chart point of x (None
-    without ``omega_hint``), the spatial step, the field at the centre (None
+    without a start), the spatial step, the field at the centre (None
     unless ``centre``), its time derivative and its three spatial rows.
     The field is called once at each node of :func:`_stencil_nodes` (the
     centre only with ``centre``), in ``_CALL_ORDER``; its values are listed
     in stencil order, and the rest are slices of that list.
 
-    ``omega_hint`` is the :class:`_Stencil` the reports hand in, whose
-    nodes and chart points are used as they are; or the chart points of
-    all ``_NODES`` nodes in stencil order, each handed to the field at its
-    own node; or a start for the centre's point, from which the nodes are
-    solved as the reports solve them (:func:`_node_points`).  A sample
-    whose nodes :func:`_node_points` does not give has them from
-    :func:`_centre_hints`."""
+    ``omega_hint`` is a Newton start for the chart point of x (None for
+    none) or the :class:`_Stencil` a report hands in.  A start goes through
+    a one-sample :func:`_node_points`, and a sample that it does not try
+    builds its own nodes.  A stencil with chart points hands each field
+    call its own node's point; one without has its centre inverted alone
+    from its start, here, at the sample's own turn, and every node takes
+    that point (None without a start)."""
     x = np.asarray(x, dtype=float)
-    stencil = None
-    if isinstance(omega_hint, _Stencil):
-        stencil = omega_hint
-    elif omega_hint is None:
-        hints = [None] * _NODES
-    elif np.ndim(omega_hint) == 2:
-        hints = omega_hint
-    else:
+    stencil = omega_hint
+    if not isinstance(stencil, _Stencil):
         stencil = _node_points(spec, [(t, x)], steps, [omega_hint])[0]
-        if not isinstance(stencil, _Stencil):
-            stencil, hints = None, _centre_hints(spec, t, x, omega_hint)
     if stencil is None:
         ht, hx = _steps_at(t, x, steps)
         times, nodes = _stencil_nodes(t, x, ht, hx)
-        times = times.tolist()
-    else:
-        ht, hx, times, nodes, hints = stencil
+        stencil = _Stencil(ht, hx, times.tolist(), nodes, omega_hint, None)
+    ht, hx, times, nodes, start, hints = stencil
+    if hints is None:
+        point = None if start is None else invert(spec.system, unembed(spec.frame, t, x), start)
+        hints = [point] * _NODES
     values = [None] * _NODES
     for k in _CALL_ORDER:
         if k or centre:
             values[k] = _guard(field, times[_TIME_COLUMN[k]], nodes[k], hints[k])
     rows = [values[axis] for axis in _AXIS_ROWS]
     return hints[0], hx, values[0], _d1(values[_TIME_ROW], ht), rows
-
-
-def _centre_hints(spec: PotentialSpec, t: float, x, start) -> list:
-    """The node hints of a sample whose nodes are not solved together: its
-    centre inverted on its own from ``start``, whose point every node takes."""
-    return [invert(spec.system, unembed(spec.frame, t, x), start)] * _NODES
 
 
 def _residual(terms) -> tuple:
@@ -212,9 +202,9 @@ def se_residual_with_scale(
 ) -> tuple[complex, float]:
     """Residual of the wave equation at (t, x) plus the largest term size.
 
-    ``omega_hint`` is a Newton start for the chart point of x, the chart
-    points of the 17 stencil nodes, or the stencil the reports hand in
-    (:func:`_stencil`).  The operator, fully expanded:
+    ``omega_hint`` is a Newton start for the chart point of x (None for
+    none) or the stencil a report hands in (:func:`_stencil`).  The
+    operator, fully expanded:
 
         i psi_t - e A0 psi + lap psi + i e (div A) psi
                 + 2 i e (A . grad psi) - e^2 |A|^2 psi
@@ -371,26 +361,26 @@ _NODE_CHUNK = 256
 
 
 def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
-    """The :class:`_Stencil` of each sample (t, x) with chart point
-    ``hints[j]``: its nodes and their chart points in stencil order; False
-    for a sample whose nodes the batch inversion did not all solve, and
-    None for one that it did not try.  A False sample takes
-    :func:`_centre_hints` (solved alone, its rows would fail again), and
-    a None sample the per-sample path of :func:`_stencil`.
+    """The :class:`_Stencil` of each sample (t, x) that is tried with the
+    Newton start ``hints[j]`` for its chart point, and None for one that is
+    not.  A sample is not tried when its point or start is not three finite
+    numbers; no sample is when the frame cannot be read at one of the
+    times, so that :func:`_stencil` raises that error at the sample it
+    belongs to.
 
     The nodes of all samples come from one :func:`_stencil_nodes` call and
     are mapped to chart space in one array pass that reads the frame once
     at each distinct time.  The centres are inverted in one
-    :func:`invert_batch` call seeded by the hints, then the other nodes in
-    one more, each seeded by its centre's point.  A sample is not tried
-    when its point or hint is not three finite numbers; no sample is when
-    the frame cannot be read at one of the times, so that the per-sample
-    path raises that error at the sample it belongs to.
+    :func:`invert_batch` call seeded by the starts, then the other nodes in
+    one more, each seeded by its centre's point.  A sample whose nodes are
+    not all solved has no chart points: solved alone, its rows would fail
+    again, so :func:`_stencil` inverts its centre alone.
     """
     out = [None] * len(points)
     live, ts, xs, starts = [], [], [], []
-    for j, ((t, x), hint) in enumerate(zip(points, hints)):
+    for j, (point, hint) in enumerate(zip(points, hints, strict=True)):
         try:
+            t, x = point
             t, x, hint = float(t), np.asarray(x, dtype=float), np.asarray(hint, dtype=float)
         except (TypeError, ValueError):
             continue
@@ -407,8 +397,6 @@ def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
         rows, w, h = _placement(spec.frame, times)
     except Exception:  # a profile may raise anything; the per-sample path raises it in turn
         return out
-    for j in live:
-        out[j] = False
 
     def per_node(v):
         return np.broadcast_to(v, times.shape)[:, _TIME_COLUMN]
@@ -422,40 +410,39 @@ def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
         )
     z = np.stack(z, axis=-1)  # (samples, nodes, 3)
     centres, ok = invert_batch(spec.system, z[:, 0], np.array(starts))
+    chart = [None] * len(live)
     solved = np.flatnonzero(ok)
-    if not solved.size:
-        return out
-    others, good = invert_batch(
-        spec.system, z[solved, 1:].reshape(-1, 3), np.repeat(centres[solved], _NODES - 1, axis=0)
-    )
-    others = others.reshape(-1, _NODES - 1, 3)
-    ht, hx, times = ht.tolist(), hx.tolist(), times.tolist()
-    for k in np.flatnonzero(good.reshape(-1, _NODES - 1).all(axis=1)):
-        s = solved[k]
-        chart = np.concatenate((centres[s:s + 1], others[k]))
-        out[live[s]] = _Stencil(ht[s], hx[s], times[s], nodes[s], chart)
+    if solved.size:
+        others, good = invert_batch(
+            spec.system, z[solved, 1:].reshape(-1, 3), np.repeat(centres[solved], _NODES - 1, axis=0)
+        )
+        others = others.reshape(-1, _NODES - 1, 3)
+        for k in np.flatnonzero(good.reshape(-1, _NODES - 1).all(axis=1)):
+            chart[solved[k]] = np.concatenate((centres[solved[k]:solved[k] + 1], others[k]))
+    for j, *stencil in zip(live, ht.tolist(), hx.tolist(), times.tolist(), nodes, starts, chart):
+        out[j] = _Stencil(*stencil)
     return out
 
 
 def _report(residual_with_scale, channel, field, spec, points, steps, hints) -> ResidualReport:
-    """One record per sample, in order.  With ``hints``, the stencil nodes
-    of ``_NODE_CHUNK`` samples at a time are solved together
-    (:func:`_node_points`) and each sample gets its stencil, node
-    positions and points as the chunk built them, the hints of its centre
-    where the batch failed, or its hint where the batch did not try it."""
-    records = []
+    """One record per sample, in order.  ``hints`` holds a Newton start for
+    the chart point of each sample (None for none), or is None for no
+    starts at all.  The stencil nodes of ``_NODE_CHUNK`` samples at a time
+    are solved together (:func:`_node_points`), and each sample is handed
+    its :class:`_Stencil`, or its start where the chunk did not try it.
+
+    Raises :class:`ConfigurationError` before any field call when ``hints``
+    and ``points`` differ in length."""
     points = list(points)
+    hints = [None] * len(points) if hints is None else list(hints)
+    if len(hints) != len(points):
+        raise ConfigurationError(f"{len(hints)} hints for {len(points)} points: one per point")
+    records = []
     for lo in range(0, len(points), _NODE_CHUNK):
-        chunk = points[lo:lo + _NODE_CHUNK]
-        nodes = [None] * len(chunk)
-        if hints is not None:
-            nodes = _node_points(spec, chunk, steps, hints[lo:lo + _NODE_CHUNK])
-        for idx, (t, x), hint in zip(range(lo, lo + len(chunk)), chunk, nodes):
-            if hint is False:
-                hint = _centre_hints(spec, t, x, hints[idx])
-            elif hint is None and hints is not None:
-                hint = hints[idx]
-            res, scale = residual_with_scale(field, spec, t, x, steps, hint)
+        chunk, starts = points[lo:lo + _NODE_CHUNK], hints[lo:lo + _NODE_CHUNK]
+        samples = zip(chunk, _node_points(spec, chunk, steps, starts), starts, strict=True)
+        for idx, ((t, x), stencil, start) in enumerate(samples, lo):
+            res, scale = residual_with_scale(field, spec, t, x, steps, stencil or start)
             records.append(_record(idx, channel, t, x, res, scale))
     return ResidualReport(tuple(records), ht=float(steps[0]), hx=float(steps[1]))
 
@@ -519,8 +506,10 @@ def chart_box_points(
     the full residual stencil around a sample stays evaluable: the
     stencil reach in chart coordinates is far below the margin for the
     default steps.  Raises :class:`ConfigurationError` unless every range
-    is finite, with a finite span, and nonempty.
+    is finite, with a finite span, and nonempty, and unless n >= 0.
     """
+    if n < 0:
+        raise ConfigurationError(f"sample count must be >= 0, got {n}")
     lo, hi = np.array(
         [check_range("omega range", r[0], r[1], f" on axis {a}") for a, r in enumerate(ranges, 1)]
     ).T

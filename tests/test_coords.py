@@ -569,6 +569,17 @@ def test_invert_failure_texts_keep_their_form():
         "spherical: overflow while inverting z=(1.0, 2.0, 2.0) at omega=(nan, 0.5, 0.5)")
 
 
+@pytest.mark.parametrize(
+    "z, guess",
+    [((1.0, 2.0, 2.0), (1.0, 0.5)), ((1.0, 2.0, 2.0), np.ones((17, 3))),
+     ((1.0, 2.0, 2.0), None), ((1, 2), (1.0, 0.5, 0.5))],
+    ids=["short_start", "start_per_node", "no_start", "short_target"],
+)
+def test_invert_refuses_inputs_that_are_not_three_numbers(z, guess):
+    with pytest.raises(ConfigurationError, match="three numbers for z and the start"):
+        invert(build("spherical"), z, guess)
+
+
 def test_norm_has_the_bits_of_numpy_norm():
     # the same dot product under the square root, on contiguous vectors and
     # strided views alike; a sum of float squares differs where BLAS fuses

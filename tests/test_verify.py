@@ -402,6 +402,14 @@ def test_chart_box_points_rejects_bad_ranges(omega1, t_range):
         chart_box_points(system, make_frame("complete"), box, t_range, 3, seed=1)
 
 
+def test_chart_box_points_refuses_a_negative_count():
+    # as sample_domain does; a count of zero gives no samples
+    system, frame = make_system("cartesian"), make_frame("complete")
+    with pytest.raises(ConfigurationError, match="sample count must be >= 0, got -1"):
+        chart_box_points(system, frame, BOXES["cartesian"], (-1.0, 1.0), -1, seed=1)
+    assert chart_box_points(system, frame, BOXES["cartesian"], (-1.0, 1.0), 0, seed=1) == []
+
+
 # ---------------------------------------------------------------------------
 # Reports
 
@@ -443,6 +451,38 @@ def test_hj_report_channel():
     assert rep.records[0].channel == "hj"
     assert channel_max(rep, "hj") < 1e-9
     assert channel_max(rep, "se") == 0.0
+
+
+@pytest.mark.parametrize("count", [3, 5])
+@pytest.mark.parametrize("report", [se_report, hj_report])
+def test_report_refuses_a_hint_count_other_than_the_point_count(report, count):
+    # fewer hints than points, or more: refused before any field call
+    calls = []
+
+    def field(t, x, hint):
+        calls.append(t)
+        return 1.0
+
+    points = [(0.1 * j, (0.2, 0.3, -0.1)) for j in range(4)]
+    with pytest.raises(ConfigurationError, match=f"^{count} hints for 4 points"):
+        report(field, free_particle(), points, hints=[(0.2, 0.3, -0.1)] * count)
+    assert calls == []
+
+
+@pytest.mark.parametrize("residual", [se_residual_with_scale, hj_residual_with_scale])
+def test_residual_refuses_a_hint_that_is_not_one_start(residual):
+    # a start of two numbers, or one per stencil node, is not a chart point
+    # to start from: the centre's inversion refuses it before any field call
+    calls = []
+
+    def field(t, x, hint):
+        calls.append(t)
+        return 1.0
+
+    for hint in ((0.2, 0.3), np.zeros((17, 3))):
+        with pytest.raises(ConfigurationError, match="three numbers"):
+            residual(field, free_particle(), 0.1, (0.2, 0.3, -0.1), omega_hint=hint)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +784,34 @@ def test_report_nodes_leave_unusable_samples_to_the_stencil():
     assert bad[1] is None and bad[2] is None
     assert bad[0].points.tobytes() == nodes[0].points.tobytes()
     assert bad[0].nodes.tobytes() == nodes[0].nodes.tobytes()
+
+
+@pytest.mark.parametrize("channel", ["se", "hj"])
+def test_report_sample_without_a_start_takes_the_per_sample_route(channel):
+    # A None among the hints: the chunk does not try that sample, which
+    # builds its own nodes, so its record is the per-sample residual's
+    # without a start, bit for bit; every other record is the all-hints
+    # report's.  Without a start the field seeds its own inversions, so the
+    # record differs from the hinted one.
+    spec, box, wave, hj = NODE_INPUTS["coulomb_conical"]()
+    if channel == "se":
+        product = separate(spec, wave, omega_ranges=box, t_range=(-1.0, 1.0))
+        report, residual, evaluate = se_report, se_residual_with_scale, evaluate_psi
+    else:
+        product = hj_solve(spec, hj, box, t_range=(-1.0, 1.0))
+        report, residual, evaluate = hj_report, hj_residual_with_scale, evaluate_action
+    field = lambda t, x, h: evaluate(product, t, x, h)  # noqa: E731
+    points = chart_box_points(spec.system, spec.frame, box, (-1.0, 1.0), 6, 31)
+    pairs, hints = [(t, x) for t, x, _ in points], [omega for _, _, omega in points]
+    full = report(field, spec, pairs, hints=hints)
+    hints[3] = None
+    got = report(field, spec, pairs, hints=hints)
+    t, x = pairs[3]
+    res, scale = residual(field, spec, t, x, omega_hint=None)
+    want = list(full.records)
+    want[3] = schrodsep.verify._record(3, channel, t, x, res, scale)
+    assert [repr(r) for r in got.records] == [repr(r) for r in want]
+    assert repr(want[3]) != repr(full.records[3])
 
 
 @pytest.mark.parametrize("channel", ["se", "hj"])
