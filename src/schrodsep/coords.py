@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .elliptic import Modulus, _over_arrays, jacobi, jacobi_array, modulus
-from .errors import ConfigurationError, DomainError, InversionError, SingularityError
+from .errors import ConfigurationError, DomainError, InversionError, SingularityError, check_count
 
 EPS_DOM = 1e-6
 #: Unbounded axes are truncated to this symmetric box when sampling.
@@ -241,17 +241,24 @@ def base_system_ids() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def check_domain(system: CoordinateSystem, omega) -> None:
-    """Raise :class:`DomainError` naming the offending axis if outside."""
+def check_domain(system: CoordinateSystem, omega) -> tuple[float, float, float]:
+    """omega as three floats; :class:`ConfigurationError` unless it is three
+    numbers, and :class:`DomainError` naming the offending axis if outside."""
+    try:
+        omega = tuple(map(float, omega))
+    except (TypeError, ValueError, OverflowError):
+        omega = ()
+    if len(omega) != 3:
+        raise ConfigurationError(f"{system.sid.value}: omega must be three numbers")
     dom = system.domain
-    for i in range(3):
-        w = float(omega[i])
+    for i, w in enumerate(omega):
         if not math.isfinite(w) or not dom[i].contains(w):
             raise DomainError(
                 f"{system.sid.value}: omega_{i + 1} = {w!r} outside axis interval "
                 f"[{dom[i].lo}, {dom[i].hi}]",
                 axis=i + 1,
             )
+    return omega
 
 
 def sampling_box(system: CoordinateSystem) -> np.ndarray:
@@ -272,11 +279,11 @@ def sampling_box(system: CoordinateSystem) -> np.ndarray:
 
 
 def sample_domain(system: CoordinateSystem, seed: int, n: int) -> np.ndarray:
-    """Deterministic interior samples, shape (n, 3)."""
-    if n < 0:
-        raise ConfigurationError(f"sample count must be >= 0, got {n}")
+    """Deterministic interior samples, shape (n, 3); n and the seed are
+    integers >= 0 (:func:`check_count`)."""
+    n = check_count("sample count", n)
     box = sampling_box(system)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed))
     return rng.uniform(box[:, 0], box[:, 1], size=(n, 3))
 
 
@@ -589,9 +596,9 @@ _CHARTS: dict[SystemId, Chart] = {
 def _chart_map(system: CoordinateSystem, omega):
     """(z, J) at an admissible omega; a :class:`DomainError` when omega is
     outside the admissible set or the map overflows there."""
-    check_domain(system, omega)
+    w = check_domain(system, omega)
     try:
-        return system.chart.map(system, float(omega[0]), float(omega[1]), float(omega[2]))
+        return system.chart.map(system, *w)
     except OverflowError:
         raise DomainError(
             f"{system.sid.value}: chart map overflows at omega={tuple(omega)}"
@@ -740,7 +747,10 @@ def invert(system: CoordinateSystem, z, guess) -> np.ndarray:
         residual, which is inf, with "overflow" in the text, when z or
         that iterate's image is not finite.
     """
-    z, g = np.asarray(z, dtype=float), np.asarray(guess, dtype=float)
+    try:
+        z, g = np.asarray(z, dtype=float), np.asarray(guess, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError("invert needs three numbers for z and the start") from None
     if z.shape != (3,) or g.shape != (3,):
         raise ConfigurationError(
             f"invert needs three numbers for z and the start, got shapes {z.shape} and {g.shape}")

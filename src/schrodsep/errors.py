@@ -8,6 +8,7 @@ computation itself broke down).  The CLI maps them to exit codes 1 and 2.
 from __future__ import annotations
 
 import math
+import operator
 
 
 class SchrodsepError(Exception):
@@ -91,3 +92,15 @@ def check_range(what: str, lo, hi, where: str = "") -> tuple[float, float]:
     if not lo < hi:
         raise ConfigurationError(f"empty {what} ({lo}, {hi}){where}")
     return lo, hi
+
+
+def check_count(what: str, n) -> int:
+    """n as an int, or a :class:`ConfigurationError` unless it is an
+    integer (a bool or numpy integer included) and n >= 0."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ConfigurationError(f"{what} must be an integer, got {n!r}") from None
+    if n < 0:
+        raise ConfigurationError(f"{what} must be >= 0, got {n}")
+    return n

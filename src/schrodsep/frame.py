@@ -168,23 +168,29 @@ def sinusoid(
     return TimeProfile(fn, _over_arrays(fn))
 
 
-def _check_profile(name: str, p: TimeProfile) -> None:
+def _check_profile(name: str, p: TimeProfile) -> list:
+    """p's values at the probe times, from three calls at each (t, t +- h), once
+    p is finite there and its derivatives match central differences."""
     h = 1e-5
+    values = []
     for t in PROBE_TIMES:
         v, d1, d2 = p(float(t))
         if not (math.isfinite(v) and math.isfinite(d1) and math.isfinite(d2)):
             raise ConfigurationError(f"profile {name}: non-finite at t={t}")
-        fd1 = (p(float(t) + h)[0] - p(float(t) - h)[0]) / (2.0 * h)
+        up, down = p(float(t) + h), p(float(t) - h)
+        fd1 = (up[0] - down[0]) / (2.0 * h)
         if abs(d1 - fd1) > _DERIV_TOL * (1.0 + abs(d1)):
             raise ConfigurationError(
                 f"profile {name}: first derivative inconsistent at t={t} "
                 f"(analytic {d1!r}, finite difference {fd1!r})"
             )
-        fd2 = (p(float(t) + h)[1] - p(float(t) - h)[1]) / (2.0 * h)
+        fd2 = (up[1] - down[1]) / (2.0 * h)
         if abs(d2 - fd2) > _DERIV_TOL * (1.0 + abs(d2)):
             raise ConfigurationError(
                 f"profile {name}: second derivative inconsistent at t={t}"
             )
+        values.append(v)
+    return values
 
 
 _BITS = struct.Struct("<d").pack
@@ -261,7 +267,9 @@ class FrameSpec:
         with the same check, naming the first t that fails."""
         if not isinstance(t, np.ndarray):
             return self._read(t).scales
-        h1, h2, h3 = self._scales_on(t)
+        h1 = self.h1.on_array(t)
+        h2 = h1 if self.h2 is self.h1 else self.h2.on_array(t)  # a tied scale is read once
+        h3 = h1 if self.h3 is self.h1 else self.h3.on_array(t)
         bad = np.flatnonzero(~((h1[0] > 0.0) & (h2[0] > 0.0) & (h3[0] > 0.0)))
         if bad.size:
             j = bad[0]
@@ -269,14 +277,6 @@ class FrameSpec:
             raise ConfigurationError(
                 f"frame scale non-positive at t={float(t.flat[j])}: h = {values}"
             )
-        return (h1, h2, h3)
-
-    def _scales_on(self, t: np.ndarray) -> tuple:
-        """The three scale triples at every element of the float array t,
-        unchecked; a tied scale is read once."""
-        h1 = self.h1.on_array(t)
-        h2 = h1 if self.h2 is self.h1 else self.h2.on_array(t)
-        h3 = h1 if self.h3 is self.h1 else self.h3.on_array(t)
         return (h1, h2, h3)
 
     def translation_triples(self, t: float) -> tuple[tuple[float, float, float], ...]:
@@ -343,22 +343,17 @@ def make_frame(
         "h1": h1, "h2": h2, "h3": h3,
         "w1": w1, "w2": w2, "w3": w3,
     }
+    probed = {}  # each distinct profile, by id, checked under its first name
     for name, p in profiles.items():
         if not isinstance(p, TimeProfile):
             raise ConfigurationError(f"profile {name} must be a TimeProfile")
-        _check_profile(name, p)
+        if id(p) not in probed:
+            probed[id(p)] = _check_profile(name, p)
 
-    frame = FrameSpec(alpha, beta, gamma, h1, h2, h3, w1, w2, w3, cls)
-    # the scales over the whole grid locate the times that may fail; each is
-    # then checked at its float, in order, so the first failing time raises
-    (v1, _, _), (v2, _, _), (v3, _, _) = frame._scales_on(PROBE_TIMES)
-    suspect = ~((v1 > 0.0) & (v2 > 0.0) & (v3 > 0.0))
-    if cls is not SplitClass.COMPLETE:
-        suspect |= abs(v1 - v2) > _CLASS_TOL
-    if cls is SplitClass.NONSPLIT:
-        suspect |= abs(v1 - v3) > _CLASS_TOL
-    for t in PROBE_TIMES[suspect]:
-        hv = frame.scales(float(t))
+    # the scales at each probe time in order: their signs, then h1 = h2, then h1 = h3
+    for t, hv in zip(PROBE_TIMES, zip(*(probed[id(p)] for p in (h1, h2, h3)))):
+        if not (hv[0] > 0.0 and hv[1] > 0.0 and hv[2] > 0.0):
+            raise ConfigurationError(f"frame scale non-positive at t={float(t)}: h = {hv}")
         if cls is not SplitClass.COMPLETE and abs(hv[0] - hv[1]) > _CLASS_TOL:
             raise ConfigurationError(
                 f"{cls.value} class requires h1 = h2; differ by {hv[0] - hv[1]:.3e} at t={t}"
@@ -368,7 +363,7 @@ def make_frame(
                 f"nonsplit class requires h1 = h3; differ by {hv[0] - hv[2]:.3e} at t={t}"
             )
 
-    return frame
+    return FrameSpec(alpha, beta, gamma, h1, h2, h3, w1, w2, w3, cls)
 
 
 def identity_frame(class_of: SplitClass | str) -> FrameSpec:

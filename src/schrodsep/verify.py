@@ -6,20 +6,22 @@ fourth-order central stencils and combine the derivatives with
 analytically evaluated potentials, so a separated solution is confirmed
 against the governing equation through a route it never touched.
 
-Stencil steps are scaled by the local coordinate magnitude.  A residual's
-``omega_hint`` is one of two things: a Newton start for the chart point
-of x, or the stencil a report hands in.  A start goes through the same
-node solve as a report's samples (:func:`_node_points`), so the
-per-sample residuals equal the reports' records bit for bit.  That solve
-builds the node positions of a chunk of samples in one array, inverts
-the centres in one batched Newton call seeded by the starts, then every
-node in another seeded by its centre, which keeps every evaluation on the
-centre's branch.  Each field call is handed its own node's point, so its
-own inversion starts at the solution: every call still maps its own node
-to chart space.  The field is called at the four time offsets first and
-then at the nodes at the sample's time, and a frame keeps its reading of
-the last time, so the frame's profiles are read once at each of a
-stencil's five times, however many calls and potentials use them.
+A residual sample is a time t and a position x of three numbers, with a
+Newton start for the chart point of x (three numbers, or None for none)
+and the stencil steps (two finite positive numbers, scaled by the local
+coordinate magnitude).  One check (:func:`_samples`) refuses a malformed
+sample with :class:`ConfigurationError` before any field call; a report
+names its index.  Every sample then goes through one node solve
+(:func:`_node_points`), so a residual given a start equals the report's
+record bit for bit.  That solve builds the node positions of a chunk of
+samples in one array, inverts the centres in one batched Newton call
+seeded by the starts, then every node in another seeded by its centre,
+which keeps every evaluation on the centre's branch.  Each field call is
+handed its own node's point, so its own inversion starts at the
+solution.  The field is called at the four time offsets first and then
+at the nodes at the sample's time, and a frame keeps its reading of the
+last time, so the frame's profiles are read once at each of a stencil's
+five times, however many calls and potentials use them.
 
 The geometry audit inverts nothing.  Its harmonicity channel takes the
 divergence form of the Laplacian in chart coordinates, which needs only
@@ -46,7 +48,7 @@ from .coords import (
     invert_batch,
     sample_domain,
 )
-from .errors import ConfigurationError, NumericError, StencilError, check_range
+from .errors import ConfigurationError, NumericError, StencilError, check_count, check_range
 from .frame import (
     _adjugate,
     _gradients,
@@ -130,15 +132,47 @@ def _stencil_nodes(t, x, ht, hx) -> tuple[np.ndarray, np.ndarray]:
 
 def _steps_at(t: float, x: np.ndarray, steps) -> tuple[float, float]:
     """The time and space steps of the stencil around (t, x)."""
-    return float(steps[0]) * (1.0 + abs(t)), float(steps[1]) * (1.0 + _norm(x))
+    return steps[0] * (1.0 + abs(t)), steps[1] * (1.0 + _norm(x))
+
+
+def _samples(points, starts, steps) -> tuple[list, list, tuple[float, float]]:
+    """Residual samples as the engines take them, or :class:`ConfigurationError`
+    before any field call: each (t, x) as a float and a float array of three,
+    one Newton start per sample as None or a float array of three
+    (``starts`` None for none at all), and the steps as two finite positive
+    floats.  A sample's error names its index (0 for a residual's own); t,
+    x and a start need not be finite."""
+    try:
+        ht, hx = map(float, steps)
+    except (TypeError, ValueError, OverflowError):
+        ht = hx = math.nan
+    if not (0.0 < ht < math.inf and 0.0 < hx < math.inf):
+        raise ConfigurationError(f"steps must be two finite positive numbers, got {steps!r}")
+    points = list(points)
+    starts = [None] * len(points) if starts is None else list(starts)
+    if len(starts) != len(points):
+        raise ConfigurationError(f"{len(starts)} hints for {len(points)} points: one per point")
+    for j, (point, start) in enumerate(zip(points, starts)):
+        try:
+            t, x = point
+            t, x = float(t), np.asarray(x, dtype=float)
+            start = start if start is None else np.asarray(start, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            x = None
+        if x is None or x.shape != (3,) or not (start is None or start.shape == (3,)):
+            raise ConfigurationError(
+                f"sample {j}: needs (t, x) with t a number and x three numbers, "
+                "and a Newton start of three numbers or None")
+        points[j], starts[j] = (t, x), start
+    return points, starts, (ht, hx)
 
 
 class _Stencil(NamedTuple):
     """A sample's stencil: the time and space steps, the five distinct times
-    (centre's first), the positions of the ``_NODES`` nodes in stencil
-    order, the Newton start for the centre's chart point, and the nodes'
-    chart points in stencil order, None unless :func:`_node_points` solved
-    every node."""
+    (centre's first, the sample's t), the positions of the ``_NODES`` nodes
+    in stencil order (the centre's is the sample's x), the Newton start for
+    the centre's chart point, and the nodes' chart points in stencil order,
+    None unless :func:`_node_points` solved every node."""
 
     ht: float
     hx: float
@@ -149,29 +183,25 @@ class _Stencil(NamedTuple):
 
 
 def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre: bool):
-    """The set-up the SE and HJ residuals share: the chart point of x (None
-    without a start), the spatial step, the field at the centre (None
-    unless ``centre``), its time derivative and its three spatial rows.
-    The field is called once at each node of :func:`_stencil_nodes` (the
-    centre only with ``centre``), in ``_CALL_ORDER``; its values are listed
-    in stencil order, and the rest are slices of that list.
+    """The set-up the SE and HJ residuals share: the sample's t and x, the
+    chart point of x (None without a start), the spatial step, the field at
+    the centre (None unless ``centre``), its time derivative and its three
+    spatial rows.  The field is called once at each node of
+    :func:`_stencil_nodes` (the centre only with ``centre``), in
+    ``_CALL_ORDER``; its values are listed in stencil order.
 
     ``omega_hint`` is a Newton start for the chart point of x (None for
-    none) or the :class:`_Stencil` a report hands in.  A start goes through
-    a one-sample :func:`_node_points`, and a sample that it does not try
-    builds its own nodes.  A stencil with chart points hands each field
-    call its own node's point; one without has its centre inverted alone
-    from its start, here, at the sample's own turn, and every node takes
-    that point (None without a start)."""
-    x = np.asarray(x, dtype=float)
+    none), checked with the sample by :func:`_samples` and solved by a
+    one-sample :func:`_node_points`, or the :class:`_Stencil` a report
+    hands in.  A stencil with chart points hands each field call its own
+    node's point; one without has its centre inverted alone from its start,
+    here, at the sample's own turn, and every node takes that point."""
     stencil = omega_hint
     if not isinstance(stencil, _Stencil):
-        stencil = _node_points(spec, [(t, x)], steps, [omega_hint])[0]
-    if stencil is None:
-        ht, hx = _steps_at(t, x, steps)
-        times, nodes = _stencil_nodes(t, x, ht, hx)
-        stencil = _Stencil(ht, hx, times.tolist(), nodes, omega_hint, None)
+        points, starts, steps = _samples([(t, x)], [omega_hint], steps)
+        stencil = _node_points(spec, points, steps, starts)[0]
     ht, hx, times, nodes, start, hints = stencil
+    t, x = times[0], nodes[0]
     if hints is None:
         point = None if start is None else invert(spec.system, unembed(spec.frame, t, x), start)
         hints = [point] * _NODES
@@ -180,7 +210,7 @@ def _stencil(field, spec: PotentialSpec, t: float, x, steps, omega_hint, centre:
         if k or centre:
             values[k] = _guard(field, times[_TIME_COLUMN[k]], nodes[k], hints[k])
     rows = [values[axis] for axis in _AXIS_ROWS]
-    return hints[0], hx, values[0], _d1(values[_TIME_ROW], ht), rows
+    return t, x, hints[0], hx, values[0], _d1(values[_TIME_ROW], ht), rows
 
 
 def _residual(terms) -> tuple:
@@ -203,13 +233,14 @@ def se_residual_with_scale(
     """Residual of the wave equation at (t, x) plus the largest term size.
 
     ``omega_hint`` is a Newton start for the chart point of x (None for
-    none) or the stencil a report hands in (:func:`_stencil`).  The
+    none) or the stencil a report hands in (:func:`_stencil`); a malformed
+    sample raises :class:`ConfigurationError` (:func:`_samples`).  The
     operator, fully expanded:
 
         i psi_t - e A0 psi + lap psi + i e (div A) psi
                 + 2 i e (A . grad psi) - e^2 |A|^2 psi
     """
-    hint, hx, psi0, psi_t, rows = _stencil(field, spec, t, x, steps, omega_hint, centre=True)
+    t, x, hint, hx, psi0, psi_t, rows = _stencil(field, spec, t, x, steps, omega_hint, centre=True)
     grad = np.array([_d1(row, hx) for row in rows], dtype=complex)
     lap = 0.0 + 0.0j
     for row in rows:
@@ -288,8 +319,8 @@ def hj_residual_with_scale(
     omega_hint=None,
 ) -> tuple[float, float]:
     """Residual u_t + e A0 + sum_a (u_{x_a} + e A_a)^2 at (t, x); ``omega_hint``
-    as in :func:`se_residual_with_scale`."""
-    hint, hx, _, u_t, rows = _stencil(action, spec, t, x, steps, omega_hint, centre=False)
+    and the errors of a malformed sample as in :func:`se_residual_with_scale`."""
+    t, x, hint, hx, _, u_t, rows = _stencil(action, spec, t, x, steps, omega_hint, centre=False)
     grad = np.array([_d1(row, hx) for row in rows], dtype=float)
 
     e = spec.e_charge
@@ -361,90 +392,64 @@ _NODE_CHUNK = 256
 
 
 def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
-    """The :class:`_Stencil` of each sample (t, x) that is tried with the
-    Newton start ``hints[j]`` for its chart point, and None for one that is
-    not.  A sample is not tried when its point or start is not three finite
-    numbers; no sample is when the frame cannot be read at one of the
-    times, so that :func:`_stencil` raises that error at the sample it
-    belongs to.
+    """The :class:`_Stencil` of each sample (t, x) with the Newton start
+    ``hints[j]``, for samples and steps that :func:`_samples` has checked.
 
-    The nodes of all samples come from one :func:`_stencil_nodes` call and
-    are mapped to chart space in one array pass that reads the frame once
-    at each distinct time.  The centres are inverted in one
-    :func:`invert_batch` call seeded by the starts, then the other nodes in
-    one more, each seeded by its centre's point.  A sample whose nodes are
-    not all solved has no chart points: solved alone, its rows would fail
-    again, so :func:`_stencil` inverts its centre alone.
+    The nodes of all samples come from one :func:`_stencil_nodes` call.
+    Those of the samples whose t, x and start are finite are mapped to
+    chart space in one array pass that reads the frame once at each
+    distinct time; the centres are inverted in one :func:`invert_batch`
+    call seeded by the starts, then the other nodes in one more, each
+    seeded by its centre's point.  A sample whose nodes are not all solved
+    has no chart points, and :func:`_stencil` inverts its centre alone
+    (solved alone, its rows would fail again); so does every sample when
+    the frame cannot be read at one of the times, so that the error is
+    raised at the sample it belongs to.
     """
-    out = [None] * len(points)
-    live, ts, xs, starts = [], [], [], []
-    for j, (point, hint) in enumerate(zip(points, hints, strict=True)):
-        try:
-            t, x = point
-            t, x, hint = float(t), np.asarray(x, dtype=float), np.asarray(hint, dtype=float)
-        except (TypeError, ValueError):
-            continue
-        if x.shape == hint.shape == (3,) and math.isfinite(t) and np.isfinite(x).all():
-            live.append(j)
-            ts.append(t)
-            xs.append(x)
-            starts.append(hint)
-    if not live:
-        return out
-    ht, hx = np.array([_steps_at(*tx, steps) for tx in zip(ts, xs)]).T
-    times, nodes = _stencil_nodes(np.array(ts), np.array(xs), ht, hx)
+    ts = np.array([t for t, _ in points], dtype=float)
+    xs = np.array([x for _, x in points], dtype=float)
+    starts = np.array([(math.nan,) * 3 if s is None else s for s in hints], dtype=float)
+    ht, hx = np.array([_steps_at(t, x, steps) for t, x in zip(ts.tolist(), xs)]).T
+    times, nodes = _stencil_nodes(ts, xs, ht, hx)
+    live = np.flatnonzero(np.isfinite(np.column_stack((ts, xs, starts))).all(axis=1))
+    chart = [None] * len(points)
     try:
-        rows, w, h = _placement(spec.frame, times)
-    except Exception:  # a profile may raise anything; the per-sample path raises it in turn
-        return out
-
-    def per_node(v):
-        return np.broadcast_to(v, times.shape)[:, _TIME_COLUMN]
-
-    with np.errstate(all="ignore"):  # a node whose target is not finite fails its inversion
-        z = _to_chart(
-            [[per_node(v) for v in row] for row in rows],
-            [per_node(v) for v in w],
-            [per_node(v) for v in h],
-            nodes.transpose(2, 0, 1),
-        )
-    z = np.stack(z, axis=-1)  # (samples, nodes, 3)
-    centres, ok = invert_batch(spec.system, z[:, 0], np.array(starts))
-    chart = [None] * len(live)
-    solved = np.flatnonzero(ok)
-    if solved.size:
-        others, good = invert_batch(
-            spec.system, z[solved, 1:].reshape(-1, 3), np.repeat(centres[solved], _NODES - 1, axis=0)
-        )
-        others = others.reshape(-1, _NODES - 1, 3)
-        for k in np.flatnonzero(good.reshape(-1, _NODES - 1).all(axis=1)):
-            chart[solved[k]] = np.concatenate((centres[solved[k]:solved[k] + 1], others[k]))
-    for j, *stencil in zip(live, ht.tolist(), hx.tolist(), times.tolist(), nodes, starts, chart):
-        out[j] = _Stencil(*stencil)
-    return out
+        placement = _placement(spec.frame, times[live]) if live.size else None
+    except Exception:  # a profile may raise anything; the sample's own turn raises it
+        placement = None
+    if placement is not None:
+        r0, r1, r2, w, h = ([np.broadcast_to(v, (live.size, 5))[:, _TIME_COLUMN] for v in part]
+                            for part in (*placement[0], *placement[1:]))  # per node
+        with np.errstate(all="ignore"):  # a node whose target is not finite fails its inversion
+            z = np.stack(_to_chart((r0, r1, r2), w, h, nodes[live].transpose(2, 0, 1)), axis=-1)
+        centres, ok = invert_batch(spec.system, z[:, 0], starts[live])
+        solved = np.flatnonzero(ok)
+        if solved.size:
+            others, good = invert_batch(spec.system, z[solved, 1:].reshape(-1, 3),
+                                        np.repeat(centres[solved], _NODES - 1, axis=0))
+            others = others.reshape(-1, _NODES - 1, 3)
+            for k in np.flatnonzero(good.reshape(-1, _NODES - 1).all(axis=1)):
+                chart[live[solved[k]]] = np.concatenate((centres[solved[k]:solved[k] + 1], others[k]))
+    return [_Stencil(*s) for s in zip(ht.tolist(), hx.tolist(), times.tolist(), nodes, hints, chart)]
 
 
 def _report(residual_with_scale, channel, field, spec, points, steps, hints) -> ResidualReport:
     """One record per sample, in order.  ``hints`` holds a Newton start for
     the chart point of each sample (None for none), or is None for no
-    starts at all.  The stencil nodes of ``_NODE_CHUNK`` samples at a time
-    are solved together (:func:`_node_points`), and each sample is handed
-    its :class:`_Stencil`, or its start where the chunk did not try it.
-
-    Raises :class:`ConfigurationError` before any field call when ``hints``
-    and ``points`` differ in length."""
-    points = list(points)
-    hints = [None] * len(points) if hints is None else list(hints)
-    if len(hints) != len(points):
-        raise ConfigurationError(f"{len(hints)} hints for {len(points)} points: one per point")
+    starts at all.  Every sample is checked first (:func:`_samples`), so a
+    malformed one, or a ``hints`` of another length than ``points``, raises
+    :class:`ConfigurationError` before any field call.  The stencil nodes
+    of ``_NODE_CHUNK`` samples at a time are then solved together
+    (:func:`_node_points`), and each sample is handed its :class:`_Stencil`."""
+    points, hints, steps = _samples(points, hints, steps)
     records = []
     for lo in range(0, len(points), _NODE_CHUNK):
-        chunk, starts = points[lo:lo + _NODE_CHUNK], hints[lo:lo + _NODE_CHUNK]
-        samples = zip(chunk, _node_points(spec, chunk, steps, starts), starts, strict=True)
-        for idx, ((t, x), stencil, start) in enumerate(samples, lo):
-            res, scale = residual_with_scale(field, spec, t, x, steps, stencil or start)
+        chunk = points[lo:lo + _NODE_CHUNK]
+        stencils = _node_points(spec, chunk, steps, hints[lo:lo + _NODE_CHUNK])
+        for idx, ((t, x), stencil) in enumerate(zip(chunk, stencils, strict=True), lo):
+            res, scale = residual_with_scale(field, spec, t, x, steps, stencil)
             records.append(_record(idx, channel, t, x, res, scale))
-    return ResidualReport(tuple(records), ht=float(steps[0]), hx=float(steps[1]))
+    return ResidualReport(tuple(records), *steps)
 
 
 def se_report(
@@ -506,10 +511,10 @@ def chart_box_points(
     the full residual stencil around a sample stays evaluable: the
     stencil reach in chart coordinates is far below the margin for the
     default steps.  Raises :class:`ConfigurationError` unless every range
-    is finite, with a finite span, and nonempty, and unless n >= 0.
+    is finite, with a finite span, and nonempty, and unless n and the seed
+    are integers >= 0.
     """
-    if n < 0:
-        raise ConfigurationError(f"sample count must be >= 0, got {n}")
+    n, seed = check_count("sample count", n), check_count("seed", seed)
     lo, hi = np.array(
         [check_range("omega range", r[0], r[1], f" on axis {a}") for a, r in enumerate(ranges, 1)]
     ).T

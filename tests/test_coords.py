@@ -580,6 +580,35 @@ def test_invert_refuses_inputs_that_are_not_three_numbers(z, guess):
         invert(build("spherical"), z, guess)
 
 
+@pytest.mark.parametrize("z, guess", [("abc", (1.0, 0.5, 0.5)), ((1.0, 2.0, 2.0), "abc")],
+                         ids=["target", "start"])
+def test_invert_refuses_a_string_with_a_configuration_error(z, guess):
+    with pytest.raises(ConfigurationError, match="three numbers for z and the start"):
+        invert(build("spherical"), z, guess)
+
+
+@pytest.mark.parametrize("n, seed, message", [
+    (2.5, 1, "sample count must be an integer, got 2.5"),
+    (2, -1, "seed must be >= 0, got -1"),
+    (2, 1.5, "seed must be an integer, got 1.5"),
+])
+def test_sample_domain_refuses_a_count_or_seed_that_is_no_count(n, seed, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        sample_domain(build("spherical"), seed=seed, n=n)
+
+
+@pytest.mark.parametrize("omega", [(1.0, 2.0), (1.0, 1.0, 1.0, 2.0), "abc", 1.0],
+                         ids=["two", "four", "string", "number"])
+@pytest.mark.parametrize("entry", ["forward", "jacobian", "embed"])
+def test_chart_entries_refuse_an_omega_that_is_not_three_numbers(entry, omega):
+    # checked where the domain is, before the map reads any entry
+    s = build("spherical")
+    call = {"forward": lambda: forward(s, omega), "jacobian": lambda: jacobian(s, omega),
+            "embed": lambda: embed(s, make_frame("nonsplit"), 0.0, omega)}[entry]
+    with pytest.raises(ConfigurationError, match="^spherical: omega must be three numbers$"):
+        call()
+
+
 def test_norm_has_the_bits_of_numpy_norm():
     # the same dot product under the square root, on contiguous vectors and
     # strided views alike; a sum of float squares differs where BLAS fuses

@@ -540,7 +540,7 @@ def test_unembed_takes_every_real_triple_as_a_float_array(t, moving):
 
 
 #: make_frame's probe on frames that fail it, the error each raises and the
-#: profile calls of the failing time's reading: the first failing probe
+#: number of distinct profiles the frame holds: the first failing probe
 #: time wins, and at one time a non-positive scale comes before the h1 = h2
 #: tie, which comes before the h1 = h3 tie.
 PROBE_FAILURES = {
@@ -548,19 +548,19 @@ PROBE_FAILURES = {
     "tie, then a scale": (
         dict(class_of="partial", h1=polynomial([1.0, 1e-9]), h2=constant(1.0),
              h3=polynomial([0.5, -0.5])),
-        "partial class requires h1 = h2; differ by -2.000e-09 at t=-2.0", 9),
+        "partial class requires h1 = h2; differ by -2.000e-09 at t=-2.0", 4),
     "a scale and a tie": (
         dict(class_of="partial", h1=polynomial([1.0, 1e-9]), h2=constant(1.0),
              h3=polynomial([-0.5, 0.5])),
-        "frame scale non-positive at t=-2.0: h = (0.999999998, 1.0, -1.5)", 9),
+        "frame scale non-positive at t=-2.0: h = (0.999999998, 1.0, -1.5)", 4),
     "both ties": (
         dict(class_of="nonsplit", h1=constant(1.0), h2=polynomial([1.0, 1e-9]),
              h3=polynomial([1.0, -1e-9])),
-        "nonsplit class requires h1 = h2; differ by 2.000e-09 at t=-2.0", 9),
+        "nonsplit class requires h1 = h2; differ by 2.000e-09 at t=-2.0", 4),
     "a scale, late": (
         dict(class_of="nonsplit", h1=polynomial([0.5, -0.5])),
         "frame scale non-positive at t=1.0476190476190474: h = "
-        "(-0.023809523809523725, -0.023809523809523725, -0.023809523809523725)", 7),
+        "(-0.023809523809523725, -0.023809523809523725, -0.023809523809523725)", 2),
 }
 
 
@@ -579,26 +579,26 @@ def counting_calls(monkeypatch):
 
 @pytest.mark.parametrize("case", PROBE_FAILURES)
 def test_make_frame_raises_at_the_first_failing_probe_time(case, monkeypatch):
-    # The scales are read over the whole probe grid at once; only the
-    # first failing time is read at its float, for the error text, so
-    # beyond the derivative checks (five calls per profile and probe time)
-    # the probe reads each distinct profile once.
-    kwargs, message, reads = PROBE_FAILURES[case]
+    # Each distinct profile is checked once, with three calls per probe
+    # time, and the scales and ties are tested on the values those calls
+    # read: the failing time is not read again.
+    kwargs, message, distinct = PROBE_FAILURES[case]
     calls = counting_calls(monkeypatch)
     with pytest.raises(ConfigurationError) as info:
         make_frame(**kwargs)
     assert str(info.value) == message
-    assert calls["profile"] == 9 * 5 * len(PROBE_TIMES) + reads
+    assert calls["profile"] == 3 * distinct * len(PROBE_TIMES)
 
 
 @pytest.mark.parametrize("class_of", ["complete", "partial", "nonsplit"])
 def test_make_frame_probe_makes_no_profile_call(class_of, monkeypatch):
-    # The class-tie probe reads the scales as arrays: every profile call of
-    # an admissible frame is one of its derivative checks.  Read at each
-    # probe time as floats, the probe made 64 calls per distinct profile.
+    # Every profile call of an admissible frame is one of the derivative
+    # checks, three per distinct profile and probe time (a class tie shares
+    # h1's object); the scale and tie probe reads the values they read.
+    distinct = {"complete": 9, "partial": 8, "nonsplit": 7}[class_of]
     calls = counting_calls(monkeypatch)
     frame = wiggly_frame(class_of)
-    assert calls["profile"] == 9 * 5 * len(PROBE_TIMES)
+    assert calls["profile"] == 3 * distinct * len(PROBE_TIMES)
     assert frame._kept == (b"", None)
 
 

@@ -4,11 +4,14 @@ import dataclasses
 import io
 import itertools
 import math
+import re
 from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schrodsep.coords
 import schrodsep.separate
@@ -410,6 +413,17 @@ def test_chart_box_points_refuses_a_negative_count():
     assert chart_box_points(system, frame, BOXES["cartesian"], (-1.0, 1.0), 0, seed=1) == []
 
 
+@pytest.mark.parametrize("n, seed, message", [
+    (2.5, 1, "sample count must be an integer, got 2.5"),
+    (2, 1.5, "seed must be an integer, got 1.5"),
+    (2, -1, "seed must be >= 0, got -1"),
+])
+def test_chart_box_points_refuses_a_count_or_seed_that_is_no_count(n, seed, message):
+    system, frame = make_system("cartesian"), make_frame("complete")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        chart_box_points(system, frame, BOXES["cartesian"], (-1.0, 1.0), n, seed)
+
+
 # ---------------------------------------------------------------------------
 # Reports
 
@@ -482,6 +496,92 @@ def test_residual_refuses_a_hint_that_is_not_one_start(residual):
     for hint in ((0.2, 0.3), np.zeros((17, 3))):
         with pytest.raises(ConfigurationError, match="three numbers"):
             residual(field, free_particle(), 0.1, (0.2, 0.3, -0.1), omega_hint=hint)
+    assert calls == []
+
+
+def counting_field():
+    """A field of constant value and the list of the times it is called at."""
+    calls = []
+
+    def field(t, x, hint):
+        calls.append(t)
+        return 1.0
+    return field, calls
+
+
+#: A valid residual sample.
+GOOD = (0.1, (0.2, 0.3, -0.1))
+
+#: Report inputs with one malformed part beside a valid sample, and the
+#: start of the error each raises.
+MALFORMED_REPORTS = {
+    "point of one number": (dict(points=[GOOD, (0.1,)]), "sample 1: "),
+    "x of two numbers": (dict(points=[GOOD, (0.1, (0.2, 0.3))]), "sample 1: "),
+    "t a string": (dict(points=[GOOD, ("a", (0.2, 0.3, -0.1))]), "sample 1: "),
+    "start a string": (dict(points=[GOOD, GOOD], hints=[(0.2, 0.3, -0.1), "abc"]), "sample 1: "),
+    "one step": (dict(points=[GOOD, GOOD], steps=(1e-3,)), "steps must be two finite positive"),
+    "a zero step": (dict(points=[GOOD, GOOD], steps=(0, 1e-3)), "steps must be two finite positive"),
+    "a negative step": (dict(points=[GOOD], steps=(1e-3, -1e-3)), "steps must be two finite positive"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_REPORTS)
+@pytest.mark.parametrize("report", [se_report, hj_report])
+def test_report_refuses_a_malformed_sample_before_any_field_call(report, case):
+    kwargs, message = MALFORMED_REPORTS[case]
+    field, calls = counting_field()
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+        report(field, free_particle(), **kwargs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("t, x", [(0.1, (0.2, 0.3)), (None, (0.2, 0.3, -0.1))],
+                         ids=["x of two numbers", "t None"])
+@pytest.mark.parametrize("residual", [se_residual_with_scale, hj_residual_with_scale])
+def test_residual_refuses_a_malformed_sample_before_any_field_call(residual, t, x):
+    field, calls = counting_field()
+    with pytest.raises(ConfigurationError, match="^sample 0: "):
+        residual(field, free_particle(), t, x)
+    assert calls == []
+
+
+#: Malformed values of each part of a sample: a point that is not (t, x),
+#: a t that is not a number, an x or a start that is not three numbers, and
+#: steps that are not two finite positive numbers.
+_THREE_WRONG = [None, "abc", 0.5, (), (0.2, 0.3), (0.2, 0.3, -0.1, 0.4), (0.2, "abc", -0.1),
+                np.zeros((17, 3)), np.zeros((3, 1))]
+_MALFORMED = {
+    "point": [(0.1,), 0.1, None, "ab", (0.1, (0.2, 0.3, -0.1), 0.0)],
+    "t": [None, "abc", "", (0.1, 0.2), []],
+    "x": _THREE_WRONG,
+    "start": [v for v in _THREE_WRONG if v is not None],
+    "steps": [(1e-3,), (0, 1e-3), (1e-3, 0.0), (-1e-3, 1e-3), (math.nan, 1e-3), (1e-3, math.inf),
+              (1e-3, 1e-3, 1e-3), None, "ab", 1e-3],
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_malformed_samples_end_in_a_configuration_error(data):
+    # One malformed part of one sample, on a report among valid samples or
+    # on a residual alone: ConfigurationError, and the field is not called.
+    part = data.draw(st.sampled_from(sorted(_MALFORMED)))
+    bad = data.draw(st.sampled_from(_MALFORMED[part]))
+    engines = [se_report, hj_report] + [se_residual_with_scale, hj_residual_with_scale] * (part != "point")
+    engine = data.draw(st.sampled_from(engines))
+    sample = dict(t=GOOD[0], x=GOOD[1], start=None, steps=schrodsep.verify.DEFAULT_STEPS)
+    sample[part] = bad
+    point = bad if part == "point" else (sample["t"], sample["x"])
+    field, calls = counting_field()
+    with pytest.raises(ConfigurationError):
+        if engine in (se_report, hj_report):
+            n = data.draw(st.integers(1, 4))
+            j = data.draw(st.integers(0, n - 1))
+            points, hints = [GOOD] * n, [(0.2, 0.3, -0.1)] * n
+            points[j], hints[j] = point, sample["start"]
+            engine(field, free_particle(), points, sample["steps"], hints)
+        else:
+            engine(field, free_particle(), sample["t"], sample["x"], sample["steps"], sample["start"])
     assert calls == []
 
 
@@ -770,18 +870,23 @@ def test_report_frame_failure_stays_with_its_sample():
 
 
 def test_report_nodes_leave_unusable_samples_to_the_stencil():
-    # A sample whose hint is not a chart point or whose point is not finite
-    # takes the per-sample path, and the other samples are unchanged.
+    # A sample without a start or whose point is not finite gets its nodes
+    # without chart points, so the stencil inverts its centre alone, and
+    # the other samples are unchanged.
     spec, box, lam, _ = NODE_INPUTS["magnetic_spherical_rotating"]()
     points = chart_box_points(spec.system, spec.frame, box, (-1.0, 1.0), 3, 33)
     pairs = [(t, x) for t, x, _ in points]
     hints = [omega for _, _, omega in points]
-    nodes = schrodsep.verify._node_points(spec, pairs, schrodsep.verify.DEFAULT_STEPS, hints)
-    assert all(n is not None and n.points.shape == n.nodes.shape == (17, 3) for n in nodes)
-    bad = schrodsep.verify._node_points(
-        spec, [pairs[0], (pairs[1][0], (math.nan, 0.0, 0.0)), pairs[2]],
-        schrodsep.verify.DEFAULT_STEPS, [hints[0], hints[1], None])
-    assert bad[1] is None and bad[2] is None
+    verify = schrodsep.verify
+    nodes = verify._node_points(spec, pairs, verify.DEFAULT_STEPS, hints)
+    assert all(n.points.shape == n.nodes.shape == (17, 3) for n in nodes)
+    pairs[1] = (pairs[1][0], np.array([math.nan, 0.0, 0.0]))
+    bad = verify._node_points(spec, pairs, verify.DEFAULT_STEPS, [hints[0], hints[1], None])
+    assert bad[1].points is None and bad[2].points is None
+    for (t, x), stencil in zip(pairs, bad):
+        times, own = verify._stencil_nodes(t, x, *verify._steps_at(t, x, verify.DEFAULT_STEPS))
+        assert np.array(stencil.times).tobytes() == times.tobytes()
+        assert stencil.nodes.tobytes() == own.tobytes()
     assert bad[0].points.tobytes() == nodes[0].points.tobytes()
     assert bad[0].nodes.tobytes() == nodes[0].nodes.tobytes()
 
@@ -913,6 +1018,12 @@ def test_audit_stack_matches_the_per_sample_reference(sid, n):
     for r, (_, _, value, x) in zip(analytic, want):
         assert abs(r.relative - value) <= 1e-14, (r.index, r.channel)
         np.testing.assert_allclose(r.x, x, rtol=0.0, atol=1e-14 * (1.0 + np.abs(x).max()))
+
+
+@pytest.mark.parametrize("n, seed", [(2.5, 1), (2, -1)])
+def test_audit_refuses_a_count_or_seed_that_is_no_count(n, seed):
+    with pytest.raises(ConfigurationError, match="must be"):
+        geometry_audit(make_system("cartesian"), make_frame("complete"), 0.0, n, seed)
 
 
 def test_audit_checks_the_frame_class_before_sampling():
