@@ -243,9 +243,10 @@ def base_system_ids() -> tuple[str, ...]:
 
 def check_domain(system: CoordinateSystem, omega) -> tuple[float, float, float]:
     """omega as three floats; :class:`ConfigurationError` unless it is three
-    numbers, and :class:`DomainError` naming the offending axis if outside."""
+    numbers (a str or bytes is not), and :class:`DomainError` naming the
+    offending axis if outside."""
     try:
-        omega = tuple(map(float, omega))
+        omega = () if isinstance(omega, (str, bytes)) else tuple(map(float, omega))
     except (TypeError, ValueError, OverflowError):
         omega = ()
     if len(omega) != 3:
@@ -657,6 +658,8 @@ def _guarded_jacobian(system: CoordinateSystem, omega, rows) -> np.ndarray:
 
 
 def _det3(m) -> float:
+    """The determinant of the 3x3 matrix whose entry (i, j) is m[i][j], a
+    float or an array of one shape, expanded along the first row."""
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -664,26 +667,23 @@ def _det3(m) -> float:
     )
 
 
-def _cramer(m, r, det):
-    """The adjugate solution of m @ x = r given det = det m, unchecked.
-    Entries are floats or arrays of one shape (m[a][i] is entry (a, i))."""
-    inv_det = 1.0 / det
-    x0 = (
-        r[0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (r[1] * m[2][2] - m[1][2] * r[2])
-        + m[0][2] * (r[1] * m[2][1] - m[1][1] * r[2])
+def _adjugate(a) -> np.ndarray:
+    """The adjugate of the 3x3 matrix whose entry (i, j) is a[i, j], a float
+    or an array of one shape: an array (3, 3) + that shape whose rows are
+    det a times the rows of the inverse."""
+    return np.array(
+        [
+            [a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1],
+             a[0, 2] * a[2, 1] - a[0, 1] * a[2, 2],
+             a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]],
+            [a[1, 2] * a[2, 0] - a[1, 0] * a[2, 2],
+             a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0],
+             a[0, 2] * a[1, 0] - a[0, 0] * a[1, 2]],
+            [a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0],
+             a[0, 1] * a[2, 0] - a[0, 0] * a[2, 1],
+             a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]],
+        ]
     )
-    x1 = (
-        m[0][0] * (r[1] * m[2][2] - m[1][2] * r[2])
-        - r[0] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * r[2] - r[1] * m[2][0])
-    )
-    x2 = (
-        m[0][0] * (m[1][1] * r[2] - r[1] * m[2][1])
-        - m[0][1] * (m[1][0] * r[2] - r[1] * m[2][0])
-        + r[0] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    return (x0 * inv_det, x1 * inv_det, x2 * inv_det)
 
 
 #: Default and guaranteed Newton convergence factors (times 1 + |z|).  The
@@ -790,11 +790,12 @@ def _miss_batch(system: CoordinateSystem, w, z):
 
 def _steps_batch(J, d, rows):
     """Which of the columns ``rows`` of J have a nonzero determinant, and
-    the Newton steps J^-1 d at those, as a (3, k) array."""
+    the Newton steps J^-1 d = adj(J) d / det J at those, as a (3, k) array."""
     m = J[:, :, rows]
     det = _det3(m)
     keep = det != 0.0
-    return keep, np.array(_cramer(m[:, :, keep], d[:, rows[keep]], det[keep]))
+    adj, d = _adjugate(m[:, :, keep]), d[:, rows[keep]]
+    return keep, (adj[:, 0] * d[0] + adj[:, 1] * d[1] + adj[:, 2] * d[2]) / det[keep]
 
 
 def invert_batch(system: CoordinateSystem, Z, G) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,8 @@ import numpy as np
 from .coords import (
     CoordinateSystem,
     SplitClass,
+    _adjugate,
+    _det3,
     _near_singular,
     _near_singular_array,
     forward,
@@ -500,25 +502,6 @@ def omega_gradients(system: CoordinateSystem, frame: FrameSpec, t: float, omega)
     return _gradients(system, t, omega, J, rotation_matrix(frame, t), np.array(frame.scales(t)))
 
 
-def _adjugate(a) -> np.ndarray:
-    """The adjugate of the 3x3 matrix whose entry (i, j) is a[i, j], a float
-    or an array of one shape: an array (3, 3) + that shape whose rows are
-    det a times the rows of the inverse."""
-    return np.array(
-        [
-            [a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1],
-             a[0, 2] * a[2, 1] - a[0, 1] * a[2, 2],
-             a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]],
-            [a[1, 2] * a[2, 0] - a[1, 0] * a[2, 2],
-             a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0],
-             a[0, 2] * a[1, 0] - a[0, 0] * a[1, 2]],
-            [a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0],
-             a[0, 1] * a[2, 0] - a[0, 0] * a[2, 1],
-             a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]],
-        ]
-    )
-
-
 def _gradients(system: CoordinateSystem, t: float, omega, J, rot, h) -> np.ndarray:
     """:func:`omega_gradients` from the chart Jacobian J, the rotation and
     the scales (an array) at t, with its singularity guard.
@@ -529,8 +512,8 @@ def _gradients(system: CoordinateSystem, t: float, omega, J, rot, h) -> np.ndarr
     failing sample's gradients are NaN, and the caller that wants the
     error evaluates that sample alone."""
     A = rot @ (h[:, None] * J)
-    det = np.linalg.det(A)
     a = np.moveaxis(A, (-2, -1), (0, 1))  # a[i][j] is entry (i, j): a float or a stack
+    det = _det3(a)
     stack = isinstance(det, np.ndarray)
     near = (_near_singular_array if stack else _near_singular)(a, det)
     if not stack and near:

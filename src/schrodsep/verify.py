@@ -6,10 +6,10 @@ fourth-order central stencils and combine the derivatives with
 analytically evaluated potentials, so a separated solution is confirmed
 against the governing equation through a route it never touched.
 
-A residual sample is a time t and a position x of three numbers, with a
-Newton start for the chart point of x (three numbers, or None for none)
-and the stencil steps (two finite positive numbers, scaled by the local
-coordinate magnitude).  One check (:func:`_samples`) refuses a malformed
+A residual sample is a finite time t and a position x of three finite
+numbers, with a Newton start for the chart point of x (three numbers, or
+None for none) and the stencil steps (two finite positive numbers, scaled
+by the local coordinate magnitude).  One check (:func:`_samples`) refuses a malformed
 sample with :class:`ConfigurationError` before any field call; a report
 names its index.  Every sample then goes through one node solve
 (:func:`_node_points`), so a residual given a start equals the report's
@@ -39,6 +39,7 @@ from typing import Callable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .coords import (
+    _adjugate,
     _chart_map,
     _det3,
     _guarded_jacobian,
@@ -50,7 +51,6 @@ from .coords import (
 )
 from .errors import ConfigurationError, NumericError, StencilError, check_count, check_range
 from .frame import (
-    _adjugate,
     _gradients,
     _placement,
     _to_chart,
@@ -137,11 +137,11 @@ def _steps_at(t: float, x: np.ndarray, steps) -> tuple[float, float]:
 
 def _samples(points, starts, steps) -> tuple[list, list, tuple[float, float]]:
     """Residual samples as the engines take them, or :class:`ConfigurationError`
-    before any field call: each (t, x) as a float and a float array of three,
-    one Newton start per sample as None or a float array of three
-    (``starts`` None for none at all), and the steps as two finite positive
-    floats.  A sample's error names its index (0 for a residual's own); t,
-    x and a start need not be finite."""
+    before any field call: each (t, x) as a finite float and a finite float
+    array of three, one Newton start per sample as None or a float array of
+    three (``starts`` None for none at all), and the steps as two finite
+    positive floats.  A sample's error names its index (0 for a residual's
+    own); a start need not be finite."""
     try:
         ht, hx = map(float, steps)
     except (TypeError, ValueError, OverflowError):
@@ -159,9 +159,10 @@ def _samples(points, starts, steps) -> tuple[list, list, tuple[float, float]]:
             start = start if start is None else np.asarray(start, dtype=float)
         except (TypeError, ValueError, OverflowError):
             x = None
-        if x is None or x.shape != (3,) or not (start is None or start.shape == (3,)):
+        if (x is None or x.shape != (3,) or not (math.isfinite(t) and np.isfinite(x).all())
+                or not (start is None or start.shape == (3,))):
             raise ConfigurationError(
-                f"sample {j}: needs (t, x) with t a number and x three numbers, "
+                f"sample {j}: needs (t, x) with t a finite number and x three finite numbers, "
                 "and a Newton start of three numbers or None")
         points[j], starts[j] = (t, x), start
     return points, starts, (ht, hx)
@@ -396,7 +397,7 @@ def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
     ``hints[j]``, for samples and steps that :func:`_samples` has checked.
 
     The nodes of all samples come from one :func:`_stencil_nodes` call.
-    Those of the samples whose t, x and start are finite are mapped to
+    Those of the samples whose start is finite are mapped to
     chart space in one array pass that reads the frame once at each
     distinct time; the centres are inverted in one :func:`invert_batch`
     call seeded by the starts, then the other nodes in one more, each
@@ -409,9 +410,10 @@ def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
     ts = np.array([t for t, _ in points], dtype=float)
     xs = np.array([x for _, x in points], dtype=float)
     starts = np.array([(math.nan,) * 3 if s is None else s for s in hints], dtype=float)
-    ht, hx = np.array([_steps_at(t, x, steps) for t, x in zip(ts.tolist(), xs)]).T
+    with np.errstate(over="ignore"):  # an x near the float limit has an infinite step
+        ht, hx = np.array([_steps_at(t, x, steps) for t, x in zip(ts.tolist(), xs)]).T
     times, nodes = _stencil_nodes(ts, xs, ht, hx)
-    live = np.flatnonzero(np.isfinite(np.column_stack((ts, xs, starts))).all(axis=1))
+    live = np.flatnonzero(np.isfinite(starts).all(axis=1))
     chart = [None] * len(points)
     try:
         placement = _placement(spec.frame, times[live]) if live.size else None
@@ -574,7 +576,7 @@ def _harmonicity(system, h, omega) -> np.ndarray:
     z, J = system.chart.array_map(system, *nodes)  # (3, 13, n) and (3, 3, 13, n)
     E = h[:, None, None, None] * J
     adj = _adjugate(E)
-    root_g = np.abs(_dot(E[0], adj[:, 0]))  # (13, n)
+    root_g = np.abs(_det3(E))  # (13, n)
     lap = [0.0, 0.0, 0.0]
     value = 0.0
     for b, rows in enumerate(_CHART_ROWS):

@@ -1,5 +1,6 @@
 """Tests for the coordinate chart catalogue, Jacobians and inversion."""
 
+import itertools
 import math
 import types
 import warnings
@@ -12,8 +13,11 @@ from hypothesis import strategies as st
 import schrodsep.coords
 from schrodsep.coords import (
     _CHARTS,
+    _adjugate,
+    _det3,
     _near_singular,
     _norm,
+    _steps_batch,
     CONTRACT_TOL,
     FLOOR_TOL,
     TARGET_TOL,
@@ -234,6 +238,58 @@ def test_determinant_guard_refuses_degenerate_columns(columns):
     # A zero, a repeated and a nearly parallel column.
     m = np.array(columns).T
     assert _near_singular(m, float(np.linalg.det(m)))
+
+
+def _matrices(kind: str, seed: int, n: int = 64):
+    """A stack (3, 3, n) of 3x3 matrices, entry (a, i) at [a, i], and a stack
+    (3, n) of right-hand sides: standard normal entries, then rows and columns
+    scaled over twelve decades ("scaled"), or a third column that is a
+    combination of the other two plus a perturbation of 1e-15 to 0.1 of it
+    ("near_singular")."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((3, 3, n))
+    if kind == "scaled":
+        m *= 10.0 ** rng.uniform(-6, 6, (3, 1, n)) * 10.0 ** rng.uniform(-6, 6, (1, 3, n))
+    elif kind == "near_singular":
+        c = rng.standard_normal((2, n))
+        noise = 10.0 ** rng.uniform(-15, -1, n) * rng.standard_normal((3, n))
+        m[:, 2] = c[0] * m[:, 0] + c[1] * m[:, 1] + noise
+    return m, rng.standard_normal((3, n))
+
+
+def _permanent(m):
+    """The permanent of each 3x3 matrix of the stack m: the sum of the
+    absolute terms of the determinant when m is non-negative."""
+    return sum(m[0, p] * m[1, q] * m[2, r] for p, q, r in itertools.permutations(range(3)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["random", "scaled", "near_singular"]), seed=st.integers(0, 2**32 - 1))
+def test_det3_and_adjugate_invert_a_3x3_stack(kind, seed):
+    # The one 3x3 determinant and adjugate: adj(m) m = det(m) I to rounding,
+    # det against LAPACK's, and the Newton step adj(m) d / det against
+    # LAPACK's solve where m is well conditioned.
+    m, d = _matrices(kind, seed)
+    det, adj = _det3(m), _adjugate(m)
+    eps = np.finfo(float).eps
+    product = np.einsum("ikn,kjn->ijn", adj, m)
+    for i, j in itertools.product(range(3), repeat=2):
+        # entry (i, j) is the determinant of m with column j in place of
+        # column i; its rounding is bounded by its absolute terms
+        swapped = np.abs(m)
+        swapped[:, i] = swapped[:, j]
+        exact = det if i == j else 0.0
+        assert np.all(np.abs(product[i, j] - exact) <= 8.0 * eps * _permanent(swapped))
+    columns = np.prod(np.linalg.norm(m, axis=0), axis=0)
+    assert np.all(np.abs(det - np.linalg.det(m.transpose(2, 0, 1))) <= 1e-12 * columns)
+    keep, step = _steps_batch(m, d, np.arange(m.shape[2]))
+    assert np.array_equal(keep, det != 0.0)
+    mats, rhs = m.transpose(2, 0, 1)[keep], d.T[keep]
+    cond = np.linalg.cond(mats)
+    well = cond < 1e8
+    want = np.linalg.solve(mats[well], rhs[well][..., None])[..., 0].T
+    miss = np.linalg.norm(step[:, well] - want, axis=0)
+    assert np.all(miss <= 64.0 * eps * cond[well] * np.linalg.norm(want, axis=0))
 
 
 def test_invert_cartesian_trivial():
@@ -597,14 +653,17 @@ def test_sample_domain_refuses_a_count_or_seed_that_is_no_count(n, seed, message
         sample_domain(build("spherical"), seed=seed, n=n)
 
 
-@pytest.mark.parametrize("omega", [(1.0, 2.0), (1.0, 1.0, 1.0, 2.0), "abc", 1.0],
-                         ids=["two", "four", "string", "number"])
-@pytest.mark.parametrize("entry", ["forward", "jacobian", "embed"])
+@pytest.mark.parametrize("omega", [(1.0, 2.0), (1.0, 1.0, 1.0, 2.0), "abc", 1.0, "123", b"123"],
+                         ids=["two", "four", "string", "number", "digits", "bytes"])
+@pytest.mark.parametrize("entry", ["forward", "jacobian", "embed", "metric_r_squared"])
 def test_chart_entries_refuse_an_omega_that_is_not_three_numbers(entry, omega):
-    # checked where the domain is, before the map reads any entry
+    # checked where the domain is, before the map reads any entry; a string
+    # of three digits is one text, not three numbers
     s = build("spherical")
     call = {"forward": lambda: forward(s, omega), "jacobian": lambda: jacobian(s, omega),
-            "embed": lambda: embed(s, make_frame("nonsplit"), 0.0, omega)}[entry]
+            "embed": lambda: embed(s, make_frame("nonsplit"), 0.0, omega),
+            "metric_r_squared": lambda: metric_r_squared(s, make_frame("nonsplit"), 0.0, omega),
+            }[entry]
     with pytest.raises(ConfigurationError, match="^spherical: omega must be three numbers$"):
         call()
 

@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import re
+import warnings
 from collections import Counter
 from functools import partial
 
@@ -519,6 +520,8 @@ MALFORMED_REPORTS = {
     "x of two numbers": (dict(points=[GOOD, (0.1, (0.2, 0.3))]), "sample 1: "),
     "t a string": (dict(points=[GOOD, ("a", (0.2, 0.3, -0.1))]), "sample 1: "),
     "start a string": (dict(points=[GOOD, GOOD], hints=[(0.2, 0.3, -0.1), "abc"]), "sample 1: "),
+    "t infinite": (dict(points=[GOOD, (math.inf, (0.2, 0.3, -0.1))]), "sample 1: "),
+    "x with a nan": (dict(points=[GOOD, (0.1, (0.2, math.nan, -0.1))]), "sample 1: "),
     "one step": (dict(points=[GOOD, GOOD], steps=(1e-3,)), "steps must be two finite positive"),
     "a zero step": (dict(points=[GOOD, GOOD], steps=(0, 1e-3)), "steps must be two finite positive"),
     "a negative step": (dict(points=[GOOD], steps=(1e-3, -1e-3)), "steps must be two finite positive"),
@@ -535,8 +538,9 @@ def test_report_refuses_a_malformed_sample_before_any_field_call(report, case):
     assert calls == []
 
 
-@pytest.mark.parametrize("t, x", [(0.1, (0.2, 0.3)), (None, (0.2, 0.3, -0.1))],
-                         ids=["x of two numbers", "t None"])
+@pytest.mark.parametrize("t, x", [(0.1, (0.2, 0.3)), (None, (0.2, 0.3, -0.1)),
+                                  (math.inf, (0.2, 0.3, -0.1)), (0.1, (-math.inf, 0.3, -0.1))],
+                         ids=["x of two numbers", "t None", "t infinite", "x infinite"])
 @pytest.mark.parametrize("residual", [se_residual_with_scale, hj_residual_with_scale])
 def test_residual_refuses_a_malformed_sample_before_any_field_call(residual, t, x):
     field, calls = counting_field()
@@ -545,15 +549,32 @@ def test_residual_refuses_a_malformed_sample_before_any_field_call(residual, t, 
     assert calls == []
 
 
+@pytest.mark.parametrize("engine", [se_report, hj_report, se_residual_with_scale, hj_residual_with_scale])
+def test_sample_near_the_float_limit_ends_in_a_numeric_error_without_a_warning(engine):
+    # x is finite, so the sample is well formed, but its stencil step
+    # overflows: no node is solved, the centre's own inversion raises, and
+    # no numpy warning escapes on the way
+    field, _ = counting_field()
+    x, start = (1e300, 1e300, 0.0), (0.2, 0.3, -0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            if engine in (se_report, hj_report):
+                engine(field, free_particle(), [GOOD, (0.1, x)], hints=[start, start])
+            else:
+                engine(field, free_particle(), 0.1, x, omega_hint=start)
+
+
 #: Malformed values of each part of a sample: a point that is not (t, x),
-#: a t that is not a number, an x or a start that is not three numbers, and
-#: steps that are not two finite positive numbers.
+#: a t that is not a finite number, an x that is not three finite numbers,
+#: a start that is not three numbers, and steps that are not two finite
+#: positive numbers.
 _THREE_WRONG = [None, "abc", 0.5, (), (0.2, 0.3), (0.2, 0.3, -0.1, 0.4), (0.2, "abc", -0.1),
                 np.zeros((17, 3)), np.zeros((3, 1))]
 _MALFORMED = {
     "point": [(0.1,), 0.1, None, "ab", (0.1, (0.2, 0.3, -0.1), 0.0)],
-    "t": [None, "abc", "", (0.1, 0.2), []],
-    "x": _THREE_WRONG,
+    "t": [None, "abc", "", (0.1, 0.2), [], math.inf, -math.inf, math.nan],
+    "x": _THREE_WRONG + [(math.inf, 0.3, -0.1), (0.2, -math.inf, -0.1), (0.2, 0.3, math.nan)],
     "start": [v for v in _THREE_WRONG if v is not None],
     "steps": [(1e-3,), (0, 1e-3), (1e-3, 0.0), (-1e-3, 1e-3), (math.nan, 1e-3), (1e-3, math.inf),
               (1e-3, 1e-3, 1e-3), None, "ab", 1e-3],
@@ -1064,22 +1085,20 @@ def test_audit_flagged_sample_that_passes_keeps_its_point_values(monkeypatch):
     # sample's records are the point evaluation's
     system, frame = make_system("spherical"), wiggly_frame("nonsplit")
     clean = geometry_audit(system, frame, 0.37, 6, seed=5)
-    det3 = schrodsep.verify._det3
+    near_singular = schrodsep.verify._near_singular_array
     audit_point = schrodsep.verify._audit_point
     evaluated = []
 
-    def flag_sample_2(m):
-        det = det3(m)
-        if isinstance(det, np.ndarray):
-            det = det.copy()
-            det[2] = 0.0
-        return det
+    def flag_sample_2(rows, det):
+        near = near_singular(rows, det).copy()
+        near[2] = True
+        return near
 
     def spy(system_, t, idx, *args):
         evaluated.append(idx)
         return audit_point(system_, t, idx, *args)
 
-    monkeypatch.setattr(schrodsep.verify, "_det3", flag_sample_2)
+    monkeypatch.setattr(schrodsep.verify, "_near_singular_array", flag_sample_2)
     monkeypatch.setattr(schrodsep.verify, "_audit_point", spy)
     flagged = geometry_audit(system, frame, 0.37, 6, seed=5)
     assert evaluated == [2]
