@@ -63,6 +63,7 @@ from .separate import (
     write_interpolant_csv,
 )
 from .verify import (
+    AUDIT_CHANNELS,
     channel_max,
     chart_box_points,
     geometry_audit,
@@ -71,8 +72,6 @@ from .verify import (
     report_to_dict,
     se_report,
 )
-
-AUDIT_CHANNELS = ("orthogonality", "stackel", "colnorm", "harmonicity")
 
 #: Largest sample count a run takes: every subcommand draws its points into
 #: memory before it writes anything.

@@ -509,8 +509,8 @@ def _gradients(system: CoordinateSystem, t: float, omega, J, rot, h) -> np.ndarr
     J is the 3x3 Jacobian at the point omega, or a stack (n, 3, 3) of them
     at the n points of omega, with the gradients of the same shape; the
     body is one.  At a point a failed guard raises; in a stack the
-    failing sample's gradients are NaN, and the caller that wants the
-    error evaluates that sample alone."""
+    failing sample's gradients are NaN, and the geometry audit calls
+    :func:`omega_gradients` at the first such sample for its error."""
     A = rot @ (h[:, None] * J)
     a = np.moveaxis(A, (-2, -1), (0, 1))  # a[i][j] is entry (i, j): a float or a stack
     det = _det3(a)

@@ -315,19 +315,21 @@ def vector_potential(spec: PotentialSpec, t: float, x, omega_hint=None):
                 s2 * xs[0] + s3 * xs[1],
             ]
         )
-        r = _norm(x)
-        if r == 0.0:
-            raise SingularityError("coulomb potential is singular at x = 0")
-        eA0 = spec.q / r - float(eA @ eA)
-        A = eA / e
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in DomainError below
+            r = _norm(x)
+            if r == 0.0:
+                raise SingularityError("coulomb potential is singular at x = 0")
+            eA0 = spec.q / r - float(eA @ eA)
+            A = eA / e
     elif spec.kind is PotentialKind.MAGNETIC:
         M = m_matrix(spec.frame, t)
         triples = spec.frame.translation_triples(t)
         w = np.array([v for v, _, _ in triples])
         w_rates = np.array([wd for _, wd, _ in triples])
-        eA = 0.5 * (M @ (x - w) + w_rates)
-        eA0 = _axis_part(spec, t, x, omega_hint, spec.t0_tilde(t)[0] - float(eA @ eA))
-        A = eA / e
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in a typed error
+            eA = 0.5 * (M @ (x - w) + w_rates)
+            A, eA_sq = eA / e, float(eA @ eA)
+        eA0 = _axis_part(spec, t, x, omega_hint, spec.t0_tilde(t)[0] - eA_sq)
     else:
         # Electrostatic: no vector potential; quadratic-in-x scalar part.
         acc = 0.0

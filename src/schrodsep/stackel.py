@@ -123,7 +123,8 @@ def _r_squared(system: CoordinateSystem, t: float, omega, J, scales) -> tuple:
     a stack of points omega, which give each R_a^2 as an array of that
     shape with the bits of the float evaluation; the body is one.  At a
     point a failed guard raises; in a stack the failing sample's R^2 are
-    NaN, and the caller that wants the error evaluates that sample alone.
+    NaN, and the geometry audit calls :func:`metric_r_squared` at the
+    first such sample for its error.
     """
     HJ = [[h * v for v in row] for h, row in zip(scales, J)]
     R2 = tuple([x * x + y * y + z * z for x, y, z in zip(*HJ)])

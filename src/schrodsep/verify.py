@@ -23,7 +23,8 @@ at the nodes at the sample's time, and a frame keeps its reading of the
 last time, so the frame's profiles are read once at each of a stencil's
 five times, however many calls and potentials use them.
 
-The geometry audit inverts nothing.  Its harmonicity channel takes the
+The geometry audit inverts nothing, and its records come from arrays
+over the whole sample stack.  Its harmonicity channel takes the
 divergence form of the Laplacian in chart coordinates, which needs only
 first derivatives of the chart's own map and Jacobian, taken by central
 differences over chart points that one array call of the map evaluates;
@@ -40,9 +41,7 @@ import numpy as np
 
 from .coords import (
     _adjugate,
-    _chart_map,
     _det3,
-    _guarded_jacobian,
     _near_singular_array,
     _norm,
     invert,
@@ -55,12 +54,13 @@ from .frame import (
     _placement,
     _to_chart,
     embed,
+    omega_gradients,
     require_compatible,
     rotation_matrix,
     unembed,
 )
 from .potential import PotentialSpec, vector_divergence, vector_potential
-from .stackel import _r_squared, stackel_values, t_functions
+from .stackel import _r_squared, metric_r_squared, stackel_values, t_functions
 
 DEFAULT_STEPS = (1e-3, 1e-3)
 #: Floor for the reported scale so a vanishing field still yields a
@@ -335,8 +335,9 @@ def hj_residual_with_scale(
 
 
 class PointRecord(NamedTuple):
-    """One channel's value at one sample; built by :func:`_record`, which
-    refuses a non-finite residual or scale and floors the scale."""
+    """One channel's value at one sample: built by :func:`_record` in the
+    reports, which refuses a non-finite residual or scale and floors the
+    scale, and from finite channel values at scale 1 in the geometry audit."""
 
     index: int
     channel: str
@@ -536,6 +537,9 @@ def chart_box_points(
 # Geometry audit
 
 
+#: The channels of :func:`geometry_audit`, in the order of a sample's records.
+AUDIT_CHANNELS = ("orthogonality", "stackel", "colnorm", "harmonicity")
+
 #: Relative step of the chart-space differences of :func:`_harmonicity`.
 _CHART_STEP = 1e-3
 #: The step multiples of a chart stencil, one row per node: the centre,
@@ -618,44 +622,24 @@ def _colnorm(R2, g2):
     return np.max(np.abs(np.stack(R2, axis=-1) * g2 - 1.0), axis=-1)
 
 
-def _audit_point(system, t, idx, omega, F, T, rot, h, w, scales):
-    """The position x and analytic records of sample ``idx`` by the point
-    bodies, whose checks raise in the order the records need them: domain
-    and overflow of the chart map, the Jacobian guard, the embedded guard,
-    a non-finite orthogonality or Stackel value, the metric guard, a
-    non-finite colnorm."""
-    z, J = _chart_map(system, omega)
-    x = rot @ (h * np.array(z)) + w
-    grads = _gradients(system, t, omega, _guarded_jacobian(system, omega, J), rot, h)
-    norms = np.linalg.norm(grads, axis=-1)
-    g2 = norms**2
-    records = [
-        _record(idx, "orthogonality", t, x, _orthogonality(grads, norms), 1.0),
-        _record(idx, "stackel", t, x, _stackel_defect(F, T, g2), 1.0),
-    ]
-    R2 = _r_squared(system, t, omega, J, scales)
-    records.append(_record(idx, "colnorm", t, x, _colnorm(R2, g2), 1.0))
-    return x, records
-
-
 def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> ResidualReport:
     """Audit the chart-frame pairing on random interior samples.
 
-    Four channels per sample: gradient orthogonality, the defining
-    relation between the coefficient table and the time functions, the
-    metric against the gradients (``colnorm``: max_a |R_a^2 |grad
-    omega_a|^2 - 1|, the metric the potentials divide by against the
-    inverse of the embedded Jacobian T H J), and harmonicity
-    (:func:`_harmonicity`, differences in chart space, no inversion).
-    Violations are data, not errors.  The frame is read once, at t; the
-    three analytic channels are array expressions over the whole sample
-    stack, from one chart map call and one call for the Stackel rows.  A
-    sample the stack flags (a chart map that overflows, a guard that fails,
-    a channel that is not finite) is evaluated again by the point bodies,
-    first flagged first, so it raises the typed error of the per-point
-    checks or, if they pass after all, keeps their values.  Every sample
-    has a harmonicity record, evaluated ``_AUDIT_CHUNK`` samples at a time;
-    a non-finite one raises :class:`NumericError`.
+    The channels of ``AUDIT_CHANNELS``, one record each per sample in that
+    order: gradient orthogonality, the defining relation between the
+    coefficient table and the time functions, the metric against the
+    gradients (``colnorm``: max_a |R_a^2 |grad omega_a|^2 - 1|, the metric
+    the potentials divide by against the inverse of the embedded Jacobian
+    T H J), and harmonicity (:func:`_harmonicity`, differences in chart
+    space, no inversion).  Violations are data, not errors.  The frame is
+    read once, at t; every channel is an array expression over the whole
+    sample stack, from one chart map call and one call for the Stackel rows
+    (harmonicity ``_AUDIT_CHUNK`` samples at a time), and the records come
+    straight from the (n, 4) channel array.  The first sample the stack
+    flags (a chart map that overflows, a guard that fails, a channel that
+    is not finite) raises the typed error of :func:`omega_gradients` or
+    :func:`metric_r_squared` at it, or, if both pass, a
+    :class:`NumericError` naming it.
     """
     require_compatible(system, frame)
     samples = sample_domain(system, seed=seed, n=n_samples)
@@ -674,28 +658,32 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
         grads = _gradients(system, t, samples, J.transpose(2, 0, 1), rot, h)
         norms = np.linalg.norm(grads, axis=-1)
         g2 = norms**2
-        channels = np.array([
+        harmonic = np.empty(n)
+        for lo in range(0, n, _AUDIT_CHUNK):
+            harmonic[lo:lo + _AUDIT_CHUNK] = _harmonicity(system, h, samples[lo:lo + _AUDIT_CHUNK])
+        channels = np.column_stack((
             _orthogonality(grads, norms),
             _stackel_defect(F, T, g2),
             _colnorm(_r_squared(system, t, samples, J, scales), g2),
-        ]).T  # (n, 3)
+            harmonic,
+        ))  # (n, 4) in AUDIT_CHANNELS order
         flagged = ~(
             np.isfinite(z).all(axis=1)
             & np.isfinite(J).all(axis=(0, 1))
             & ~_near_singular_array(J, _det3(J))
             & np.isfinite(channels).all(axis=1)
         )
-        harmonic = np.empty(n)
-        for lo in range(0, n, _AUDIT_CHUNK):
-            harmonic[lo:lo + _AUDIT_CHUNK] = _harmonicity(system, h, samples[lo:lo + _AUDIT_CHUNK])
-
-    per_sample = [None] * n
-    for idx in np.flatnonzero(flagged).tolist():
-        x[idx], per_sample[idx] = _audit_point(
-            system, t, idx, samples[idx], F[idx], T, rot, h, w, scales)
-    records = []
-    for idx, (xi, values, value) in enumerate(zip(x.tolist(), channels.tolist(), harmonic.tolist())):
-        records += per_sample[idx] or [
-            _record(idx, name, t, xi, v, 1.0) for name, v in zip(("orthogonality", "stackel", "colnorm"), values)]
-        records.append(_record(idx, "harmonicity", t, xi, value, 1.0))
+    if flagged.any():
+        idx = int(np.argmax(flagged))
+        omega_gradients(system, frame, t, samples[idx])
+        metric_r_squared(system, frame, t, samples[idx])
+        values = dict(zip(AUDIT_CHANNELS, channels[idx].tolist()))
+        raise NumericError(
+            f"audit sample {idx} at t={float(t)!r}: the stack flags it (channels {values}) "
+            "where the point checks pass")
+    t = float(t)
+    records = [
+        PointRecord(idx, channel, t, xi, v, 1.0, v)
+        for idx, (xi, values) in enumerate(zip(map(tuple, x.tolist()), channels.tolist()))
+        for channel, v in zip(AUDIT_CHANNELS, values)]
     return ResidualReport(tuple(records), ht=DEFAULT_STEPS[0], hx=DEFAULT_STEPS[1])

@@ -1,13 +1,22 @@
 """Tests for the potential builders and field diagnostics."""
 
 import math
+import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from schrodsep.cli import load_scenario
 from schrodsep.coords import make_system, sample_domain
-from schrodsep.errors import ConfigurationError, DomainError, SingularityError, UsageError
+from schrodsep.errors import (
+    ConfigurationError,
+    DomainError,
+    InversionError,
+    SingularityError,
+    UsageError,
+)
 from schrodsep.frame import (
     TimeProfile,
     constant,
@@ -283,7 +292,7 @@ def test_electrostatic_overflow_at_extreme_finite_input_is_typed():
     growing = make_frame("complete", h1=exp_profile(0.2))
     for frame, x in ((drift, (1.0, 0.0, 0.0)), (growing, (1e200, 0.0, 0.0))):
         spec = electrostatic_spec(make_system("cartesian"), frame)
-        with pytest.raises(DomainError, match="overflow"), np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match="overflow"):
             vector_potential(spec, 0.5, x)
     with pytest.raises(DomainError, match="electrostatic phase overflows"):
         phase_factor_S(spec, 0.5, x)
@@ -298,15 +307,34 @@ def test_magnetic_overflow_at_extreme_finite_input_is_typed(translated):
     spec = magnetic_spec(make_system("cartesian"), frame)
     x = (1.0, 0.0, 0.0) if translated else (1e200, 0.0, 0.0)
     with pytest.raises(DomainError, match="magnetic potential overflows"):
-        with np.errstate(over="ignore"):
-            vector_potential(spec, 0.5, x)
+        vector_potential(spec, 0.5, x)
 
 
 def test_coulomb_overflow_at_extreme_finite_input_is_typed():
     spec = coulomb_spec("spherical", q=1.0, alpha=polynomial([0.0, 0.5]))
     with pytest.raises(DomainError, match="coulomb potential overflows"):
-        with np.errstate(over="ignore"):
-            vector_potential(spec, 0.5, (1e200, 0.0, 0.0))
+        vector_potential(spec, 0.5, (1e200, 0.0, 0.0))
+
+
+#: The typed error of each shipped wave scenario's potential at a point
+#: near the float limit, without a Newton start and with one.
+_FAR_POINT_ERRORS = {
+    "magnetic_spherical_rotating": (ConfigurationError, InversionError),
+    "electrostatic_cartesian_drift": (ConfigurationError, InversionError),
+    "coulomb_parabolic": (DomainError, DomainError),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(_FAR_POINT_ERRORS))
+def test_potential_near_the_float_limit_ends_in_a_typed_error_without_a_warning(scenario):
+    sc = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / f"{scenario}.json")
+    start = np.mean(sc.omega_ranges, axis=1)
+    for hint, error in zip((None, start), _FAR_POINT_ERRORS[scenario]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as info:
+                vector_potential(sc.spec, 0.1, (1e300, 1e300, 0.0), omega_hint=hint)
+        assert type(info.value) is error, (hint, info.value)
 
 
 def test_profile_values_takes_floats_and_arrays():

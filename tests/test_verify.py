@@ -1080,35 +1080,36 @@ def test_audit_raises_the_point_error_of_the_first_failing_sample(monkeypatch, s
     assert str(got.value) == str(want.value)
 
 
-def test_audit_flagged_sample_that_passes_keeps_its_point_values(monkeypatch):
-    # a stack flag from last-bit noise: the point checks pass, and the
-    # sample's records are the point evaluation's
+def test_audit_flagged_sample_that_passes_ends_in_a_numeric_error(monkeypatch):
+    # a stack flag from last-bit noise: the point checks pass, so nothing
+    # typed explains the flag, and the audit names the sample
     system, frame = make_system("spherical"), wiggly_frame("nonsplit")
-    clean = geometry_audit(system, frame, 0.37, 6, seed=5)
     near_singular = schrodsep.verify._near_singular_array
-    audit_point = schrodsep.verify._audit_point
-    evaluated = []
 
     def flag_sample_2(rows, det):
         near = near_singular(rows, det).copy()
         near[2] = True
         return near
 
-    def spy(system_, t, idx, *args):
-        evaluated.append(idx)
-        return audit_point(system_, t, idx, *args)
-
     monkeypatch.setattr(schrodsep.verify, "_near_singular_array", flag_sample_2)
-    monkeypatch.setattr(schrodsep.verify, "_audit_point", spy)
-    flagged = geometry_audit(system, frame, 0.37, 6, seed=5)
-    assert evaluated == [2]
-    assert [(r.index, r.channel) for r in flagged.records] == [
-        (r.index, r.channel) for r in clean.records]
-    for a, b in zip(flagged.records, clean.records):
-        if a.index != 2:
-            assert a == b
-        elif a.channel != "harmonicity":
-            assert abs(a.relative - b.relative) <= 1e-14
+    with pytest.raises(NumericError, match=r"^audit sample 2 at t=0\.37: "):
+        geometry_audit(system, frame, 0.37, 6, seed=5)
+
+
+def test_audit_non_finite_harmonicity_ends_in_a_numeric_error(monkeypatch):
+    # the point checks know no harmonicity, so they pass, and the audit
+    # names the first sample whose value is not finite
+    system, frame = make_system("spherical"), wiggly_frame("nonsplit")
+    harmonicity = schrodsep.verify._harmonicity
+
+    def nan_at_sample_4(system_, h, omega):
+        value = harmonicity(system_, h, omega)
+        value[4] = math.nan
+        return value
+
+    monkeypatch.setattr(schrodsep.verify, "_harmonicity", nan_at_sample_4)
+    with pytest.raises(NumericError, match=r"^audit sample 4 at t=0\.37: .*'harmonicity': nan"):
+        geometry_audit(system, frame, 0.37, 6, seed=5)
 
 
 def test_audit_detects_corrupted_stackel_entry(monkeypatch):
