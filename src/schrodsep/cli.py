@@ -66,6 +66,7 @@ from .verify import (
     AUDIT_CHANNELS,
     channel_max,
     chart_box_points,
+    csv_rows,
     geometry_audit,
     hj_report,
     report_to_csv,
@@ -438,7 +439,7 @@ def _write_residuals(
     table = lambda fh: report_to_csv(report, fh)
     _write_artifacts(out, command, sc.digest, "report.json", fields, table)
     if summary is None:
-        summary = f"{command}: {len(report.records)} samples, max relative residual "
+        summary = f"{command}: {len(report)} samples, max relative residual "
         summary += f"{report.max_relative:.6e}"
     print(summary)
     return _check_tolerance(report.max_relative, sc.assert_tol, command)
@@ -609,8 +610,7 @@ def cmd_coulomb_demo(args: argparse.Namespace) -> int:
         report, points = _box_report(
             se_report, evaluate_psi, solution, spec, box, (-1.0, 1.0), samples, seed
         )
-        for rec in report.records:
-            rows.append((chart, rec))
+        rows += [f"{chart},{index},{numbers}\n" for index, _, numbers in csv_rows(report)]
         for t, x, omega in points:
             a0, _ = vector_potential(spec, t, x, omega_hint=omega)
             limit_diff = max(limit_diff, abs(a0 - DEMO_CHARGE / float(np.linalg.norm(x))))
@@ -628,11 +628,7 @@ def cmd_coulomb_demo(args: argparse.Namespace) -> int:
 
     def table(fh) -> None:
         fh.write("chart,index,t,x1,x2,x3,residual,scale,relative\n")
-        for chart, r in rows:
-            fh.write(
-                f"{chart},{r.index},{r.t!r},{r.x[0]!r},{r.x[1]!r},{r.x[2]!r},"
-                f"{r.residual!r},{r.scale!r},{r.relative!r}\n"
-            )
+        fh.writelines(rows)
 
     fields = {
         "charge": DEMO_CHARGE,

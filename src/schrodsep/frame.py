@@ -512,7 +512,7 @@ def _gradients(system: CoordinateSystem, t: float, omega, J, rot, h) -> np.ndarr
     failing sample's gradients are NaN, and the geometry audit calls
     :func:`omega_gradients` at the first such sample for its error."""
     A = rot @ (h[:, None] * J)
-    a = np.moveaxis(A, (-2, -1), (0, 1))  # a[i][j] is entry (i, j): a float or a stack
+    a = A.T.swapaxes(0, 1)  # a[i][j] is entry (i, j): a float or a stack
     det = _det3(a)
     stack = isinstance(det, np.ndarray)
     near = (_near_singular_array if stack else _near_singular)(a, det)
@@ -524,6 +524,6 @@ def _gradients(system: CoordinateSystem, t: float, omega, J, rot, h) -> np.ndarr
     if not stack:
         return adj / det
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero det is a guarded sample
-        inv = np.moveaxis(adj / det, (0, 1), (-2, -1))
+        inv = (adj / det).transpose(2, 0, 1)
     inv[near] = np.nan
     return inv

@@ -23,7 +23,11 @@ at the nodes at the sample's time, and a frame keeps its reading of the
 last time, so the frame's profiles are read once at each of a stencil's
 five times, however many calls and potentials use them.
 
-The geometry audit inverts nothing, and its records come from arrays
+A report (:class:`ResidualReport`) holds one array per field; its
+summaries are array expressions, its CSV and JSON writers format the
+arrays, and its ``records`` are derived from them on first use.
+
+The geometry audit inverts nothing, and its columns come from arrays
 over the whole sample stack.  Its harmonicity channel takes the
 divergence form of the Laplacian in chart coordinates, which needs only
 first derivatives of the chart's own map and Jacobian, taken by central
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -335,9 +340,7 @@ def hj_residual_with_scale(
 
 
 class PointRecord(NamedTuple):
-    """One channel's value at one sample: built by :func:`_record` in the
-    reports, which refuses a non-finite residual or scale and floors the
-    scale, and from finite channel values at scale 1 in the geometry audit."""
+    """One channel's value at one sample, a row of a :class:`ResidualReport`."""
 
     index: int
     channel: str
@@ -350,42 +353,49 @@ class PointRecord(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ResidualReport:
-    records: tuple[PointRecord, ...]
+    """One row per channel per sample, held as read-only columns (x of shape
+    (n, 3)), and the stencil steps; ``records`` is the rows as
+    :class:`PointRecord` tuples of Python values, derived on first use and kept."""
+
+    index: np.ndarray
+    channel: np.ndarray
+    t: np.ndarray
+    x: np.ndarray
+    residual: np.ndarray
+    scale: np.ndarray
+    relative: np.ndarray
     ht: float
     hx: float
 
+    def __post_init__(self):
+        for name in PointRecord._fields:
+            getattr(self, name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.relative)
+
+    def _rows(self):
+        """The records' fields as Python numbers, strings and x tuples, row by row."""
+        return zip(self.index.tolist(), self.channel.tolist(), self.t.tolist(),
+                   map(tuple, self.x.tolist()), self.residual.tolist(), self.scale.tolist(),
+                   self.relative.tolist())
+
+    @cached_property
+    def records(self) -> tuple[PointRecord, ...]:
+        return tuple(map(PointRecord._make, self._rows()))
+
     @property
     def max_relative(self) -> float:
-        return max((r.relative for r in self.records), default=0.0)
+        return float(np.max(self.relative, initial=0.0))
 
     @property
     def mean_relative(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(r.relative for r in self.records) / len(self.records)
+        # Python's left-to-right sum: numpy's pairwise sum moves the last bits
+        return sum(self.relative.tolist()) / len(self) if len(self) else 0.0
 
 
 def channel_max(report: ResidualReport, channel: str) -> float:
-    return max((r.relative for r in report.records if r.channel == channel), default=0.0)
-
-
-def _record(index, channel, t, x, residual, scale) -> PointRecord:
-    residual = abs(residual)
-    if not (math.isfinite(residual) and math.isfinite(scale)):
-        raise NumericError(
-            f"{channel} sample {index} at t={float(t)!r}: non-finite residual "
-            f"{float(residual)!r} or scale {float(scale)!r}"
-        )
-    scale = max(float(scale), SCALE_FLOOR)
-    return PointRecord(
-        index=index,
-        channel=channel,
-        t=float(t),
-        x=tuple(map(float, x)),
-        residual=float(residual),
-        scale=scale,
-        relative=float(residual / scale),
-    )
+    return float(np.max(report.relative[report.channel == channel], initial=0.0))
 
 
 #: Samples of a report whose stencil nodes are solved together; bounds the
@@ -437,22 +447,32 @@ def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
 
 
 def _report(residual_with_scale, channel, field, spec, points, steps, hints) -> ResidualReport:
-    """One record per sample, in order.  ``hints`` holds a Newton start for
+    """One row per sample, in order.  ``hints`` holds a Newton start for
     the chart point of each sample (None for none), or is None for no
     starts at all.  Every sample is checked first (:func:`_samples`), so a
     malformed one, or a ``hints`` of another length than ``points``, raises
     :class:`ConfigurationError` before any field call.  The stencil nodes
     of ``_NODE_CHUNK`` samples at a time are then solved together
-    (:func:`_node_points`), and each sample is handed its :class:`_Stencil`."""
+    (:func:`_node_points`), and each sample is handed its :class:`_Stencil`.
+    A non-finite residual or scale raises :class:`NumericError` at its
+    sample; the scale is floored at ``SCALE_FLOOR``."""
     points, hints, steps = _samples(points, hints, steps)
-    records = []
+    residuals, scales = [], []
     for lo in range(0, len(points), _NODE_CHUNK):
         chunk = points[lo:lo + _NODE_CHUNK]
         stencils = _node_points(spec, chunk, steps, hints[lo:lo + _NODE_CHUNK])
         for idx, ((t, x), stencil) in enumerate(zip(chunk, stencils, strict=True), lo):
             res, scale = residual_with_scale(field, spec, t, x, steps, stencil)
-            records.append(_record(idx, channel, t, x, res, scale))
-    return ResidualReport(tuple(records), *steps)
+            res = abs(res)
+            if not (math.isfinite(res) and math.isfinite(scale)):
+                raise NumericError(f"{channel} sample {idx} at t={t!r}: non-finite residual "
+                                   f"{float(res)!r} or scale {float(scale)!r}")
+            residuals.append(float(res))
+            scales.append(max(float(scale), SCALE_FLOOR))
+    residual, scale = np.array(residuals), np.array(scales)
+    return ResidualReport(
+        np.arange(len(points)), np.full(len(points), channel), np.array([t for t, _ in points]),
+        np.array([x for _, x in points]).reshape(-1, 3), residual, scale, residual / scale, *steps)
 
 
 def se_report(
@@ -475,24 +495,28 @@ def hj_report(
     return _report(hj_residual_with_scale, "hj", action, spec, points, steps, hints)
 
 
+def csv_rows(report: ResidualReport):
+    """Each row's index, channel and its t, x1, x2, x3, residual, scale and
+    relative as CSV text, every number by its ``repr``."""
+    for index, channel, t, x, *values in report._rows():
+        yield index, channel, ",".join(map(repr, (t, *x, *values)))
+
+
 def report_to_csv(report: ResidualReport, dest: TextIO) -> None:
     dest.write("index,channel,t,x1,x2,x3,residual,scale,relative\n")
-    for r in report.records:
-        dest.write(
-            f"{r.index},{r.channel},{r.t!r},{r.x[0]!r},{r.x[1]!r},{r.x[2]!r},"
-            f"{r.residual!r},{r.scale!r},{r.relative!r}\n"
-        )
+    for index, channel, numbers in csv_rows(report):
+        dest.write(f"{index},{channel},{numbers}\n")
 
 
 def report_to_dict(report: ResidualReport) -> dict:
     return {
         "steps": {"ht": report.ht, "hx": report.hx},
         "summary": {
-            "count": len(report.records),
+            "count": len(report),
             "max_relative": report.max_relative,
             "mean_relative": report.mean_relative,
         },
-        "records": [r._asdict() for r in report.records],
+        "records": [dict(zip(PointRecord._fields, row)) for row in report._rows()],
     }
 
 
@@ -543,9 +567,9 @@ AUDIT_CHANNELS = ("orthogonality", "stackel", "colnorm", "harmonicity")
 #: Relative step of the chart-space differences of :func:`_harmonicity`.
 _CHART_STEP = 1e-3
 #: The step multiples of a chart stencil, one row per node: the centre,
-#: then the four offsets along each chart axis in turn, and each axis's rows.
+#: then the four offsets along each chart axis in turn.
 _CHART_NODES = np.delete(_MULTIPLES, _TIME_ROW, axis=0)[:, 1:]
-_CHART_ROWS = tuple(slice(1 + 4 * b, 5 + 4 * b) for b in range(3))
+_AXES = np.arange(3)
 
 #: Samples whose chart stencils are evaluated together; bounds the stacks.
 _AUDIT_CHUNK = 1024
@@ -556,11 +580,12 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _harmonicity(system, h, omega) -> np.ndarray:
-    """The harmonicity value of each sample of omega (n, 3) under the frame
-    scales h: the larger of max_a |lap omega_a| and max_b |J_b - dz/domega_b|
-    / |J_b|, the defect of each column of the chart's Jacobian against
-    differences of its map.
+def _harmonicity(system, h, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chart map z (3, n) and Jacobian J (3, 3, n) at each sample of
+    omega (n, 3), the centre of its chart stencil, and its harmonicity
+    value under the frame scales h: the larger of max_a |lap omega_a| and
+    max_b |J_b - dz/domega_b| / |J_b|, the defect of each column of the
+    chart's Jacobian against differences of its map.
 
     With E = T H J = dx/domega, sqrt g = |det E| and M = sqrt g E^-1 E^-T,
     lap omega_a = (1 / sqrt g) sum_b d_b M^ab (the divergence form of the
@@ -569,8 +594,9 @@ def _harmonicity(system, h, omega) -> np.ndarray:
     The d_b are fourth-order central differences over the 13
     chart points of ``_CHART_NODES``, from one chart map call, with step
     ``_CHART_STEP`` * min(1 + |omega_b|, distance to a singular end of axis
-    b), so that no node crosses a singular end.  The arithmetic is element
-    by element, so a sample's value does not depend on the others.
+    b), so that no node crosses a singular end.  Every component, axis and
+    sample is one element of the same array expressions, so a sample's
+    value does not depend on the others.
     """
     lo, hi = np.array([
         (ax.lo if ax.singular_lo else -math.inf, ax.hi if ax.singular_hi else math.inf)
@@ -581,18 +607,16 @@ def _harmonicity(system, h, omega) -> np.ndarray:
     E = h[:, None, None, None] * J
     adj = _adjugate(E)
     root_g = np.abs(_det3(E))  # (13, n)
-    lap = [0.0, 0.0, 0.0]
-    value = 0.0
-    for b, rows in enumerate(_CHART_ROWS):
-        for a in range(3):
-            m_ab = _dot(adj[a][:, rows], adj[b][:, rows]) / root_g[rows]
-            lap[a] = lap[a] + _d1(m_ab, steps[b])
-        column = J[:, b, 0]
-        miss = column - _d1(z[:, rows].swapaxes(0, 1), steps[b])
-        value = np.maximum(value, np.sqrt(_dot(miss, miss) / _dot(column, column)))
-    for a in range(3):
-        value = np.maximum(value, np.abs(lap[a]) / root_g[0])
-    return value
+    # adj[a, i] at the four nodes along each axis b (3, 3, 3, 4, n); M^ab
+    # there (a, b, 4, n) and its difference d_b M^ab (a, b, n)
+    along = adj[:, :, 1:].reshape(3, 3, 3, 4, -1)
+    m = _dot(along.swapaxes(0, 1), along[_AXES, :, _AXES].swapaxes(0, 1))
+    d_m = _d1((m / root_g[1:].reshape(3, 4, -1)).transpose(2, 0, 1, 3), steps)
+    lap = np.abs(d_m[:, 0] + d_m[:, 1] + d_m[:, 2]) / root_g[0]
+    column = J[:, :, 0]  # (3, b, n)
+    miss = column - _d1(z[:, 1:].reshape(3, 3, 4, -1).transpose(2, 0, 1, 3), steps)
+    value = np.max(np.concatenate((np.sqrt(_dot(miss, miss) / _dot(column, column)), lap)), axis=0)
+    return z[:, 0], column, value
 
 
 #: The gradient pairs the orthogonality channel compares.
@@ -633,13 +657,14 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
     T H J), and harmonicity (:func:`_harmonicity`, differences in chart
     space, no inversion).  Violations are data, not errors.  The frame is
     read once, at t; every channel is an array expression over the whole
-    sample stack, from one chart map call and one call for the Stackel rows
-    (harmonicity ``_AUDIT_CHUNK`` samples at a time), and the records come
-    straight from the (n, 4) channel array.  The first sample the stack
-    flags (a chart map that overflows, a guard that fails, a channel that
-    is not finite) raises the typed error of :func:`omega_gradients` or
-    :func:`metric_r_squared` at it, or, if both pass, a
-    :class:`NumericError` naming it.
+    sample stack, from one chart map call over the samples' chart stencils
+    (``_AUDIT_CHUNK`` samples at a time), whose centres give the map and
+    Jacobian at the samples, and one call for the Stackel rows, and the
+    report's columns are the (n, 4) channel array read row by row.  The first
+    sample the stack flags (a chart map that overflows, a guard that
+    fails, a channel that is not finite) raises the typed error of
+    :func:`omega_gradients` or :func:`metric_r_squared` at it, or, if both
+    pass, a :class:`NumericError` naming it.
     """
     require_compatible(system, frame)
     samples = sample_domain(system, seed=seed, n=n_samples)
@@ -651,16 +676,16 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
     F = stackel_values(system, samples)  # raises the domain error of the first sample outside
 
     n = len(samples)
+    z, J, harmonic = np.empty((3, n)), np.empty((3, 3, n)), np.empty(n)  # J[a, i] = dz_a/domega_i
     with np.errstate(all="ignore"):  # an overflow is flagged below
-        z, J = system.chart.array_map(system, *samples.T)  # J[a, i] = d z_a / d omega_i
+        for lo in range(0, n, _AUDIT_CHUNK):
+            chunk = slice(lo, lo + _AUDIT_CHUNK)
+            z[:, chunk], J[..., chunk], harmonic[chunk] = _harmonicity(system, h, samples[chunk])
         z = np.ascontiguousarray(z.T)
         x = (h * z) @ rot.T + w
         grads = _gradients(system, t, samples, J.transpose(2, 0, 1), rot, h)
         norms = np.linalg.norm(grads, axis=-1)
         g2 = norms**2
-        harmonic = np.empty(n)
-        for lo in range(0, n, _AUDIT_CHUNK):
-            harmonic[lo:lo + _AUDIT_CHUNK] = _harmonicity(system, h, samples[lo:lo + _AUDIT_CHUNK])
         channels = np.column_stack((
             _orthogonality(grads, norms),
             _stackel_defect(F, T, g2),
@@ -681,9 +706,8 @@ def geometry_audit(system, frame, t: float, n_samples: int, seed: int) -> Residu
         raise NumericError(
             f"audit sample {idx} at t={float(t)!r}: the stack flags it (channels {values}) "
             "where the point checks pass")
-    t = float(t)
-    records = [
-        PointRecord(idx, channel, t, xi, v, 1.0, v)
-        for idx, (xi, values) in enumerate(zip(map(tuple, x.tolist()), channels.tolist()))
-        for channel, v in zip(AUDIT_CHANNELS, values)]
-    return ResidualReport(tuple(records), ht=DEFAULT_STEPS[0], hx=DEFAULT_STEPS[1])
+    size, values = channels.size, channels.ravel()
+    return ResidualReport(
+        np.repeat(np.arange(n), len(AUDIT_CHANNELS)), np.tile(AUDIT_CHANNELS, n),
+        np.full(size, float(t)), np.repeat(x, len(AUDIT_CHANNELS), axis=0), values,
+        np.ones(size), values, *DEFAULT_STEPS)

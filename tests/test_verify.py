@@ -46,6 +46,10 @@ from schrodsep.separate import (
 )
 from schrodsep.stackel import metric_r_squared, stackel_values, t_functions
 from schrodsep.verify import (
+    AUDIT_CHANNELS,
+    SCALE_FLOOR,
+    PointRecord,
+    ResidualReport,
     channel_max,
     chart_box_points,
     geometry_audit,
@@ -429,6 +433,15 @@ def test_chart_box_points_refuses_a_count_or_seed_that_is_no_count(n, seed, mess
 # Reports
 
 
+def loop_record(index, channel, t, x, residual, scale):
+    """The record of one sample as a per-sample loop builds it from its
+    residual and scale: |residual|, the scale floored at ``SCALE_FLOOR``,
+    and every field converted to a Python number on its own."""
+    residual, scale = abs(residual), max(float(scale), SCALE_FLOOR)
+    return PointRecord(index, channel, float(t), tuple(map(float, x)), float(residual), scale,
+                       float(residual / scale))
+
+
 def test_se_report_and_serialisation():
     k = np.array([1.0, 0.5, -0.3])
     kk = float(k @ k)
@@ -457,6 +470,29 @@ def test_se_report_nonfinite_field_is_numeric_error():
     field = lambda t, x, hint: complex(math.nan, 0.0)  # noqa: E731
     with pytest.raises(NumericError, match="non-finite"):
         se_report(field, free_particle(), [(0.1, (0.2, 0.3, -0.1))])
+
+
+def test_report_nonfinite_residual_stops_at_its_sample():
+    # a field that is nan at every node of sample 2 of 4: the check runs per
+    # sample, so the report raises at sample 2 and never calls the field at 3
+    k = np.array([1.0, 0.5, -0.3])
+    points = [(0.1 * (j + 1), (0.2, 0.3, -0.1)) for j in range(4)]
+    calls = []
+
+    def field(t, x, hint):
+        calls.append(t)
+        return math.nan if 34 < len(calls) <= 51 else np.exp(1j * (k @ np.asarray(x) - t))
+
+    with pytest.raises(NumericError, match=re.escape(f"se sample 2 at t={points[2][0]!r}: non-finite")):
+        se_report(field, free_particle(), points)
+    assert len(calls) == 51  # 17 field calls for each of samples 0, 1 and 2
+
+
+@pytest.mark.parametrize("report", [se_report, hj_report])
+def test_report_of_a_vanishing_field_floors_the_scale(report):
+    rep = report(lambda t, x, hint: 0.0, free_particle(), [GOOD, GOOD])
+    assert rep.scale.tolist() == [SCALE_FLOOR] * 2
+    assert rep.residual.tolist() == rep.relative.tolist() == [0.0, 0.0]
 
 
 def test_hj_report_channel():
@@ -702,7 +738,57 @@ def test_per_sample_residual_equals_the_report_record(node_input, channel):
                  hints=[omega for _, _, omega in points])
     for j, (t, x, omega) in enumerate(points):
         res, scale = residual(field, spec, t, x, omega_hint=omega)
-        assert repr(schrodsep.verify._record(j, channel, t, x, res, scale)) == repr(rep.records[j])
+        assert repr(loop_record(j, channel, t, x, res, scale)) == repr(rep.records[j])
+
+
+def assert_records_view(report, want):
+    """``report.records`` is ``want`` repr for repr, every field a Python
+    int, str, float or tuple of floats, and one tuple kept across reads."""
+    assert repr(list(report.records)) == repr(want)
+    for r in report.records:
+        assert [type(v) for v in (*r, *r.x)] == [int, str, float, tuple, float, float, float] + [float] * 3
+    assert report.records is report.records
+
+
+@pytest.mark.parametrize("channel", ["se", "hj"])
+def test_report_records_view_is_the_per_sample_records(node_input, channel):
+    spec, points, fields = node_input
+    report, residual, field = fields[channel]
+    rep = report(field, spec, [(t, x) for t, x, _ in points],
+                 hints=[omega for _, _, omega in points])
+    want = [loop_record(j, channel, t, x, *residual(field, spec, t, x, omega_hint=omega))
+            for j, (t, x, omega) in enumerate(points)]
+    assert_records_view(rep, want)
+
+
+def test_audit_records_view_is_the_records_of_its_channel_array():
+    # a curved chart under a moving frame: each sample's four rows hold its
+    # position once per channel, the channel value as residual and relative
+    # at scale 1, and the view is the records built one by one from those
+    t = 0.37
+    rep = geometry_audit(build("spherical"), wiggly_frame("nonsplit"), t, 30, seed=5)
+    x, channels = rep.x[::4], rep.relative.reshape(-1, 4)
+    assert rep.x.tobytes() == np.repeat(x, 4, axis=0).tobytes()
+    assert rep.residual.tobytes() == rep.relative.tobytes()
+    assert (rep.scale == 1.0).all() and (rep.t == t).all()
+    want = [PointRecord(idx, channel, t, tuple(map(float, xi)), float(v), 1.0, float(v))
+            for idx, (xi, values) in enumerate(zip(x, channels))
+            for channel, v in zip(AUDIT_CHANNELS, values)]
+    assert_records_view(rep, want)
+
+
+def test_mean_relative_sums_left_to_right():
+    # numpy's pairwise sum of these ten values differs from Python's
+    # left-to-right sum, which the artifacts have always held
+    relative = np.array([1.0] + [1e-16] * 9)
+    n = len(relative)
+    rep = ResidualReport(np.arange(n), np.full(n, "se"), np.zeros(n), np.zeros((n, 3)),
+                         relative, np.ones(n), relative, 1e-3, 1e-3)
+    left = 0.0
+    for v in relative.tolist():
+        left += v
+    assert float(np.sum(relative)) != left
+    assert rep.mean_relative == left / n
 
 
 @pytest.mark.parametrize("channel", ["se", "hj"])
@@ -935,7 +1021,7 @@ def test_report_sample_without_a_start_takes_the_per_sample_route(channel):
     t, x = pairs[3]
     res, scale = residual(field, spec, t, x, omega_hint=None)
     want = list(full.records)
-    want[3] = schrodsep.verify._record(3, channel, t, x, res, scale)
+    want[3] = loop_record(3, channel, t, x, res, scale)
     assert [repr(r) for r in got.records] == [repr(r) for r in want]
     assert repr(want[3]) != repr(full.records[3])
 
@@ -1103,9 +1189,9 @@ def test_audit_non_finite_harmonicity_ends_in_a_numeric_error(monkeypatch):
     harmonicity = schrodsep.verify._harmonicity
 
     def nan_at_sample_4(system_, h, omega):
-        value = harmonicity(system_, h, omega)
+        z, J, value = harmonicity(system_, h, omega)
         value[4] = math.nan
-        return value
+        return z, J, value
 
     monkeypatch.setattr(schrodsep.verify, "_harmonicity", nan_at_sample_4)
     with pytest.raises(NumericError, match=r"^audit sample 4 at t=0\.37: .*'harmonicity': nan"):
@@ -1205,6 +1291,47 @@ def test_audit_chunks_give_the_same_records(monkeypatch):
     chunked = geometry_audit(system, frame, 0.37, 40, seed=2)
     assert sum(r.channel == "harmonicity" for r in whole.records) == 40
     assert chunked.records == whole.records
+
+
+def _harmonicity_by_axis(system, h, omega):
+    """The harmonicity value as a loop over chart axes b and components a,
+    one array expression per (a, b) pair, from the same chart points."""
+    verify = schrodsep.verify
+    lo, hi = np.array([
+        (ax.lo if ax.singular_lo else -math.inf, ax.hi if ax.singular_hi else math.inf)
+        for ax in system.domain]).T
+    steps = (verify._CHART_STEP * np.minimum(1.0 + np.abs(omega), np.minimum(omega - lo, hi - omega))).T
+    nodes = omega.T[:, None, :] + steps[:, None, :] * verify._CHART_NODES.T[:, :, None]
+    z, J = system.chart.array_map(system, *nodes)
+    E = h[:, None, None, None] * J
+    adj = schrodsep.coords._adjugate(E)
+    root_g = np.abs(schrodsep.coords._det3(E))
+    lap, value = [0.0, 0.0, 0.0], 0.0
+    for b in range(3):
+        rows = slice(1 + 4 * b, 5 + 4 * b)
+        for a in range(3):
+            m_ab = verify._dot(adj[a][:, rows], adj[b][:, rows]) / root_g[rows]
+            lap[a] = lap[a] + verify._d1(m_ab, steps[b])
+        column = J[:, b, 0]
+        miss = column - verify._d1(z[:, rows].swapaxes(0, 1), steps[b])
+        value = np.maximum(value, np.sqrt(verify._dot(miss, miss) / verify._dot(column, column)))
+    for a in range(3):
+        value = np.maximum(value, np.abs(lap[a]) / root_g[0])
+    return value
+
+
+@pytest.mark.parametrize("sid", all_system_ids())
+def test_harmonicity_equals_the_loop_over_axes_bit_for_bit(sid):
+    # the stacked expressions do each element's arithmetic in the loop's
+    # order, and the stencil centres give the chart map at the samples
+    system = build(sid)
+    omega = sample_domain(system, seed=4, n=50)
+    h = np.array([1.3, 0.8, 1.1])
+    z, J, value = schrodsep.verify._harmonicity(system, h, omega)
+    assert value.tobytes() == _harmonicity_by_axis(system, h, omega).tobytes()
+    z0, J0 = system.chart.array_map(system, *omega.T)
+    assert z.tobytes() == np.ascontiguousarray(z0).tobytes()
+    assert J.tobytes() == np.ascontiguousarray(J0).tobytes()
 
 
 def _spherical_variant(s, w1, w2, w3, stretch=0.0, column=None):
