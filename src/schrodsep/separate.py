@@ -18,6 +18,9 @@ with Q = 1 for the magnetic and coulomb families and Q = exp(iS) for
 the electrostatic one.  The Hamilton-Jacobi counterpart replaces the
 product by a sum and the second-order equations by signed square-root
 quadratures, whose terms are cubic Hermite tables at ``NODE_SPACING``.
+Every table, quintic or cubic, holds each cell's polynomial in one power
+form (:func:`_power_form`) and is read by one evaluator,
+:func:`_hermite`.
 
 Spectra are out of scope: factors are integrated over user-chosen
 compact ranges with user-supplied initial data, never across coordinate
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, ClassVar, NamedTuple, Sequence, TextIO
@@ -66,7 +70,7 @@ NODE_SPACING = 1e-3
 #: residual's Laplacian sees.  At NODE_SPACING the phi'' of the quintic at
 #: arbitrary points sits at its rounding floor (up to 4.8e-9 of the largest
 #: c phi at 4 000 random points per axis of the seed-7 benchmark inputs),
-#: so that grid is audited on values only, as the cubic tables were.
+#: so that grid is audited on values only, as the cubic tables are.
 INTERP_BUDGET = 1e-9
 #: Largest estimated error of the Magnus propagation of a wave factor on a
 #: grid coarser than NODE_SPACING: the Richardson estimate of
@@ -249,62 +253,110 @@ def _cell_integrals(fn: Callable, nodes: np.ndarray, ends: np.ndarray) -> np.nda
 
 
 def _hermite(grid: tuple, w: float, slope: bool):
-    """Cubic Hermite value at w on a uniform grid, with the derivative as
-    well if ``slope``, on Python numbers throughout: the evaluator of the
-    time tables and the action terms, whose residuals take only first
-    derivatives of them (the wave factors are quintic, :func:`_quintic`).
+    """Hermite value at w on a uniform grid, with the derivative as well if
+    ``slope``, on Python numbers throughout: the one evaluator of every
+    table, the wave factors, the action terms and the time tables.
 
-    ``grid`` is (name, nodes, values, slopes, dx): the columns are lists,
-    dx is their spacing, and :class:`OutOfRangeError` names w as ``name``
-    unless it lies within the nodes.  The value takes the products and
-    sums numpy scalars would, so it has their bits at a fraction of their
-    cost.
+    ``grid`` is (name, nodes, columns, dx) of :func:`_power_form`: the six
+    columns hold the coefficients c_0 .. c_5 of each cell's polynomial in
+    s = (w - node) / dx, evaluated by Horner's rule; a cubic table's c_4
+    and c_5 are 0.  A time table reads its anchor shift with numpy arrays
+    in their place (:class:`_TimeTable`).  :class:`OutOfRangeError` names
+    w as ``name`` unless it lies within the nodes.
     """
-    name, nodes, values, slopes, dx = grid
+    name, nodes, (c0, c1, c2, c3, c4, c5), dx = grid
     lo, hi = nodes[0], nodes[-1]
     if not (lo <= w <= hi):
         raise OutOfRangeError(f"{name}={w} outside tabulated range [{lo}, {hi}]")
     j = int((w - lo) / dx)
-    if j > len(nodes) - 2:  # w = hi
-        j = len(nodes) - 2
+    if j > len(c0) - 1:  # w = hi
+        j = len(c0) - 1
     s = (w - nodes[j]) / dx
-    v0, v1 = values[j], values[j + 1]
-    m0, m1 = slopes[j] * dx, slopes[j + 1] * dx
-    s2 = s * s
-    s3 = s2 * s
-    value = (
-        (2 * s3 - 3 * s2 + 1) * v0
-        + (s3 - 2 * s2 + s) * m0
-        + (-2 * s3 + 3 * s2) * v1
-        + (s3 - s2) * m1
-    )
+    a0, a1, a2, a3, a4, a5 = c0[j], c1[j], c2[j], c3[j], c4[j], c5[j]
+    value = a0 + s * (a1 + s * (a2 + s * (a3 + s * (a4 + s * a5))))
     if not slope:
         return value
-    deriv = (
-        (6 * s2 - 6 * s) * v0
-        + (3 * s2 - 4 * s + 1) * m0
-        + (-6 * s2 + 6 * s) * v1
-        + (3 * s2 - 2 * s) * m1
-    ) / dx
-    return value, deriv
+    return value, (a1 + s * (2 * a2 + s * (3 * a3 + s * (4 * a4 + s * (5 * a5))))) / dx
 
 
-def _grid(name: str, nodes, values, slopes) -> tuple:
-    """The grid of :func:`_hermite` for a table on uniform ``nodes``."""
-    columns = (np.asarray(c).tolist() for c in (nodes, values, slopes))
-    return (name, *columns, float(nodes[1] - nodes[0]))
+def _power_coefficients(dx: float, values, slopes, curvatures=None) -> tuple:
+    """The six arrays of coefficients c_k, one entry per cell, of the
+    Hermite polynomials sum_k c_k s^k, s in [0, 1], that match value and
+    slope, and the second derivative unless ``curvatures`` is None, at both
+    nodes of each cell of width dx (de Boor, *A Practical Guide to
+    Splines*, ch. II): quintics, or cubics whose c_4 and c_5 are one array
+    of zeros."""
+    v0, v1 = values[:-1], values[1:]
+    m = dx * slopes
+    m0, m1 = m[:-1], m[1:]
+    if curvatures is None:
+        # c_2 = 3 d - 2 m0 - m1 and c_3 = m0 + m1 - 2 d, with d = v1 - v0
+        d = v1 - v0
+        c3 = m0 + m1 - 2.0 * d
+        zero = np.zeros(len(d))
+        return v0, m0, d - m0 - c3, c3, zero, zero
+    a = (dx * dx) * curvatures
+    a0, a1 = a[:-1], a[1:]
+    # what the quadratic c0 + c1 s + c2 s^2 leaves to c3..c5 at s = 1:
+    # their sum, their first and their second derivative
+    rest = v1 - v0 - m0 - 0.5 * a0
+    rest_d = m1 - m0 - a0
+    rest_dd = a1 - a0
+    return (
+        v0,
+        m0,
+        0.5 * a0,
+        10.0 * rest - 4.0 * rest_d + 0.5 * rest_dd,
+        -15.0 * rest + 7.0 * rest_d - rest_dd,
+        6.0 * rest - 3.0 * rest_d + 0.5 * rest_dd,
+    )
+
+
+def _power_form(name: str, nodes, values, slopes, curvatures=None) -> tuple:
+    """The grid of :func:`_hermite` for a table on uniform ``nodes``: a
+    quintic one, or a cubic one if ``curvatures`` is None.
+
+    A real table holds its nodes and columns as arrays of doubles
+    (:func:`_doubles`), which one copy builds and an index reads about as
+    fast as a list of floats: a cubic action term at ``NODE_SPACING`` has
+    thousands of cells and few readings, so its build is what costs.
+    Python has no array of complex numbers, so a complex table holds
+    lists.  A coefficient that overflows is infinite, and so is every
+    value of its cell, which a residual then refuses.
+    """
+    dx = float(nodes[1] - nodes[0])
+    data = [np.asarray(c) for c in (values, slopes, curvatures) if c is not None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _power_coefficients(dx, *data)
+    column = np.ndarray.tolist if any(map(np.iscomplexobj, data)) else _doubles
+    return (name, column(np.asarray(nodes, dtype=float)), tuple(map(column, coeffs)), dx)
+
+
+def _doubles(column: np.ndarray) -> array:
+    """``column`` as an array of doubles, bit for bit."""
+    return array("d", np.asarray(column, dtype=float).tobytes())
+
+
+def _midpoint_hermite(nodes: np.ndarray, values, slopes, curvatures=None) -> tuple:
+    """The Hermite value and second derivative at every cell midpoint,
+    built from the nodes alone: the quintic's, or the cubic's if
+    ``curvatures`` is None."""
+    dx = float(nodes[1] - nodes[0])
+    c0, c1, c2, c3, c4, c5 = _power_coefficients(dx, values, slopes, curvatures)
+    value = c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * (c3 + 0.5 * (c4 + 0.5 * c5))))
+    second = (2.0 * c2 + 3.0 * c3 + 3.0 * c4 + 2.5 * c5) / (dx * dx)
+    return value, second
 
 
 @dataclass(frozen=True, eq=False)
 class AxisInterpolant:
-    """One separated factor on a uniform grid.
+    """One separated factor on a uniform grid, held in the power form of
+    :func:`_power_form` and evaluated by :func:`_hermite`.
 
     A wave factor stores values, first derivatives and the second
-    derivatives phi'' = c phi of its ODE, and is a quintic Hermite table
-    (:func:`_quintic`): each cell keeps the six power-form coefficients of
-    its polynomial.  An action term stores no second derivatives
-    (``curvatures`` is None) and is a cubic Hermite table
-    (:func:`_hermite`).  Evaluation preserves the dtype (complex factors
+    derivatives phi'' = c phi of its ODE, and is a quintic Hermite table.
+    An action term stores no second derivatives (``curvatures`` is None)
+    and is a cubic one.  Evaluation preserves the dtype (complex factors
     for the wave equation, real ones for the action).
     """
 
@@ -313,19 +365,13 @@ class AxisInterpolant:
     values: np.ndarray
     slopes: np.ndarray
     curvatures: np.ndarray | None = None
-    #: The grid of :func:`_quintic` or :func:`_hermite`, and that function.
+    #: The grid of :func:`_hermite`.
     _grid: tuple = field(init=False, repr=False)
-    _rule: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        name = f"omega_{self.axis}"
-        if self.curvatures is None:
-            grid, rule = _grid(name, self.nodes, self.values, self.slopes), _hermite
-        else:
-            grid = _power_form(name, self.nodes, self.values, self.slopes, self.curvatures)
-            rule = _quintic
+        grid = _power_form(f"omega_{self.axis}", self.nodes, self.values, self.slopes,
+                           self.curvatures)
         object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_rule", rule)
 
     @property
     def lo(self) -> float:
@@ -338,7 +384,7 @@ class AxisInterpolant:
     def evaluate(self, w: float, slope: bool = True):
         """Value and derivative with respect to omega at w, or the value
         alone unless ``slope``."""
-        return self._rule(self._grid, w, slope)
+        return _hermite(self._grid, w, slope)
 
     def __call__(self, w: float):
         return self.evaluate(w, False)
@@ -346,8 +392,9 @@ class AxisInterpolant:
 
 @dataclass(frozen=True)
 class _TimeTable:
-    """The exponent of a time factor, tabulated once per instance on a
-    uniform grid of [t_lo, t_hi] and evaluated by :func:`_hermite`.
+    """The exponent of a time factor, tabulated once per instance as a
+    cubic Hermite table on a uniform grid of [t_lo, t_hi] and evaluated,
+    like every table, by :func:`_hermite`.
 
     The rate s T0_tilde - T_i lambda_i, integrated from the anchor t0,
     gives a phase.  With s = -1 the phase is the time term of the action,
@@ -368,8 +415,9 @@ class _TimeTable:
     fails the Lobatto check bisects itself (:func:`quad`), and the
     midpoints are audited against ``INTERP_BUDGET`` (:func:`_audit`), so
     every failure is reported on that grid.
-    The table is shifted to 0 where it reads the anchor, and a call at the
-    anchor itself returns exactly 1 (wave) or 0 (action).  A call keeps
+    The table is shifted to 0 where it reads the anchor, read in the cell
+    that a call at the anchor picks, and a call at the anchor itself
+    returns exactly 1 (wave) or 0 (action).  A call keeps
     its value at the last time, as a frame keeps its reading, so the nodes
     of a stencil at one time evaluate the table once.  Each subclass
     defines its own ``__call__``, the name under which
@@ -419,7 +467,7 @@ class _TimeTable:
             nodes, values, slopes, exact, _ = self._build(_uniform_nodes(lo, hi), True)
             _audit(nodes, values, slopes, exact, "the time factor")
             table = nodes, values, slopes
-        return _grid("t", *table)
+        return _power_form("t", *table)
 
     def _attempt(self, nodes: np.ndarray) -> tuple:
         """The table on a coarse grid and its miss over ``TIME_TOL``, at
@@ -458,11 +506,15 @@ class _TimeTable:
                     log_modulus = log_modulus - 0.5 * np.log(h / h0)
                 table = log_modulus - 1j * table
                 slopes = -0.5 * sum(hd / h for h, hd, _ in triples) - 1j * rate
-        values, slopes, exact = table[0::2], slopes[0::2], table[1::2]
-        # zero where the table itself reads the anchor, so that the exact 0
-        # (or 1) a call returns there joins the table without a step
-        shift = _hermite(_grid("t", nodes, values, slopes), self.anchor, False)
-        return nodes, values - shift, slopes, exact - shift, passed
+            values, slopes, exact = table[0::2], slopes[0::2], table[1::2]
+            # zero where the table itself reads the anchor, so that the exact
+            # 0 (or 1) a call returns there joins the table without a step:
+            # read by the table's own evaluator on its coefficient arrays, so
+            # in the cell a call at the anchor picks
+            dx = float(nodes[1] - nodes[0])
+            shift = _hermite(("t", nodes, _power_coefficients(dx, values, slopes), dx),
+                             self.anchor, False)
+            return nodes, values - shift, slopes, exact - shift, passed
 
 
 class TemporalFactor(_TimeTable):
@@ -470,8 +522,9 @@ class TemporalFactor(_TimeTable):
 
     The imaginary part of T0, -(1/2) sum_i h_i'/h_i, integrates in closed
     form: the modulus is exp(-(1/2) sum_i log(h_i(t)/h_i(t0))).  The table
-    holds log phi0 (:class:`_TimeTable`), so a call is one
-    :func:`_hermite` evaluation and one ``cmath.exp`` on Python numbers.
+    holds log phi0 (:class:`_TimeTable`), so a call is one evaluation by
+    :func:`_hermite`, the evaluator of every table, and one ``cmath.exp``
+    on Python numbers.
     """
 
     _T0_SIGN = 1.0
@@ -668,73 +721,6 @@ def solve_ivp(
     return Trajectory(values, slopes, curvatures, midpoints, mid_curvatures, error, 1)
 
 
-def _quintic(grid: tuple, w: float, slope: bool):
-    """Quintic Hermite value at w on a uniform grid, with the derivative as
-    well if ``slope``, on Python numbers throughout.
-
-    ``grid`` is (name, nodes, cells, dx) of :func:`_power_form`: each cell
-    holds the six coefficients of its polynomial in s = (w - node) / dx,
-    evaluated by Horner's rule.  :class:`OutOfRangeError` names w as
-    ``name`` unless it lies within the nodes.
-    """
-    name, nodes, cells, dx = grid
-    lo, hi = nodes[0], nodes[-1]
-    if not (lo <= w <= hi):
-        raise OutOfRangeError(f"{name}={w} outside tabulated range [{lo}, {hi}]")
-    j = int((w - lo) / dx)
-    if j > len(cells) - 1:  # w = hi
-        j = len(cells) - 1
-    s = (w - nodes[j]) / dx
-    c0, c1, c2, c3, c4, c5 = cells[j]
-    value = c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
-    if not slope:
-        return value
-    return value, (c1 + s * (2 * c2 + s * (3 * c3 + s * (4 * c4 + s * (5 * c5))))) / dx
-
-
-def _power_coefficients(dx: float, values, slopes, curvatures) -> np.ndarray:
-    """The (6, cells) coefficients c_k of the quintic Hermite polynomials
-    sum_k c_k s^k, s in [0, 1], that match value, slope and second
-    derivative at both nodes of each cell of width dx (de Boor, *A
-    Practical Guide to Splines*, ch. II)."""
-    v0, v1 = values[:-1], values[1:]
-    m0, m1 = dx * slopes[:-1], dx * slopes[1:]
-    a0, a1 = (dx * dx) * curvatures[:-1], (dx * dx) * curvatures[1:]
-    # what the quadratic c0 + c1 s + c2 s^2 leaves to c3..c5 at s = 1:
-    # their sum, their first and their second derivative
-    rest = v1 - v0 - m0 - 0.5 * a0
-    rest_d = m1 - m0 - a0
-    rest_dd = a1 - a0
-    return np.stack((
-        v0,
-        m0,
-        0.5 * a0,
-        10.0 * rest - 4.0 * rest_d + 0.5 * rest_dd,
-        -15.0 * rest + 7.0 * rest_d - rest_dd,
-        6.0 * rest - 3.0 * rest_d + 0.5 * rest_dd,
-    ))
-
-
-def _power_form(name: str, nodes, values, slopes, curvatures) -> tuple:
-    """The grid of :func:`_quintic` for a table on uniform ``nodes``.  A
-    coefficient that overflows is infinite, and so is every value of its
-    cell, which a residual then refuses."""
-    dx = float(nodes[1] - nodes[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _power_coefficients(dx, *(np.asarray(c) for c in (values, slopes, curvatures)))
-    return (name, np.asarray(nodes).tolist(), list(zip(*coeffs.tolist())), dx)
-
-
-def _midpoint_quintic(nodes: np.ndarray, values, slopes, curvatures) -> tuple:
-    """The quintic Hermite value and second derivative at every cell
-    midpoint, built from the nodes alone."""
-    dx = float(nodes[1] - nodes[0])
-    c0, c1, c2, c3, c4, c5 = _power_coefficients(dx, values, slopes, curvatures)
-    value = c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * (c3 + 0.5 * (c4 + 0.5 * c5))))
-    second = (2.0 * c2 + 3.0 * c3 + 3.0 * c4 + 2.5 * c5) / (dx * dx)
-    return value, second
-
-
 def _largest(values) -> float:
     """The largest modulus in ``values``, floored at 1e-300."""
     return max(float(np.max(np.abs(values))), 1e-300)
@@ -775,7 +761,7 @@ def solve_phi_a(
     def attempt(nodes: np.ndarray) -> tuple:
         path = solve_ivp(coeff, nodes, (v0, s0))
         with np.errstate(over="ignore", invalid="ignore"):
-            value, second = _midpoint_quintic(nodes, path.values, path.slopes, path.curvatures)
+            value, second = _midpoint_hermite(nodes, path.values, path.slopes, path.curvatures)
             ratios = (
                 np.max(np.abs(value - path.midpoints)) / _largest(path.values) / INTERP_BUDGET,
                 np.max(np.abs(second - path.mid_curvatures))
@@ -798,12 +784,8 @@ def solve_phi_a(
 def _midpoint_miss(nodes: np.ndarray, values, slopes, exact, curvatures=None) -> np.ndarray:
     """|Hermite prediction - exact| at every cell midpoint, over the largest
     node value: the cubic prediction, or the quintic one given the second
-    derivatives at the nodes; either is built from the nodes alone."""
-    if curvatures is None:
-        dx = float(nodes[1] - nodes[0])
-        predicted = 0.5 * (values[:-1] + values[1:]) + 0.125 * dx * (slopes[:-1] - slopes[1:])
-    else:
-        predicted = _midpoint_quintic(nodes, values, slopes, curvatures)[0]
+    derivatives at the nodes (:func:`_midpoint_hermite`)."""
+    predicted = _midpoint_hermite(nodes, values, slopes, curvatures)[0]
     return np.abs(predicted - exact) / _largest(values)
 
 

@@ -455,7 +455,8 @@ def _report(residual_with_scale, channel, field, spec, points, steps, hints) -> 
     of ``_NODE_CHUNK`` samples at a time are then solved together
     (:func:`_node_points`), and each sample is handed its :class:`_Stencil`.
     A non-finite residual or scale raises :class:`NumericError` at its
-    sample; the scale is floored at ``SCALE_FLOOR``."""
+    sample; the scale comes floored at ``SCALE_FLOOR`` from
+    :func:`_residual`."""
     points, hints, steps = _samples(points, hints, steps)
     residuals, scales = [], []
     for lo in range(0, len(points), _NODE_CHUNK):
@@ -468,7 +469,7 @@ def _report(residual_with_scale, channel, field, spec, points, steps, hints) -> 
                 raise NumericError(f"{channel} sample {idx} at t={t!r}: non-finite residual "
                                    f"{float(res)!r} or scale {float(scale)!r}")
             residuals.append(float(res))
-            scales.append(max(float(scale), SCALE_FLOOR))
+            scales.append(float(scale))
     residual, scale = np.array(residuals), np.array(scales)
     return ResidualReport(
         np.arange(len(points)), np.full(len(points), channel), np.array([t for t, _ in points]),

@@ -165,14 +165,18 @@ def test_phi0_evaluation_outside_range_rejected():
         phi0(1.5)
 
 
-def test_phi0_closed_form_modulus_matches_quadrature():
+def _growing_scales_spec():
     frame = make_frame(
         "complete",
         h1=exp_profile(0.4),
         h2=polynomial([1.1, 0.05, 0.02]),
         h3=sinusoid(0.2, 0.9, 0.0, 1.4),
     )
-    spec = magnetic_spec(make_system("cartesian"), frame)
+    return magnetic_spec(make_system("cartesian"), frame)
+
+
+def test_phi0_closed_form_modulus_matches_quadrature():
+    spec = _growing_scales_spec()
     phi0 = solve_phi0(spec, SeparationConstants(0.7, -0.4, 0.9), (-2.0, 2.0), 0.3)
     scipy_quad = pytest.importorskip("scipy.integrate").quad
     for t in (-1.9, -0.6, 0.31, 1.2, 2.0):
@@ -180,6 +184,23 @@ def test_phi0_closed_form_modulus_matches_quadrature():
             lambda tau: t0_profile(spec, tau).imag, 0.3, t, epsabs=1e-14, epsrel=1e-13, limit=200
         )
         assert abs(phi0(t)) == pytest.approx(math.exp(log_mod), rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("anchor", [0.25, 0.3], ids=["on_a_node", "inside_a_cell"])
+@pytest.mark.parametrize("kind", ["wave", "hj"])
+def test_time_table_reads_zero_beside_its_anchor(kind, anchor):
+    # The table is shifted to 0 where it reads the anchor, on the cell a
+    # call there picks: for the anchor 0.3 that cell's left node is
+    # 0.30000000000000027, past the anchor.  Just beside the anchor the
+    # factor reads 1 (wave) or 0 (action) to rounding.
+    table = _temporal(kind, _growing_scales_spec(), SeparationConstants(0.7, -0.4, 0.9),
+                      (-2.0, 2.0), anchor)
+    nodes, dx = table._table[1], table._table[3]
+    assert (anchor in nodes) == (anchor == 0.25)
+    assert (nodes[int((anchor - nodes[0]) / dx)] > anchor) == (anchor == 0.3)
+    at_anchor = 1.0 if kind == "wave" else 0.0
+    for t in (math.nextafter(anchor, -math.inf), math.nextafter(anchor, math.inf)):
+        assert abs(table(t) - at_anchor) <= 1e-15
 
 
 def test_phi0_nonpositive_scale_is_configuration_error():
@@ -520,17 +541,19 @@ def test_overflow_on_a_probe_grid_is_located_at_node_spacing():
     assert info.value.location == at[np.argmin(finite)]
 
 
-def _quintic_factor(p, nodes):
-    """The quintic table of the complex polynomial with coefficients p
-    (lowest first) on ``nodes``, built from its exact derivatives."""
+def _hermite_factor(p, nodes, degree):
+    """The Hermite table of the given degree, 3 or 5, of the complex
+    polynomial with coefficients p (lowest first) on ``nodes``, built from
+    its exact derivatives."""
     poly = np.polynomial.Polynomial(p)
     columns = (poly(nodes), poly.deriv(1)(nodes), poly.deriv(2)(nodes))
-    return AxisInterpolant(1, nodes, *columns), poly
+    return AxisInterpolant(1, nodes, *columns[: 1 + degree // 2]), poly
 
 
-def test_quintic_reproduces_a_degree_five_polynomial():
-    p = np.array([0.3 - 1j, -1.2 + 0.5j, 0.7, 2.0 - 0.3j, -1.5 + 1j, 0.8 + 0.2j])
-    table, poly = _quintic_factor(p, np.linspace(-1.3, 0.9, 12))
+@pytest.mark.parametrize("degree", [3, 5])
+def test_hermite_reproduces_a_polynomial_of_its_degree(degree):
+    p = np.array([0.3 - 1j, -1.2 + 0.5j, 0.7, 2.0 - 0.3j, -1.5 + 1j, 0.8 + 0.2j])[: degree + 1]
+    table, poly = _hermite_factor(p, np.linspace(-1.3, 0.9, 12), degree)
     for w in np.random.default_rng(5).uniform(-1.3, 0.9, 300).tolist():
         value, slope = table.evaluate(w)
         assert abs(value - poly(w)) <= 1e-14 * 8.0
@@ -538,13 +561,18 @@ def test_quintic_reproduces_a_degree_five_polynomial():
     assert table(0.9) == pytest.approx(complex(poly(0.9)), abs=1e-14 * 8.0)
 
 
-def test_quintic_is_twice_continuously_differentiable_across_nodes():
-    # Each cell's polynomial ends, in value, slope and phi'', where the
-    # next one starts: both match the node's three stored columns.
+@pytest.mark.parametrize("degree", [3, 5])
+def test_hermite_cells_join_at_the_nodes(degree):
+    # Each cell's polynomial ends, in value and slope, and in phi'' for a
+    # quintic, where the next one starts: each matches the node's stored
+    # column.  The cubic is an action term, the quintic a wave factor.
     k = 2.3
-    phi = solve_phi_a(free_particle(), 1, SeparationConstants(-k * k, 0, 0), (0.0, 1.0),
-                      (1.0, 1j * k))
-    cells = np.array(phi._grid[2]).T  # (6, cells): c_0 .. c_5
+    if degree == 3:
+        phi = hj_solve(free_particle(), SeparationConstants(1, 1, 1), ((0, 2),) * 3).terms[0]
+    else:
+        phi = solve_phi_a(free_particle(), 1, SeparationConstants(-k * k, 0, 0), (0.0, 1.0),
+                          (1.0, 1j * k))
+    cells = np.array(phi._grid[2])  # (6, cells): c_0 .. c_5
     dx = phi._grid[3]
     ends = (
         cells.sum(axis=0),
@@ -552,7 +580,7 @@ def test_quintic_is_twice_continuously_differentiable_across_nodes():
         (np.arange(6)[:, None] * np.arange(-1, 5)[:, None] * cells).sum(axis=0) / dx**2,
     )
     starts = (cells[0], cells[1] / dx, 2.0 * cells[2] / dx**2)
-    stored = (phi.values, phi.slopes, phi.curvatures)
+    stored = (phi.values, phi.slopes, phi.curvatures)[: 1 + degree // 2]
     for end, start, column in zip(ends, starts, stored):
         scale = np.max(np.abs(column))
         assert np.max(np.abs(end[:-1] - start[1:])) <= 1e-13 * scale
@@ -560,28 +588,47 @@ def test_quintic_is_twice_continuously_differentiable_across_nodes():
         assert np.max(np.abs(start - column[:-1])) <= 1e-13 * scale
 
 
-def test_quintic_power_form_matches_the_hermite_basis():
-    # c_k s^k summed by Horner's rule against the six quintic Hermite basis
-    # functions of value, slope and second derivative at both ends.
-    sc = load_scenario(SCENARIOS / "magnetic_spherical_rotating.json")
-    solution = separate(sc.spec, sc.constants, omega_ranges=sc.omega_ranges, t_range=sc.t_range)
-    for f in solution.factors:
-        nodes, dx = f.nodes, float(f.nodes[1] - f.nodes[0])
-        scale = np.max(np.abs(f.values))
-        for w in np.random.default_rng(f.axis).uniform(f.lo, f.hi, 300).tolist():
-            j = min(int((w - f.lo) / dx), len(nodes) - 2)
+def _hermite_basis(s, degree):
+    """The Hermite basis functions on [0, 1] of value, slope and (for the
+    quintic) second derivative at s = 0, then of the same at s = 1."""
+    if degree == 3:
+        return (2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s, -2 * s**3 + 3 * s**2, s**3 - s**2)
+    return (
+        1 - 10 * s**3 + 15 * s**4 - 6 * s**5,
+        s - 6 * s**3 + 8 * s**4 - 3 * s**5,
+        (s**2 - 3 * s**3 + 3 * s**4 - s**5) / 2,
+        10 * s**3 - 15 * s**4 + 6 * s**5,
+        -4 * s**3 + 7 * s**4 - 3 * s**5,
+        (s**3 - 2 * s**4 + s**5) / 2,
+    )
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+def test_power_form_matches_the_hermite_basis(degree):
+    # c_k s^k summed by Horner's rule against the Hermite basis functions
+    # of value, slope and, for the quintic, second derivative at both ends:
+    # on the wave factors of one scenario, and on the action terms and the
+    # time table of a Hamilton-Jacobi one.
+    if degree == 5:
+        sc = load_scenario(SCENARIOS / "magnetic_spherical_rotating.json")
+        solution = separate(sc.spec, sc.constants, omega_ranges=sc.omega_ranges,
+                            t_range=sc.t_range)
+        tables = [(f, f.nodes, (f.values, f.slopes, f.curvatures)) for f in solution.factors]
+    else:
+        sc = load_scenario(SCENARIOS / "hj_coulomb_spherical.json")
+        action = hj_solve(sc.spec, sc.constants, sc.omega_ranges, sc.signs, t_range=sc.t_range,
+                          anchor=sc.anchor)
+        tables = [(f, f.nodes, (f.values, f.slopes)) for f in action.terms]
+        nodes = np.array(action.phi0._table[1])  # a coarse grid, built without the fallback
+        tables.append((action.phi0, nodes, action.phi0._build(nodes, False)[1:3]))
+    for seed, (f, nodes, columns) in enumerate(tables):
+        lo, dx = float(nodes[0]), float(nodes[1] - nodes[0])
+        scale = np.max(np.abs(columns[0]))
+        for w in np.random.default_rng(seed).uniform(lo, float(nodes[-1]), 300).tolist():
+            j = min(int((w - lo) / dx), len(nodes) - 2)
             s = (w - nodes[j]) / dx
-            basis = (
-                1 - 10 * s**3 + 15 * s**4 - 6 * s**5,
-                s - 6 * s**3 + 8 * s**4 - 3 * s**5,
-                (s**2 - 3 * s**3 + 3 * s**4 - s**5) / 2,
-                10 * s**3 - 15 * s**4 + 6 * s**5,
-                -4 * s**3 + 7 * s**4 - 3 * s**5,
-                (s**3 - 2 * s**4 + s**5) / 2,
-            )
-            data = (f.values[j], dx * f.slopes[j], dx * dx * f.curvatures[j],
-                    f.values[j + 1], dx * f.slopes[j + 1], dx * dx * f.curvatures[j + 1])
-            hermite = sum(b * d for b, d in zip(basis, data))
+            data = [dx**k * c[i] for i in (j, j + 1) for k, c in enumerate(columns)]
+            hermite = sum(b * d for b, d in zip(_hermite_basis(s, degree), data))
             assert abs(f(w) - hermite) <= 1e-14 * scale
 
 
