@@ -9,15 +9,17 @@ Simpson's rule, where a cell that fails its check bisects itself, and
 the spatial equations by a fourth-order Magnus propagator whose steps
 are the half cells of a uniform grid.  It stores every spatial factor
 as a quintic Hermite table of its values, slopes and phi'' = c phi, and
-the time factor as a cubic one of its logarithm, each on the coarsest
-uniform grid that meets its budgets, and reassembles the wavefunction
+the time factor as a quintic one of its logarithm, with its slope and
+the slope's derivative exact at the nodes, each on the coarsest uniform
+grid that meets its budgets, and reassembles the wavefunction
 
     psi(t, x) = Q * phi0(t) * phi1(omega1) * phi2(omega2) * phi3(omega3)
 
 with Q = 1 for the magnetic and coulomb families and Q = exp(iS) for
 the electrostatic one.  The Hamilton-Jacobi counterpart replaces the
 product by a sum and the second-order equations by signed square-root
-quadratures, whose terms are cubic Hermite tables at ``NODE_SPACING``.
+quadratures, whose terms are cubic Hermite tables at ``NODE_SPACING``;
+its time term is a quintic table like phi0's.
 Every table, quintic or cubic, holds each cell's polynomial in one power
 form (:func:`_power_form`) and is read by one evaluator,
 :func:`_hermite`.
@@ -70,7 +72,8 @@ NODE_SPACING = 1e-3
 #: residual's Laplacian sees.  At NODE_SPACING the phi'' of the quintic at
 #: arbitrary points sits at its rounding floor (up to 4.8e-9 of the largest
 #: c phi at 4 000 random points per axis of the seed-7 benchmark inputs),
-#: so that grid is audited on values only, as the cubic tables are.
+#: so that grid is audited on values only, as the time tables and the
+#: cubic action terms are.
 INTERP_BUDGET = 1e-9
 #: Largest estimated error of the Magnus propagation of a wave factor on a
 #: grid coarser than NODE_SPACING: the Richardson estimate of
@@ -93,10 +96,12 @@ MAX_NODES = 10**6
 #: Cells of the first grid a table tries (:func:`_coarsest_grid`).
 PROBE_CELLS = 64
 #: Largest midpoint miss, relative to the largest node value, of a time
-#: table coarser than NODE_SPACING.  The slope of a cubic Hermite table
-#: errs by up to about 3 miss / h between the nodes, so at this level the
-#: time derivatives the residual checks take of a coarser table stay
-#: within a small factor of those of the table at NODE_SPACING.
+#: table coarser than NODE_SPACING.  The slope of a quintic Hermite table
+#: errs by up to about 3.4 miss / h between the nodes (the leading error
+#: term s^3 (1 - s)^3 h^6 f^(6) / 720 has its steepest slope at s = 0.28),
+#: so at this level the time derivatives the residual checks take of a
+#: coarser table stay within a small factor of those of the table at
+#: NODE_SPACING.
 TIME_TOL = 1e-14
 
 
@@ -393,7 +398,7 @@ class AxisInterpolant:
 @dataclass(frozen=True)
 class _TimeTable:
     """The exponent of a time factor, tabulated once per instance as a
-    cubic Hermite table on a uniform grid of [t_lo, t_hi] and evaluated,
+    quintic Hermite table on a uniform grid of [t_lo, t_hi] and evaluated,
     like every table, by :func:`_hermite`.
 
     The rate s T0_tilde - T_i lambda_i, integrated from the anchor t0,
@@ -401,16 +406,20 @@ class _TimeTable:
     and the table holds it.  With s = +1 it drives the wave factor, and the
     table holds log phi0 = -(1/2) sum_i log(h_i/h_i(t0)) - i phase, whose
     slope is -(1/2) sum_i h_i'/h_i - i rate: a smooth function however
-    fast phi0 itself turns.  The table is built in ``__post_init__``, so
-    ``dataclasses.replace`` builds a new one.
+    fast phi0 itself turns.  Each node also holds the exact derivative of
+    its slope: the rate's is s T0_tilde' - lambda_i dT_i/dt with
+    dT_i/dt = -2 T_i h_i'/h_i, and log phi0's adds
+    -(1/2) sum_i (h_i''/h_i - (h_i'/h_i)^2) to -i times it.  The table is
+    built in ``__post_init__``, so ``dataclasses.replace`` builds a new one.
 
     On a grid, the rate is called once on the nodes and cell midpoints,
-    which gives the exact slopes, and once on the inner Lobatto points of
-    the half cells (:func:`_cell_integrals`); the running sum of the
-    half-cell integrals gives the phase at both.  The grid is the coarsest
-    that :func:`_coarsest_grid` finds where every half cell passes its
-    Lobatto check and the cubic Hermite prediction at each midpoint misses
-    the exact value by at most ``TIME_TOL`` times the largest node value.
+    which gives the exact slopes and their derivatives, and once on the
+    inner Lobatto points of the half cells (:func:`_cell_integrals`); the
+    running sum of the half-cell integrals gives the phase at both.  The
+    grid is the coarsest that :func:`_coarsest_grid` finds, growing by the
+    h^6 law of a quintic, where every half cell passes its Lobatto check
+    and the quintic Hermite prediction at each midpoint misses the exact
+    value by at most ``TIME_TOL`` times the largest node value.
     Failing that, the grid at ``NODE_SPACING`` is used: there a cell that
     fails the Lobatto check bisects itself (:func:`quad`), and the
     midpoints are audited against ``INTERP_BUDGET`` (:func:`_audit`), so
@@ -449,24 +458,30 @@ class _TimeTable:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_table", self._tabulate())
 
-    def _rate(self, tau, triples=None):
-        """The rate at a float array of times, or a 0-d one at a float;
-        ``triples`` are the frame's scale triples there, if already read."""
+    def _rate(self, tau, triples=None, slope=False):
+        """The rate at a float array of times, or a 0-d one at a float, and
+        its time derivative as well if ``slope``; ``triples`` are the
+        frame's scale triples there, if already read."""
         tau = np.asarray(tau, dtype=float)
         if triples is None:
             triples = self.spec.frame.scale_triples(tau)
         T = _t_from_scales(self.spec.system, [h for h, _, _ in triples])
         lam = self.constants.as_tuple()
-        t0 = self._T0_SIGN * self.spec.t0_tilde.on_array(tau)[0]
-        return t0 - (T[0] * lam[0] + T[1] * lam[1] + T[2] * lam[2])
+        t0 = self.spec.t0_tilde.on_array(tau)
+        rate = self._T0_SIGN * t0[0] - (T[0] * lam[0] + T[1] * lam[1] + T[2] * lam[2])
+        if not slope:
+            return rate
+        # dT_i/dt = -2 T_i h_i'/h_i, so a zero T_i of a split class stays zero
+        dT = [-2.0 * T_i * hd / h for T_i, (h, hd, _) in zip(T, triples)]
+        return rate, self._T0_SIGN * t0[1] - (dT[0] * lam[0] + dT[1] * lam[1] + dT[2] * lam[2])
 
     def _tabulate(self) -> tuple:
         lo, hi = self.t_lo, self.t_hi
-        table = _coarsest_grid(lo, hi, self._attempt)
+        table = _coarsest_grid(lo, hi, self._attempt, 6)
         if table is None:
-            nodes, values, slopes, exact, _ = self._build(_uniform_nodes(lo, hi), True)
-            _audit(nodes, values, slopes, exact, "the time factor")
-            table = nodes, values, slopes
+            *table, exact, _ = self._build(_uniform_nodes(lo, hi), True)
+            nodes, values, slopes, curvatures = table
+            _audit(nodes, values, slopes, exact, "the time factor", curvatures)
         return _power_form("t", *table)
 
     def _attempt(self, nodes: np.ndarray) -> tuple:
@@ -474,29 +489,30 @@ class _TimeTable:
         least 2 when a half cell fails its Lobatto check (which doubles the
         cells), and infinite when it cannot be built there."""
         try:
-            nodes, values, slopes, exact, passed = self._build(nodes, False)
+            nodes, values, slopes, curvatures, exact, passed = self._build(nodes, False)
         except ConfigurationError:
             return None, math.inf  # the grid at NODE_SPACING names the failure
         with np.errstate(invalid="ignore", over="ignore"):
-            ratio = float(np.max(_midpoint_miss(nodes, values, slopes, exact))) / TIME_TOL
-        return (nodes, values, slopes), (ratio if passed else max(ratio, 2.0))
+            miss = _midpoint_miss(nodes, values, slopes, exact, curvatures)
+            ratio = float(np.max(miss)) / TIME_TOL
+        return (nodes, values, slopes, curvatures), (ratio if passed else max(ratio, 2.0))
 
     def _build(self, nodes: np.ndarray, fallback: bool) -> tuple:
-        """The table on ``nodes``: its values and slopes there, its exact
-        values at the cell midpoints, and whether every half cell passed
-        its Lobatto check (always, with the ``fallback``)."""
+        """The table on ``nodes``: its values, slopes and their derivatives
+        there, its exact values at the cell midpoints, and whether every
+        half cell passed its Lobatto check (always, with the ``fallback``)."""
         times = np.empty(2 * len(nodes) - 1)  # the nodes and the cell midpoints
         times[0::2], times[1::2] = nodes, 0.5 * (nodes[:-1] + nodes[1:])
         frame = self.spec.frame
         triples = frame.scale_triples(times)  # for the rate and the log-modulus
-        rate = self._rate(times, triples)
+        rate, rate_slope = self._rate(times, triples, True)
         if fallback:
             halves, passed = _cell_integrals(self._rate, times, rate), True
         else:
             cells = (times[:-1], times[1:], rate[:-1], rate[1:])
             halves, estimate, _, _ = _lobatto_cells(self._rate, *cells)
             passed = bool(np.all(estimate <= _quad_budget(halves)))
-        table, slopes = np.zeros(len(times)), rate
+        table, slopes, curvatures = np.zeros(len(times)), rate, rate_slope
         # an overflow leaves non-finite values, which the audit locates
         with np.errstate(over="ignore", invalid="ignore"):
             np.cumsum(halves, out=table[1:])
@@ -506,25 +522,28 @@ class _TimeTable:
                     log_modulus = log_modulus - 0.5 * np.log(h / h0)
                 table = log_modulus - 1j * table
                 slopes = -0.5 * sum(hd / h for h, hd, _ in triples) - 1j * rate
-            values, slopes, exact = table[0::2], slopes[0::2], table[1::2]
+                curvatures = (-0.5 * sum(hdd / h - (hd / h) ** 2 for h, hd, hdd in triples)
+                              - 1j * rate_slope)
+            values, slopes, curvatures = table[0::2], slopes[0::2], curvatures[0::2]
+            exact = table[1::2]
             # zero where the table itself reads the anchor, so that the exact
             # 0 (or 1) a call returns there joins the table without a step:
             # read by the table's own evaluator on its coefficient arrays, so
             # in the cell a call at the anchor picks
             dx = float(nodes[1] - nodes[0])
-            shift = _hermite(("t", nodes, _power_coefficients(dx, values, slopes), dx),
-                             self.anchor, False)
-            return nodes, values - shift, slopes, exact - shift, passed
+            coeffs = _power_coefficients(dx, values, slopes, curvatures)
+            shift = _hermite(("t", nodes, coeffs, dx), self.anchor, False)
+            return nodes, values - shift, slopes, curvatures, exact - shift, passed
 
 
 class TemporalFactor(_TimeTable):
     """phi0(t) = exp(-i integral_{t0}^{t} (T0 - T_i lambda_i)), anchored to 1.
 
     The imaginary part of T0, -(1/2) sum_i h_i'/h_i, integrates in closed
-    form: the modulus is exp(-(1/2) sum_i log(h_i(t)/h_i(t0))).  The table
-    holds log phi0 (:class:`_TimeTable`), so a call is one evaluation by
-    :func:`_hermite`, the evaluator of every table, and one ``cmath.exp``
-    on Python numbers.
+    form: the modulus is exp(-(1/2) sum_i log(h_i(t)/h_i(t0))).  The
+    quintic table holds log phi0 (:class:`_TimeTable`), so a call is one
+    evaluation by :func:`_hermite`, the evaluator of every table, and one
+    ``cmath.exp`` on Python numbers.
     """
 
     _T0_SIGN = 1.0
@@ -581,16 +600,18 @@ def _uniform_nodes(lo: float, hi: float) -> np.ndarray:
     return np.linspace(lo, hi, _node_count(lo, hi))
 
 
-def _coarsest_grid(lo: float, hi: float, attempt: Callable[[np.ndarray], tuple]):
+def _coarsest_grid(lo: float, hi: float, attempt: Callable[[np.ndarray], tuple], order: int):
     """The table ``attempt`` builds on the coarsest uniform grid of [lo, hi]
     it accepts, or None when the grid at ``NODE_SPACING`` should be used.
 
     ``attempt(nodes)`` returns the table on ``nodes`` and the worst of its
     misses over their budgets: at most 1 accepts the table, and a value
     that is not finite gives up.  The grids start at ``PROBE_CELLS`` cells
-    and grow by the h^4 law of the worst miss, at least twice over.  A grid
-    with more than half the cells of the one at ``NODE_SPACING`` saves too
-    little to try.
+    and grow by the h^``order`` law of the worst miss, at least twice over:
+    ``order`` is that of the checks ``attempt`` makes, 6 for a quintic's
+    midpoint miss alone and 4 for the wave factors, whose phi'' and Magnus
+    checks converge at that order.  A grid with more than half the cells
+    of the one at ``NODE_SPACING`` saves too little to try.
     """
     fine = _node_count(lo, hi) - 1
     cells = PROBE_CELLS
@@ -600,7 +621,7 @@ def _coarsest_grid(lo: float, hi: float, attempt: Callable[[np.ndarray], tuple])
             return table
         if not math.isfinite(ratio):
             return None
-        cells = math.ceil(cells * max(2.0, 1.5 * ratio**0.25))
+        cells = math.ceil(cells * max(2.0, 1.5 * ratio ** (1.0 / order)))
     return None
 
 
@@ -770,7 +791,7 @@ def solve_phi_a(
             )
         return (nodes, path), float(np.max(ratios))  # a NaN gives up
 
-    table = _coarsest_grid(lo, hi, attempt)
+    table = _coarsest_grid(lo, hi, attempt, 4)
     if table is None:
         nodes = _uniform_nodes(lo, hi)
         path = solve_ivp(coeff, nodes, (v0, s0))

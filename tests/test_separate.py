@@ -186,18 +186,24 @@ def test_phi0_closed_form_modulus_matches_quadrature():
         assert abs(phi0(t)) == pytest.approx(math.exp(log_mod), rel=1e-11, abs=0.0)
 
 
-@pytest.mark.parametrize("anchor", [0.25, 0.3], ids=["on_a_node", "inside_a_cell"])
+@pytest.mark.parametrize("where", ["on_a_node", "inside_a_cell"])
 @pytest.mark.parametrize("kind", ["wave", "hj"])
-def test_time_table_reads_zero_beside_its_anchor(kind, anchor):
+def test_time_table_reads_zero_beside_its_anchor(kind, where):
     # The table is shifted to 0 where it reads the anchor, on the cell a
-    # call there picks: for the anchor 0.3 that cell's left node is
-    # 0.30000000000000027, past the anchor.  Just beside the anchor the
+    # call there picks.  Both anchors come from the table's own grid: a
+    # node, and a point just below a node whose cell index
+    # int((anchor - lo) / dx) rounds up to that node, so the cell a call
+    # there picks starts past the anchor.  Just beside the anchor the
     # factor reads 1 (wave) or 0 (action) to rounding.
-    table = _temporal(kind, _growing_scales_spec(), SeparationConstants(0.7, -0.4, 0.9),
-                      (-2.0, 2.0), anchor)
-    nodes, dx = table._table[1], table._table[3]
-    assert (anchor in nodes) == (anchor == 0.25)
-    assert (nodes[int((anchor - nodes[0]) / dx)] > anchor) == (anchor == 0.3)
+    spec, lam = _growing_scales_spec(), SeparationConstants(0.7, -0.4, 0.9)
+    _, nodes, _, dx = _temporal(kind, spec, lam, (-1.0, 1.0), 0.0)._table
+    if where == "on_a_node":
+        anchor = nodes[len(nodes) * 5 // 8]
+    else:
+        below = (math.nextafter(w, -math.inf) for w in nodes[1:-1])
+        anchor = next(p for p in below if nodes[int((p - nodes[0]) / dx)] > p)
+    table = _temporal(kind, spec, lam, (-1.0, 1.0), anchor)
+    assert table._table[1] == nodes and table._table[3] == dx
     at_anchor = 1.0 if kind == "wave" else 0.0
     for t in (math.nextafter(anchor, -math.inf), math.nextafter(anchor, math.inf)):
         assert abs(table(t) - at_anchor) <= 1e-15
@@ -260,7 +266,8 @@ def test_time_table_reads_the_frame_scales_once_per_grid(path, monkeypatch):
     assert sum(np.array_equal(t, times) for t in reads) == 1
 
     rate = _TimeTable._rate
-    monkeypatch.setattr(_TimeTable, "_rate", lambda self, tau, triples=None: rate(self, tau))
+    monkeypatch.setattr(_TimeTable, "_rate",
+                        lambda self, tau, triples=None, slope=False: rate(self, tau, None, slope))
     twice = solve_phi0(sc.spec, sc.constants, sc.t_range, sc.anchor)._table
     for got, want in zip(table[1:], twice[1:]):
         assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -361,7 +368,7 @@ def test_fast_time_factor_separates_and_verifies():
 
 @pytest.mark.parametrize("kind", ["wave", "hj"])
 def test_underresolved_time_driver_is_integration_error(kind):
-    # The phase of sin(3000 t) turns by 1.5 rad per half cell: its cubic
+    # The phase of sin(3000 t) turns by 1.5 rad per half cell: its quintic
     # Hermite table misses the midpoints by far more than the budget.
     spec = magnetic_spec(
         make_system("cartesian"), identity_frame("complete"), t0_tilde=sinusoid(1.0, 3000.0)
@@ -369,6 +376,62 @@ def test_underresolved_time_driver_is_integration_error(kind):
     with pytest.raises(IntegrationError, match="time factor") as info:
         _temporal(kind, spec, SeparationConstants(0.7, -0.4, 0.9), t_range=(-0.1, 0.1))
     assert -0.1 < info.value.location < 0.1
+
+
+#: A chart of each split class, for a frame of that class.
+_CLASS_CHARTS = {"complete": "cartesian", "partial": "cylindrical", "nonsplit": "spherical"}
+
+
+@pytest.mark.parametrize("kind", ["wave", "hj"])
+@pytest.mark.parametrize("cls", ["complete", "partial", "nonsplit"])
+def test_time_table_curvature_is_the_derivative_of_its_slope(kind, cls):
+    # The third column of a time table is the time derivative of its slope
+    # column: of the rate for the action, and of -(1/2) sum_i h_i'/h_i
+    # - i rate for log phi0, on a frame of each split class.  Against
+    # central differences of the slopes the table builds at the nodes
+    # shifted by +-h.
+    spec = magnetic_spec(build(_CLASS_CHARTS[cls]), wiggly_frame(cls), t0_tilde=sinusoid(0.5, 0.8))
+    table = _temporal(kind, spec, SeparationConstants(0.7, -0.4, 0.9))
+    nodes, step = np.linspace(-1.4, 1.4, 57), 1e-5
+    curvatures = table._build(nodes, False)[3]
+    ahead, behind = (table._build(nodes + d, False)[2] for d in (step, -step))
+    if kind == "hj":
+        assert np.array_equal(ahead, table._rate(nodes + step))
+    differences = (ahead - behind) / (2.0 * step)
+    assert np.max(np.abs(curvatures - differences)) <= 1e-7 * np.max(np.abs(curvatures))
+
+
+@pytest.mark.parametrize("name", ["magnetic_spherical_rotating", "electrostatic_cartesian_drift"])
+@pytest.mark.parametrize("kind", ["wave", "hj"])
+def test_moving_frame_time_table_slope_holds_the_rate(kind, name):
+    # On a moving frame the quintic time table lands on at most 128 cells,
+    # and its slope there holds the exact rate to 1e-12 of the largest at
+    # 4 000 random times; log phi0's slope has minus the rate as its
+    # imaginary part.
+    sc = load_scenario(SCENARIOS / f"{name}.json")
+    table = _temporal(kind, sc.spec, sc.constants, sc.t_range, sc.anchor)
+    assert len(table._table[1]) - 1 <= 128
+    times = np.random.default_rng(0).uniform(*sc.t_range, 4000)
+    slopes = np.array([schrodsep.separate._hermite(table._table, t, True)[1]
+                       for t in times.tolist()])
+    if kind == "wave":
+        slopes = -slopes.imag
+    rate = table._rate(times)
+    assert np.max(np.abs(slopes - rate)) <= 1e-12 * np.max(np.abs(rate))
+
+
+def test_time_tables_grow_by_the_law_of_their_order():
+    # h1 turns at angular frequency 8: a quintic table's midpoint miss falls
+    # as h^6, so the grid that the miss at 64 cells asks for stays under
+    # 1 000 cells; grown by the h^4 law it passes half of the 2 000 cells
+    # at NODE_SPACING and falls back there.
+    frame = make_frame("complete", h1=sinusoid(0.2, 8.0, 0.0, 1.4),
+                       h2=polynomial([1.05, 0.05, 0.02]), h3=polynomial([0.8]),
+                       w1=sinusoid(0.5, 1.2))
+    spec = magnetic_spec(make_system("cartesian"), frame, t0_tilde=sinusoid(0.5, 0.8))
+    for kind in ("wave", "hj"):
+        table = _temporal(kind, spec, SeparationConstants(1.045, 0.99, 1.026), (-1.0, 1.0))
+        assert PROBE_CELLS < len(table._table[1]) - 1 < 1000
 
 
 def test_oversized_time_range_rejected_before_any_table(monkeypatch):
@@ -607,20 +670,21 @@ def _hermite_basis(s, degree):
 def test_power_form_matches_the_hermite_basis(degree):
     # c_k s^k summed by Horner's rule against the Hermite basis functions
     # of value, slope and, for the quintic, second derivative at both ends:
-    # on the wave factors of one scenario, and on the action terms and the
-    # time table of a Hamilton-Jacobi one.
+    # on the wave factors and the action's time table of a moving-frame
+    # scenario, and on the action terms of a Hamilton-Jacobi one.
     if degree == 5:
         sc = load_scenario(SCENARIOS / "magnetic_spherical_rotating.json")
         solution = separate(sc.spec, sc.constants, omega_ranges=sc.omega_ranges,
                             t_range=sc.t_range)
         tables = [(f, f.nodes, (f.values, f.slopes, f.curvatures)) for f in solution.factors]
+        phi0 = HJTemporal(sc.spec, sc.constants, *sc.t_range, sc.anchor)
+        nodes = np.array(phi0._table[1])  # a coarse grid, built without the fallback
+        tables.append((phi0, nodes, phi0._build(nodes, False)[1:4]))
     else:
         sc = load_scenario(SCENARIOS / "hj_coulomb_spherical.json")
         action = hj_solve(sc.spec, sc.constants, sc.omega_ranges, sc.signs, t_range=sc.t_range,
                           anchor=sc.anchor)
         tables = [(f, f.nodes, (f.values, f.slopes)) for f in action.terms]
-        nodes = np.array(action.phi0._table[1])  # a coarse grid, built without the fallback
-        tables.append((action.phi0, nodes, action.phi0._build(nodes, False)[1:3]))
     for seed, (f, nodes, columns) in enumerate(tables):
         lo, dx = float(nodes[0]), float(nodes[1] - nodes[0])
         scale = np.max(np.abs(columns[0]))
