@@ -20,7 +20,10 @@ Everything known about a chart sits in its one :class:`Chart` record in
 Jacobian together, and Stackel rows.  The map is written once, in scalar
 ``math`` for the per-point callers; the record also holds the same body
 run over numpy arrays, its results stacked into two arrays, which the
-Newton inversion (:func:`invert_batch`) and the geometry audit use.  There
+Newton inversion (:func:`invert_batch`) and the geometry audit use.  The
+ten elementary charts (cartesian to parabolic) also hold a closed-form
+inverse, written and run over arrays the same way, which gives Newton a
+start at the answer (Moon & Spencer, *Field Theory Handbook*, 1961).  There
 is one Newton iteration, over a stack of targets: :func:`invert` takes a
 single target as a one-row stack unless one scalar map call shows that
 its start already maps onto it to rounding.  The rows are numpy functions
@@ -38,6 +41,7 @@ samplers and the Newton clamp.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -127,7 +131,16 @@ class Chart:
       :func:`schrodsep.elliptic.jacobi_array`, derived on construction;
     * ``rows[i](s, w)`` - Stackel row i at omega_{i+1} = w, a float or a
       float array, in numpy: three entries, each an array of w's shape or
-      a constant that broadcasts against it.
+      a constant that broadcasts against it;
+    * ``inverse(s, z, start)`` - omega as three floats with z(omega) = z,
+      in scalar ``math`` and ``cmath``, for the charts that have a closed
+      form (None for the confocal ones): z and start are three floats
+      each, and an angle axis takes the representative nearest start's
+      component (:func:`_nearest_turn`), the other axes ignore it;
+      ``array_inverse`` is its body over arrays of one shape (z and start
+      of shape (3,) + S or broadcasting so), returning three arrays.  At a
+      focal set or the centre, where the chart has no inverse, a component
+      is not finite (in the scalar form, math raises).
 
     The metric is derived, not stored: R_i^2 is the squared norm of column
     i of J under the frame scales.  ``map`` looks up this module's
@@ -144,11 +157,15 @@ class Chart:
     uses_a: bool = False
     uses_k: bool = False
     base: bool = True
+    inverse: Callable | None = None
     array_map: Callable = field(init=False, repr=False, compare=False)
+    array_inverse: Callable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         array_map = partial(_stacked, _over_arrays(self.map, jacobi=jacobi_array))
         object.__setattr__(self, "array_map", array_map)
+        array_inverse = None if self.inverse is None else _over_arrays(self.inverse)
+        object.__setattr__(self, "array_inverse", array_inverse)
 
 
 def _stacked(map_over_arrays, s, w1, w2, w3):
@@ -297,8 +314,15 @@ def sample_domain(system: CoordinateSystem, seed: int, n: int) -> np.ndarray:
 _R = AxisInterval(-_INF, _INF)
 _HALF_LINE = AxisInterval(0.0, _INF)
 _RADIAL = AxisInterval(0.0, _INF, singular_lo=True)
-_TURN = AxisInterval(0.0, 2.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
+_TURN = AxisInterval(0.0, _TWO_PI)
 _IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _nearest_turn(angle, start):
+    """angle plus the multiple of 2 pi that puts it nearest start: floats,
+    or arrays that broadcast together (``// 1.0`` floors either)."""
+    return angle + _TWO_PI * (((start - angle) / _TWO_PI + 0.5) // 1.0)
 
 
 def _fixed_row(row, s, w):
@@ -313,10 +337,20 @@ def _map_cartesian(s, w1, w2, w3):
     return (w1, w2, w3), _IDENTITY
 
 
+def _inverse_cartesian(s, z, start):
+    z1, z2, z3 = z
+    return z1, z2, z3
+
+
 def _map_cylindrical(s, w1, w2, w3):
     e = math.exp(w1)
     c, sn = math.cos(w2), math.sin(w2)
     return (e * c, e * sn, w3), ((e * c, -e * sn, 0.0), (e * sn, e * c, 0.0), (0.0, 0.0, 1.0))
+
+
+def _inverse_cylindrical(s, z, start):
+    z1, z2, z3 = z
+    return math.log(math.hypot(z1, z2)), _nearest_turn(math.atan2(z2, z1), start[1]), z3
 
 
 def _row1_cylindrical(s, w):
@@ -326,6 +360,13 @@ def _row1_cylindrical(s, w):
 def _map_parabolic_cylindrical(s, w1, w2, w3):
     z = (0.5 * (w1 * w1 - w2 * w2), w1 * w2, w3)
     return z, ((w1, -w2, 0.0), (w2, w1, 0.0), (0.0, 0.0, 1.0))
+
+
+def _inverse_parabolic_cylindrical(s, z, start):
+    # z1 + i z2 = (w1 + i w2)^2 / 2; the principal root has w1 >= 0
+    z1, z2, z3 = z
+    w = cmath.sqrt(2.0 * (z1 + 1j * z2))
+    return w.real, w.imag, z3
 
 
 def _row1_parabolic_cylindrical(s, w):
@@ -342,6 +383,13 @@ def _map_elliptic_cylindrical(s, w1, w2, w3):
     c, sn = math.cos(w2), math.sin(w2)
     return (a * ch * c, a * sh * sn, w3), (
         (a * sh * c, -a * ch * sn, 0.0), (a * ch * sn, a * sh * c, 0.0), (0.0, 0.0, 1.0))
+
+
+def _inverse_elliptic_cylindrical(s, z, start):
+    # (z1 + i z2) / a = cosh(w1 + i w2); the principal acosh has w1 >= 0
+    z1, z2, z3 = z
+    w = cmath.acosh((z1 + 1j * z2) / s.a)
+    return w.real, _nearest_turn(w.imag, start[1]), z3
 
 
 def _row1_elliptic_cylindrical(s, w):
@@ -365,6 +413,14 @@ def _map_spherical(s, w1, w2, w3):
         (-r2 * se * sn, -r * se * th * sn, r * se * c),
         (-r2 * th, r * se * se, 0.0),
     )
+
+
+def _inverse_spherical(s, z, start):
+    # r = 1 / w1, and z3 / rho = sinh w2 (rho = r sech w2, z3 = r tanh w2)
+    z1, z2, z3 = z
+    rho = math.hypot(z1, z2)
+    w3 = _nearest_turn(math.atan2(z2, z1), start[2])
+    return 1.0 / math.hypot(rho, z3), math.asinh(z3 / rho), w3
 
 
 def _row1_inverse_radius(s, w):
@@ -399,6 +455,25 @@ def _map_spheroidal(s, w1, w2, w3, shift):
     )
 
 
+def _inverse_spheroidal(s, z, start, shift):
+    """Both spheroidal charts, as :func:`_map_spheroidal` takes them.
+
+    Prolate is the standard pair (tau, nu) with z3 / a - shift + i rho / a =
+    cosh(tau + i nu) under sinh w1 = 1 / sinh tau and sinh w2 = cot nu;
+    oblate is (mu, theta) with (rho + i z3) / a = cosh(mu + i theta) under
+    tan w1 = 1 / sinh mu and sinh w2 = tan theta.  The principal acosh
+    has the sign of rho >= 0 in the right place for both."""
+    z1, z2, z3 = z
+    a = s.a
+    rho = math.hypot(z1, z2) / a
+    w3 = _nearest_turn(math.atan2(z2, z1), start[2])
+    if shift is None:
+        c = cmath.acosh(rho + 1j * (z3 / a))
+        return math.atan2(1.0, math.sinh(c.real)), math.asinh(math.tan(c.imag)), w3
+    c = cmath.acosh((z3 / a - shift) + 1j * rho)
+    return math.asinh(1.0 / math.sinh(c.real)), math.asinh(math.cos(c.imag) / math.sin(c.imag)), w3
+
+
 def _row1_prolate(s, w):
     sh = np.sinh(w)
     cs2 = 1.0 / (sh * sh)
@@ -429,6 +504,13 @@ def _map_parabolic(s, w1, w2, w3):
     c, sn = math.cos(w3), math.sin(w3)
     z = (e * c, e * sn, 0.5 * (e1 - e2))
     return z, ((e * c, e * c, -e * sn), (e * sn, e * sn, e * c), (e1, -e2, 0.0))
+
+
+def _inverse_parabolic(s, z, start):
+    # z3 + i rho = (e^w1 + i e^w2)^2 / 2; the principal root has both >= 0
+    z1, z2, z3 = z
+    root = cmath.sqrt(2.0 * (z3 + 1j * math.hypot(z1, z2)))
+    return math.log(root.real), math.log(root.imag), _nearest_turn(math.atan2(z2, z1), start[2])
 
 
 def _row1_parabolic(s, w):
@@ -554,34 +636,40 @@ def _prolate_chart(shift: float) -> Chart:
     return Chart(
         SplitClass.NONSPLIT, (_RADIAL, _R, _TURN),
         partial(_map_spheroidal, shift=shift),
-        (_row1_prolate, _row2_prolate, _ROW_Z), uses_a=True, base=shift == 0.0)
+        (_row1_prolate, _row2_prolate, _ROW_Z), uses_a=True, base=shift == 0.0,
+        inverse=partial(_inverse_spheroidal, shift=shift))
 
 
 _CHARTS: dict[SystemId, Chart] = {
     SystemId.CARTESIAN: Chart(
-        SplitClass.COMPLETE, (_R, _R, _R), _map_cartesian, (_ROW_X, _ROW_Y, _ROW_Z)),
+        SplitClass.COMPLETE, (_R, _R, _R), _map_cartesian, (_ROW_X, _ROW_Y, _ROW_Z),
+        inverse=_inverse_cartesian),
     SystemId.CYLINDRICAL: Chart(
-        SplitClass.PARTIAL, (_R, _TURN, _R), _map_cylindrical, (_row1_cylindrical, _ROW_Y, _ROW_Z)),
+        SplitClass.PARTIAL, (_R, _TURN, _R), _map_cylindrical, (_row1_cylindrical, _ROW_Y, _ROW_Z),
+        inverse=_inverse_cylindrical),
     SystemId.PARABOLIC_CYLINDRICAL: Chart(
         SplitClass.PARTIAL, (_HALF_LINE, _R, _R), _map_parabolic_cylindrical,
-        (_row1_parabolic_cylindrical, _row2_parabolic_cylindrical, _ROW_Z)),
+        (_row1_parabolic_cylindrical, _row2_parabolic_cylindrical, _ROW_Z),
+        inverse=_inverse_parabolic_cylindrical),
     SystemId.ELLIPTIC_CYLINDRICAL: Chart(
         SplitClass.PARTIAL, (_HALF_LINE, AxisInterval(-math.pi, math.pi), _R),
         _map_elliptic_cylindrical,
-        (_row1_elliptic_cylindrical, _row2_elliptic_cylindrical, _ROW_Z), uses_a=True),
+        (_row1_elliptic_cylindrical, _row2_elliptic_cylindrical, _ROW_Z), uses_a=True,
+        inverse=_inverse_elliptic_cylindrical),
     SystemId.SPHERICAL: Chart(
         SplitClass.NONSPLIT, (_RADIAL, _R, _TURN), _map_spherical,
-        (_row1_inverse_radius, _row2_spherical, _ROW_Z)),
+        (_row1_inverse_radius, _row2_spherical, _ROW_Z), inverse=_inverse_spherical),
     SystemId.PROLATE_SPHEROIDAL: _prolate_chart(0.0),
     SystemId.PROLATE_SPHEROIDAL_II_PLUS: _prolate_chart(1.0),
     SystemId.PROLATE_SPHEROIDAL_II_MINUS: _prolate_chart(-1.0),
     SystemId.OBLATE_SPHEROIDAL: Chart(
         SplitClass.NONSPLIT, (AxisInterval(0.0, 0.5 * math.pi, singular_lo=True), _R, _TURN),
         partial(_map_spheroidal, shift=None),
-        (_row1_oblate, _row2_oblate, _ROW_Z), uses_a=True),
+        (_row1_oblate, _row2_oblate, _ROW_Z), uses_a=True,
+        inverse=partial(_inverse_spheroidal, shift=None)),
     SystemId.PARABOLIC: Chart(
         SplitClass.NONSPLIT, (_R, _R, _TURN), _map_parabolic,
-        (_row1_parabolic, _row2_parabolic, _ROW_Z)),
+        (_row1_parabolic, _row2_parabolic, _ROW_Z), inverse=_inverse_parabolic),
     SystemId.PARABOLOIDAL: Chart(
         SplitClass.NONSPLIT, (_R, AxisInterval(0.0, math.pi), _R), _map_paraboloidal,
         (_row1_paraboloidal, _row2_paraboloidal, _row3_paraboloidal), uses_a=True),
@@ -813,8 +901,9 @@ def invert_batch(system: CoordinateSystem, Z, G) -> tuple[np.ndarray, np.ndarray
     ||z(omega_j) - z_j|| <= CONTRACT_TOL (1 + |z_j|).  Nothing is raised: a
     target that overflows or is not finite, a non-finite image at the
     start, a zero Jacobian determinant or a stall above the contract fails
-    its own row only (ok false, omega its last iterate), and a trial
-    iterate whose image is not finite counts as no improvement.
+    its own row only (ok false, omega its last iterate), as does a guess
+    that is not finite once clamped, and a trial iterate whose image is not
+    finite counts as no improvement.
     """
     z = np.asarray(Z, dtype=float).reshape(-1, 3).T
     lo, hi = (np.array(b)[:, None] for b in zip(*system.clamp))
@@ -824,7 +913,7 @@ def invert_batch(system: CoordinateSystem, Z, G) -> tuple[np.ndarray, np.ndarray
         tol_target = TARGET_TOL * (1.0 + zn)
         tol_accept = CONTRACT_TOL * (1.0 + zn)
         d, r, J = _miss_batch(system, w, z)
-        alive = np.isfinite(zn) & np.isfinite(r)
+        alive = np.isfinite(zn) & np.isfinite(r) & np.isfinite(w).all(axis=0)
         moving = np.flatnonzero(alive & (r > tol_target))
         for _ in range(MAX_NEWTON_ITERS):
             if not moving.size:

@@ -18,8 +18,8 @@ with sn = sin(phi_0), cn = cos(phi_0) and dn = sqrt(1 - k**2 * sn**2).
 The iteration converges quadratically; its count is capped (DLMF 22.20).
 :func:`jacobi` runs the descent on one float; :func:`jacobi_array` is its
 body run over numpy by :func:`_over_arrays`, the rule that also derives the
-array forms of the chart maps, of the Jacobian guard, of the Euler rotation
-and of the sinusoid time profile.
+array forms of the chart maps and their inverses, of the Jacobian guard, of
+the Euler rotation and of the sinusoid time profile.
 
 The chart Jacobians take first derivatives from the standard identities
 
@@ -46,19 +46,23 @@ def _hypot(*coordinates):
     return reduce(np.hypot, coordinates)
 
 
-#: The ``math`` of a body run over arrays (numpy 1.24 has no ``np.asin``).
-_ARRAY_MATH = types.SimpleNamespace(asin=np.arcsin, cos=np.cos, cosh=np.cosh, exp=np.exp,
-                                    hypot=_hypot, ldexp=np.ldexp, prod=math.prod, sin=np.sin,
-                                    sinh=np.sinh, sqrt=np.sqrt, tanh=np.tanh)
+#: The ``math`` and ``cmath`` of a body run over arrays (numpy 1.24 has no
+#: ``np.asin``); numpy's functions take complex arrays as they are.
+_ARRAY_MATH = types.SimpleNamespace(asin=np.arcsin, asinh=np.arcsinh, atan2=np.arctan2,
+                                    cos=np.cos, cosh=np.cosh, exp=np.exp, hypot=_hypot,
+                                    ldexp=np.ldexp, log=np.log, prod=math.prod, sin=np.sin,
+                                    sinh=np.sinh, sqrt=np.sqrt, tan=np.tan, tanh=np.tanh)
+_ARRAY_CMATH = types.SimpleNamespace(acosh=np.arccosh, sqrt=np.sqrt)
 
 
 def _over_arrays(fn, **names):
     """``fn``, a function or a partial of one, with its body run over numpy
-    arrays: a copy of its module's names, with ``math`` bound to
-    :data:`_ARRAY_MATH` and each of ``names`` as given."""
+    arrays: a copy of its module's names, with ``math`` and ``cmath`` bound
+    to :data:`_ARRAY_MATH` and :data:`_ARRAY_CMATH` and each of ``names`` as
+    given."""
     if isinstance(fn, partial):
         return partial(_over_arrays(fn.func, **names), *fn.args, **fn.keywords)
-    scope = {**fn.__globals__, "math": _ARRAY_MATH, **names}
+    scope = {**fn.__globals__, "math": _ARRAY_MATH, "cmath": _ARRAY_CMATH, **names}
     return types.FunctionType(fn.__code__, scope, fn.__name__, fn.__defaults__, fn.__closure__)
 
 

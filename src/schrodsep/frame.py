@@ -108,7 +108,8 @@ class TimeProfile:
 
 def constant(c: float) -> TimeProfile:
     c = float(c)
-    return TimeProfile(lambda t: (c, 0.0, 0.0))
+    return TimeProfile(lambda t: (c, 0.0, 0.0),
+                       lambda t: (np.full(t.shape, c), *np.zeros((2, *t.shape))))
 
 
 def _deriv(c: list[float]) -> list[float]:
@@ -482,6 +483,14 @@ def _to_chart(rows, w, h, x) -> tuple:
         (r0[1] * d0 + r1[1] * d1 + r2[1] * d2) / h[1],
         (r0[2] * d0 + r1[2] * d1 + r2[2] * d2) / h[2],
     )
+
+
+def _from_chart(rows, w, h, z) -> tuple:
+    """T H z + w, the inverse of :func:`_to_chart`, from :func:`_placement`'s
+    values and the three components of z: floats, or arrays that
+    broadcast together."""
+    hz0, hz1, hz2 = h[0] * z[0], h[1] * z[1], h[2] * z[2]
+    return tuple(r[0] * hz0 + r[1] * hz1 + r[2] * hz2 + wa for r, wa in zip(rows, w))
 
 
 def unembed(frame: FrameSpec, t: float, x) -> np.ndarray:

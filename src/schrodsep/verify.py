@@ -14,14 +14,17 @@ sample with :class:`ConfigurationError` before any field call; a report
 names its index.  Every sample then goes through one node solve
 (:func:`_node_points`), so a residual given a start equals the report's
 record bit for bit.  That solve builds the node positions of a chunk of
-samples in one array, inverts the centres in one batched Newton call
-seeded by the starts, then every node in another seeded by its centre,
-which keeps every evaluation on the centre's branch.  Each field call is
-handed its own node's point, so its own inversion starts at the
-solution.  The field is called at the four time offsets first and then
-at the nodes at the sample's time, and a frame keeps its reading of the
-last time, so the frame's profiles are read once at each of a stencil's
-five times, however many calls and potentials use them.
+samples in one array and maps them to chart space.  Where the chart has a
+closed-form inverse, every node starts from it, its angle taken nearest
+the sample's start, and one batched Newton call solves them all; on the
+charts without one, one call inverts the centres from the starts and
+another every other node from its centre's point, which keeps every
+evaluation on the centre's branch.  Newton judges every node either way.
+Each field call is handed its own node's point, so its own inversion
+starts at the solution.  The field is called at the four time offsets
+first and then at the nodes at the sample's time, and a frame keeps its
+reading of the last time, so the frame's profiles are read once at each
+of a stencil's five times, however many calls and potentials use them.
 
 A report (:class:`ResidualReport`) holds one array per field; its
 summaries are array expressions, its CSV and JSON writers format the
@@ -55,6 +58,7 @@ from .coords import (
 )
 from .errors import ConfigurationError, NumericError, StencilError, check_count, check_range
 from .frame import (
+    _from_chart,
     _gradients,
     _placement,
     _to_chart,
@@ -375,10 +379,17 @@ class ResidualReport:
         return len(self.relative)
 
     def _rows(self):
-        """The records' fields as Python numbers, strings and x tuples, row by row."""
-        return zip(self.index.tolist(), self.channel.tolist(), self.t.tolist(),
-                   map(tuple, self.x.tolist()), self.residual.tolist(), self.scale.tolist(),
-                   self.relative.tolist())
+        """The records' fields as Python numbers, strings and x tuples, row by
+        row; a run of rows with the same x bits (an audit sample's four
+        channels) shares one x tuple."""
+        x = self.x.reshape(-1, 3)
+        bits = np.ascontiguousarray(x).view(np.int64)
+        new = np.ones(len(x), dtype=bool)
+        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        tuples = list(map(tuple, x[new].tolist()))
+        xs = map(tuples.__getitem__, (np.cumsum(new) - 1).tolist())
+        return zip(self.index.tolist(), self.channel.tolist(), self.t.tolist(), xs,
+                   self.residual.tolist(), self.scale.tolist(), self.relative.tolist())
 
     @cached_property
     def records(self) -> tuple[PointRecord, ...]:
@@ -408,15 +419,14 @@ def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
     ``hints[j]``, for samples and steps that :func:`_samples` has checked.
 
     The nodes of all samples come from one :func:`_stencil_nodes` call.
-    Those of the samples whose start is finite are mapped to
-    chart space in one array pass that reads the frame once at each
-    distinct time; the centres are inverted in one :func:`invert_batch`
-    call seeded by the starts, then the other nodes in one more, each
-    seeded by its centre's point.  A sample whose nodes are not all solved
-    has no chart points, and :func:`_stencil` inverts its centre alone
-    (solved alone, its rows would fail again); so does every sample when
-    the frame cannot be read at one of the times, so that the error is
-    raised at the sample it belongs to.
+    Those of the samples whose start is finite are mapped to chart space in
+    one array pass that reads the frame once at each distinct time (one
+    stack of the frame's values at the five times, indexed once per node),
+    and solved by :func:`_solve_nodes`.  A sample whose nodes are not all
+    solved has no chart points, and :func:`_stencil` inverts its centre
+    alone (solved alone, its rows would fail again); so does every sample
+    when the frame cannot be read at one of the times, so that the error
+    is raised at the sample it belongs to.
     """
     ts = np.array([t for t, _ in points], dtype=float)
     xs = np.array([x for _, x in points], dtype=float)
@@ -431,19 +441,44 @@ def _node_points(spec: PotentialSpec, points, steps, hints) -> list:
     except Exception:  # a profile may raise anything; the sample's own turn raises it
         placement = None
     if placement is not None:
-        r0, r1, r2, w, h = ([np.broadcast_to(v, (live.size, 5))[:, _TIME_COLUMN] for v in part]
-                            for part in (*placement[0], *placement[1:]))  # per node
-        with np.errstate(all="ignore"):  # a node whose target is not finite fails its inversion
-            z = np.stack(_to_chart((r0, r1, r2), w, h, nodes[live].transpose(2, 0, 1)), axis=-1)
-        centres, ok = invert_batch(spec.system, z[:, 0], starts[live])
-        solved = np.flatnonzero(ok)
-        if solved.size:
-            others, good = invert_batch(spec.system, z[solved, 1:].reshape(-1, 3),
-                                        np.repeat(centres[solved], _NODES - 1, axis=0))
-            others = others.reshape(-1, _NODES - 1, 3)
-            for k in np.flatnonzero(good.reshape(-1, _NODES - 1).all(axis=1)):
-                chart[live[solved[k]]] = np.concatenate((centres[solved[k]:solved[k] + 1], others[k]))
+        (r0, r1, r2), w, h = placement
+        # the 15 frame values at each sample's five times, then at each node
+        at = np.stack(np.broadcast_arrays(times[live], *r0, *r1, *r2, *w, *h))[1:, :, _TIME_COLUMN]
+        # a node whose target is not finite, or where the chart has no inverse, fails its row
+        with np.errstate(all="ignore"):
+            z = np.stack(_to_chart((at[0:3], at[3:6], at[6:9]), at[9:12], at[12:15],
+                                   nodes[live].transpose(2, 0, 1)), axis=-1)
+            omega, solved = _solve_nodes(spec.system, z, starts[live])
+        for k in np.flatnonzero(solved):
+            chart[live[k]] = omega[k]
     return [_Stencil(*s) for s in zip(ht.tolist(), hx.tolist(), times.tolist(), nodes, hints, chart)]
+
+
+def _solve_nodes(system, z, starts) -> tuple[np.ndarray, np.ndarray]:
+    """The chart points (m, 17, 3) of the node targets z (m, 17, 3) of m
+    samples with the Newton starts (m, 3), and which samples have every
+    node solved, with :func:`invert_batch` the judge of each node.
+
+    A chart with a closed-form inverse starts every node from it, its
+    angles taken nearest the sample's start, and solves all nodes in one
+    :func:`invert_batch` call.  A chart without one inverts the centres in
+    one call seeded by the starts, then the other nodes in one more, each
+    seeded by its centre's point, which keeps every node on the centre's
+    branch."""
+    inverse = system.chart.array_inverse
+    if inverse is not None:
+        guess = np.stack(inverse(system, z.transpose(2, 0, 1), starts.T[:, :, None]), axis=-1)
+        omega, ok = invert_batch(system, z.reshape(-1, 3), guess.reshape(-1, 3))
+        return omega.reshape(z.shape), ok.reshape(-1, _NODES).all(axis=1)
+    centres, ok = invert_batch(system, z[:, 0], starts)
+    omega = np.repeat(centres[:, None], _NODES, axis=1)
+    solved = np.flatnonzero(ok)
+    if solved.size:
+        others, good = invert_batch(system, z[solved, 1:].reshape(-1, 3),
+                                    np.repeat(centres[solved], _NODES - 1, axis=0))
+        omega[solved, 1:] = others.reshape(-1, _NODES - 1, 3)
+        ok[solved] = good.reshape(-1, _NODES - 1).all(axis=1)
+    return omega, ok
 
 
 def _report(residual_with_scale, channel, field, spec, points, steps, hints) -> ResidualReport:
@@ -541,21 +576,42 @@ def chart_box_points(
     default steps.  Raises :class:`ConfigurationError` unless every range
     is finite, with a finite span, and nonempty, and unless n and the seed
     are integers >= 0.
+
+    Sample j is t, omega_1, omega_2, omega_3 from row j of one
+    ``rng.random((n, 4))`` draw under the affine map of
+    ``Generator.uniform``, so its bits are those of a per-sample
+    ``uniform`` loop; x is embedded for all samples in one chart map and
+    frame pass over arrays.  A sample that :func:`embed` would refuse (a
+    chart point outside the domain, a map that overflows, a frame that
+    cannot be read) makes the samples go through :func:`embed` in turn,
+    which raises the first one's error.
     """
     n, seed = check_count("sample count", n), check_count("seed", seed)
     lo, hi = np.array(
         [check_range("omega range", r[0], r[1], f" on axis {a}") for a, r in enumerate(ranges, 1)]
     ).T
     t_lo, t_hi = check_range("time range", t_range[0], t_range[1])
-    rng = np.random.default_rng(seed)
+    require_compatible(system, frame)
     pad = _BOX_MARGIN * (hi - lo)
     t_pad = _BOX_MARGIN * (t_hi - t_lo)
-    out = []
-    for _ in range(n):
-        t = float(rng.uniform(t_lo + t_pad, t_hi - t_pad))
-        omega = rng.uniform(lo + pad, hi - pad)
-        out.append((t, embed(system, frame, t, omega), omega))
-    return out
+    low, high = np.array([t_lo + t_pad, *(lo + pad)]), np.array([t_hi - t_pad, *(hi - pad)])
+    drawn = low + (high - low) * np.random.default_rng(seed).random((n, len(low)))
+    t, omega = drawn[:, 0], drawn[:, 1:]
+    error = None
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        try:
+            z = system.chart.array_map(system, *omega.T)[0]
+            x = np.stack(_from_chart(*_placement(frame, t), z), axis=-1)
+            refused = not (np.isfinite(z).all() and all(
+                ax.contains(w).all() for ax, w in zip(system.domain, omega.T)))
+        except Exception as exc:  # a profile may raise anything, and omega may not be three
+            refused, error = True, exc
+    if refused:
+        for j in range(n):  # embed raises the error at the sample it belongs to
+            embed(system, frame, float(t[j]), omega[j])
+        if error is not None:
+            raise error
+    return list(zip(t.tolist(), x, omega))
 
 
 # ---------------------------------------------------------------------------

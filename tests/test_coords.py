@@ -471,6 +471,110 @@ def test_invert_batch_keeps_the_scalar_contract(name, data):
         assert w.tobytes() == w_scalar.tobytes()
 
 
+#: The records with a closed-form inverse, and the axis of each that is an
+#: angle (period 2 pi), None for none.
+ANGLE_AXIS = {
+    "cartesian": None, "cylindrical": 1, "parabolic_cylindrical": None,
+    "elliptic_cylindrical": 1, "spherical": 2, "prolate_spheroidal": 2,
+    "prolate_spheroidal_ii_plus": 2, "prolate_spheroidal_ii_minus": 2,
+    "oblate_spheroidal": 2, "parabolic": 2,
+}
+
+
+def test_the_elementary_charts_have_closed_form_inverses():
+    have = {sid.value for sid, chart in _CHARTS.items() if chart.inverse is not None}
+    assert have == set(ANGLE_AXIS)
+    assert set(all_system_ids()) - have == {"paraboloidal", "ellipsoidal", "conical"}
+    for sid, chart in _CHARTS.items():
+        assert (chart.array_inverse is None) == (chart.inverse is None)
+
+
+def inverse_tolerance(s, w, ulps=8.0):
+    """``ulps`` rounding units of 1 + |omega_i| for each row of w (n, 3), plus
+    as many of 1 + |z| carried through row i of J^-1: z holds omega to its
+    own rounding only, and near a focal set J^-1 is large, so that is the
+    accuracy any inverse of the rounded z can have."""
+    z, J = s.chart.array_map(s, *w.T)
+    rows = _adjugate(J) / _det3(J)  # (3, 3, n): row i of J^-1 is rows[i]
+    reach = np.sqrt(np.sum(rows * rows, axis=1)).T * (1.0 + np.sqrt(np.sum(z * z, axis=0)))[:, None]
+    return ulps * np.finfo(float).eps * (1.0 + np.abs(w) + reach)
+
+
+@pytest.mark.parametrize("name", sorted(ANGLE_AXIS))
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(data=st.data())
+def test_closed_form_inverse_round_trip(name, data):
+    # inverse(forward(omega)) is omega to a few rounding units, scaled by
+    # the chart's condition there, anywhere in the sampling box, by the
+    # scalar body and by its array form over a stack; a start one turn off
+    # on the angle axis returns the angle one turn off, the representative
+    # nearest the start.
+    s = build(name)
+    box = sampling_box(s)
+    n = data.draw(st.integers(1, 5), label="rows")
+    w = np.array([[data.draw(st.floats(lo, hi)) for lo, hi in box] for _ in range(n)])
+    turns = np.zeros((n, 3))
+    axis = ANGLE_AXIS[name]
+    if axis is not None:
+        turns[:, axis] = data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    start = w + 2.0 * math.pi * turns
+    start[:, axis if axis is not None else 0] += np.array(
+        data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    want = w + 2.0 * math.pi * turns
+    tol = inverse_tolerance(s, w) + 8.0 * np.finfo(float).eps * np.abs(want)
+    Z = np.array([forward(s, point) for point in w])
+    scalar = np.array([s.chart.inverse(s, tuple(z), tuple(g)) for z, g in zip(Z, start)])
+    stacked = np.stack(s.chart.array_inverse(s, Z.T, start.T), axis=-1)
+    assert stacked.shape == (n, 3)
+    assert (np.abs(scalar - want) <= tol).all(), (scalar - want) / tol
+    assert (np.abs(stacked - want) <= tol).all(), (stacked - want) / tol
+
+
+@pytest.mark.parametrize("name", [name for name, axis in ANGLE_AXIS.items() if axis is not None])
+def test_closed_form_inverse_takes_the_angle_nearest_the_start_across_the_seam(name):
+    # An angle just inside either end of its axis (0 and 2 pi, or -pi and pi
+    # for elliptic cylindrical), with the start just across that end or
+    # just inside the other one: the angle comes back on the start's side
+    # of the seam, one turn off where the start sits a turn away.
+    s = build(name)
+    axis = ANGLE_AXIS[name]
+    lo, hi = s.domain[axis].lo, s.domain[axis].hi
+    assert hi - lo == pytest.approx(2.0 * math.pi)
+    centre = sampling_box(s).mean(axis=1)
+    for angle, start, want in (
+        (lo + 1e-4, lo - 1e-4, lo + 1e-4),
+        (hi - 1e-4, hi + 1e-4, hi - 1e-4),
+        (lo + 1e-4, hi - 1e-4, hi + 1e-4),
+        (hi - 1e-4, lo + 1e-4, lo - 1e-4),
+    ):
+        w = centre.copy()
+        w[axis] = angle
+        g = centre.copy()
+        g[axis] = start
+        z = forward(s, w)
+        got = s.chart.inverse(s, tuple(z), tuple(g))[axis]
+        stacked = s.chart.array_inverse(s, z[:, None], g[:, None])[axis][0]
+        assert abs(got - want) <= 1e-14 and abs(stacked - want) <= 1e-14, (angle, start)
+
+
+@pytest.mark.parametrize("name", ["cylindrical", "spherical", "prolate_spheroidal", "parabolic"])
+def test_closed_form_start_at_the_centre_fails_its_row(name):
+    # At the origin the chart has no point (the axis, r = 0, the focal
+    # segment, the vertex): the closed form gives a start that is not
+    # finite there, and invert_batch fails that row alone with no numpy
+    # warning, though such a start (omega_1 = -inf on the cylindrical
+    # chart) can map onto the origin exactly.
+    s = build(name)
+    good = sample_domain(s, seed=3, n=2)
+    Z = np.array([forward(s, good[0]), np.zeros(3), forward(s, good[1])])
+    with np.errstate(all="ignore"):
+        start = np.stack(s.chart.array_inverse(s, Z.T, good[[0, 0, 1]].T), axis=-1)
+    assert np.isfinite(start[[0, 2]]).all() and not np.isfinite(start[1]).all()
+    omega, ok = invert_batch(s, Z, start)
+    assert ok.tolist() == [True, False, True]
+    np.testing.assert_allclose(omega[[0, 2]], good, rtol=1e-13)
+
+
 def test_invert_batch_fails_bad_rows_alone():
     # An overflowing target, a non-finite one, a guess whose image
     # overflows and one where the Jacobian is singular (exp(-800) = 0 on

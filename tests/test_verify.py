@@ -642,6 +642,52 @@ def test_malformed_samples_end_in_a_configuration_error(data):
     assert calls == []
 
 
+def per_sample_draws(box, t_range, n, seed):
+    """The (t, omega) of each sample as a per-sample ``rng.uniform`` loop
+    draws them: t, then omega, inside the margin of each range."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(box).T
+    pad = schrodsep.verify._BOX_MARGIN * (hi - lo)
+    t_pad = schrodsep.verify._BOX_MARGIN * (t_range[1] - t_range[0])
+    return [(float(rng.uniform(t_range[0] + t_pad, t_range[1] - t_pad)),
+             rng.uniform(lo + pad, hi - pad)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", ["cartesian", "cylindrical", "spherical", "conical"])
+@pytest.mark.parametrize("seed", [1, 7, 31])
+def test_chart_box_points_keeps_the_draws_of_a_per_sample_loop(name, seed):
+    # One array draw under Generator.uniform's affine map gives t and omega
+    # the bits of a per-sample loop; x, embedded for all samples at once,
+    # is embed's to rounding.
+    system = build(name)
+    frame = wiggly_frame(system.split_class.value)
+    t_range = (-1.5, 0.5 + seed)
+    points = chart_box_points(system, frame, BOXES[name], t_range, 12, seed)
+    want = per_sample_draws(BOXES[name], t_range, 12, seed)
+    assert len(points) == len(want) == 12
+    for (t, x, omega), (want_t, want_omega) in zip(points, want):
+        assert type(t) is float and np.float64(t).tobytes() == np.float64(want_t).tobytes()
+        assert omega.tobytes() == want_omega.tobytes()
+        want_x = embed(system, frame, t, omega)
+        assert x.shape == (3,) and np.max(np.abs(x - want_x)) <= 1e-15 * np.max(np.abs(want_x))
+
+
+@pytest.mark.parametrize("box, t_range, frame, error", [
+    (((0.6, 1.4), (0.4, 1.2), (-2.0, 2.5)), (-1.0, 1.0), make_frame("nonsplit"), DomainError),
+    (BOXES["spherical"], (0.0, 5.0), make_frame("nonsplit", h1=polynomial([1.0, -0.4])),
+     ConfigurationError),
+], ids=["omega_outside_the_domain", "frame_scale_reaches_zero"])
+def test_chart_box_points_raises_the_error_of_the_first_sample_embed_refuses(
+        box, t_range, frame, error):
+    system = make_system("spherical")
+    with pytest.raises(error) as info:
+        chart_box_points(system, frame, box, t_range, 12, 5)
+    with pytest.raises(error) as first:
+        for t, omega in per_sample_draws(box, t_range, 12, 5):
+            embed(system, frame, t, omega)
+    assert str(info.value) == str(first.value)
+
+
 # ---------------------------------------------------------------------------
 # Stencil nodes solved per report
 
@@ -688,9 +734,11 @@ def recording(field, nodes):
 def test_report_solves_stencil_nodes_in_batches(node_input, channel, monkeypatch):
     # The report keeps the records and field nodes of a per-sample loop with
     # centre hints, and its residuals to within 1 %, while it inverts nodes
-    # in two batches per chunk and hands each field call its own node's
-    # point as the start, so that the field's own inversion starts at the
-    # solution.
+    # in batches per chunk and hands each field call its own node's point
+    # as the start, so that the field's own inversion starts at the
+    # solution.  A chart with a closed-form inverse solves all 17 nodes of
+    # a chunk in one batch; conical, which has none, inverts the centres,
+    # then the other 16 nodes of each.
     spec, points, fields = node_input
     points = points[:10]
     report, residual, field = fields[channel]
@@ -718,7 +766,10 @@ def test_report_solves_stencil_nodes_in_batches(node_input, channel, monkeypatch
     nodes = []
     rep = report(recording(field, nodes), spec, [(t, x) for t, x, _ in points],
                  hints=[omega for _, _, omega in points])
-    assert batches == [4, 64, 4, 64, 2, 32]  # centres, then the other 16 nodes of each
+    if spec.system.chart.inverse is None:
+        assert batches == [4, 64, 4, 64, 2, 32]
+    else:
+        assert batches == [68, 68, 34]
     assert nodes == loop_nodes
     assert (np.array([x for _, x in nodes]).tobytes()
             == np.array([x for _, x in loop_nodes]).tobytes())
@@ -726,6 +777,54 @@ def test_report_solves_stencil_nodes_in_batches(node_input, channel, monkeypatch
         (j, channel, t, tuple(x)) for j, (t, x, _) in enumerate(points)]
     assert rep.max_relative == pytest.approx(loop_worst, rel=0.01)
     assert len(starts) == len(nodes) and max(starts) <= 1e-12
+
+
+def assert_closed_form_nodes_agree_with_the_two_call_route(spec, points):
+    """Every node of the samples (t, x, start) started from the chart's
+    closed-form inverse and solved in one batch lands where the
+    centre-seeded route of a chart without one puts it, to 1e-13 relative,
+    and both routes solve every node; without an inverse both are that
+    route, bit for bit."""
+    verify = schrodsep.verify
+    pairs, hints = [(t, x) for t, x, _ in points], [omega for _, _, omega in points]
+    closed = verify._node_points(spec, pairs, verify.DEFAULT_STEPS, hints)
+    system = dataclasses.replace(spec.system)
+    object.__setattr__(system, "chart", dataclasses.replace(system.chart, inverse=None))
+    assert system.chart.array_inverse is None
+    two_call = verify._node_points(dataclasses.replace(spec, system=system), pairs,
+                                   verify.DEFAULT_STEPS, hints)
+    for got, want in zip(closed, two_call, strict=True):
+        assert got.points.shape == want.points.shape == (17, 3)
+        np.testing.assert_allclose(got.points, want.points, rtol=1e-13, atol=0.0)
+        if spec.system.chart.inverse is None:
+            assert got.points.tobytes() == want.points.tobytes()
+
+
+def test_closed_form_node_starts_agree_with_the_two_call_route(node_input):
+    spec, points, _ = node_input
+    assert_closed_form_nodes_agree_with_the_two_call_route(spec, points)
+
+
+#: A chart box inside the domain of each chart with a closed-form inverse.
+ELEMENTARY_BOXES = {
+    **{name: BOXES[name] for name in ("cartesian", "cylindrical", "parabolic_cylindrical",
+                                      "spherical")},
+    "elliptic_cylindrical": ((0.3, 1.3), (0.3, 2.5), (-1.0, 1.0)),
+    **dict.fromkeys(("prolate_spheroidal", "prolate_spheroidal_ii_plus",
+                     "prolate_spheroidal_ii_minus", "oblate_spheroidal"),
+                    ((0.3, 1.3), (-1.0, 1.0), (0.5, 2.5))),
+    "parabolic": ((-0.6, 0.6), (-0.6, 0.6), (0.4, 2.6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTARY_BOXES))
+def test_closed_form_node_starts_agree_on_every_elementary_chart(name):
+    # the same on each of the ten charts under a moving frame of its class
+    system = build(name)
+    assert system.chart.inverse is not None
+    spec = magnetic_spec(system, wiggly_frame(system.split_class.value))
+    points = chart_box_points(system, spec.frame, ELEMENTARY_BOXES[name], (-1.0, 1.0), 30, 3)
+    assert_closed_form_nodes_agree_with_the_two_call_route(spec, points)
 
 
 @pytest.mark.parametrize("channel", ["se", "hj"])
@@ -775,6 +874,26 @@ def test_audit_records_view_is_the_records_of_its_channel_array():
             for idx, (xi, values) in enumerate(zip(x, channels))
             for channel, v in zip(AUDIT_CHANNELS, values)]
     assert_records_view(rep, want)
+
+
+def test_report_rows_share_one_x_tuple_per_run_of_equal_x():
+    # an audit sample's four rows share its x tuple, and the records are
+    # those of one tuple per row; rows whose x differ only in the sign of a
+    # zero keep their own bits
+    rep = geometry_audit(build("spherical"), wiggly_frame("nonsplit"), 0.37, 30, seed=5)
+    want = [PointRecord(*row) for row in zip(
+        rep.index.tolist(), rep.channel.tolist(), rep.t.tolist(), map(tuple, rep.x.tolist()),
+        rep.residual.tolist(), rep.scale.tolist(), rep.relative.tolist())]
+    assert repr(list(rep.records)) == repr(want)
+    xs = [r.x for r in rep.records]
+    assert all(x is xs[j - j % 4] for j, x in enumerate(xs))
+    assert len({id(x) for x in xs}) == 30
+    x = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [-0.0, 1.0, 2.0]])
+    signed = ResidualReport(np.arange(3), np.full(3, "se"), np.zeros(3), x, np.ones(3),
+                            np.ones(3), np.ones(3), 1e-3, 1e-3)
+    assert [repr(r.x) for r in signed.records] == ["(0.0, 1.0, 2.0)", "(-0.0, 1.0, 2.0)",
+                                                   "(-0.0, 1.0, 2.0)"]
+    assert signed.records[1].x is signed.records[2].x
 
 
 def test_mean_relative_sums_left_to_right():
